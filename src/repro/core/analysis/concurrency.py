@@ -119,16 +119,11 @@ def concurrency_study(
     seed: int = 0,
 ) -> dict[str, ConcurrencyAnalysis]:
     """Run the idle-resource analysis across workloads."""
-    from repro.data.synthetic import random_batch
     from repro.profiling.profiler import MMBenchProfiler
-    from repro.workloads.registry import get_workload
 
     profiler = MMBenchProfiler(device)
-    out: dict[str, ConcurrencyAnalysis] = {}
-    for name in workloads:
-        info = get_workload(name)
-        model = info.build(seed=seed)
-        batch = random_batch(info.shapes, batch_size, seed=seed)
-        report = profiler.profile(model, batch).report
-        out[name] = analyze_concurrency(report)
-    return out
+    return {
+        name: analyze_concurrency(
+            profiler.profile_workload(name, batch_size=batch_size, seed=seed).report)
+        for name in workloads
+    }

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.data.synthetic import random_batch
 from repro.profiling.profiler import MMBenchProfiler
 from repro.workloads.registry import get_workload
 
@@ -38,10 +37,7 @@ def modality_time_analysis(
     profiler = MMBenchProfiler(device)
     out: dict[str, dict[str, float]] = {}
     for name in workloads:
-        info = get_workload(name)
-        model = info.build(seed=seed)
-        batch = random_batch(info.shapes, batch_size, seed=seed)
-        result = profiler.profile(model, batch)
+        result = profiler.profile_workload(name, batch_size=batch_size, seed=seed)
         times = result.report.modality_time()
         if normalize and times:
             floor = min(times.values())
@@ -82,13 +78,9 @@ def sync_share_analysis(
             (m for m in info.modalities if "image" in m or m in ("t1", "flair")),
             info.modalities[0],
         )
-        for variant, model in (
-            ("uni", info.build_unimodal(uni_modality, seed=seed)),
-            ("multi", info.build(seed=seed)),
-        ):
-            shapes = model.shapes
-            batch = random_batch(shapes, batch_size, seed=seed)
-            result = profiler.profile(model, batch)
+        for variant, unimodal in (("uni", uni_modality), ("multi", None)):
+            result = profiler.profile_workload(name, unimodal=unimodal,
+                                               batch_size=batch_size, seed=seed)
             share = result.report.cpu_runtime_share
             rows.append(SyncShare(
                 workload=name, variant=variant,

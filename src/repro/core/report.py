@@ -14,7 +14,7 @@ import io
 
 from repro.hw.energy import report_energy, stage_energy
 from repro.hw.stalls import STALL_REASONS
-from repro.profiling.profiler import MMBenchProfiler
+from repro.profiling.profiler import price_grid
 from repro.profiling.report import format_bytes, format_seconds
 from repro.workloads.registry import get_workload
 
@@ -38,21 +38,19 @@ def characterization_report(
 ) -> str:
     """Render a markdown characterization report for one workload.
 
-    The trace comes from the shared store (meta backend by default), so
-    regenerating a report over the same configuration is a cache hit.
+    Everything comes from the shared store's entry (meta backend by
+    default) and one broadcast pricing of it across ``devices``, so a warm
+    hit renders with no model build and no re-trace.
     """
-    from repro.trace.store import default_store
-
     info = get_workload(workload)
-    store = default_store()
-    stored = store.get_or_capture(workload, fusion=fusion,
-                                  batch_size=batch_size, seed=seed, backend=backend)
-    model = store.model(workload, fusion, seed=seed)
-    profiler = MMBenchProfiler(devices[0])
+    cells = price_grid([workload], [batch_size], devices, fusion=fusion,
+                       seed=seed, backend=backend)
+    reports = [cells[(workload, batch_size, device)].report for device in devices]
+    stored = cells[(workload, batch_size, devices[0])].stored
     trace = stored.trace
 
     out = io.StringIO()
-    out.write(f"# MMBench characterization: {model.name}\n\n")
+    out.write(f"# MMBench characterization: {stored.model_name}\n\n")
     out.write(f"Domain: {info.domain} · modalities: {', '.join(info.modalities)} · "
               f"task: {info.task_kind} · batch size: {batch_size}\n\n")
 
@@ -60,13 +58,13 @@ def characterization_report(
     out.write("## Algorithm level\n\n")
     out.write(_md_table(
         ["parameters", "parameter bytes", "FLOPs / sample"],
-        [[f"{model.num_parameters():,}", format_bytes(model.parameter_bytes()),
+        [[f"{stored.parameters:,}", format_bytes(stored.parameter_bytes),
           f"{trace.total_flops / batch_size:,.0f}"]],
     ))
     out.write("\n")
 
     # Primary device deep dive.
-    primary = profiler.price(model, trace, batch_size, device=devices[0])
+    primary = reports[0]
     out.write(f"## Three-stage profile on {devices[0]}\n\n")
     stage_rows = []
     counters = primary.stage_counters()
@@ -91,7 +89,7 @@ def characterization_report(
     out.write(_md_table(["stage", "dominant kernel categories"], mix_rows))
     out.write("\n")
 
-    if model.is_multimodal:
+    if len(stored.modalities) > 1:
         out.write("### Modality balance (encoder stage)\n\n")
         times = primary.modality_time()
         floor = min(times.values()) or 1.0
@@ -124,8 +122,7 @@ def characterization_report(
     # Cross-device summary.
     out.write("## Cross-device summary\n\n")
     device_rows = []
-    for device in devices:
-        rep = profiler.price(model, trace, batch_size, device=device)
+    for device, rep in zip(devices, reports):
         energy = report_energy(rep)
         stalls = rep.overall_stalls()
         dominant = max(STALL_REASONS, key=lambda r: stalls.get(r, 0.0))

@@ -17,6 +17,7 @@ from repro.data.generators import LatentMultimodalDataset
 from repro.data.synthetic import random_batch, random_targets
 from repro.profiling.profiler import MMBenchProfiler, ProfileResult
 from repro.profiling.report import profile_summary
+from repro.workloads.base import unimodal_shapes
 from repro.workloads.registry import WorkloadInfo, get_workload, list_workloads
 from repro import nn
 
@@ -62,7 +63,8 @@ class BenchmarkSuite:
 
     def make_batch(self, config: RunConfig) -> dict[str, np.ndarray]:
         info = get_workload(config.workload)
-        model_shapes = self.build_model(config).shapes
+        model_shapes = (info.shapes if config.unimodal is None
+                        else unimodal_shapes(info.shapes, config.unimodal))
         if config.synthetic_inputs:
             return random_batch(model_shapes, config.batch_size, seed=config.seed)
         dataset = LatentMultimodalDataset(info.shapes, info.default_channels(),

@@ -11,6 +11,27 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(0)
 
 
+@pytest.fixture
+def model_builds(monkeypatch) -> list[str]:
+    """Names of the workloads whose models are built while the test runs.
+
+    Counts every ``WorkloadInfo.build`` / ``build_unimodal`` call, so a
+    test can pin how many RNG-initialized models a path constructs.
+    """
+    from repro.workloads.registry import WorkloadInfo
+
+    builds: list[str] = []
+    for name in ("build", "build_unimodal"):
+        original = getattr(WorkloadInfo, name)
+
+        def counted(self, *args, _original=original, **kwargs):
+            builds.append(self.name)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(WorkloadInfo, name, counted)
+    return builds
+
+
 def numeric_gradient(f, x: np.ndarray, eps: float = 1e-3) -> np.ndarray:
     """Central-difference gradient of scalar-valued ``f`` w.r.t. array ``x``.
 

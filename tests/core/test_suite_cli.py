@@ -36,6 +36,16 @@ class TestSuite:
         loss = suite.run_training_step(RunConfig(workload="avmnist", batch_size=4))
         assert np.isfinite(loss) and loss > 0
 
+    @pytest.mark.parametrize("unimodal", [None, "image"])
+    def test_eager_paths_build_the_model_once(self, suite, model_builds, unimodal):
+        config = RunConfig(workload="avmnist", unimodal=unimodal, batch_size=2,
+                           synthetic_inputs=False)
+        result = suite.run_inference(config)
+        assert model_builds == ["avmnist"]
+        assert len(result.modalities) == (1 if unimodal else 2)
+        suite.run_training_step(config)
+        assert model_builds == ["avmnist"] * 2
+
     def test_latent_inputs(self, suite):
         config = RunConfig(workload="avmnist", batch_size=4, synthetic_inputs=False)
         batch = suite.make_batch(config)
