@@ -91,7 +91,7 @@ def test_serving_sweep(benchmark):
     )
 
     rows = [[b, f"{r.throughput:,.0f} tasks/s", f"{r.mean_latency * 1e3:.2f} ms",
-             f"{r.p99_latency * 1e3:.2f} ms", f"{r.server_utilization:.0%}"]
+             f"{r.p99_latency * 1e3:.2f} ms", f"{r.total_utilization:.0%}"]
             for b, r in sorted(results.items())]
     print_table("Serving sweep: AV-MNIST on the 2080Ti model (closed batch)",
                 ["batch", "throughput", "mean latency", "p99 latency",

@@ -82,30 +82,17 @@ trap 'rm -rf "$tmpdir"' EXIT
 "${run[@]}" ingest tests/fixtures/execution_graphs/transformer_train.json \
     --report | grep "unknown ops: 1/11"
 
-# Store migration: seed a legacy gzip-JSON (schema v4) cache, migrate it
-# to the v5 binary format, and prove the migrated entry warm-hits.
+# Persistent store: a cold run fills the cache with one entry, the corpus
+# commands list it, and a second run warm-hits it from disk.
 cachedir="$tmpdir/cache"
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - "$cachedir" <<'EOF'
-import sys
-from pathlib import Path
-from repro.trace.store import TraceStore, trace_to_payload, write_legacy_json
-
-cache = Path(sys.argv[1])
-store = TraceStore(cache)
-key = store.make_key("avmnist", batch_size=2, backend="meta")
-entry = store.get_or_capture("avmnist", batch_size=2, backend="meta")
-for binary in cache.glob("*.mmt"):
-    binary.unlink()
-write_legacy_json(cache / f"{key.digest()}.json.gz",
-                  trace_to_payload(entry, key))
-EOF
-"${run[@]}" store ls --cache-dir "$cachedir" | grep json
-"${run[@]}" store migrate --cache-dir "$cachedir" | grep "1 legacy"
-"${run[@]}" store stats --cache-dir "$cachedir" | grep "1 v5"
+"${run[@]}" run --workload avmnist --batch-size 2 --backend meta \
+    --cache-dir "$cachedir" | grep "1 captures"
+"${run[@]}" store ls --cache-dir "$cachedir" | grep avmnist
+"${run[@]}" store stats --cache-dir "$cachedir" | grep "1 entry"
 "${run[@]}" run --workload avmnist --batch-size 2 --backend meta \
     --cache-dir "$cachedir" | grep "0 captures"
 
-# Static lint: the exported graph and the whole migrated store lint clean
+# Static lint: the exported graph and the whole store lint clean
 # under --strict; a counterexample fixture keeps failing (exit 1) and a
 # baseline written from its findings suppresses them.
 "${run[@]}" lint --strict "$tmpdir/avmnist.json"

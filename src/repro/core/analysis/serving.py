@@ -10,7 +10,6 @@ batching policy do under the same stream (:func:`policy_study`)?
 
 from __future__ import annotations
 
-from repro.hw.scheduler import ServingResult, serving_result_from_report
 from repro.serving import (
     BatchingPolicy,
     FixedBatchPolicy,
@@ -29,24 +28,23 @@ def serving_sweep(
     arrival_rate: float | None = None,
     device: str = "2080ti",
     seed: int = 0,
-) -> dict[int, ServingResult]:
-    """Simulate serving ``n_tasks`` at each fixed batch size; per-size stats.
+) -> dict[int, ServingReport]:
+    """Simulate serving ``n_tasks`` at each fixed batch size; per-size reports.
 
     ``arrival_rate=None`` reproduces the paper's closed-batch setting (all
     tasks queued at t=0); a finite rate simulates an open Poisson stream.
     """
     cost = ProfiledCostModel(workload, fusion, seed=seed)
-    results: dict[int, ServingResult] = {}
-    for batch_size in batch_sizes:
-        report = simulate(
+    return {
+        batch_size: simulate(
             cost, FixedBatchPolicy(batch_size), devices=(device,),
             n_requests=n_tasks, arrival_rate=arrival_rate, seed=seed,
         )
-        results[batch_size] = serving_result_from_report(report, batch_size)
-    return results
+        for batch_size in batch_sizes
+    }
 
 
-def best_batch_for_slo(results: dict[int, ServingResult], p99_slo: float) -> int | None:
+def best_batch_for_slo(results: dict[int, ServingReport], p99_slo: float) -> int | None:
     """Largest batch size whose p99 latency meets the SLO (None if none do)."""
     feasible = [b for b, r in results.items() if r.p99_latency <= p99_slo]
     return max(feasible) if feasible else None

@@ -834,7 +834,7 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_store(args) -> int:
-    """Corpus operations on the on-disk trace store (schema v5 binary tier)."""
+    """Corpus operations on the on-disk trace store."""
     import os
 
     from repro.trace.store import TraceStore
@@ -855,9 +855,7 @@ def _cmd_store(args) -> int:
             if isinstance(mode, str) and mode.startswith("ingest:"):
                 mode = "ingest"
             rows.append([
-                info["digest"][:12], info["format"],
-                info["schema"] if info["schema"] is not None else "-",
-                what, mode, key.get("batch_size", "-"),
+                info["digest"][:12], what, mode, key.get("batch_size", "-"),
                 key.get("backend", "-"), info["n"],
                 f"{info['bytes'] / 1024:.1f} KiB",
                 ("corrupt" if info["status"] == "corrupt"
@@ -867,26 +865,20 @@ def _cmd_store(args) -> int:
             print(f"trace store [{cache_dir}]: empty")
             return 0
         print(format_table(
-            ["digest", "format", "schema", "workload", "mode", "batch",
-             "backend", "kernels", "size", "status"],
+            ["digest", "workload", "mode", "batch", "backend", "kernels",
+             "size", "status"],
             rows, title=f"trace store [{cache_dir}]"))
         return 0
 
     if args.action == "stats":
         infos = store.entries()
-        by_format: dict[str, int] = {}
-        total_bytes = 0
-        kernels = 0
-        stale = corrupt = 0
-        for info in infos:
-            by_format[info["format"]] = by_format.get(info["format"], 0) + 1
-            total_bytes += info["bytes"]
-            kernels += info["n"]
-            stale += bool(info["stale"])
-            corrupt += info["status"] == "corrupt"
+        total_bytes = sum(info["bytes"] for info in infos)
+        kernels = sum(info["n"] for info in infos)
+        stale = sum(bool(info["stale"]) for info in infos)
+        corrupt = sum(info["status"] == "corrupt" for info in infos)
         interned = len(store._interner) if store._interner is not None else 0
-        print(f"trace store [{cache_dir}]: {len(infos)} entries "
-              f"({', '.join(f'{n} {f}' for f, n in sorted(by_format.items())) or 'none'})")
+        print(f"trace store [{cache_dir}]: {len(infos)} "
+              f"entr{'y' if len(infos) == 1 else 'ies'}")
         print(f"  {total_bytes / 1e6:.2f} MB on disk, {kernels:,} kernels, "
               f"{interned} interned strings")
         print(f"  {stale} stale (old code fingerprint), {corrupt} corrupt")
@@ -897,14 +889,6 @@ def _cmd_store(args) -> int:
         print(f"gc [{cache_dir}]: removed "
               f"{removed['stale']} stale, {removed['corrupt']} quarantined, "
               f"{removed['unreadable']} unreadable, {removed['tmp']} torn tmp")
-        return 0
-
-    if args.action == "migrate":
-        migrated = store.migrate()
-        print(f"migrate [{cache_dir}]: {migrated} legacy gzip-JSON entries "
-              f"rewritten as v5 binary")
-        if store.stats["corrupt"]:
-            print(f"  {store.stats['corrupt']} unreadable entries quarantined")
         return 0
 
     if args.action == "lint":
@@ -1140,13 +1124,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     store_p = sub.add_parser(
         "store", help="corpus operations on the on-disk trace cache "
-                      "(ls / stats / gc / migrate / lint)")
+                      "(ls / stats / gc / lint)")
     store_sub = store_p.add_subparsers(dest="action", required=True)
     for action, help_text in (
-        ("ls", "list every disk entry (format, schema, key, size, status)"),
+        ("ls", "list every disk entry (key, size, status)"),
         ("stats", "aggregate corpus statistics"),
         ("gc", "remove stale, quarantined and torn-write files"),
-        ("migrate", "rewrite legacy gzip-JSON entries as v5 binary files"),
         ("lint", "lint every readable entry in the store"),
     ):
         action_p = store_sub.add_parser(action, help=help_text)

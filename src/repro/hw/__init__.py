@@ -42,7 +42,6 @@ from repro.hw.streams import (
     tenant_schedule,
     tenant_streams,
 )
-from repro.hw.scheduler import ServingResult, batch_time_from_profile, simulate_serving
 from repro.hw.transfer import d2h_time, h2d_time, host_data_prep_time
 from repro.hw.vectorized import (
     CounterColumns,
@@ -56,7 +55,6 @@ from repro.hw.vectorized import (
 
 __all__ = [
     "EnergyBreakdown", "energy_delay_product", "modality_energy", "report_energy", "stage_energy",
-    "ServingResult", "batch_time_from_profile", "simulate_serving",
     "KernelCounters", "aggregate_counters", "derive_counters",
     "DEVICES", "DeviceSpec", "JETSON_NANO", "JETSON_ORIN", "RTX_2080TI", "get_device",
     "ExecutionEngine", "ExecutionReport", "KERNEL_SIZE_BINS", "KernelExecution",

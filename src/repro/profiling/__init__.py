@@ -9,7 +9,6 @@ from repro.profiling.training import (
     traced_training_step,
     training_flops_ratio,
     training_memory_factor,
-    training_trace,
 )
 from repro.profiling.report import (
     format_bytes,
@@ -21,7 +20,7 @@ from repro.profiling.report import (
 __all__ = [
     "synthetic_training_trace", "trace_training_step",
     "traced_training_flops_ratio", "traced_training_step",
-    "training_flops_ratio", "training_memory_factor", "training_trace",
+    "training_flops_ratio", "training_memory_factor",
     "count_flops", "count_parameters", "flops_per_sample",
     "GridCell", "MMBenchProfiler", "ProfileResult", "price_grid",
     "format_bytes", "format_seconds", "format_table", "profile_summary",

@@ -218,10 +218,6 @@ def synthetic_training_trace(forward: Trace, param_bytes: float, optimizer: str 
     return Trace(kernels=kernels, host_events=list(forward.host_events))
 
 
-#: Back-compat alias (the heuristic was previously the only training path).
-training_trace = synthetic_training_trace
-
-
 def training_flops_ratio(forward: Trace, param_bytes: float, optimizer: str = "adam") -> float:
     """Synthetic training-step FLOPs over inference FLOPs (~3x + update)."""
     train = synthetic_training_trace(forward, param_bytes, optimizer)

@@ -16,13 +16,11 @@ counters are kept as thin shims over the store so existing callers and
 tests see the same observable behavior the private module-level caches
 used to provide.
 
-:class:`CallableCostModel` adapts a plain ``batch_time(k)`` closure for
-unit tests and for the legacy :mod:`repro.hw.scheduler` entry points.
+:class:`CallableCostModel` adapts a plain ``batch_time(k)`` closure, for
+analytic (e.g. affine) service times.
 """
 
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 
@@ -52,7 +50,6 @@ def clear_cost_cache() -> None:
     """
     default_store().clear()
     _TIME_CACHE.clear()
-    _ANCHOR_FN_CACHE.clear()
 
 
 def _interp_affine(k: float, anchors: np.ndarray, times: np.ndarray) -> float:
@@ -93,9 +90,9 @@ def throughput_optimal_batch(cost, device: str, max_batch: int = 512) -> int:
 class CallableCostModel:
     """Adapts ``batch_time(k) -> seconds`` into the cost-model interface.
 
-    Device-oblivious: every device sees the same curve. Used by the legacy
-    single-server :func:`repro.hw.scheduler.simulate_serving` and by tests
-    that want analytic (e.g. affine) service times.
+    Device-oblivious: every device sees the same curve — a single-server
+    study is ``simulate(CallableCostModel(f), FixedBatchPolicy(b),
+    devices=("server",))``.
     """
 
     def __init__(self, batch_time):
@@ -205,10 +202,6 @@ class ProfiledCostModel:
         """Batch size maximizing sustained tasks/second on ``device``."""
         return throughput_optimal_batch(self, device, max_batch)
 
-    def batch_time(self, device: str):
-        """A ``batch_time(k)`` closure bound to ``device`` (legacy interface)."""
-        return lambda k: self.latency(device, k)
-
 
 class TraceCostModel:
     """``latency(device, batch_size)`` for one already-stored trace.
@@ -274,54 +267,3 @@ class TraceCostModel:
 
     def throughput_optimal_batch(self, device: str, max_batch: int = 512) -> int:
         return throughput_optimal_batch(self, device, max_batch)
-
-    def batch_time(self, device: str):
-        """A ``batch_time(k)`` closure bound to ``device`` (legacy interface)."""
-        return lambda k: self.latency(device, k)
-
-
-# Keyed by the model *instance* (weakly, so caches die with their model):
-# two models that merely share a name and parameter count must not share
-# latency curves. Values: {(device, seed, anchors): times array}.
-_ANCHOR_FN_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def anchored_batch_time(profiler, model, device: str,
-                        anchors: tuple[int, ...] = DEFAULT_ANCHORS, seed: int = 0,
-                        backend: str | None = None):
-    """Profile ``model`` at anchor batch sizes; return a ``batch_time(k)`` closure.
-
-    The generic building block behind
-    :func:`repro.hw.scheduler.batch_time_from_profile`: works for any
-    model object (registered or user-built), interpolating between
-    anchors and extrapolating affinely beyond the last one. Anchor times
-    are memoized per (model instance, device, seed), so repeated closures
-    over the same model never re-profile. ``backend`` selects the batch
-    backend (``None`` = the process default).
-    """
-    canonical = get_device(device).name
-    per_model = _ANCHOR_FN_CACHE.setdefault(model, {})
-    key = (canonical, seed, tuple(anchors))
-    if key in per_model:
-        PROFILE_STATS["hits"] += 1
-        times = per_model[key]
-    else:
-        from repro.data.synthetic import random_batch
-
-        measured = []
-        for k in anchors:
-            batch = random_batch(model.shapes, k, seed=seed, backend=backend)
-            trace = profiler.capture(model, batch)
-            PROFILE_STATS["captures"] += 1
-            report = profiler.price(model, trace, k, device=canonical)
-            PROFILE_STATS["pricings"] += 1
-            measured.append(report.total_time)
-        times = np.array(measured, dtype=np.float64)
-        per_model[key] = times
-
-    anchor_arr = np.array(anchors, dtype=np.float64)
-
-    def batch_time(k: int) -> float:
-        return _interp_affine(k, anchor_arr, times)
-
-    return batch_time

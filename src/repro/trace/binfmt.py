@@ -237,6 +237,12 @@ def write_entry(path: str | os.PathLike, key_dict: dict | None, stored,
 
 # -- decoding ------------------------------------------------------------------
 
+#: JSON types of the header fields ``read_entry`` and store listings read.
+_HEADER_TYPES: dict[str, type | tuple[type, ...]] = {
+    "n": int, "host_n": int, "columns": list, "modalities": list,
+    "tables": dict, "meta": dict, "host_meta": dict, "key": (dict, type(None)),
+}
+
 
 def _parse_header(buf) -> tuple[dict, int]:
     """Validated header dict + absolute data-section offset."""
@@ -254,8 +260,18 @@ def _parse_header(buf) -> tuple[dict, int]:
         header = json.loads(bytes(buf[16:16 + header_len]).decode())
     except (ValueError, UnicodeDecodeError) as exc:
         raise TraceFormatError(f"undecodable header: {exc}") from None
+    if not isinstance(header, dict):
+        raise TraceFormatError(
+            f"header is a JSON {type(header).__name__}, not an object")
     if header.get("schema") != FORMAT_VERSION:
         raise TraceFormatError(f"unsupported schema {header.get('schema')!r}")
+    for name, types in _HEADER_TYPES.items():
+        value = header.get(name)
+        # JSON true/false decode to bool, an int subclass; never a count.
+        if not isinstance(value, types) or isinstance(value, bool):
+            raise TraceFormatError(
+                f"header field {name!r} has the wrong type "
+                f"({type(value).__name__})")
     return header, _align_up(16 + header_len)
 
 

@@ -35,8 +35,6 @@ HOST_KIND_ORDER: tuple[HostOpKind, ...] = tuple(HostOpKind)
 HOST_KIND_CODES: dict[HostOpKind, int] = {k: i for i, k in enumerate(HOST_KIND_ORDER)}
 
 #: Fixed pass order (forward/loss/backward/optimizer); index = code.
-#: Code 0 is ``forward``, which is what schema-v2 payloads (captured
-#: before passes existed — pure inference traces) decode to.
 PASS_ORDER: tuple[str, ...] = PASSES
 PASS_CODES: dict[str, int] = {p: i for i, p in enumerate(PASS_ORDER)}
 
@@ -79,14 +77,6 @@ class _Interner:
 
     def table(self) -> tuple[str, ...]:
         return tuple(self.codes)
-
-
-def _f64(values) -> np.ndarray:
-    return np.asarray(values, dtype=np.float64)
-
-
-def _i64(values) -> np.ndarray:
-    return np.asarray(values, dtype=np.int64)
 
 
 @dataclass
@@ -422,81 +412,4 @@ class TraceColumns:
             host_name_table=self.host_name_table,
             meta={i: dict(m) for i, m in self.meta.items()},
             host_meta={i: dict(m) for i, m in self.host_meta.items()},
-        )
-
-    # -- (de)serialization (the trace store's disk form) -----------------------
-
-    def to_payload(self) -> dict:
-        """Plain-JSON representation (lists of numbers + string tables)."""
-        return {
-            "n": self.n,
-            "flops": self.flops.tolist(),
-            "bytes_read": self.bytes_read.tolist(),
-            "bytes_written": self.bytes_written.tolist(),
-            "threads": self.threads.tolist(),
-            "coalesced_fraction": self.coalesced_fraction.tolist(),
-            "reuse_factor": self.reuse_factor.tolist(),
-            "category_codes": self.category_codes.tolist(),
-            "stage_codes": self.stage_codes.tolist(),
-            "modality_codes": self.modality_codes.tolist(),
-            "pass_codes": self.pass_codes.tolist(),
-            "name_codes": self.name_codes.tolist(),
-            "seq": self.seq.tolist(),
-            "host_n": self.host_n,
-            "host_kind_codes": self.host_kind_codes.tolist(),
-            "host_bytes": self.host_bytes.tolist(),
-            "host_stage_codes": self.host_stage_codes.tolist(),
-            "host_modality_codes": self.host_modality_codes.tolist(),
-            "host_pass_codes": self.host_pass_codes.tolist(),
-            "host_name_codes": self.host_name_codes.tolist(),
-            "host_seq": self.host_seq.tolist(),
-            "stage_table": list(self.stage_table),
-            "modality_table": list(self.modality_table),
-            "name_table": list(self.name_table),
-            "host_name_table": list(self.host_name_table),
-            "meta": {str(i): m for i, m in self.meta.items()},
-            "host_meta": {str(i): m for i, m in self.host_meta.items()},
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "TraceColumns":
-        n = int(payload["n"])
-        host_n = int(payload["host_n"])
-
-        def _passes(key: str, length: int) -> np.ndarray:
-            # Schema-v2 payloads predate passes: every kernel was a
-            # forward-pass kernel (code 0, the PASS_ORDER anchor).
-            raw = payload.get(key)
-            if raw is None:
-                return np.zeros(length, dtype=np.int64)
-            return _i64(raw)
-
-        return cls(
-            n=n,
-            flops=_f64(payload["flops"]),
-            bytes_read=_f64(payload["bytes_read"]),
-            bytes_written=_f64(payload["bytes_written"]),
-            threads=_i64(payload["threads"]),
-            coalesced_fraction=_f64(payload["coalesced_fraction"]),
-            reuse_factor=_f64(payload["reuse_factor"]),
-            category_codes=_i64(payload["category_codes"]),
-            stage_codes=_i64(payload["stage_codes"]),
-            modality_codes=_i64(payload["modality_codes"]),
-            pass_codes=_passes("pass_codes", n),
-            name_codes=_i64(payload["name_codes"]),
-            seq=_i64(payload["seq"]),
-            host_n=host_n,
-            host_kind_codes=_i64(payload["host_kind_codes"]),
-            host_bytes=_f64(payload["host_bytes"]),
-            host_stage_codes=_i64(payload["host_stage_codes"]),
-            host_modality_codes=_i64(payload["host_modality_codes"]),
-            host_pass_codes=_passes("host_pass_codes", host_n),
-            host_name_codes=_i64(payload["host_name_codes"]),
-            host_seq=_i64(payload["host_seq"]),
-            stage_table=tuple(payload["stage_table"]),
-            modality_table=tuple(payload["modality_table"]),
-            name_table=tuple(payload["name_table"]),
-            host_name_table=tuple(payload["host_name_table"]),
-            meta={int(i): dict(m) for i, m in payload["meta"].items()},
-            host_meta={int(i): dict(m) for i, m in payload["host_meta"].items()},
         )

@@ -13,13 +13,12 @@ re-captures). :class:`TraceStore` is the single cache they all share now:
 * **Two tiers**: an in-process dict for hot lookups, plus an optional
   on-disk tier that survives across processes — point ``cache_dir`` (or
   ``$MMBENCH_CACHE_DIR``) at a directory and batch sweeps warm-start from
-  earlier runs. Since schema v5 the disk form is **binary columnar**
+  earlier runs. The disk form is **binary columnar**
   (:mod:`repro.trace.binfmt`): one ``.mmt`` file per digest whose column
   blocks memory-map straight into read-only
   :class:`~repro.trace.columns.TraceColumns` views — no JSON parse, no
-  event materialization. Legacy v2–v4 gzip-JSON entries still load, and
-  :meth:`TraceStore.migrate` (``mmbench store migrate``) upgrades them
-  in place.
+  event materialization. It is the only format: the store is a cache,
+  so a file in any other format is a miss that recaptures.
 * **Observable**: ``stats`` counts hits / misses / captures / disk hits /
   corrupt files, surfaced by the CLI's cache-stats line and asserted by
   tests. Corrupt or truncated files are quarantined (renamed to
@@ -32,43 +31,23 @@ replaying a cached trace requires no model object at all.
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import json
 import logging
 import os
-import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.trace import binfmt
-from repro.trace.columns import TraceColumns
 from repro.trace.tracer import Trace, Tracer
 
 logger = logging.getLogger(__name__)
 
-#: Bump when the serialized payload layout changes.
-#: v2: columnar structure-of-arrays payload (one array per work
-#: descriptor + interned string tables) instead of one JSON object per
-#: event — warm loads rebuild ``TraceColumns`` directly and never touch
-#: per-event Python objects unless a consumer materializes them.
-#: v3: pass-code columns (forward/loss/backward/optimizer) on kernels and
-#: host events, for traced training steps. v2 payloads still load: a
-#: missing pass column decodes as all-forward, which is exactly what a
-#: pre-v3 (inference-only) capture was.
-#: v4: optional ``extra`` dict on stored entries (ingest provenance —
-#: source digest, unknown-op report, graph batch size). v2/v3 payloads
-#: still load with an empty ``extra``.
-#: v5: binary columnar ``.mmt`` files (repro.trace.binfmt) replacing
-#: gzip-JSON on disk — raw little-endian column blocks that memory-map
-#: zero-copy into TraceColumns, with string tables interned corpus-wide
-#: in an ``interning.jsonl`` sidecar. v2–v4 gzip-JSON entries still load.
-SCHEMA_VERSION = 5
-#: Legacy gzip-JSON payload schemas that still load.
-_JSON_SCHEMAS = (2, 3, 4)
-#: Schema stamped into legacy-format payloads written today (fixtures,
-#: migration round-trip tests, the bench's JSON baseline).
-_JSON_SCHEMA_CURRENT = 4
+#: The disk schema: binary columnar ``.mmt`` files (repro.trace.binfmt) —
+#: raw little-endian column blocks that memory-map zero-copy into
+#: TraceColumns, with string tables interned corpus-wide in an
+#: ``interning.jsonl`` sidecar. Files of any other schema are quarantined.
+SCHEMA_VERSION = binfmt.FORMAT_VERSION
 
 #: Errors that mean "this cache file is corrupt", as opposed to missing.
 _CORRUPT_ERRORS = (OSError, EOFError, ValueError, KeyError, TypeError)
@@ -173,69 +152,6 @@ class StoredTrace:
     extra: dict = field(default_factory=dict)
 
 
-# -- (de)serialization --------------------------------------------------------
-
-
-def trace_to_payload(stored: StoredTrace, key: TraceKey,
-                     schema: int = _JSON_SCHEMA_CURRENT) -> dict:
-    """Legacy gzip-JSON payload form (v2–v4). The live disk format is the
-    binary one (:mod:`repro.trace.binfmt`); this writer remains for
-    back-compat fixtures, migration tests and the store benchmark's JSON
-    baseline."""
-    return {
-        "schema": schema,
-        "key": asdict(key),
-        "model_name": stored.model_name,
-        "parameters": stored.parameters,
-        "parameter_bytes": stored.parameter_bytes,
-        "input_bytes": stored.input_bytes,
-        "modalities": list(stored.modalities),
-        "extra": stored.extra,
-        "columns": stored.trace.columns().to_payload(),
-    }
-
-
-def trace_from_payload(payload: dict) -> StoredTrace:
-    if payload.get("schema") not in _JSON_SCHEMAS:
-        raise ValueError(f"unsupported trace payload schema {payload.get('schema')!r}")
-    columns = TraceColumns.from_payload(payload["columns"])
-    return StoredTrace(
-        # Columnar all the way: consumers that price the trace never touch
-        # per-event objects; ``trace.kernels`` materializes them on demand.
-        trace=Trace.from_columns(columns),
-        model_name=payload["model_name"],
-        parameters=payload["parameters"],
-        parameter_bytes=payload["parameter_bytes"],
-        input_bytes=payload["input_bytes"],
-        modalities=list(payload["modalities"]),
-        extra=dict(payload.get("extra") or {}),
-    )
-
-
-def write_legacy_json(path: str | os.PathLike, payload: dict) -> Path:
-    """Atomically write a legacy gzip-JSON entry (fixtures / baselines)."""
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name,
-                                    suffix=".tmp")
-    try:
-        with gzip.open(os.fdopen(fd, "wb"), "wt", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return path
-
-
-def read_legacy_json(path: str | os.PathLike) -> dict:
-    """Parse a legacy gzip-JSON entry back to its payload dict."""
-    with gzip.open(path, "rt", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 # -- the store ----------------------------------------------------------------
 
 
@@ -311,16 +227,8 @@ class TraceStore:
 
     # -- lookup / insert --------------------------------------------------------
 
-    def _path_for(self, key: TraceKey) -> Path | None:
-        if self.cache_dir is None:
-            return None
-        return self._binary_path(key.digest())
-
     def _binary_path(self, digest: str) -> Path:
         return self.cache_dir / f"{digest}{binfmt.SUFFIX}"
-
-    def _legacy_path(self, digest: str) -> Path:
-        return self.cache_dir / f"{digest}.json.gz"
 
     def _quarantine(self, path: Path, exc: Exception) -> None:
         """A cache file failed to decode: it is corrupt, not missing.
@@ -344,13 +252,10 @@ class TraceStore:
                        path.name, type(exc).__name__, exc, where)
 
     def _load_disk_file(self, path: Path) -> StoredTrace | None:
-        """Decode one disk-tier file (binary or legacy), quarantining on
-        failure. Returns None if the file is missing or corrupt."""
+        """Decode one disk-tier file, quarantining on failure. Returns None
+        if the file is missing or corrupt."""
         try:
-            if path.suffix == binfmt.SUFFIX:
-                _, entry = binfmt.read_entry(path, interner=self._interner)
-            else:
-                entry = trace_from_payload(read_legacy_json(path))
+            _, entry = binfmt.read_entry(path, interner=self._interner)
         except FileNotFoundError:
             return None
         except _CORRUPT_ERRORS as exc:
@@ -366,12 +271,8 @@ class TraceStore:
             self.stats["hits"] += 1
             return entry
         if self.cache_dir is not None:
-            for path in (self._binary_path(digest), self._legacy_path(digest)):
-                if not path.exists():
-                    continue
-                entry = self._load_disk_file(path)
-                if entry is None:  # corrupt (quarantined); try next format
-                    continue
+            entry = self._load_disk_file(self._binary_path(digest))
+            if entry is not None:
                 self._memory[digest] = entry
                 self.stats["hits"] += 1
                 self.stats["disk_hits"] += 1
@@ -389,29 +290,23 @@ class TraceStore:
         # own file and the final rename is all-or-nothing.
         binfmt.write_entry(self._binary_path(digest), asdict(key), stored,
                            interner=self._interner)
-        # A freshly-written binary entry supersedes any legacy twin.
-        try:
-            self._legacy_path(digest).unlink()
-        except OSError:
-            pass
 
     # -- corpus operations ------------------------------------------------------
 
     def _disk_files(self) -> list[Path]:
-        """Disk-tier entries, binary first (the authoritative format)."""
+        """Disk-tier entries, in digest order."""
         if self.cache_dir is None:
             return []
-        return (sorted(self.cache_dir.glob(f"*{binfmt.SUFFIX}"))
-                + sorted(self.cache_dir.glob("*.json.gz")))
+        return sorted(self.cache_dir.glob(f"*{binfmt.SUFFIX}"))
 
     def prefetch(self, keys=None) -> int:
         """Map a corpus into the memory tier in one pass.
 
         With ``keys``, loads exactly those entries (missing ones are
         counted as misses, like :meth:`get`). Without, maps **every**
-        readable disk entry — for the binary tier this is one header parse
-        plus an mmap per file, so thousand-trace corpora load in
-        milliseconds. Returns the number of entries now resident.
+        readable disk entry — one header parse plus an mmap per file, so
+        thousand-trace corpora load in milliseconds. Returns the number of
+        entries now resident.
         """
         if keys is not None:
             return sum(1 for key in keys if self.get(key) is not None)
@@ -456,69 +351,30 @@ class TraceStore:
         infos = []
         for path in self._disk_files():
             digest = path.name.split(".", 1)[0]
-            info = {
-                "digest": digest,
-                "format": "v5" if path.suffix == binfmt.SUFFIX else "json",
-                "bytes": path.stat().st_size,
-                "path": path,
-            }
+            info = {"digest": digest, "bytes": path.stat().st_size,
+                    "path": path}
             try:
-                if path.suffix == binfmt.SUFFIX:
-                    header = binfmt.read_header(path)
-                else:
-                    header = read_legacy_json(path)
+                header = binfmt.read_header(path)
             except _CORRUPT_ERRORS:
                 info.update(status="corrupt", key=None, n=0, host_n=0,
-                            schema=None, stale=False)
+                            stale=False)
                 infos.append(info)
                 continue
             key = header.get("key") or {}
-            if path.suffix == binfmt.SUFFIX:
-                n, host_n = int(header["n"]), int(header["host_n"])
-            else:
-                cols = header.get("columns") or {}
-                n, host_n = int(cols.get("n", 0)), int(cols.get("host_n", 0))
             info.update(
-                status="ok", key=key, schema=header.get("schema"),
-                n=n, host_n=host_n,
+                status="ok", key=key, n=header["n"], host_n=header["host_n"],
                 stale=key.get("code_version") not in (None, current),
             )
             infos.append(info)
         return infos
-
-    def migrate(self) -> int:
-        """Upgrade every legacy gzip-JSON entry to a v5 binary file.
-
-        The digest (file stem) is preserved, so entries written under the
-        current code fingerprint keep warm-hitting after the upgrade.
-        Unreadable legacy files are quarantined. Returns the number of
-        entries migrated.
-        """
-        migrated = 0
-        if self.cache_dir is None:
-            return migrated
-        for path in sorted(self.cache_dir.glob("*.json.gz")):
-            digest = path.name.split(".", 1)[0]
-            try:
-                payload = read_legacy_json(path)
-                entry = trace_from_payload(payload)
-            except _CORRUPT_ERRORS as exc:
-                self._quarantine(path, exc)
-                continue
-            binfmt.write_entry(self._binary_path(digest), payload.get("key"),
-                               entry, interner=self._interner)
-            path.unlink()
-            migrated += 1
-        return migrated
 
     def gc(self, stale: bool = True) -> dict:
         """Remove quarantined, torn-write and (optionally) stale entries.
 
         ``stale`` entries are ones whose key carries a code fingerprint
         other than the current one — no future lookup can ever hit them.
-        Schema-aware: covers both binary and legacy formats. The interning
-        sidecar is dropped once no binary entry references it. Returns
-        removal counts by reason.
+        The interning sidecar is dropped once no entry references it.
+        Returns removal counts by reason.
         """
         removed = {"corrupt": 0, "tmp": 0, "stale": 0, "unreadable": 0}
         if self.cache_dir is None:
@@ -706,15 +562,14 @@ class TraceStore:
     def clear(self, disk: bool = False) -> None:
         """Drop memoized traces and models (and optionally the disk tier).
 
-        ``disk=True`` is schema-aware: it removes binary v5 files, legacy
-        gzip-JSON entries, quarantined/torn-write leftovers and the
-        interning sidecar — not just one hardcoded extension.
+        ``disk=True`` removes the ``.mmt`` entries, quarantined/torn-write
+        leftovers and the interning sidecar.
         """
         self._memory.clear()
         self._models.clear()
         if disk and self.cache_dir is not None:
-            for pattern in (f"*{binfmt.SUFFIX}", "*.json.gz", "*.corrupt",
-                            "*.tmp", self.INTERNING_SIDECAR):
+            for pattern in (f"*{binfmt.SUFFIX}", "*.corrupt", "*.tmp",
+                            self.INTERNING_SIDECAR):
                 for path in self.cache_dir.glob(pattern):
                     try:
                         path.unlink()

@@ -10,7 +10,7 @@ from repro.core.analysis.robustness import robustness_analysis
 from repro.core.analysis.serving import best_batch_for_slo, serving_sweep
 from repro.data.synthetic import random_batch
 from repro.profiling.profiler import MMBenchProfiler
-from repro.profiling.training import training_flops_ratio, training_trace
+from repro.profiling.training import synthetic_training_trace, training_flops_ratio
 from repro.workloads.registry import get_workload
 
 
@@ -62,7 +62,7 @@ class TestServing:
 
     def test_closed_batch_full_utilization(self, sweep):
         for result in sweep.values():
-            assert result.server_utilization == pytest.approx(1.0)
+            assert result.total_utilization == pytest.approx(1.0)
 
     def test_slo_selection(self, sweep):
         never = best_batch_for_slo(sweep, p99_slo=1e-9)
@@ -87,7 +87,7 @@ class TestTrainingTrace:
 
     def test_structure_preserved(self, forward_and_model):
         trace, model = forward_and_model
-        train = training_trace(trace, model.parameter_bytes())
+        train = synthetic_training_trace(trace, model.parameter_bytes())
         assert set(train.stages()) == set(trace.stages())
         assert set(train.modalities()) == set(trace.modalities())
         # Forward + backward + loss + optimizer update.
@@ -95,17 +95,17 @@ class TestTrainingTrace:
 
     def test_optimizer_choice_changes_update_cost(self, forward_and_model):
         trace, model = forward_and_model
-        adam = training_trace(trace, model.parameter_bytes(), "adam")
-        sgd = training_trace(trace, model.parameter_bytes(), "sgd")
+        adam = synthetic_training_trace(trace, model.parameter_bytes(), "adam")
+        sgd = synthetic_training_trace(trace, model.parameter_bytes(), "sgd")
         assert adam.total_flops > sgd.total_flops
         with pytest.raises(KeyError, match="unknown optimizer"):
-            training_trace(trace, 1.0, "lamb")
+            synthetic_training_trace(trace, 1.0, "lamb")
 
     def test_priced_training_step_slower_than_inference(self, forward_and_model):
         trace, model = forward_and_model
         profiler = MMBenchProfiler("2080ti")
         fwd = profiler.price(model, trace, 8)
-        train = profiler.price(model, training_trace(trace, model.parameter_bytes()), 8)
+        train = profiler.price(model, synthetic_training_trace(trace, model.parameter_bytes()), 8)
         assert train.gpu_time > 2 * fwd.gpu_time
 
 

@@ -3,14 +3,16 @@
 import pytest
 
 from repro.core.analysis.serving import best_batch_for_slo, policy_study
-from repro.hw.scheduler import ServingResult
+from repro.serving import ServingReport
 
 
-def result(batch_size: int, p99: float) -> ServingResult:
-    return ServingResult(
-        batch_size=batch_size, n_tasks=100, makespan=1.0, throughput=100.0,
-        mean_latency=p99 / 2, p50_latency=p99 / 2, p99_latency=p99,
-        server_utilization=1.0,
+def result(batch_size: int, p99: float) -> ServingReport:
+    return ServingReport(
+        policy=f"fixed({batch_size})", router="earliest-finish", n_requests=100,
+        arrival_rate=None, makespan=1.0, throughput=100.0,
+        mean_latency=p99 / 2, p50_latency=p99 / 2, p95_latency=p99,
+        p99_latency=p99, mean_queue_time=0.0, mean_formation_wait=0.0,
+        mean_service_time=p99 / 2, device_stats={}, requests=[],
     )
 
 

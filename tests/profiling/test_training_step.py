@@ -26,7 +26,6 @@ from repro.profiling.training import (
     traced_training_flops_ratio,
     traced_training_step,
     training_memory_factor,
-    training_trace,
 )
 from repro.trace.events import PASSES
 from repro.trace.store import TraceStore
@@ -176,9 +175,6 @@ class TestAnalysis:
 
 
 class TestSyntheticCrossCheck:
-    def test_alias_preserved(self):
-        assert training_trace is synthetic_training_trace
-
     def test_loss_reduce_headless_fallback(self):
         """Regression: a trace with no head-stage kernels used to price
         the loss_reduce kernel to zero FLOPs."""

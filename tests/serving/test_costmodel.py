@@ -2,15 +2,12 @@
 
 import pytest
 
-from repro.profiling.profiler import MMBenchProfiler
 from repro.serving import (
     PROFILE_STATS,
     CallableCostModel,
     ProfiledCostModel,
     clear_cost_cache,
 )
-from repro.serving.costmodel import anchored_batch_time
-from repro.workloads.registry import get_workload
 
 
 @pytest.fixture(autouse=True)
@@ -137,18 +134,6 @@ class TestCurve:
         with pytest.raises(ValueError):
             # Floats that collapse into duplicate ints after truncation.
             ProfiledCostModel("avmnist", anchors=(1.2, 1.8))
-
-
-class TestAnchoredBatchTime:
-    def test_memoized_per_model_and_device(self):
-        model = get_workload("avmnist").build(seed=0)
-        profiler = MMBenchProfiler("2080ti")
-        anchored_batch_time(profiler, model, "2080ti", anchors=(1, 4))
-        before = snapshot()
-        anchored_batch_time(profiler, model, "2080ti", anchors=(1, 4))
-        after = snapshot()
-        assert after["captures"] == before["captures"]
-        assert after["hits"] == before["hits"] + 1
 
 
 class TestCallable:

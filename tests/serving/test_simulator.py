@@ -7,6 +7,7 @@ from repro.serving import (
     CallableCostModel,
     EarliestFinishRouter,
     FixedBatchPolicy,
+    ProfiledCostModel,
     RoundRobinRouter,
     TimeoutBatchPolicy,
     simulate,
@@ -47,6 +48,91 @@ class TestClosedBatch:
         wrapped = simulate(CallableCostModel(affine), FixedBatchPolicy(4),
                            devices=("d",), n_requests=16)
         assert plain.makespan == wrapped.makespan
+
+
+def single_server(batch_time, batch_size: int, n_tasks: int,
+                  arrival_rate: float | None = None, seed: int = 0):
+    """One server, one fixed batch size: the Sec. 5.1 case study."""
+    return simulate(CallableCostModel(batch_time), FixedBatchPolicy(batch_size),
+                    devices=("server",), n_requests=n_tasks,
+                    arrival_rate=arrival_rate, seed=seed)
+
+
+class TestSingleServer:
+    def test_makespan_matches_hand_count(self):
+        report = single_server(affine, batch_size=10, n_tasks=100)
+        # 10 batches of 10: each 50us + 100us = 150us.
+        assert report.makespan == pytest.approx(10 * 150e-6)
+        assert report.total_utilization == pytest.approx(1.0)
+
+    def test_larger_batches_raise_throughput(self):
+        small = single_server(affine, batch_size=10, n_tasks=1000)
+        large = single_server(affine, batch_size=100, n_tasks=1000)
+        assert large.throughput > small.throughput
+        assert large.makespan < small.makespan
+
+    def test_sublinear_speedup(self):
+        """10x batch never yields 10x throughput with fixed overhead."""
+        b40 = single_server(affine, batch_size=40, n_tasks=10_000)
+        b400 = single_server(affine, batch_size=400, n_tasks=10_000)
+        assert b400.throughput / b40.throughput < 10.0
+
+    def test_light_load_idles_the_server(self):
+        # Arrivals far slower than service: utilization well below 1.
+        report = single_server(affine, batch_size=8, n_tasks=200,
+                               arrival_rate=100.0, seed=1)
+        assert report.total_utilization < 0.5
+        assert report.mean_latency < 0.05
+
+    def test_overload_builds_queues(self):
+        def slow(k):
+            return 1e-3 + 1e-4 * k  # service slower than arrivals
+
+        report = single_server(slow, batch_size=4, n_tasks=300,
+                               arrival_rate=10_000.0, seed=1)
+        assert report.total_utilization > 0.9
+        assert report.p99_latency > report.p50_latency
+
+    def test_latency_percentiles_ordered(self):
+        report = single_server(affine, batch_size=16, n_tasks=256)
+        assert report.mean_latency > 0
+        assert report.p50_latency <= report.p99_latency <= report.makespan
+
+    def test_deterministic_by_seed(self):
+        a = single_server(affine, 8, 100, arrival_rate=500.0, seed=3)
+        b = single_server(affine, 8, 100, arrival_rate=500.0, seed=3)
+        assert a.mean_latency == b.mean_latency
+        assert [r.latency for r in a.requests] == [r.latency for r in b.requests]
+
+    def test_bad_args_raise(self):
+        with pytest.raises(ValueError, match="batch_size must be positive"):
+            single_server(affine, 0, 10)
+        with pytest.raises(ValueError):
+            single_server(affine, 4, -1)
+        with pytest.raises(ValueError, match="arrival_rate must be positive"):
+            single_server(affine, 4, 10, arrival_rate=0.0)
+        with pytest.raises(ValueError, match="positive duration"):
+            single_server(lambda k: 0.0, 4, 10)
+
+    def test_zero_tasks_is_a_wellformed_empty_run(self):
+        report = single_server(affine, 4, 0)
+        assert report.n_requests == 0
+        assert report.makespan == 0.0
+        assert report.throughput == 0.0
+        assert report.total_utilization == 0.0
+
+    def test_profiled_cost_amortizes_over_batches(self):
+        """A profiled workload serves closed batches faster per task as the
+        batch grows (the Sec. 5.1 batch-size study on one server)."""
+        cost = ProfiledCostModel("avmnist")
+        reports = [
+            simulate(cost, FixedBatchPolicy(b), devices=("2080ti",),
+                     n_requests=256)
+            for b in (1, 8, 64, 256)
+        ]
+        throughputs = [r.throughput for r in reports]
+        assert throughputs == sorted(throughputs)
+        assert throughputs[-1] > throughputs[0]
 
 
 class TestAccounting:

@@ -1,15 +1,11 @@
-"""TraceColumns: construction, caching, materialization, payload, scaling."""
+"""TraceColumns: construction, caching, materialization, disk form, scaling."""
 
-import numpy as np
 import pytest
 
-from repro.trace.columns import (
-    CATEGORY_ORDER,
-    NO_MODALITY,
-    TraceColumns,
-)
+from repro.trace.columns import CATEGORY_ORDER, NO_MODALITY
+from repro.trace import binfmt
 from repro.trace.events import HostEvent, HostOpKind, KernelCategory, KernelEvent
-from repro.trace.store import TraceStore
+from repro.trace.store import StoredTrace, TraceStore
 from repro.trace.tracer import Trace
 
 
@@ -92,12 +88,17 @@ class TestPassColumns:
         assert [x.name for x in training_like.kernels_in_pass("optimizer")] == \
             ["adam_update"]
 
-    def test_pass_survives_materialize_scale_and_payload(self, training_like):
+    def test_pass_survives_materialize_scale_and_disk(self, training_like,
+                                                      tmp_path):
         cols = training_like.columns()
         assert [e.pass_ for e in cols.materialize_kernels()] == \
             ["forward", "loss", "backward", "optimizer"]
         assert cols.scaled(2.0).pass_codes.tolist() == cols.pass_codes.tolist()
-        round_trip = TraceColumns.from_payload(cols.to_payload())
+        stored = StoredTrace(trace=training_like, model_name="training_like",
+                             parameters=0, parameter_bytes=0, input_bytes=0)
+        binfmt.write_entry(tmp_path / "t.mmt", None, stored)
+        _, loaded = binfmt.read_entry(tmp_path / "t.mmt")
+        round_trip = loaded.trace.columns()
         assert round_trip.pass_codes.tolist() == cols.pass_codes.tolist()
         assert round_trip.host_pass_codes.tolist() == cols.host_pass_codes.tolist()
 
@@ -160,17 +161,7 @@ class TestMaterialization:
         assert type(ev.seq) is int and isinstance(ev.category, KernelCategory)
 
 
-class TestPayload:
-    def test_json_round_trip(self, trace):
-        import json
-
-        payload = json.loads(json.dumps(trace.columns().to_payload()))
-        cols = TraceColumns.from_payload(payload)
-        assert np.array_equal(cols.flops, trace.columns().flops)
-        assert cols.stage_table == trace.columns().stage_table
-        assert cols.meta == trace.columns().meta
-        assert cols.host_meta == trace.columns().host_meta
-
+class TestDiskForm:
     def test_store_disk_loads_are_columnar(self, tmp_path):
         warm = TraceStore(tmp_path)
         warm.get_or_capture("avmnist", batch_size=2, backend="meta")

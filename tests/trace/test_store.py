@@ -8,8 +8,6 @@ from repro.trace.store import (
     code_fingerprint,
     default_store,
     set_default_store,
-    trace_from_payload,
-    trace_to_payload,
 )
 
 
@@ -105,29 +103,6 @@ class TestDiskTier:
             assert (a.kind, a.bytes, a.stage, a.seq, a.name) == \
                    (b.kind, b.bytes, b.stage, b.seq, b.name)
 
-    def test_payload_rejects_unknown_schema(self):
-        store = TraceStore()
-        stored = store.get_or_capture("avmnist", batch_size=2, backend="meta")
-        payload = trace_to_payload(stored, store.make_key("avmnist", batch_size=2))
-        payload["schema"] = 999
-        with pytest.raises(ValueError, match="schema"):
-            trace_from_payload(payload)
-
-    def test_v2_payload_loads_as_all_forward(self):
-        """Back-compat: schema-v2 entries (pre-pass inference captures)
-        decode with every kernel on the forward pass."""
-        store = TraceStore()
-        stored = store.get_or_capture("avmnist", batch_size=2, backend="meta")
-        payload = trace_to_payload(stored, store.make_key("avmnist", batch_size=2))
-        payload["schema"] = 2
-        del payload["columns"]["pass_codes"]
-        del payload["columns"]["host_pass_codes"]
-        loaded = trace_from_payload(payload)
-        cols = loaded.trace.columns()
-        assert (cols.pass_codes == 0).all()
-        assert (cols.host_pass_codes == 0).all()
-        assert loaded.trace.passes() == ["forward"]
-
     def test_training_trace_round_trip_through_disk(self, tmp_path):
         warm = TraceStore(tmp_path)
         original = warm.get_or_capture_training("avmnist", batch_size=2,
@@ -178,7 +153,7 @@ class TestDiskTier:
         store.clear()
         assert len(store) == 0 and list(tmp_path.glob("*.mmt"))
         store.clear(disk=True)
-        # Schema-aware: binary files AND the interning sidecar are gone.
+        # Binary files AND the interning sidecar are gone.
         assert not list(tmp_path.glob("*.mmt"))
         assert not (tmp_path / TraceStore.INTERNING_SIDECAR).exists()
 

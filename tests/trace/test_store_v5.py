@@ -1,11 +1,13 @@
 """The binary columnar (schema v5) disk tier: zero-copy loads, round
-trips, back-compat, interning, corpus ops, concurrent writers."""
+trips, malformed headers, stray files, interning, corpus ops, concurrent
+writers."""
 
 from __future__ import annotations
 
+import dataclasses
+import gzip
+import json
 import multiprocessing
-import shutil
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,19 +28,9 @@ from repro.trace.events import (
     KernelCategory,
     KernelEvent,
 )
-from repro.trace.store import (
-    StoredTrace,
-    TraceStore,
-    read_legacy_json,
-    set_default_store,
-    trace_from_payload,
-    trace_to_payload,
-    write_legacy_json,
-)
+from repro.trace.store import StoredTrace, TraceStore, set_default_store
 from repro.trace.tracer import Trace
 from repro.workloads.registry import list_workloads
-
-FIXTURES = Path(__file__).parent.parent / "fixtures" / "trace_store"
 
 ALL_COLUMNS = [name for name, _ in KERNEL_COLUMN_SPEC + HOST_COLUMN_SPEC]
 
@@ -111,6 +103,25 @@ def engine_total(stored: StoredTrace, device: str = "2080ti") -> float:
     engine = ExecutionEngine(get_device(device))
     return engine.run(stored.trace, model_bytes=stored.parameter_bytes,
                       input_bytes=stored.input_bytes).total_time
+
+
+def rewrite_header(path, mutate) -> None:
+    """Re-publish a ``.mmt`` file with its header JSON set to
+    ``mutate(header)``; the column blocks are carried over unchanged."""
+    blob = path.read_bytes()
+    header_len = int.from_bytes(blob[12:16], "little")
+    header = json.loads(blob[16:16 + header_len])
+    data = blob[binfmt._align_up(16 + header_len):]
+    new = json.dumps(mutate(header)).encode()
+    pad = binfmt._align_up(16 + len(new)) - 16 - len(new)
+    path.write_bytes(blob[:12] + len(new).to_bytes(4, "little") + new
+                     + b"\x00" * pad + data)
+
+
+def stale_key(store: TraceStore, **kwargs):
+    """A key the store can never look up again: another code fingerprint."""
+    return dataclasses.replace(store.make_key(**kwargs),
+                               code_version="0ld0ld0ld0ld")
 
 
 class TestRoundTripProperties:
@@ -187,103 +198,112 @@ class TestZeroCopy:
         assert np.array_equal(again.trace.columns().flops, snapshot)
 
 
-class TestJsonBinaryEquivalence:
-    """The v5 path must be numerically invisible vs the JSON path."""
+class TestDiskRoundTrip:
+    """A disk round trip must be numerically invisible vs the capture."""
 
     @pytest.mark.parametrize("workload", list_workloads())
-    def test_workload_columns_and_metrics_match_json_path(self, tmp_path, workload):
-        store = TraceStore(tmp_path)
-        stored = store.get_or_capture(workload, batch_size=4, backend="meta")
-        key = store.make_key(workload, batch_size=4, backend="meta")
-
-        json_path = tmp_path / "baseline.json.gz"
-        write_legacy_json(json_path, trace_to_payload(stored, key))
-        via_json = trace_from_payload(read_legacy_json(json_path))
-        _, via_binary = binfmt.read_entry(tmp_path / f"{key.digest()}.mmt",
-                                          interner=store._interner)
-
-        assert_columns_equal(via_json.trace.columns(),
-                             via_binary.trace.columns())
-        assert engine_total(via_binary) == pytest.approx(
-            engine_total(via_json), rel=1e-9)
-
-    def test_training_step_matches_json_path(self, tmp_path):
-        store = TraceStore(tmp_path)
-        stored = store.get_or_capture_training("avmnist", batch_size=2,
-                                               backend="meta")
-        key = store.make_key("avmnist", batch_size=2, backend="meta",
-                             mode="train:adam")
-        json_path = tmp_path / "train.json.gz"
-        write_legacy_json(json_path, trace_to_payload(stored, key))
-        via_json = trace_from_payload(read_legacy_json(json_path))
-        _, via_binary = binfmt.read_entry(tmp_path / f"{key.digest()}.mmt",
-                                          interner=store._interner)
-        assert_columns_equal(via_json.trace.columns(),
-                             via_binary.trace.columns())
-        assert via_binary.trace.passes() == \
-            ["forward", "loss", "backward", "optimizer"]
-        assert engine_total(via_binary) == pytest.approx(
-            engine_total(via_json), rel=1e-9)
-
-
-class TestBackCompatFixtures:
-    """Committed v2/v3/v4 gzip-JSON files must load forever, and re-save
-    as v5."""
-
-    @pytest.mark.parametrize("schema", [2, 3, 4])
-    def test_fixture_loads(self, schema):
-        payload = read_legacy_json(FIXTURES / f"store_v{schema}.json.gz")
-        assert payload["schema"] == schema
-        stored = trace_from_payload(payload)
-        cols = stored.trace.columns()
-        assert cols.n == 3 and cols.host_n == 2
-        assert cols.stage_table == ("encoder", "head")
-        assert stored.model_name == "fixture_model"
-        if schema == 2:
-            # Pre-pass payloads decode as all-forward.
-            assert (cols.pass_codes == 0).all()
-            assert (cols.host_pass_codes == 0).all()
-        else:
-            assert list(cols.pass_codes) == [0, 0, 2]
-        if schema >= 4:
-            assert stored.extra == {"origin": f"fixture-v{schema}"}
-        else:
-            assert stored.extra == {}
-
-    @pytest.mark.parametrize("schema", [2, 3, 4])
-    def test_fixture_migrates_to_v5(self, tmp_path, schema):
-        src = FIXTURES / f"store_v{schema}.json.gz"
-        digest = "f" * 64
-        shutil.copy(src, tmp_path / f"{digest}.json.gz")
-        store = TraceStore(tmp_path)
-        before = trace_from_payload(read_legacy_json(src))
-
-        assert store.migrate() == 1
-        assert not list(tmp_path.glob("*.json.gz"))
-        binary = tmp_path / f"{digest}.mmt"
-        assert binary.exists()
-        header, after = binfmt.read_entry(binary, interner=store._interner)
-        assert header["key"]["code_version"] == "fix7ure000000"
-        assert_columns_equal(before.trace.columns(), after.trace.columns())
-
-    def test_legacy_entry_loads_through_get_then_upgrades_on_put(self, tmp_path):
-        """A v4 file warm-hits without migration; a re-put supersedes it."""
-        seeder = TraceStore(tmp_path)
-        entry = seeder.get_or_capture("avmnist", batch_size=2, backend="meta")
-        key = seeder.make_key("avmnist", batch_size=2, backend="meta")
-        # Rewind the disk tier to the legacy format.
-        (tmp_path / f"{key.digest()}.mmt").unlink()
-        write_legacy_json(tmp_path / f"{key.digest()}.json.gz",
-                          trace_to_payload(entry, key))
-
+    def test_workload_disk_round_trip_matches_capture(self, tmp_path, workload):
+        captured = TraceStore(tmp_path).get_or_capture(
+            workload, batch_size=4, backend="meta")
         cold = TraceStore(tmp_path)
-        loaded = cold.get_or_capture("avmnist", batch_size=2, backend="meta")
+        loaded = cold.get_or_capture(workload, batch_size=4, backend="meta")
         assert cold.stats["disk_hits"] == 1 and cold.stats["captures"] == 0
-        assert_columns_equal(entry.trace.columns(), loaded.trace.columns())
 
-        cold.put(key, loaded)
-        assert (tmp_path / f"{key.digest()}.mmt").exists()
-        assert not (tmp_path / f"{key.digest()}.json.gz").exists()
+        assert_columns_equal(captured.trace.columns(), loaded.trace.columns())
+        assert engine_total(loaded) == pytest.approx(
+            engine_total(captured), rel=1e-9)
+
+    def test_training_step_disk_round_trip_matches_capture(self, tmp_path):
+        captured = TraceStore(tmp_path).get_or_capture_training(
+            "avmnist", batch_size=2, backend="meta")
+        cold = TraceStore(tmp_path)
+        loaded = cold.get_or_capture_training("avmnist", batch_size=2,
+                                              backend="meta")
+        assert cold.stats["disk_hits"] == 1 and cold.stats["captures"] == 0
+        assert_columns_equal(captured.trace.columns(), loaded.trace.columns())
+        assert loaded.trace.passes() == \
+            ["forward", "loss", "backward", "optimizer"]
+        assert engine_total(loaded) == pytest.approx(
+            engine_total(captured), rel=1e-9)
+
+
+#: Headers of the wrong JSON shape (or of another schema): each must count
+#: as a corrupt file, never escape the store as a raw AttributeError or
+#: KeyError.
+MALFORMED_HEADERS = {
+    "header-is-a-list": lambda header: [5],
+    "meta-is-a-list": lambda header: {**header, "meta": [1]},
+    "n-missing": lambda header: {k: v for k, v in header.items() if k != "n"},
+    "key-is-a-list": lambda header: {**header, "key": [1]},
+    "n-is-a-bool": lambda header: {**header, "n": True},
+    "host_n-is-a-string": lambda header: {**header, "host_n": "7"},
+    "columns-is-an-object": lambda header: {**header, "columns": {}},
+    "modalities-is-a-string": lambda header: {**header, "modalities": "image"},
+    "tables-is-a-list": lambda header: {**header, "tables": []},
+    "host_meta-is-a-list": lambda header: {**header, "host_meta": []},
+    "key-is-a-string": lambda header: {**header, "key": "avmnist"},
+    "schema-is-4": lambda header: {**header, "schema": 4},
+}
+
+
+class TestMalformedHeaders:
+    """A header of the wrong JSON shape is a corrupt file, never a crash."""
+
+    def seed(self, tmp_path):
+        store = TraceStore(tmp_path)
+        store.get_or_capture("avmnist", batch_size=2, backend="meta")
+        key = store.make_key("avmnist", batch_size=2, backend="meta")
+        return key, tmp_path / f"{key.digest()}.mmt"
+
+    def test_rewritten_valid_header_still_loads(self, tmp_path):
+        key, path = self.seed(tmp_path)
+        rewrite_header(path, lambda header: header)
+        cold = TraceStore(tmp_path)
+        assert cold.get(key) is not None and cold.stats["disk_hits"] == 1
+
+    @pytest.mark.parametrize("mutate", list(MALFORMED_HEADERS.values()),
+                             ids=list(MALFORMED_HEADERS))
+    def test_malformed_header_is_quarantined(self, tmp_path, mutate):
+        key, path = self.seed(tmp_path)
+        rewrite_header(path, mutate)
+        bad = path.read_bytes()
+        with pytest.raises(binfmt.TraceFormatError):
+            binfmt.read_header(path)
+
+        [info] = TraceStore(tmp_path).entries()
+        assert info["status"] == "corrupt" and info["key"] is None
+
+        with pytest.raises(KeyError, match="unreadable"):
+            TraceStore(tmp_path).load_digest(key.digest()[:12])
+
+        path.write_bytes(bad)
+        cold = TraceStore(tmp_path)
+        assert cold.get(key) is None
+        assert cold.stats["misses"] == 1 and cold.stats["corrupt"] == 1
+        assert not path.exists()
+        assert path.with_name(path.name + ".corrupt").exists()
+
+
+class TestStrayLegacyFile:
+    """A leftover ``<digest>.json.gz`` from the retired gzip-JSON format is
+    not an entry: its key misses and recaptures, and corpus ops skip it."""
+
+    def test_stray_json_gz_is_a_miss_that_recaptures(self, tmp_path):
+        store = TraceStore(tmp_path)
+        key = store.make_key("avmnist", batch_size=2, backend="meta")
+        stray = tmp_path / f"{key.digest()}.json.gz"
+        stray.write_bytes(gzip.compress(json.dumps(
+            {"schema": 4, "key": dataclasses.asdict(key)}).encode()))
+
+        out = store.get_or_capture("avmnist", batch_size=2, backend="meta")
+        assert store.stats["misses"] == 1 and store.stats["captures"] == 1
+        assert store.stats["corrupt"] == 0
+        assert out.trace.total_flops > 0
+        assert [info["digest"] for info in store.entries()] == [key.digest()]
+
+        removed = store.gc()
+        assert removed == {"corrupt": 0, "tmp": 0, "stale": 0, "unreadable": 0}
+        assert stray.exists()
 
 
 class TestInterning:
@@ -345,23 +365,22 @@ class TestCorpusOps:
         assert cold.prefetch(keys) == 1  # the batch-64 trace was never stored
         assert cold.stats["misses"] == 1
 
-    def test_entries_lists_both_formats(self, tmp_path):
+    def test_entries_lists_live_and_stale(self, tmp_path):
         store = TraceStore(tmp_path)
         entry = store.get_or_capture("avmnist", batch_size=2, backend="meta")
-        key = store.make_key("avmnist", batch_size=4, backend="meta")
-        write_legacy_json(tmp_path / f"{key.digest()}.json.gz",
-                          trace_to_payload(entry, key))
+        store.put(stale_key(store, workload="avmnist", batch_size=2,
+                            backend="meta"), entry)
         infos = store.entries()
-        assert sorted(i["format"] for i in infos) == ["json", "v5"]
-        assert all(i["status"] == "ok" and not i["stale"] for i in infos)
-        assert all(i["n"] > 0 for i in infos)
+        assert sorted(i["stale"] for i in infos) == [False, True]
+        assert all(i["status"] == "ok" for i in infos)
+        assert all(i["n"] == entry.trace.columns().n for i in infos)
 
     def test_gc_removes_stale_corrupt_and_torn(self, tmp_path):
         store = TraceStore(tmp_path)
-        store.get_or_capture("avmnist", batch_size=2, backend="meta")
-        # A stale legacy entry (fixture fingerprint is not the live one).
-        shutil.copy(FIXTURES / "store_v4.json.gz",
-                    tmp_path / ("a" * 64 + ".json.gz"))
+        entry = store.get_or_capture("avmnist", batch_size=2, backend="meta")
+        # A stale entry (written under another code fingerprint).
+        store.put(stale_key(store, workload="avmnist", batch_size=2,
+                            backend="meta"), entry)
         (tmp_path / "leftover.tmp").write_bytes(b"torn write")
         (tmp_path / ("b" * 64 + ".mmt")).write_bytes(b"garbage")
 
@@ -374,11 +393,12 @@ class TestCorpusOps:
 
     def test_gc_keep_stale(self, tmp_path):
         store = TraceStore(tmp_path)
-        shutil.copy(FIXTURES / "store_v4.json.gz",
-                    tmp_path / ("a" * 64 + ".json.gz"))
+        entry = store.get_or_capture("avmnist", batch_size=2, backend="meta")
+        key = stale_key(store, workload="avmnist", batch_size=2, backend="meta")
+        store.put(key, entry)
         removed = store.gc(stale=False)
         assert removed["stale"] == 0
-        assert list(tmp_path.glob("*.json.gz"))
+        assert (tmp_path / f"{key.digest()}.mmt").exists()
 
     def test_gc_drops_sidecar_when_no_binary_entries_remain(self, tmp_path):
         store = TraceStore(tmp_path)
