@@ -5,9 +5,12 @@ Measures the acceptance scenario of the fleet-scale serving layer
 tenants of three homogeneous device groups — 64x 2080ti, 32x orin,
 16x nano — under a saturating open stream. The group-level event loop
 (bulk arrival absorption, replica free-time vectors, dense latency
-tables, completion heap) is what makes this tractable: the classic
-per-slot simulator tops out around 250k simulated req/s
-(``BENCH_serving_mix.json``); the gate here is >= 10x that.
+tables, completion heap) is what makes this tractable. The gate here is
+>= 10x the classic simulator's original recorded rate: 253,987 simulated
+req/s, ``BENCH_serving_mix.json`` as first recorded. The classic loop
+has since learned to skip arrivals while every slot is busy, so the
+floor is a fixed number now, not a live ratio; the current fleet/classic
+ratio is recorded in ``docs/performance.md``.
 
 Batching is throughput-oriented (fixed 512 per tenant): this bench
 saturates the fleet to measure *engine capacity*; the adaptive policy's
@@ -62,7 +65,8 @@ def main(argv: list[str] | None = None) -> int:
                              "seconds (CI regression gate)")
     parser.add_argument("--floor", type=float, default=2_539_870.0,
                         help="minimum acceptable simulated req/s — 10x the "
-                             "classic simulator's BENCH_serving_mix rate")
+                             "classic simulator's original recorded rate "
+                             "(253,987 req/s)")
     parser.add_argument("-o", "--output", default="BENCH_fleet.json")
     args = parser.parse_args(argv)
 
@@ -151,7 +155,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     if rate < args.floor:
         print(f"FAIL: {rate:,.0f} simulated req/s is below the "
-              f"{args.floor:,.0f} floor (10x the classic simulator)")
+              f"{args.floor:,.0f} floor (10x the classic simulator's "
+              "original recorded rate)")
         return 1
     return 0
 

@@ -21,6 +21,7 @@ cache, shared across runs); each prints a trace-store cache-stats line.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -135,6 +136,14 @@ def _parse_devices(spec: str) -> tuple[str, ...]:
     return devices
 
 
+def _check_positive(flag: str, value: float | None) -> None:
+    """Reject a non-positive or non-finite float flag: argparse parses
+    ``nan`` and ``inf``, and neither can time an event. ``None`` means
+    the flag was not given."""
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{flag} must be positive and finite, got {value}")
+
+
 def _build_fault_inputs(args, devices):
     """Resolve the serve fault flags into a validated ``(plan, retry)`` pair.
 
@@ -150,12 +159,8 @@ def _build_fault_inputs(args, devices):
 
     if args.retry_max < 0:
         raise ValueError(f"--retry-max must be non-negative, got {args.retry_max}")
-    if args.retry_backoff <= 0:
-        raise ValueError(f"--retry-backoff must be positive, "
-                         f"got {args.retry_backoff}")
-    if args.request_deadline is not None and args.request_deadline <= 0:
-        raise ValueError(f"--request-deadline must be positive, "
-                         f"got {args.request_deadline}")
+    _check_positive("--retry-backoff", args.retry_backoff)
+    _check_positive("--request-deadline", args.request_deadline)
     plan = None
     if args.faults is not None:
         if args.faults in CHAOS_SCENARIO_NAMES:
@@ -218,8 +223,7 @@ def _cmd_serve(args) -> int:
                            f"available: {sorted(info.fusions)}")
         if args.n_requests <= 0:
             raise ValueError(f"--n-requests must be positive, got {args.n_requests}")
-        if args.arrival_rate is not None and args.arrival_rate <= 0:
-            raise ValueError("--arrival-rate must be positive")
+        _check_positive("--arrival-rate", args.arrival_rate)
         if args.seed < 0:
             raise ValueError(f"--seed must be non-negative, got {args.seed}")
         fault_plan, retry = _build_fault_inputs(args, devices)
@@ -287,8 +291,7 @@ def _cmd_serve_mix(args) -> int:
             get_device(device)
         if args.n_requests <= 0:
             raise ValueError(f"--n-requests must be positive, got {args.n_requests}")
-        if args.arrival_rate is not None and args.arrival_rate <= 0:
-            raise ValueError("--arrival-rate must be positive")
+        _check_positive("--arrival-rate", args.arrival_rate)
         if get_scenario(args.mix).needs_rate and args.arrival_rate is None:
             raise ValueError(f"--mix {args.mix} needs --arrival-rate "
                              "(its traffic shape is time-varying)")
@@ -415,8 +418,7 @@ def _cmd_serve_fleet(args) -> int:
             get_device(group.device)
         if args.n_requests <= 0:
             raise ValueError(f"--n-requests must be positive, got {args.n_requests}")
-        if args.arrival_rate is not None and args.arrival_rate <= 0:
-            raise ValueError("--arrival-rate must be positive")
+        _check_positive("--arrival-rate", args.arrival_rate)
         if get_scenario(scenario).needs_rate and args.arrival_rate is None:
             raise ValueError(f"--mix {scenario} needs --arrival-rate "
                              "(its traffic shape is time-varying)")
@@ -686,8 +688,7 @@ def _cmd_ingest(args) -> int:
             raise ValueError(f"--batch-size must be positive, got {args.batch_size}")
         if args.n_requests <= 0:
             raise ValueError(f"--n-requests must be positive, got {args.n_requests}")
-        if args.arrival_rate is not None and args.arrival_rate <= 0:
-            raise ValueError("--arrival-rate must be positive")
+        _check_positive("--arrival-rate", args.arrival_rate)
         if args.seed < 0:
             raise ValueError(f"--seed must be non-negative, got {args.seed}")
         registry = None

@@ -44,10 +44,12 @@ scenario name or a plan JSON file.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
+
+from repro.serving.request import is_finite_number
 
 
 class FaultPlanError(ValueError):
@@ -110,8 +112,16 @@ def _check_event(event: FaultEvent, where: str) -> None:
     if not isinstance(event, (DeviceDown, DeviceRecover, ThermalThrottle,
                               TransientStall)):
         raise FaultPlanError(f"{where}: not a fault event: {event!r}")
+    if not isinstance(event.device, str):
+        raise FaultPlanError(f"{where}: device must be a string, "
+                             f"got {event.device!r}")
     if not event.device:
         raise FaultPlanError(f"{where}: empty device name")
+    for f in fields(event):
+        value = getattr(event, f.name)
+        if f.name != "device" and not is_finite_number(value):
+            raise FaultPlanError(f"{where}: {f.name} must be a finite number, "
+                                 f"got {value!r} for {event.device!r}")
     if event.time < 0:
         raise FaultPlanError(f"{where}: negative time {event.time} "
                              f"for device {event.device!r}")
@@ -306,6 +316,10 @@ class RetryPolicy:
     deadline: float | None = None
 
     def __post_init__(self):
+        for name in ("max_retries", "backoff_base", "backoff_factor", "jitter"):
+            value = getattr(self, name)
+            if not is_finite_number(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.backoff_base <= 0:
@@ -316,8 +330,10 @@ class RetryPolicy:
                 f"backoff_factor must be >= 1, got {self.backoff_factor}")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError(f"deadline must be positive, got {self.deadline}")
+        if self.deadline is not None and (not is_finite_number(self.deadline)
+                                          or self.deadline <= 0):
+            raise ValueError(f"deadline must be positive and finite, "
+                             f"got {self.deadline!r}")
 
     def backoff(self, index: int, attempt: int) -> float:
         """Seconds to wait before re-queueing ``attempt``-th retry."""
@@ -668,6 +684,8 @@ class FaultRuntime:
         slot.inflight = None
         self.on_device -= len(batch)
         self.completed += len(batch)
+        if not self._abort_time:
+            return  # no retried request is outstanding: nothing recovers
         for req in batch:
             aborted_at = self._abort_time.pop(req.index, None)
             if aborted_at is not None:
@@ -739,11 +757,18 @@ class FaultRuntime:
                 aborted_requests=self._aborted_requests.get(label, 0),
             )
 
+        # One pass over the requests, and none when nothing was ever
+        # aborted (no request has retries) or served degraded.
         retry_histogram: dict[int, int] = {}
-        for req in requests:
-            if req.retries:
-                retry_histogram[req.retries] = (
-                    retry_histogram.get(req.retries, 0) + 1)
+        degraded_latencies: dict[str, list[float]] = {}
+        if self._aborted_requests or self._degraded_requests:
+            for req in requests:
+                if req.retries:
+                    retry_histogram[req.retries] = (
+                        retry_histogram.get(req.retries, 0) + 1)
+                if req.degraded and not req.shed:
+                    degraded_latencies.setdefault(req.tenant, []).append(
+                        req.latency)
 
         tenant_stats: dict[str, TenantFaultStats] = {}
         names = (set(tenants) | set(self._tenant_shed)
@@ -751,11 +776,9 @@ class FaultRuntime:
         for name in sorted(names):
             mode, slo = tenants.get(name, (None, None))
             attainment = None
-            if slo is not None:
-                degraded = [r.latency for r in requests
-                            if r.tenant == name and r.degraded and not r.shed]
-                if degraded:
-                    attainment = float(np.mean(np.array(degraded) <= slo))
+            degraded = degraded_latencies.get(name)
+            if slo is not None and degraded:
+                attainment = float(np.mean(np.array(degraded) <= slo))
             tenant_stats[name] = TenantFaultStats(
                 tenant=name,
                 shed=self._tenant_shed.get(name, 0),

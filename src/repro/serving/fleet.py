@@ -1,8 +1,9 @@
 """Fleet-scale serving simulator: device groups, vectorized epochs, autoscaling.
 
 The classic simulator (:mod:`repro.serving.simulator`) pops one Python
-object per event off a heap — exact, but ~250k simulated req/s on a
-handful of devices. A production fleet is a different shape: *hundreds*
+object per dispatch opportunity off a heap and ranks slots one by one —
+exact, but ~190k-290k simulated req/s on a handful of devices (2-vCPU
+Xeon VM). A production fleet is a different shape: *hundreds*
 of replicas behind a global router, almost all of them interchangeable.
 This module exploits that structure. Devices are grouped into
 homogeneous :class:`DeviceGroup`\\ s (``DeviceGroup("2080ti", 64)``),

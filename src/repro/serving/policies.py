@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 import weakref
 
+from repro.serving.request import is_finite_number
+
 
 def _wake_after(base: float, delta: float) -> float:
     """``base + delta``, rounded up so ``wake - base >= delta`` holds in floats.
@@ -75,8 +77,9 @@ class TimeoutBatchPolicy(BatchingPolicy):
     def __init__(self, batch_size: int, timeout: float):
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        if timeout < 0:
-            raise ValueError(f"timeout must be non-negative, got {timeout}")
+        if not is_finite_number(timeout) or timeout < 0:
+            raise ValueError(f"timeout must be non-negative and finite, "
+                             f"got {timeout!r}")
         self.batch_size = batch_size
         self.timeout = timeout
         self.name = f"timeout({batch_size},{timeout:g}s)"
@@ -105,8 +108,8 @@ class AdaptiveSLOPolicy(BatchingPolicy):
     """
 
     def __init__(self, slo: float, max_batch: int = 512, safety: float = 0.8):
-        if slo <= 0:
-            raise ValueError(f"slo must be positive, got {slo}")
+        if not is_finite_number(slo) or slo <= 0:
+            raise ValueError(f"slo must be positive and finite, got {slo!r}")
         if max_batch <= 0:
             raise ValueError(f"max_batch must be positive, got {max_batch}")
         if not 0 < safety <= 1:

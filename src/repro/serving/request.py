@@ -20,10 +20,24 @@ batches across tenants (different workloads cannot share a batch).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+
+
+def is_finite_number(value) -> bool:
+    """True for a real, finite number; False for NaN, infinities, bools,
+    strings, ``None`` and anything else a JSON plan or a caller might pass.
+
+    Fault-plan fields, retry settings, policy timeouts and SLOs, and
+    arrival rates all pass through it: one NaN among them silently
+    breaks event ordering instead of raising.
+    """
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass(slots=True)
@@ -65,8 +79,9 @@ def poisson_arrivals(n_requests: int, arrival_rate: float, seed: int = 0) -> np.
     """
     if n_requests < 0:
         raise ValueError(f"n_requests must be non-negative, got {n_requests}")
-    if arrival_rate <= 0:
-        raise ValueError("arrival_rate must be positive")
+    if not is_finite_number(arrival_rate) or arrival_rate <= 0:
+        raise ValueError(f"arrival_rate must be positive and finite, "
+                         f"got {arrival_rate!r}")
     rng = np.random.default_rng(seed)
     return np.cumsum(rng.exponential(1.0 / arrival_rate, size=n_requests))
 

@@ -49,7 +49,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.serving.faults import CHAOS_SCENARIO_NAMES, CHAOS_SCENARIOS, chaos_plan
-from repro.serving.request import Request, RequestColumns, sort_request_columns
+from repro.serving.request import (Request, RequestColumns, is_finite_number,
+                                   sort_request_columns)
 from repro.serving.simulator import TenantSpec
 
 __all__ = [
@@ -200,8 +201,10 @@ def scenario_columns(
     if spec.needs_rate and arrival_rate is None:
         raise ValueError(f"scenario {scenario!r} needs an arrival rate "
                          "(its traffic shape is time-varying)")
-    if arrival_rate is not None and arrival_rate <= 0:
-        raise ValueError("arrival_rate must be positive")
+    if arrival_rate is not None and (not is_finite_number(arrival_rate)
+                                     or arrival_rate <= 0):
+        raise ValueError(f"arrival_rate must be positive and finite, "
+                         f"got {arrival_rate!r}")
     names = [t.name for t in tenants]
     if n_requests == 0:
         return RequestColumns(np.empty(0), np.empty(0, dtype=np.int64), tuple(names))

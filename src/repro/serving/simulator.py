@@ -19,13 +19,17 @@ workloads cannot share a batch), and every policy/router decision sees
 the deciding tenant's own latency curves. The report then breaks
 latency and SLO attainment down per tenant (:class:`TenantStats`).
 
-Event loop: a heap holds the next arrival, device-free times and policy
-wake-ups. At each event the simulator absorbs due arrivals into the
-per-tenant FIFO queues, then repeatedly offers work to idle devices —
-tenants in oldest-head-of-queue-first order, slots in router order; a
-policy either dispatches a batch (finalizing those requests' timing at
-dispatch, since compute time is deterministic) or holds, and when every
-tenant holds on every idle slot the earliest policy wake-up is scheduled.
+Event loop: a heap holds device-free times, policy wake-ups and — only
+while some device is idle — the next arrival. At each event the
+simulator absorbs every arrival due by then into the per-tenant FIFO
+queues, then repeatedly offers work to idle devices — tenants in
+oldest-head-of-queue-first order, slots in router order; a policy either
+dispatches a batch (finalizing those requests' timing at dispatch, since
+compute time is deterministic) or holds, and when every tenant holds on
+every idle slot the earliest policy wake-up is scheduled. While every
+device is busy no arrival is visited: the next free (or fault, retry,
+wake-up) event absorbs them in bulk, so the loop's work scales with
+dispatch decisions rather than with arrivals.
 """
 
 from __future__ import annotations
@@ -346,16 +350,13 @@ def _run_event_loop(
             elif tag == "free":
                 faults.complete(payload, now, by_label)
 
-        # Absorb every arrival due by `now`; schedule the next one exactly once.
+        # Absorb every arrival due by `now`, including those no event visited.
         while next_arrival < n_requests and requests[next_arrival].arrival <= now:
             req = requests[next_arrival]
             tenants[req.tenant].queue.append(req)
             next_arrival += 1
             if faults is not None:
                 faults.queued += 1
-        if next_arrival < n_requests and scheduled_arrival < next_arrival:
-            push(requests[next_arrival].arrival, "arrival")
-            scheduled_arrival = next_arrival
 
         if faults is not None:
             # No request is ever silently lost: everything issued so far
@@ -364,11 +365,8 @@ def _run_event_loop(
             faults.check_conservation(next_arrival)
 
         # Offer queued work to idle devices until every policy holds or
-        # work/devices run out.
+        # work/devices run out. `idle` is current whenever the loop exits.
         while True:
-            active = [t for t in tenants.values() if t.queue]
-            if not active:
-                break
             if faults is None:
                 idle = [s.label for s in slots if s.free_at <= now]
             else:
@@ -376,6 +374,9 @@ def _run_event_loop(
                         if s.free_at <= now and not s.down
                         and s.stalled_until <= now]
             if not idle:
+                break
+            active = [t for t in tenants.values() if t.queue]
+            if not active:
                 break
             if len(active) > 1:
                 # FIFO across tenants: offer the oldest waiting head first.
@@ -411,7 +412,7 @@ def _run_event_loop(
                 if wake is not None and (pending_wakeup is None or wake < pending_wakeup):
                     push(wake, "wakeup")
                     pending_wakeup = wake
-                if not heap:
+                if not heap and next_arrival >= n_requests:
                     names = ",".join(t.policy.name for t in active)
                     raise RuntimeError(
                         f"policy {names!r} held with no pending events")
@@ -459,6 +460,14 @@ def _run_event_loop(
             dispatched += size
             makespan = max(makespan, finish)
             push(finish, "free", slot.label)
+
+        # An arrival is a dispatch opportunity only while some slot is
+        # idle. Slots go idle only at events (free, recover, stall-end), so
+        # while all are busy the next such event absorbs every arrival due
+        # by then, in order, before its offers.
+        if idle and scheduled_arrival < next_arrival < n_requests:
+            push(requests[next_arrival].arrival, "arrival")
+            scheduled_arrival = next_arrival
     return makespan
 
 

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.serving import (
@@ -285,6 +286,49 @@ class TestRetryPolicy:
                 f = _jitter_fraction(index, attempt)
                 assert 0.0 <= f < 1.0
                 assert f == _jitter_fraction(index, attempt)
+
+
+class TestBuildStats:
+    """``build_stats`` makes one pass over the requests, and none at all
+    when nothing was aborted or served degraded. Its retry histogram and
+    degraded-mode attainment must equal plain per-tenant scans."""
+
+    @staticmethod
+    def scanned(report, slos):
+        histogram: dict[int, int] = {}
+        for r in report.requests:
+            if r.retries:
+                histogram[r.retries] = histogram.get(r.retries, 0) + 1
+        attainment = {}
+        for name, slo in slos.items():
+            latencies = [r.latency for r in report.requests
+                         if r.tenant == name and r.degraded and not r.shed]
+            attainment[name] = (float(np.mean(np.array(latencies) <= slo))
+                                if latencies and slo is not None else None)
+        return dict(sorted(histogram.items())), attainment
+
+    @pytest.mark.parametrize("chaos", [None, "single-failure"])
+    @pytest.mark.parametrize("degraded", [False, True])
+    def test_matches_per_tenant_scans(self, chaos, degraded):
+        mode = DegradedMode("image", 0.5, enter_wait=3e-3) if degraded else None
+        slos = {"x": 20e-3, "y": None, "z": 30e-3}
+        tenants = [TenantSpec(name, affine, FixedBatchPolicy(8), slo=slo,
+                              degraded=mode if name != "z" else None)
+                   for name, slo in slos.items()]
+        devices = ("a", "b")
+        plan = chaos_plan(chaos, devices, 0.1, seed=0) if chaos else None
+        report = simulate_mixed(tenants, devices=devices, n_requests=1_500,
+                                arrival_rate=15_000.0, faults=plan,
+                                retry=RetryPolicy(), seed=0, lint=False)
+        fs = report.fault_stats
+        histogram, attainment = self.scanned(report, slos)
+        assert fs.retry_histogram == histogram
+        assert {name: t.degraded_slo_attainment
+                for name, t in fs.tenants.items()} == attainment
+        assert (fs.retries > 0) == (chaos is not None)
+        assert (fs.tenants["x"].degraded_requests > 0) == degraded
+        if degraded:
+            assert attainment["x"] is not None and attainment["y"] is None
 
 
 class TestConservationUnit:

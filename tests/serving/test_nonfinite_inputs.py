@@ -1,0 +1,144 @@
+"""Non-finite and non-numeric serving inputs fail with a structured error.
+
+Every time, rate, factor and backoff reaches the event heap; a NaN or an
+infinity there does not crash, it silently reorders events (p99 ``nan``,
+makespan ``inf``, a deadline that never sheds). Each case below is one
+input that used to get through, and must now be rejected up front with
+the module's own error: :class:`FaultPlanError` for plan fields,
+``ValueError`` for constructors, exit code 2 and one line from the CLI.
+"""
+
+import json
+import math
+
+import pytest
+
+from repro.core.cli import main
+from repro.serving import (
+    AdaptiveSLOPolicy,
+    FaultPlanError,
+    FixedBatchPolicy,
+    RetryPolicy,
+    TenantSpec,
+    TimeoutBatchPolicy,
+    load_fault_plan,
+    parse_groups,
+    simulate,
+    simulate_fleet,
+    simulate_mixed,
+)
+from repro.serving.request import poisson_arrivals
+from repro.serving.scenarios import scenario_columns
+
+
+def affine(k: int) -> float:
+    return 1e-3 + 1e-4 * k
+
+
+def tenants():
+    return [TenantSpec("x", affine, FixedBatchPolicy(8)),
+            TenantSpec("y", affine, FixedBatchPolicy(8))]
+
+
+def write_plan(tmp_path, event) -> str:
+    """A plan file as JSON text; ``json`` writes NaN/Infinity literals and
+    reads them back, exactly as a hand-written plan would reach us."""
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"events": [event]}))
+    return str(path)
+
+
+class TestFaultPlanFields:
+    @pytest.mark.parametrize("event, field", [
+        ({"kind": "down", "device": "a", "time": "0.1"}, "time"),
+        ({"kind": "down", "device": "a", "time": None}, "time"),
+        ({"kind": "down", "device": "a", "time": True}, "time"),
+        ({"kind": "recover", "device": "a", "time": math.nan}, "time"),
+        ({"kind": "down", "device": "a", "time": math.inf}, "time"),
+        ({"kind": "throttle", "device": "a", "time": 0.1, "until": math.inf,
+          "factor": 2.0}, "until"),
+        ({"kind": "throttle", "device": "a", "time": 0.1, "until": 0.2,
+          "factor": math.nan}, "factor"),
+        ({"kind": "stall", "device": "a", "time": 0.1, "duration": math.nan},
+         "duration"),
+        ({"kind": "down", "device": ["a"], "time": 0.1}, "device"),
+    ], ids=["time-string", "time-null", "time-bool", "time-nan", "time-inf",
+            "until-inf", "factor-nan", "duration-nan", "device-list"])
+    def test_plan_file_field_rejected(self, tmp_path, event, field):
+        with pytest.raises(FaultPlanError, match=rf"event\[0\]: {field} must be"):
+            load_fault_plan(write_plan(tmp_path, event))
+
+    def test_cli_plan_with_string_time_exits_2(self, tmp_path, capsys):
+        path = write_plan(tmp_path, {"kind": "down", "device": "2080ti",
+                                     "time": "0.1"})
+        code = main(["serve", "--faults", path, "--arrival-rate", "100",
+                     "--n-requests", "50", "--devices", "2080ti,nano"])
+        assert code == 2
+        assert "event[0]: time must be a finite number" in capsys.readouterr().err
+
+
+class TestRetryPolicy:
+    @pytest.mark.parametrize("field, value", [
+        ("backoff_base", math.inf),
+        ("backoff_base", math.nan),
+        ("backoff_factor", math.nan),
+        ("deadline", math.nan),
+        ("max_retries", math.nan),
+    ])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RetryPolicy(**{field: value})
+
+    @pytest.mark.parametrize("flag", ["--retry-backoff", "--request-deadline"])
+    def test_cli_infinite_retry_flag_exits_2(self, flag, capsys):
+        code = main(["serve", "--faults", "single-failure", flag, "inf",
+                     "--arrival-rate", "1000", "--n-requests", "50",
+                     "--devices", "2080ti,nano"])
+        assert code == 2
+        assert f"{flag} must be positive and finite" in capsys.readouterr().err
+
+
+class TestArrivalRate:
+    def test_poisson_arrivals_rejects_infinite_rate(self):
+        with pytest.raises(ValueError, match="arrival_rate"):
+            poisson_arrivals(10, math.inf)
+
+    def test_scenario_columns_rejects_bool_rate(self):
+        with pytest.raises(ValueError, match="arrival_rate"):
+            scenario_columns("uniform", tenants(), 10, arrival_rate=True)
+
+    def test_simulate_rejects_nan_rate(self):
+        with pytest.raises(ValueError, match="arrival_rate"):
+            simulate(affine, FixedBatchPolicy(8), devices=("a",),
+                     n_requests=50, arrival_rate=math.nan)
+
+    def test_simulate_mixed_rejects_nan_rate(self):
+        with pytest.raises(ValueError, match="arrival_rate"):
+            simulate_mixed(tenants(), devices=("a",), n_requests=50,
+                           arrival_rate=math.nan)
+
+    def test_simulate_fleet_rejects_nan_rate(self):
+        with pytest.raises(ValueError, match="arrival_rate"):
+            simulate_fleet(tenants(), parse_groups("a:2"), n_requests=50,
+                           arrival_rate=math.nan)
+
+    @pytest.mark.parametrize("extra", [[], ["--mix", "uniform"]],
+                             ids=["single", "mix"])
+    def test_cli_nan_rate_exits_2(self, extra, capsys):
+        code = main(["serve", "--arrival-rate", "nan", "--n-requests", "50",
+                     *extra])
+        assert code == 2
+        assert "--arrival-rate must be positive and finite" in (
+            capsys.readouterr().err)
+
+
+class TestPolicies:
+    def test_adaptive_rejects_nan_slo(self):
+        with pytest.raises(ValueError, match="slo"):
+            AdaptiveSLOPolicy(math.nan)
+
+    @pytest.mark.parametrize("timeout", [math.nan, math.inf])
+    def test_timeout_rejects_non_finite_timeout(self, timeout):
+        with pytest.raises(ValueError, match="timeout"):
+            TimeoutBatchPolicy(8, timeout)
+
