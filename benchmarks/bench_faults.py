@@ -28,6 +28,7 @@ Emits ``BENCH_faults.json``::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import time
 from pathlib import Path
@@ -73,17 +74,24 @@ def main(argv: list[str] | None = None) -> int:
                                  seed=args.seed)
     horizon = args.n_requests / args.arrival_rate
 
+    # Each run's report is dropped before the next run is timed, and the
+    # collector runs outside the timed sections: a live 1M-request report
+    # otherwise adds its objects to every collection the next run makes.
+    gc.collect()
     t0 = time.perf_counter()
     base = simulate_mixed(tenants, devices=DEVICES, requests=requests,
                           arrival_rate=args.arrival_rate, seed=args.seed)
     baseline_s = time.perf_counter() - t0
-    print(f"fault-free baseline: {base.n_requests:,} requests in "
-          f"{baseline_s:.2f}s ({base.n_requests / baseline_s:,.0f} req/s)")
+    n_requests = base.n_requests
+    del base
+    print(f"fault-free baseline: {n_requests:,} requests in "
+          f"{baseline_s:.2f}s ({n_requests / baseline_s:,.0f} req/s)")
 
     failed = False
     per_scenario = {}
     for name in SCENARIOS:
         plan = chaos_plan(name, DEVICES, horizon, seed=args.seed)
+        gc.collect()
         t0 = time.perf_counter()
         report = simulate_mixed(tenants, devices=DEVICES, requests=requests,
                                 arrival_rate=args.arrival_rate,
@@ -91,6 +99,7 @@ def main(argv: list[str] | None = None) -> int:
                                 retry=RetryPolicy())
         wall_s = time.perf_counter() - t0
         fs = report.fault_stats
+        del report
         overhead = wall_s / baseline_s - 1.0
         per_scenario[name] = {
             "wall_s": round(wall_s, 3),
@@ -115,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
 
     payload = {
         "bench": "faults",
-        "n_requests": base.n_requests,
+        "n_requests": n_requests,
         "traffic_scenario": args.scenario,
         "arrival_rate": args.arrival_rate,
         "devices": list(DEVICES),

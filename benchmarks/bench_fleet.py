@@ -4,8 +4,10 @@ Measures the acceptance scenario of the fleet-scale serving layer
 (:mod:`repro.serving.fleet`): all nine registry workloads served as
 tenants of three homogeneous device groups — 64x 2080ti, 32x orin,
 16x nano — under a saturating open stream. The group-level event loop
-(bulk arrival absorption, replica free-time vectors, dense latency
-tables, completion heap) is what makes this tractable. The gate here is
+(bulk arrival absorption, per-group replica free times with a heap of
+idle replicas, dense latency tables, a completion heap, and per-request
+timing filled in one vectorized pass per tenant after the loop) is what
+makes this tractable. The gate here is
 >= 10x the classic simulator's original recorded rate: 253,987 simulated
 req/s, ``BENCH_serving_mix.json`` as first recorded. The classic loop
 has since learned to skip arrivals while every slot is busy, so the

@@ -295,8 +295,7 @@ def _cmd_serve_mix(args) -> int:
         if get_scenario(args.mix).needs_rate and args.arrival_rate is None:
             raise ValueError(f"--mix {args.mix} needs --arrival-rate "
                              "(its traffic shape is time-varying)")
-        if args.slo <= 0:
-            raise ValueError(f"--slo must be positive, got {args.slo}")
+        _check_positive("--slo", args.slo)
         if args.seed < 0:
             raise ValueError(f"--seed must be non-negative, got {args.seed}")
         if not 0.0 < args.finetune_share < 1.0:
@@ -422,12 +421,11 @@ def _cmd_serve_fleet(args) -> int:
         if get_scenario(scenario).needs_rate and args.arrival_rate is None:
             raise ValueError(f"--mix {scenario} needs --arrival-rate "
                              "(its traffic shape is time-varying)")
-        if args.slo <= 0:
-            raise ValueError(f"--slo must be positive, got {args.slo}")
+        _check_positive("--slo", args.slo)
         if args.seed < 0:
             raise ValueError(f"--seed must be non-negative, got {args.seed}")
-        if args.hop_bytes < 0:
-            raise ValueError(f"--hop-bytes must be non-negative, "
+        if not (math.isfinite(args.hop_bytes) and args.hop_bytes >= 0):
+            raise ValueError(f"--hop-bytes must be non-negative and finite, "
                              f"got {args.hop_bytes}")
         autoscale = None
         if args.autoscale is not None:

@@ -1,4 +1,4 @@
-"""Fleet-scale serving simulator: device groups, vectorized epochs, autoscaling.
+"""Fleet-scale serving simulator: device groups, epoch event loop, autoscaling.
 
 The classic simulator (:mod:`repro.serving.simulator`) pops one Python
 object per dispatch opportunity off a heap and ranks slots one by one —
@@ -7,20 +7,23 @@ Xeon VM). A production fleet is a different shape: *hundreds*
 of replicas behind a global router, almost all of them interchangeable.
 This module exploits that structure. Devices are grouped into
 homogeneous :class:`DeviceGroup`\\ s (``DeviceGroup("2080ti", 64)``),
-and the event loop processes *epochs* of events as numpy arrays per
-group:
+and the event loop processes *epochs* of events per group:
 
 * arrivals come in as columnar arrays straight from
   :func:`repro.serving.scenarios.scenario_columns` and are absorbed in
   bulk with ``searchsorted`` — under saturation, one epoch swallows
   thousands of arrivals without visiting them individually;
-* each group keeps a replica free-time *vector*; idleness checks,
-  replica selection (argmin within the group) and completion handling
-  are array comparisons instead of per-slot heap events;
+* each group keeps its replica free times in a list plus a min-heap of
+  its idle replicas, so replica selection pops the lowest idle index
+  and completions drain off one fleet-wide heap. Per-batch work runs on
+  Python scalars: on the 1-64 element arrays a batch touches, numpy's
+  call overhead costs more than the arithmetic;
+* per-request timing (latencies, queue and formation waits) is filled
+  after the loop, one vectorized pass per tenant over its batch records;
 * batch latencies reuse the cost models' memoized anchor curves
   (:class:`~repro.serving.costmodel.ProfiledCostModel`) as a dense
-  precomputed interpolation table per (tenant, device), so the hot loop
-  never re-enters the interpolator.
+  precomputed interpolation table per (tenant, device), shared by
+  content across runs, so the hot loop never re-enters the interpolator.
 
 Routing happens per *group*, not per slot: every replica of a group
 shares one latency curve, so ranking 64 identical slots is 63 wasted
@@ -52,8 +55,10 @@ group-level meaning and are rejected.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -61,6 +66,7 @@ import numpy as np
 
 from repro.hw.transfer import h2d_time
 from repro.serving.faults import FaultPlan
+from repro.serving.request import is_finite_number
 from repro.serving.simulator import TenantSpec, TenantStats
 
 __all__ = [
@@ -81,6 +87,11 @@ class FleetConfigError(ValueError):
     """A fleet configuration is malformed; the message names the offender."""
 
 
+def _is_int(value) -> bool:
+    """True for an integer that is not a bool (``True`` is not a count)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class DeviceGroup:
     """``replicas`` interchangeable instances of one device model.
@@ -97,6 +108,14 @@ class DeviceGroup:
     def __post_init__(self):
         if not self.device:
             raise FleetConfigError("device group needs a device name")
+        if not _is_int(self.replicas):
+            raise FleetConfigError(
+                f"group {self.device!r} replicas must be an integer, "
+                f"got {self.replicas!r}")
+        if self.pool is not None and not _is_int(self.pool):
+            raise FleetConfigError(
+                f"group {self.device!r} pool must be an integer, "
+                f"got {self.pool!r}")
         if self.replicas < 1:
             raise FleetConfigError(
                 f"group {self.device!r} needs at least 1 replica, "
@@ -142,6 +161,18 @@ class AutoscalePolicy:
         if self.metric not in ("queue", "p99"):
             raise FleetConfigError(
                 f"autoscale metric must be 'queue' or 'p99', got {self.metric!r}")
+        for name in ("threshold", "interval", "cooldown"):
+            if not is_finite_number(getattr(self, name)):
+                raise FleetConfigError(
+                    f"autoscale {name} must be a finite number, "
+                    f"got {getattr(self, name)!r}")
+        counts = {"step": self.step, "min_replicas": self.min_replicas}
+        if self.max_replicas is not None:
+            counts["max_replicas"] = self.max_replicas
+        for name, value in counts.items():
+            if not _is_int(value):
+                raise FleetConfigError(
+                    f"autoscale {name} must be an integer, got {value!r}")
         if self.threshold <= 0:
             raise FleetConfigError(
                 f"autoscale threshold must be positive, got {self.threshold}")
@@ -310,22 +341,35 @@ def parse_autoscale(spec: str, min_replicas: int = 1,
 _MAX_TABLE = 4096
 
 
-def _dense_curve(cost, device: str, max_k: int) -> np.ndarray | None:
+def _dense_curve(cost, device: str, max_k: int) -> tuple[float, ...] | None:
     """Precompute ``latency(device, k)`` for ``k = 1..max_k``, or ``None``.
 
     Only cost models exposing their anchor representation
     (``_anchor_arr`` + ``_anchor_curve``, i.e. the profiled/trace
     models) are vectorized; everything else (e.g. test callables) goes
-    through the exact per-query fallback. The vectorized interpolation
-    reproduces :func:`repro.serving.costmodel._interp_affine`
-    operation-for-operation, so table lookups are bit-identical to the
-    scalar path the classic simulator takes.
+    through the exact per-query fallback. Tables are shared by content,
+    so a fresh cost model over an already-seen curve builds nothing.
     """
     anchors = getattr(cost, "_anchor_arr", None)
     curve_fn = getattr(cost, "_anchor_curve", None)
     if anchors is None or curve_fn is None:
         return None
-    times = curve_fn(device)
+    return _dense_table(anchors.tobytes(), curve_fn(device).tobytes(), max_k)
+
+
+@functools.lru_cache(maxsize=256)
+def _dense_table(anchor_bytes: bytes, time_bytes: bytes,
+                 max_k: int) -> tuple[float, ...]:
+    """The dense table of one float64 anchor curve, as Python floats.
+
+    The vectorized interpolation reproduces
+    :func:`repro.serving.costmodel._interp_affine` operation-for-operation,
+    so table lookups are bit-identical to the scalar path the classic
+    simulator takes. The result is a tuple because every caller with the
+    same curve shares it.
+    """
+    anchors = np.frombuffer(anchor_bytes, dtype=np.float64)
+    times = np.frombuffer(time_bytes, dtype=np.float64)
     ks = np.arange(1, max_k + 1, dtype=np.float64)
     out = np.interp(ks, anchors, times)
     if anchors.size > 1:
@@ -338,7 +382,7 @@ def _dense_curve(cost, device: str, max_k: int) -> np.ndarray | None:
             slope = (times[1] - times[0]) / (anchors[1] - anchors[0])
             out[lo] = np.maximum(times[0] - slope * (anchors[0] - ks[lo]),
                                  times[0] * ks[lo] / anchors[0])
-    return out
+    return tuple(out.tolist())
 
 
 class _GroupCost:
@@ -358,27 +402,28 @@ class _GroupCost:
     def __init__(self, cost, throttle: dict[str, float], max_k: int):
         self.underlying = cost
         self._max_k = min(int(max_k), _MAX_TABLE)
-        self._tables: dict[str, np.ndarray | None] = {}
+        # device -> dense table; () when the cost model has none.
+        self._tables: dict[str, tuple[float, ...]] = {}
         self._memo: dict[tuple[str, int], float] = {}
         self._throttle = throttle
 
     def latency(self, device: str, batch_size: int) -> float:
-        try:
-            table = self._tables[device]
-        except KeyError:
+        table = self._tables.get(device)
+        if table is None:
             table = self._tables[device] = _dense_curve(
-                self.underlying, device, self._max_k)
-        if table is not None and 1 <= batch_size <= table.size:
-            base = float(table[batch_size - 1])
+                self.underlying, device, self._max_k) or ()
+        if 1 <= batch_size <= len(table):
+            base = table[batch_size - 1]
         else:
             key = (device, batch_size)
             base = self._memo.get(key)
             if base is None:
                 base = self._memo[key] = float(
                     self.underlying.latency(device, batch_size))
-        factor = self._throttle.get(device)
-        if factor is not None:
-            base *= factor
+        if self._throttle:
+            factor = self._throttle.get(device)
+            if factor is not None:
+                base *= factor
         return base
 
     def device_name(self, device: str) -> str:
@@ -399,13 +444,19 @@ def _policy_max_batch(policy, probe_cap: int) -> int:
 
 
 class _FleetEngine:
-    """Vectorized event loop over device groups.
+    """Epoch event loop over device groups.
 
     One *epoch* = advance the clock to the next relevant instant, absorb
     everything due (fault edges, arrivals in bulk, autoscale ticks),
     then offer queued work to idle groups until every policy holds.
-    Request timing is written straight into preallocated output columns;
-    no per-request Python objects exist anywhere.
+
+    Per-batch work runs on Python scalars, lists and heaps: the batches
+    are few (thousands per 10k requests) and numpy's call overhead on
+    1-64 element arrays costs more than their arithmetic. Each batch
+    appends one record to its tenant's lists; the per-request columns
+    (latencies, arrival and formation-wait sums) are filled from those
+    records in one vectorized pass per tenant after the loop. No
+    per-request Python objects exist anywhere.
     """
 
     def __init__(self, tenants: Sequence[TenantSpec],
@@ -426,28 +477,34 @@ class _FleetEngine:
 
         # Per-tenant views of the stream. A single stable argsort groups
         # the request indices by tenant while preserving arrival order
-        # within each tenant (one O(n log n) pass instead of one mask
-        # scan per tenant). The only per-request output the report needs
-        # elementwise is the latency (percentiles, SLO attainment), so
-        # that is the only per-request buffer kept — a batch is always a
-        # slice of one tenant's queue, making the hot-loop write a
-        # cache-friendly contiguous fill. Queue/formation/service waits
-        # only ever surface as means, so they fold into scalar
-        # accumulators while the batch slice is still cache-hot.
+        # within each tenant; on codes narrowed to 8 or 16 bits numpy
+        # radix-sorts, which gives the same order ~10x faster. A batch is
+        # always the next slice of one tenant's queue, so a tenant's
+        # batch records (finish, size, dispatch instant, replica idle
+        # time) are enough to rebuild every request's timing after the
+        # loop; see _fill_requests.
         K = len(self.tenants)
-        order = np.argsort(self.codes, kind="stable")
+        order = np.argsort(self.codes.astype(np.min_scalar_type(K - 1)),
+                           kind="stable")
         bounds = np.zeros(K + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.codes, minlength=K), out=bounds[1:])
-        self.arr_t = [np.ascontiguousarray(
-            self.arr_all[order[bounds[t]:bounds[t + 1]]]) for t in range(K)]
-        self.lat_t = [np.empty(a.size, dtype=np.float64) for a in self.arr_t]
+        self.arr_t = [self.arr_all[order[bounds[t]:bounds[t + 1]]]
+                      for t in range(K)]
+        self.lat_t: list[np.ndarray] = []  # filled by _fill_requests
         self.arr_sum = [0.0] * K   # sum of dispatched requests' arrivals
         self.disp_sum = [0.0] * K  # sum of dispatch instants (x batch size)
         self.form_sum = 0.0        # global formation-wait sum
         self.serv_sum = 0.0        # global service-time sum
         self.head = [0] * K
         self.tail = [0] * K
+        # Arrival of each tenant's queue head, as a Python float.
+        self.head_arr = [float(a[0]) if a.size else math.inf
+                         for a in self.arr_t]
         self.last_group: list[int | None] = [None] * K
+        self.b_finish: list[list[float]] = [[] for _ in range(K)]
+        self.b_size: list[list[int]] = [[] for _ in range(K)]
+        self.b_now: list[list[float]] = [[] for _ in range(K)]
+        self.b_idle: list[list[float]] = [[] for _ in range(K)]
 
         self.throttle: dict[str, float] = {}
         self.policies = [spec.policy for spec in self.tenants]
@@ -457,11 +514,11 @@ class _FleetEngine:
             for spec in self.tenants
         ]
 
-        # Per-group replica state: free-time vectors over the full
-        # provisioned pool; ``act`` bounds the autoscaler-active prefix.
+        # Per-group replica state: free times over the full provisioned
+        # pool; ``act`` bounds the autoscaler-active prefix.
         G = len(self.groups)
         self.gdev = [g.device for g in self.groups]
-        self.free = [np.zeros(g.capacity, dtype=np.float64) for g in self.groups]
+        self.free = [[0.0] * g.capacity for g in self.groups]
         self.act = [g.replicas for g in self.groups]
         self.down = [False] * G
         self.batches = [0] * G
@@ -472,7 +529,7 @@ class _FleetEngine:
         self.peak = [g.replicas for g in self.groups]
         self.occ_int = [0.0] * G  # integral of act over time
         self.occ_last = [0.0] * G
-        self.last_action = [-np.inf] * G
+        self.last_action = [-math.inf] * G
         self.scaling: list[ScalingEvent] = []
 
         self.edges: list[tuple] = []
@@ -492,19 +549,22 @@ class _FleetEngine:
         self.next_arr = 0
         self.pending_wakeup: float | None = None
         self.tick_count = 0
-        # Rolling window of batch latencies for the p99 autoscale metric.
-        self.p99_window: list[np.ndarray] = []
+        # Where each tenant's batch records stood at the last autoscale
+        # tick: (batches, requests). The p99 metric reads the batches
+        # recorded since.
+        self.tick_mark = [(0, 0)] * K
 
-        # Busy-replica bookkeeping. The free-time vectors are the ground
+        # Busy-replica bookkeeping. The free-time lists are the ground
         # truth, but scanning them per epoch is O(replicas x epochs); the
         # hot loop instead keeps (a) a min-heap of in-flight batch
         # finish times — so the next completion is O(1) to peek — and
-        # (b) a per-group count of idle replicas in the active prefix,
-        # decremented at dispatch and re-incremented as entries drain
-        # off the heap. Scaling events re-derive the counts from the
-        # vectors (rare; ticks only).
+        # (b) per group, a min-heap of the idle replica indices in the
+        # active prefix: dispatch pops the lowest idle index, and
+        # entries draining off the busy heap push theirs back. Scaling
+        # events rebuild the idle heaps from the free times (rare;
+        # ticks only).
         self.busy_heap: list[tuple[float, int, int]] = []
-        self.idle_count = [g.replicas for g in self.groups]
+        self.idle = [list(range(g.replicas)) for g in self.groups]
 
         self._gindex = {d: i for i, d in enumerate(self.gdev)}
         self._device_specs: dict[str, object] = {}  # lazy, hop pricing only
@@ -531,8 +591,8 @@ class _FleetEngine:
             # the heap top is the next batch completion across the fleet.
             candidates.append(self.busy_heap[0][0])
         if self.next_arr < self.n:
-            for g in range(len(self.groups)):
-                if not self.down[g] and self.idle_count[g]:
+            for idle, down in zip(self.idle, self.down):
+                if idle and not down:
                     # Some active replica is idle right now; between here
                     # and the next free event nothing busies it, so the
                     # next arrival is a dispatch opportunity worth
@@ -549,10 +609,10 @@ class _FleetEngine:
         while heap and heap[0][0] <= now:
             _finish, g, ridx = heapq.heappop(heap)
             if ridx < self.act[g]:
-                self.idle_count[g] += 1
+                heapq.heappush(self.idle[g], ridx)
             # else: the replica drained outside the autoscaler-active
-            # prefix; its free time stays on the vector and is picked
-            # back up by the recount if the group scales out again.
+            # prefix; its free time stays on the list and is picked
+            # back up by the rebuild if the group scales out again.
         while self.edge_ptr < len(self.edges) and self.edges[self.edge_ptr][0] <= now:
             _when, kind, grp, arg = self.edges[self.edge_ptr]
             self.edge_ptr += 1
@@ -567,7 +627,7 @@ class _FleetEngine:
                 self.throttle.pop(grp, None)
         if self.next_arr < self.n:
             old = self.next_arr
-            new_total = int(np.searchsorted(self.arr_all, now, side="right"))
+            new_total = int(self.arr_all.searchsorted(now, side="right"))
             if new_total > old:
                 self.next_arr = new_total
                 counts = np.bincount(self.codes[old:new_total],
@@ -581,29 +641,38 @@ class _FleetEngine:
                 self.tick_count += 1
                 self._tick(tick)
             if len(self.scaling) != n_scaled:
-                # Active prefixes moved; re-derive the idle counts from
-                # the free-time vectors (w.r.t. *now* — everything due
-                # has already drained off the heap).
-                for g in range(len(self.groups)):
-                    act = self.act[g]
-                    self.idle_count[g] = int(
-                        (self.free[g][:act] <= now).sum())
+                # Active prefixes moved; rebuild the idle heaps from the
+                # free times (w.r.t. *now* — everything due has already
+                # drained off the busy heap). An ascending list is a heap.
+                for g, free in enumerate(self.free):
+                    self.idle[g] = [r for r in range(self.act[g])
+                                    if free[r] <= now]
         if self.pending_wakeup is not None and now >= self.pending_wakeup:
             self.pending_wakeup = None
 
     # -- autoscaling -------------------------------------------------------------
+
+    def _window_p99(self) -> float:
+        """p99 latency of the batches dispatched since the last tick."""
+        window = []
+        for t, arr in enumerate(self.arr_t):
+            b0, r0 = self.tick_mark[t]
+            b1, r1 = len(self.b_finish[t]), self.head[t]
+            if b1 > b0:
+                lat = np.repeat(self.b_finish[t][b0:b1], self.b_size[t][b0:b1])
+                window.append(np.subtract(lat, arr[r0:r1], out=lat))
+            self.tick_mark[t] = (b1, r1)
+        if not window:
+            return 0.0
+        return float(np.percentile(np.concatenate(window), 99))
 
     def _tick(self, when: float) -> None:
         scale = self.autoscale
         queued = self.next_arr - self.completed
         if scale.metric == "queue":
             value = float(queued)
-        else:  # p99 of batch latencies dispatched since the last tick
-            if self.p99_window:
-                value = float(np.percentile(np.concatenate(self.p99_window), 99))
-            else:
-                value = 0.0
-            self.p99_window.clear()
+        else:
+            value = self._window_p99()
         for g, group in enumerate(self.groups):
             if self.down[g]:
                 continue
@@ -616,7 +685,7 @@ class _FleetEngine:
                 after = min(act + scale.step, max_r)
                 reason = f"{scale.metric}={value:g}>{scale.threshold:g}"
             elif queued == 0 and act > min_r:
-                idle = int((self.free[g][:act] <= when).sum())
+                idle = sum(f <= when for f in self.free[g][:act])
                 if idle / act < scale.idle_fraction:
                     continue
                 after = max(act - scale.step, min_r)
@@ -633,12 +702,6 @@ class _FleetEngine:
 
     # -- the offer loop ----------------------------------------------------------
 
-    def _idle_groups(self, now: float) -> list[int]:
-        counts = self.idle_count
-        down = self.down
-        return [g for g in range(len(self.groups))
-                if counts[g] and not down[g]]
-
     def _offer(self, now: float) -> None:
         """Offer queued work to idle groups until every policy holds.
 
@@ -649,18 +712,21 @@ class _FleetEngine:
         dispatches restarts the scan.
         """
         K = len(self.tenants)
+        G = len(self.groups)
+        head, tail, head_arr = self.head, self.tail, self.head_arr
+        gdev = self.gdev
         while True:
-            active = [t for t in range(K) if self.head[t] < self.tail[t]]
+            active = [t for t in range(K) if head[t] < tail[t]]
             if not active:
                 return
-            idle = self._idle_groups(now)
+            idle = [g for g in range(G) if self.idle[g] and not self.down[g]]
             if not idle:
                 return
             if len(active) > 1:
-                active.sort(key=lambda t: float(self.arr_t[t][self.head[t]]))
+                active.sort(key=head_arr.__getitem__)
             chosen_t = chosen_g = size = None
             for t in active:
-                qlen = self.tail[t] - self.head[t]
+                qlen = tail[t] - head[t]
                 cost = self.tcost[t]
                 if len(idle) == 1:
                     ranked = idle
@@ -668,12 +734,12 @@ class _FleetEngine:
                     probe = max(1, min(qlen, self.probe_cap))
                     ranked = sorted(
                         idle,
-                        key=lambda g: (cost.latency(self.gdev[g], probe) / probe,
-                                       self.gdev[g]))
-                oldest_wait = now - float(self.arr_t[t][self.head[t]])
+                        key=lambda g: (cost.latency(gdev[g], probe) / probe,
+                                       gdev[g]))
+                oldest_wait = now - head_arr[t]
                 for g in ranked:
                     size = self.policies[t].decide(
-                        now, qlen, oldest_wait, self.gdev[g], cost)
+                        now, qlen, oldest_wait, gdev[g], cost)
                     if size is not None:
                         chosen_t, chosen_g = t, g
                         break
@@ -685,8 +751,8 @@ class _FleetEngine:
             self._dispatch(chosen_t, chosen_g, size, now)
 
     def _hold(self, now: float, active: list[int]) -> None:
-        wakes = (self.policies[t].next_wakeup(
-                    now, float(self.arr_t[t][self.head[t]])) for t in active)
+        wakes = (self.policies[t].next_wakeup(now, self.head_arr[t])
+                 for t in active)
         wake = min((w for w in wakes if w is not None and w > now), default=None)
         if wake is not None and (self.pending_wakeup is None
                                  or wake < self.pending_wakeup):
@@ -705,10 +771,11 @@ class _FleetEngine:
         duration = self.tcost[t].latency(device, size)
         if duration <= 0:
             raise ValueError("batch_time must return a positive duration")
-        fa = self.free[g]
-        act = self.act[g]
-        ridx = int(np.argmax(fa[:act] <= now))
-        idle_since = float(fa[ridx])
+        # The lowest idle index: the replica a scan of the active prefix
+        # for the first free time <= now would pick.
+        ridx = heapq.heappop(self.idle[g])
+        free = self.free[g]
+        idle_since = free[ridx]
         finish = now + duration
         busy = duration
         if self.hop_bytes > 0.0 and self.last_group[t] not in (None, g):
@@ -725,38 +792,29 @@ class _FleetEngine:
         self.last_group[t] = g
 
         end = head + size
-        batch_arr = self.arr_t[t][head:end]
-        lat = self.lat_t[t][head:end]
-        np.subtract(finish, batch_arr, out=lat)
-        # Queued requests arrived at or before ``now`` and the chosen
-        # replica freed at or before ``now``, so the classic
-        # ``max(0, now - max(arrival, idle_since))`` formation wait
-        # reduces to a min of two non-negative terms; it (and the queue
-        # and service waits) only ever surface as means, so they fold
-        # into scalar accumulators here rather than per-request buffers.
-        asum = float(batch_arr.sum())
-        self.arr_sum[t] += asum
+        self.head[t] = end
+        arr = self.arr_t[t]
+        self.head_arr[t] = float(arr[end]) if end < arr.size else math.inf
+        self.b_finish[t].append(finish)
+        self.b_size[t].append(size)
+        self.b_now[t].append(now)
+        self.b_idle[t].append(idle_since)
         self.disp_sum[t] += now * size
         self.serv_sum += (finish - now) * size
-        self.form_sum += float(
-            np.minimum(now - batch_arr, now - idle_since).sum())
-        self.head[t] = end
-        fa[ridx] = finish
+        free[ridx] = finish
         heapq.heappush(self.busy_heap, (finish, g, ridx))
-        self.idle_count[g] -= 1
         self.batches[g] += 1
         self.requests[g] += size
         self.busy[g] += busy
         self.completed += size
         if finish > self.makespan:
             self.makespan = finish
-        if self.autoscale is not None and self.autoscale.metric == "p99":
-            self.p99_window.append(lat)
 
     # -- run ---------------------------------------------------------------------
 
     def run(self) -> float:
         if self.n == 0:
+            self._fill_requests()
             return 0.0
         first = [float(self.arr_all[0])]
         if self.edges:
@@ -778,7 +836,34 @@ class _FleetEngine:
         for g in range(len(self.groups)):
             self.occ_int[g] += self.act[g] * (self.makespan - self.occ_last[g])
             self.occ_last[g] = self.makespan
+        self._fill_requests()
         return self.makespan
+
+    def _fill_requests(self) -> None:
+        """Per-request timing from the batch records, one pass per tenant.
+
+        A tenant's batches cover its arrivals in order, so repeating each
+        batch's record over its size lines it up with the requests it
+        served: latency is ``finish - arrival``; the queue wait sums as
+        dispatch instants (kept per batch) minus arrivals; and the
+        formation wait is the classic ``max(0, now - max(arrival,
+        idle_since))``, which — queued requests arrived at or before
+        ``now``, the replica freed at or before it — is a min of two
+        non-negative terms. Only the latencies are kept per request; the
+        waits only ever surface as means. At most two tenant-sized
+        temporaries are alive at once.
+        """
+        for t, arr in enumerate(self.arr_t):
+            sizes = np.array(self.b_size[t], dtype=np.intp)
+            self.arr_sum[t] = float(arr.sum())
+            now = np.array(self.b_now[t])
+            wait = np.repeat(now, sizes)
+            np.subtract(wait, arr, out=wait)
+            idle = np.repeat(now - np.array(self.b_idle[t]), sizes)
+            self.form_sum += float(np.minimum(wait, idle, out=wait).sum())
+            del wait, idle  # the latencies below can reuse their memory
+            lat = np.repeat(np.array(self.b_finish[t]), sizes)
+            self.lat_t.append(np.subtract(lat, arr, out=lat))
 
 
 # ---------------------------------------------------------------------------
@@ -895,8 +980,9 @@ def simulate_fleet(
     devices = [g.device for g in groups]
     if len(set(devices)) != len(devices):
         raise FleetConfigError(f"duplicate group devices: {devices}")
-    if hop_bytes < 0:
-        raise ValueError(f"hop_bytes must be non-negative, got {hop_bytes}")
+    if not is_finite_number(hop_bytes) or hop_bytes < 0:
+        raise ValueError(
+            f"hop_bytes must be non-negative and finite, got {hop_bytes!r}")
     if probe_cap < 1:
         raise ValueError(f"probe_cap must be >= 1, got {probe_cap}")
 

@@ -46,7 +46,8 @@ from repro.serving.costmodel import CallableCostModel
 from repro.serving.faults import (DegradedMode, FaultPlan, FaultRuntime,
                                   FaultStats, RetryPolicy)
 from repro.serving.policies import BatchingPolicy
-from repro.serving.request import Request, closed_arrivals, make_requests, poisson_arrivals
+from repro.serving.request import (Request, closed_arrivals, is_finite_number,
+                                   make_requests, poisson_arrivals)
 from repro.serving.router import EarliestFinishRouter, Router
 
 
@@ -162,10 +163,13 @@ class TenantSpec:
     def __post_init__(self):
         if callable(self.cost) and not hasattr(self.cost, "latency"):
             self.cost = CallableCostModel(self.cost)
-        if self.weight <= 0:
-            raise ValueError(f"tenant weight must be positive, got {self.weight}")
-        if self.slo is not None and self.slo <= 0:
-            raise ValueError(f"tenant slo must be positive, got {self.slo}")
+        if not is_finite_number(self.weight) or self.weight <= 0:
+            raise ValueError(
+                f"tenant weight must be positive and finite, got {self.weight!r}")
+        if self.slo is not None and (not is_finite_number(self.slo)
+                                     or self.slo <= 0):
+            raise ValueError(
+                f"tenant slo must be positive and finite, got {self.slo!r}")
         if self.degraded is not None and not isinstance(self.degraded, DegradedMode):
             raise TypeError(f"degraded must be a DegradedMode, "
                             f"got {type(self.degraded).__name__}")

@@ -11,9 +11,12 @@ at identical instants.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import repro.serving.fleet as fleet
 from repro.serving import (
     AdaptiveSLOPolicy,
     AutoscalePolicy,
@@ -38,6 +41,7 @@ from repro.serving.faults import (
     ThermalThrottle,
     TransientStall,
 )
+from repro.workloads.registry import list_workloads
 
 REPORT_ATTRS = (
     "makespan", "mean_latency", "p50_latency", "p95_latency", "p99_latency",
@@ -352,3 +356,38 @@ def test_fleet_summary_renders():
     assert "issued (conserved)" in text
     assert "Per-group fleet breakdown" in text
     assert "autoscaling:" in text
+
+
+# -- engine memory ---------------------------------------------------------------------------------
+
+
+def test_engine_holds_no_per_request_objects():
+    """The engine's peak memory is a few numpy columns per request, and a
+    run over fresh cost models rebuilds no dense latency table."""
+    n = 200_000
+    groups = parse_groups("2080ti:8,orin:4,nano:2")
+
+    def tenants():
+        return make_tenants(list_workloads(),
+                            policy_factory=lambda _w: FixedBatchPolicy(64), slo=50e-3)
+
+    warm = tenants()
+    # Fills the anchor curves and the dense tables outside the measurement.
+    simulate_fleet(warm, groups, n_requests=2_000, arrival_rate=1e6,
+                   scenario="heavy-head")
+    columns = scenario_columns("heavy-head", warm, n, arrival_rate=1e6)
+
+    tracemalloc.start()
+    try:
+        fleet._FleetEngine(warm, groups, columns, None, None, 0.0, 128).run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Arrivals grouped by tenant plus latencies are 16 B/request; the
+    # post-loop pass adds two temporaries of the largest tenant's size.
+    assert peak / n <= 32.0, f"{peak / n:.1f} B/request"
+
+    misses = fleet._dense_table.cache_info().misses
+    simulate_fleet(tenants(), groups, n_requests=2_000, arrival_rate=1e6,
+                   scenario="heavy-head", seed=1)
+    assert fleet._dense_table.cache_info().misses == misses

@@ -16,12 +16,16 @@ import pytest
 from repro.core.cli import main
 from repro.serving import (
     AdaptiveSLOPolicy,
+    AutoscalePolicy,
+    DeviceGroup,
     FaultPlanError,
     FixedBatchPolicy,
+    FleetConfigError,
     RetryPolicy,
     TenantSpec,
     TimeoutBatchPolicy,
     load_fault_plan,
+    parse_autoscale,
     parse_groups,
     simulate,
     simulate_fleet,
@@ -142,3 +146,65 @@ class TestPolicies:
         with pytest.raises(ValueError, match="timeout"):
             TimeoutBatchPolicy(8, timeout)
 
+
+FLEET_CLI = ["serve", "--fleet", "--groups", "2080ti:2", "--workloads", "avmnist",
+             "--policy", "fixed", "--n-requests", "50", "--arrival-rate", "1000"]
+
+
+class TestFleetSettings:
+    @pytest.mark.parametrize("spec, field", [
+        ("queue:nan", "threshold"),
+        ("queue:inf", "threshold"),
+        ("queue:64:nan", "interval"),
+        ("queue:64:inf", "interval"),
+        ("queue:64:0.01:nan", "cooldown"),
+        ("queue:64:0.01:inf", "cooldown"),
+    ])
+    def test_parse_autoscale_rejects_non_finite(self, spec, field):
+        with pytest.raises(FleetConfigError, match=f"autoscale {field} must be"):
+            parse_autoscale(spec)
+
+    @pytest.mark.parametrize("field, value", [
+        ("step", 1.5),
+        ("step", True),
+        ("min_replicas", 1.5),
+        ("max_replicas", 2.5),
+    ])
+    def test_autoscale_counts_must_be_ints(self, field, value):
+        with pytest.raises(FleetConfigError, match=f"autoscale {field} must be"):
+            AutoscalePolicy(**{field: value})
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"replicas": 2.5}, "replicas"),
+        ({"replicas": True}, "replicas"),
+        ({"replicas": 2, "pool": 4.5}, "pool"),
+    ])
+    def test_device_group_counts_must_be_ints(self, kwargs, field):
+        with pytest.raises(FleetConfigError, match=f"{field} must be an integer"):
+            DeviceGroup("2080ti", **kwargs)
+
+    @pytest.mark.parametrize("hop_bytes", [math.nan, math.inf])
+    def test_simulate_fleet_rejects_non_finite_hop_bytes(self, hop_bytes):
+        with pytest.raises(ValueError, match="hop_bytes"):
+            simulate_fleet(tenants(), parse_groups("a:2"), n_requests=50,
+                           arrival_rate=1000.0, hop_bytes=hop_bytes)
+
+    @pytest.mark.parametrize("field, value", [
+        ("slo", math.nan), ("slo", math.inf),
+        ("weight", math.nan), ("weight", math.inf),
+    ])
+    def test_tenant_spec_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"tenant {field}"):
+            TenantSpec("x", affine, FixedBatchPolicy(8), **{field: value})
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--autoscale", "queue:nan"], "autoscale threshold must be"),
+        (["--autoscale", "queue:64:nan"], "autoscale interval must be"),
+        (["--hop-bytes", "nan"], "--hop-bytes must be non-negative and finite"),
+        (["--hop-bytes", "inf"], "--hop-bytes must be non-negative and finite"),
+        (["--slo", "nan"], "--slo must be positive and finite"),
+    ], ids=["autoscale-threshold", "autoscale-interval", "hop-nan", "hop-inf",
+            "slo-nan"])
+    def test_cli_fleet_flag_exits_2(self, extra, message, capsys):
+        assert main([*FLEET_CLI, *extra]) == 2
+        assert message in capsys.readouterr().err
