@@ -9,10 +9,9 @@ idle replicas, dense latency tables, a completion heap, and per-request
 timing filled in one vectorized pass per tenant after the loop) is what
 makes this tractable. The gate here is
 >= 10x the classic simulator's original recorded rate: 253,987 simulated
-req/s, ``BENCH_serving_mix.json`` as first recorded. The classic loop
-has since learned to skip arrivals while every slot is busy, so the
-floor is a fixed number now, not a live ratio; the current fleet/classic
-ratio is recorded in ``docs/performance.md``.
+req/s, ``BENCH_serving_mix.json`` as first recorded. That floor is a
+fixed number: the classic entry points now run this same engine (one
+replica per slot), so there is no second engine to take a ratio against.
 
 Batching is throughput-oriented (fixed 512 per tenant): this bench
 saturates the fleet to measure *engine capacity*; the adaptive policy's

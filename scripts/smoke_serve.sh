@@ -51,9 +51,9 @@ EOF
     --policy adaptive | grep "Per-device fault windows"
 rm -rf "$plandir"
 
-# Fleet-scale serving: grouped replicas, reactive autoscaling, and a
-# group-level chaos scenario (stall-free plans only — the fleet engine
-# prices whole groups, not individual replica stalls).
+# Fleet-scale serving: grouped replicas, reactive autoscaling, and
+# group-level chaos scenarios. Plans apply to every replica of a group
+# (stalls included), with the same retry flags as the classic paths.
 "${run[@]}" serve --fleet --groups 2080ti:4,orin:2,nano:2 \
     --mix heavy-head --workloads avmnist,mmimdb,transfuser \
     --arrival-rate 3000 --n-requests 3000 --policy adaptive \
@@ -65,6 +65,9 @@ rm -rf "$plandir"
 "${run[@]}" serve --fleet --groups 2080ti:2,nano:2 --workloads avmnist \
     --faults single-failure --arrival-rate 1500 --n-requests 2000 \
     --policy fixed --batch-size 8 | grep "issued (conserved)"
+"${run[@]}" serve --fleet --groups 2080ti:2,nano:2 --workloads avmnist \
+    --faults flaky-device --retry-max 5 --arrival-rate 1500 \
+    --n-requests 2000 --policy fixed --batch-size 8 | grep "stalled"
 
 # Traced-training breakdown: per-pass/per-stage table + cross-check.
 "${run[@]}" train-analyze --workload avmnist --batch-size 8 --cross-check

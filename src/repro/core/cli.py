@@ -362,20 +362,16 @@ def _cmd_serve_mix(args) -> int:
 
 def _cmd_serve_fleet(args) -> int:
     """The ``mmbench serve --fleet`` path: device groups + autoscaling."""
-    import os
-
     from repro.serving import (
-        chaos_plan,
         fleet_summary,
         get_scenario,
-        load_fault_plan,
         make_policy,
+        make_router,
         make_tenants,
         parse_autoscale,
         parse_groups,
         simulate_fleet,
     )
-    from repro.serving.faults import CHAOS_SCENARIO_NAMES
     from repro.workloads.registry import get_workload
 
     from repro.hw.device import get_device
@@ -387,15 +383,10 @@ def _cmd_serve_fleet(args) -> int:
                              "name the tenants with --workloads instead")
         if args.groups is None:
             raise ValueError("--fleet needs --groups DEV:REPLICAS[:POOL],...")
-        if args.router not in ("earliest-finish", "eft"):
-            raise ValueError("--fleet routes per group with earliest-finish "
-                             f"placement; --router {args.router} is a "
-                             "per-slot router")
         if args.finetune_workloads is not None:
             raise ValueError("--finetune-workloads doesn't apply to --fleet")
-        if args.request_deadline is not None or args.degrade_after is not None:
-            raise ValueError("--request-deadline/--degrade-after are classic-"
-                             "simulator features; the fleet loop never sheds")
+        if args.degrade_after is not None:
+            raise ValueError("--degrade-after applies to --mix runs")
         get_scenario(scenario)
         policy_names = args.policy.split(",")
 
@@ -432,34 +423,8 @@ def _cmd_serve_fleet(args) -> int:
             autoscale = parse_autoscale(args.autoscale,
                                         min_replicas=args.autoscale_min,
                                         max_replicas=args.autoscale_max)
-        group_names = tuple(g.device for g in groups)
-        plan = None
-        if args.faults is not None:
-            if args.faults in CHAOS_SCENARIO_NAMES:
-                if args.arrival_rate is None:
-                    raise ValueError(
-                        f"--faults {args.faults} needs --arrival-rate to size "
-                        "its horizon (n_requests / rate)")
-                horizon = args.n_requests / args.arrival_rate
-                plan = chaos_plan(args.faults, group_names, horizon,
-                                  seed=args.seed)
-            elif os.path.exists(args.faults):
-                plan = load_fault_plan(args.faults)
-            else:
-                raise ValueError(
-                    f"--faults must name a chaos scenario "
-                    f"({', '.join(CHAOS_SCENARIO_NAMES)}) or an existing plan "
-                    f"JSON file, got {args.faults!r}")
-            # Validate at group granularity up front: unknown groups and
-            # slot-level stall events get one clean line, not a traceback.
-            resolved = plan.resolve(list(group_names),
-                                    {g: g for g in group_names})
-            if any(kind == "stall" for _, _, kind, _, _ in resolved):
-                raise ValueError(
-                    f"--faults {args.faults} contains transient stalls, "
-                    "which are slot-level events the fleet loop rejects; "
-                    "pick a stall-free scenario (e.g. single-failure, "
-                    "thermal-brownout) or run without --fleet")
+        # A fault plan names groups: each group is one "device" here.
+        plan, retry = _build_fault_inputs(args, tuple(g.device for g in groups))
         from repro.lint import check, lint_fleet
 
         check(lint_fleet(groups, autoscale=autoscale, faults=plan,
@@ -477,7 +442,8 @@ def _cmd_serve_fleet(args) -> int:
         report = simulate_fleet(
             tenants, groups, n_requests=args.n_requests,
             arrival_rate=args.arrival_rate, scenario=scenario,
-            autoscale=autoscale, faults=plan, hop_bytes=args.hop_bytes,
+            router=make_router(args.router), autoscale=autoscale,
+            faults=plan, retry=retry, hop_bytes=args.hop_bytes,
             seed=args.seed,
         )
         print(f"fleet mix={scenario} policy={name} "

@@ -15,11 +15,11 @@ with a discrete-event simulator driven by memoized profiler cost models:
 * :mod:`repro.serving.faults` — declarative fault plans (device loss,
   thermal throttling, stalls), retry/shed accounting, graceful
   degradation, and the named chaos scenarios
-* :mod:`repro.serving.simulator` — the event loop (single- and
-  multi-tenant) and its report
-* :mod:`repro.serving.fleet` — fleet-scale simulator: homogeneous
-  device groups, vectorized epochs, cross-group hop costs, reactive
-  autoscaling
+* :mod:`repro.serving.simulator` — single- and multi-tenant serving on
+  device slots (one-replica groups of the engine) and its report
+* :mod:`repro.serving.fleet` — the serving engine and fleet-scale
+  serving: homogeneous device groups, faults, cross-group hop costs,
+  reactive autoscaling
 * :mod:`repro.serving.report` — formatted throughput–tail-latency tables
 """
 

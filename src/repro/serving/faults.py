@@ -8,17 +8,23 @@ the *algorithm* level (modality dropout / noise). This module is the
 into throttle windows, or stall transiently — and the serving stack must
 degrade gracefully instead of losing requests.
 
-A :class:`FaultPlan` is a declarative, seeded timeline of events:
+A :class:`FaultPlan` is a declarative, seeded timeline of events. An
+event names a device slot (``2080ti#1``), a bare device model (every
+slot of it) or, for :func:`~repro.serving.fleet.simulate_fleet`, a
+device group (every replica of it):
 
-* :class:`DeviceDown` / :class:`DeviceRecover` — a device slot leaves /
+* :class:`DeviceDown` / :class:`DeviceRecover` — a slot leaves /
   rejoins the pool. In-flight batches on a failing slot are **aborted**
   and their requests re-queued with retry accounting (bounded retries,
   exponential backoff with deterministic jitter).
 * :class:`ThermalThrottle` — a time-windowed latency multiplier on one
-  slot (batches dispatched inside the window run ``factor`` slower, and
-  batching/routing decisions see the throttled curves).
+  slot or group (batches dispatched inside the window run ``factor``
+  slower, and batching/routing decisions see the throttled curves).
 * :class:`TransientStall` — the slot freezes for ``duration`` seconds:
   an in-flight batch finishes late, an idle slot accepts no work.
+
+The serving engine (:class:`repro.serving.fleet._FleetEngine`) applies
+the plan; :class:`FaultRuntime` holds its bookkeeping.
 
 Requests are never silently lost: a request either completes or is
 **shed** (bounded retries exhausted, or its deadline expired), and the
@@ -481,18 +487,21 @@ class FaultStats:
 
 
 # ---------------------------------------------------------------------------
-# Runtime: the engine the event loop drives
+# Runtime: the fault bookkeeping the serving engine drives
 # ---------------------------------------------------------------------------
 
 
 class FaultRuntime:
-    """Mutable per-run state of one fault plan + retry policy.
+    """The fault bookkeeping of one run: a plan, a retry policy, and what
+    they did.
 
-    Owned by :func:`repro.serving.simulator._run_event_loop`; maintains
-    the conservation counters (``issued == completed + shed + queued +
-    on_device + awaiting_retry`` — checked at every event), the live
-    throttle scales the cost wrappers consult, and the raw material for
-    :class:`FaultStats`.
+    The serving engine (:class:`repro.serving.fleet._FleetEngine`) owns
+    one per run and drives it: it applies the resolved ``happenings``,
+    aborts, retries and sheds requests, and writes into the accounting
+    below. The conservation counters satisfy ``issued == completed +
+    shed + queued + on_device + awaiting_retry`` at every step
+    (:meth:`check_conservation`); :meth:`build_stats` collapses the rest
+    into a :class:`FaultStats`.
     """
 
     def __init__(self, plan: FaultPlan, retry: RetryPolicy,
@@ -501,9 +510,7 @@ class FaultRuntime:
         self.retry = retry
         self.happenings = plan.resolve(slot_labels, slot_device)
         self._slot_device = dict(slot_device)
-        # Live throttle multiplier per slot (absent == 1.0); _SlotCost reads it.
-        self.scale: dict[str, float] = {}
-        self._active_throttles: dict[str, list[float]] = {}
+        self.active_throttles: dict[str, list[float]] = {}
         # Conservation counters.
         self.queued = 0
         self.on_device = 0
@@ -511,23 +518,20 @@ class FaultRuntime:
         self.completed = 0
         self.shed = 0
         self.retries = 0
-        # Per-slot accounting.
-        self._down_since: dict[str, float] = {}
-        self._down_windows: dict[str, list[tuple[float, float]]] = {}
-        self._stall_time: dict[str, float] = {}
-        self._aborted_batches: dict[str, int] = {}
-        self._aborted_requests: dict[str, int] = {}
+        # Per-label accounting.
+        self.down_since: dict[str, float] = {}
+        self.down_windows: dict[str, list[tuple[float, float]]] = {}
+        self.stall_time: dict[str, float] = {}
+        self.aborted_batches: dict[str, int] = {}
+        self.aborted_requests: dict[str, int] = {}
         # Per-tenant accounting.
-        self._tenant_shed: dict[str, int] = {}
-        self._degraded_requests: dict[str, int] = {}
-        self._degraded_since: dict[str, float] = {}
-        self._degraded_time: dict[str, float] = {}
-        self._degraded_activations: dict[str, int] = {}
-        # Recovery-time samples: request index -> last abort time.
-        self._abort_time: dict[int, float] = {}
+        self.tenant_shed: dict[str, int] = {}
+        self.degraded_requests: dict[str, int] = {}
+        self.degraded_since: dict[str, float] = {}
+        self.degraded_time: dict[str, float] = {}
+        self.degraded_activations: dict[str, int] = {}
+        # Abort -> eventual completion, seconds, per recovered request.
         self.recovery_samples: list[float] = []
-
-    # -- conservation -----------------------------------------------------------
 
     def check_conservation(self, issued: int) -> None:
         accounted = (self.completed + self.shed + self.queued
@@ -539,193 +543,24 @@ class FaultRuntime:
                 f"queued={self.queued} + on_device={self.on_device} + "
                 f"awaiting_retry={self.awaiting_retry} = {accounted}")
 
-    # -- event application -------------------------------------------------------
-
-    def apply(self, happening, now: float, by_label, router, push) -> float | None:
-        """Apply one fault happening; returns a makespan bump, if any."""
-        kind, label, arg = happening
-        slot = by_label[label]
-        if kind == "down":
-            slot.down = True
-            router.note_down(label)
-            self._down_since[label] = now
-            if slot.inflight is not None:
-                return self._abort(slot, now, push)
-        elif kind == "recover":
-            slot.down = False
-            router.note_recover(label)
-            start = self._down_since.pop(label, now)
-            self._down_windows.setdefault(label, []).append((start, now))
-            if slot.free_at < now:
-                slot.free_at = now
-        elif kind == "throttle-on":
-            active = self._active_throttles.setdefault(label, [])
-            active.append(arg)
-            self.scale[label] = float(np.prod(active))
-        elif kind == "throttle-off":
-            active = self._active_throttles.get(label, [])
-            if arg in active:
-                active.remove(arg)
-            if active:
-                self.scale[label] = float(np.prod(active))
-            else:
-                self.scale.pop(label, None)
-        elif kind == "stall":
-            if slot.down:
-                return None  # a dead device cannot stall further
-            self._stall_time[label] = self._stall_time.get(label, 0.0) + arg
-            if slot.inflight is not None:
-                finish, batch = slot.inflight
-                new_finish = finish + arg
-                for req in batch:
-                    req.finish = new_finish
-                slot.inflight = (new_finish, batch)
-                slot.free_at = new_finish
-                push(new_finish, "free", label)
-                return new_finish
-            stalled_until = now + arg
-            if stalled_until > slot.stalled_until:
-                slot.stalled_until = stalled_until
-            push(stalled_until, "fault", ("stall-end", label, None))
-        # "stall-end" wakes the loop so offers resume; nothing to mutate.
-        return None
-
-    def _abort(self, slot, now: float, push) -> None:
-        """Abort the in-flight batch on a failing slot; re-queue or shed."""
-        finish, batch = slot.inflight
-        slot.inflight = None
-        size = len(batch)
-        slot.free_at = now
-        slot.busy_time -= finish - now  # only the executed part counts
-        slot.batches -= 1
-        slot.requests -= size
-        count = slot.histogram.get(size, 0) - 1
-        if count > 0:
-            slot.histogram[size] = count
-        else:
-            slot.histogram.pop(size, None)
-        self._aborted_batches[slot.label] = (
-            self._aborted_batches.get(slot.label, 0) + 1)
-        self._aborted_requests[slot.label] = (
-            self._aborted_requests.get(slot.label, 0) + size)
-        self.on_device -= size
-        for req in batch:
-            req.dispatch = float("nan")
-            req.finish = float("nan")
-            req.device = ""
-            req.batch_size = 0
-            req.formation_wait = 0.0
-            req.degraded = False
-            req.retries += 1
-            if req.retries > self.retry.max_retries:
-                self.shed_request(req, now)
-            elif (self.retry.deadline is not None
-                  and now - req.arrival >= self.retry.deadline):
-                self.shed_request(req, now)
-            else:
-                self.retries += 1
-                self._abort_time[req.index] = now
-                push(now + self.retry.backoff(req.index, req.retries),
-                     "retry", req)
-                self.awaiting_retry += 1
-        return None
-
-    # -- request lifecycle hooks -------------------------------------------------
-
-    def shed_request(self, req, now: float) -> None:
-        req.shed = True
-        self.shed += 1
-        self._tenant_shed[req.tenant] = self._tenant_shed.get(req.tenant, 0) + 1
-        self._abort_time.pop(req.index, None)
-
-    def absorb_retry(self, req, now: float, tenants) -> None:
-        """A backoff expired: re-queue the request (or shed past deadline)."""
-        self.awaiting_retry -= 1
-        if (self.retry.deadline is not None
-                and now - req.arrival >= self.retry.deadline):
-            self.shed_request(req, now)
-            return
-        queue = tenants[req.tenant].queue
-        if not queue or req.arrival <= queue[0].arrival:
-            queue.appendleft(req)
-        elif req.arrival >= queue[-1].arrival:
-            queue.append(req)
-        else:
-            items = sorted([*queue, req], key=lambda r: r.arrival)
-            queue.clear()
-            queue.extend(items)
-        self.queued += 1
-
-    def shed_expired(self, tenants, now: float) -> None:
-        """Shed queue heads whose deadline expired (queues are arrival-sorted)."""
-        deadline = self.retry.deadline
-        if deadline is None:
-            return
-        for tenant in tenants.values():
-            queue = tenant.queue
-            while queue and now - queue[0].arrival >= deadline:
-                self.queued -= 1
-                self.shed_request(queue.popleft(), now)
-
-    def note_dispatch(self, size: int, degraded: bool, tenant: str) -> None:
-        self.queued -= size
-        self.on_device += size
-        if degraded:
-            self._degraded_requests[tenant] = (
-                self._degraded_requests.get(tenant, 0) + size)
-
-    def complete(self, label: str, now: float, by_label) -> None:
-        """A slot's free event fired: finalize its batch if genuinely done."""
-        slot = by_label[label]
-        inflight = slot.inflight
-        if inflight is None or inflight[0] > now:
-            return  # stale event (aborted batch, or stall-delayed finish)
-        _, batch = inflight
-        slot.inflight = None
-        self.on_device -= len(batch)
-        self.completed += len(batch)
-        if not self._abort_time:
-            return  # no retried request is outstanding: nothing recovers
-        for req in batch:
-            aborted_at = self._abort_time.pop(req.index, None)
-            if aborted_at is not None:
-                self.recovery_samples.append(req.finish - aborted_at)
-
-    def update_degraded(self, tenant, now: float) -> None:
-        """Enter/exit degraded mode on queue-pressure hysteresis."""
-        mode = tenant.mode
-        if mode is None or not tenant.queue:
-            return
-        oldest_wait = now - tenant.queue[0].arrival
-        if not tenant.degraded and oldest_wait >= mode.enter_wait:
-            tenant.degraded = True
-            tenant.slot_cost.extra_scale = mode.latency_factor
-            self._degraded_since[tenant.name] = now
-            self._degraded_activations[tenant.name] = (
-                self._degraded_activations.get(tenant.name, 0) + 1)
-        elif tenant.degraded and oldest_wait <= mode.exit_wait:
-            tenant.degraded = False
-            tenant.slot_cost.extra_scale = 1.0
-            start = self._degraded_since.pop(tenant.name, now)
-            self._degraded_time[tenant.name] = (
-                self._degraded_time.get(tenant.name, 0.0) + (now - start))
-
-    # -- reporting ---------------------------------------------------------------
-
-    def build_stats(self, makespan: float, requests, tenants) -> FaultStats:
+    def build_stats(self, makespan: float, issued: int, tenants,
+                    retry_histogram: dict[int, int],
+                    degraded_latencies: Mapping[str, np.ndarray]) -> FaultStats:
         """Collapse the run's fault bookkeeping into a :class:`FaultStats`.
 
         ``tenants`` maps tenant name to its :class:`DegradedMode` (or
-        ``None``) and SLO, as ``(mode, slo)`` pairs.
+        ``None``) and SLO, as ``(mode, slo)`` pairs; ``retry_histogram``
+        counts requests by abort count, and ``degraded_latencies`` holds
+        each tenant's completed degraded-mode latencies.
         """
         # Close windows still open at drain time.
-        down_windows = {k: list(v) for k, v in self._down_windows.items()}
-        for label, since in self._down_since.items():
+        down_windows = {k: list(v) for k, v in self.down_windows.items()}
+        for label, since in self.down_since.items():
             down_windows.setdefault(label, []).append((since, makespan))
-        for name, since in self._degraded_since.items():
-            self._degraded_time[name] = (
-                self._degraded_time.get(name, 0.0) + (makespan - since))
-        self._degraded_since.clear()
+        for name, since in self.degraded_since.items():
+            self.degraded_time[name] = (
+                self.degraded_time.get(name, 0.0) + (makespan - since))
+        self.degraded_since.clear()
 
         throttle_windows: dict[str, list[tuple[float, float, float]]] = {}
         for when, _, kind, slot, arg in self.happenings:
@@ -741,7 +576,7 @@ class FaultRuntime:
 
         devices: dict[str, DeviceFaultStats] = {}
         labels = (set(down_windows) | set(throttle_windows)
-                  | set(self._stall_time) | set(self._aborted_batches))
+                  | set(self.stall_time) | set(self.aborted_batches))
         for label in sorted(labels):
             windows = down_windows.get(label, [])
             throttles = throttle_windows.get(label, [])
@@ -752,41 +587,28 @@ class FaultRuntime:
                 down_windows=windows,
                 throttle_time=sum(b - a for a, b, _ in throttles),
                 throttle_windows=throttles,
-                stall_time=self._stall_time.get(label, 0.0),
-                aborted_batches=self._aborted_batches.get(label, 0),
-                aborted_requests=self._aborted_requests.get(label, 0),
+                stall_time=self.stall_time.get(label, 0.0),
+                aborted_batches=self.aborted_batches.get(label, 0),
+                aborted_requests=self.aborted_requests.get(label, 0),
             )
 
-        # One pass over the requests, and none when nothing was ever
-        # aborted (no request has retries) or served degraded.
-        retry_histogram: dict[int, int] = {}
-        degraded_latencies: dict[str, list[float]] = {}
-        if self._aborted_requests or self._degraded_requests:
-            for req in requests:
-                if req.retries:
-                    retry_histogram[req.retries] = (
-                        retry_histogram.get(req.retries, 0) + 1)
-                if req.degraded and not req.shed:
-                    degraded_latencies.setdefault(req.tenant, []).append(
-                        req.latency)
-
         tenant_stats: dict[str, TenantFaultStats] = {}
-        names = (set(tenants) | set(self._tenant_shed)
-                 | set(self._degraded_requests))
+        names = (set(tenants) | set(self.tenant_shed)
+                 | set(self.degraded_requests))
         for name in sorted(names):
             mode, slo = tenants.get(name, (None, None))
             attainment = None
             degraded = degraded_latencies.get(name)
-            if slo is not None and degraded:
-                attainment = float(np.mean(np.array(degraded) <= slo))
+            if slo is not None and degraded is not None and degraded.size:
+                attainment = float(np.mean(degraded <= slo))
             tenant_stats[name] = TenantFaultStats(
                 tenant=name,
-                shed=self._tenant_shed.get(name, 0),
+                shed=self.tenant_shed.get(name, 0),
                 degraded_available=mode is not None,
-                degraded_requests=self._degraded_requests.get(name, 0),
+                degraded_requests=self.degraded_requests.get(name, 0),
                 degraded_slo_attainment=attainment,
-                degraded_time=self._degraded_time.get(name, 0.0),
-                degraded_activations=self._degraded_activations.get(name, 0),
+                degraded_time=self.degraded_time.get(name, 0.0),
+                degraded_activations=self.degraded_activations.get(name, 0),
                 accuracy_cost=mode.accuracy_cost if mode is not None else None,
             )
 
@@ -796,11 +618,11 @@ class FaultRuntime:
                     if samples.size else (0.0, 0.0))
         return FaultStats(
             plan_events=len(self.plan.events),
-            issued=self.completed + self.shed,
-            completed=self.completed,
+            issued=issued,
+            completed=issued - self.shed,
             shed=self.shed,
             retries=self.retries,
-            retry_histogram=dict(sorted(retry_histogram.items())),
+            retry_histogram=retry_histogram,
             recovery_p50=p50,
             recovery_p99=p99,
             devices=devices,

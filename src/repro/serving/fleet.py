@@ -1,18 +1,24 @@
-"""Fleet-scale serving simulator: device groups, epoch event loop, autoscaling.
+"""The serving engine: device groups, an event loop over them, autoscaling.
 
-The classic simulator (:mod:`repro.serving.simulator`) pops one Python
-object per dispatch opportunity off a heap and ranks slots one by one —
-exact, but ~190k-290k simulated req/s on a handful of devices (2-vCPU
-Xeon VM). A production fleet is a different shape: *hundreds*
-of replicas behind a global router, almost all of them interchangeable.
-This module exploits that structure. Devices are grouped into
-homogeneous :class:`DeviceGroup`\\ s (``DeviceGroup("2080ti", 64)``),
-and the event loop processes *epochs* of events per group:
+Every serving simulation runs here. :func:`simulate_fleet` serves a
+tenant mix on homogeneous :class:`DeviceGroup`\\ s
+(``DeviceGroup("2080ti", 64)``); the classic entry points
+(:func:`repro.serving.simulator.simulate` and
+:func:`~repro.serving.simulator.simulate_mixed`) map each device slot to
+a one-replica group keyed by its slot label (``2080ti#0``) and run the
+same engine, so ranking, faults and per-slot statistics stay per slot.
+
+The loop processes one event at a time in the order a time-ordered
+event heap would pop it: the first arrival, then fault edges, then
+retries, then everything else (completions, policy wake-ups, stall ends,
+autoscale ticks), each followed by one offer round. It exploits the
+structure of a fleet:
 
 * arrivals come in as columnar arrays straight from
   :func:`repro.serving.scenarios.scenario_columns` and are absorbed in
-  bulk with ``searchsorted`` — under saturation, one epoch swallows
-  thousands of arrivals without visiting them individually;
+  bulk with ``searchsorted`` — under saturation, one step swallows
+  thousands of arrivals without visiting them individually; an arrival
+  is visited only while some replica is idle;
 * each group keeps its replica free times in a list plus a min-heap of
   its idle replicas, so replica selection pops the lowest idle index
   and completions drain off one fleet-wide heap. Per-batch work runs on
@@ -25,9 +31,10 @@ and the event loop processes *epochs* of events per group:
   precomputed interpolation table per (tenant, device), shared by
   content across runs, so the hot loop never re-enters the interpolator.
 
-Routing happens per *group*, not per slot: every replica of a group
-shares one latency curve, so ranking 64 identical slots is 63 wasted
-cost-model calls. On top of the core loop:
+Routing goes through the caller's :class:`~repro.serving.router.Router`
+and ranks *groups*, not replicas: every replica of a group shares one
+latency curve, so ranking 64 identical slots is 63 wasted cost-model
+calls. On top of the core loop:
 
 * **cross-group hop costs** — when the router moves a tenant's traffic
   to a different group than its previous batch, the batch pays a
@@ -36,38 +43,44 @@ cost-model calls. On top of the core loop:
 * **reactive autoscaling** — an :class:`AutoscalePolicy` evaluated on a
   fixed interval scales groups out on queue depth (or windowed p99) and
   back in on idleness, with cooldowns and per-group min/max replicas;
-  every action lands in the report as a :class:`ScalingEvent`.
+  every action lands in the report as a :class:`ScalingEvent`;
+* **faults** — a :class:`~repro.serving.faults.FaultPlan` names groups.
+  ``DeviceDown``/``DeviceRecover`` and ``TransientStall`` apply to every
+  replica of the group, one replica at a time in index order, so a
+  multi-replica group behaves exactly like its expansion into slots: a
+  down replica aborts its in-flight batch and the batch's requests are
+  retried or shed under a :class:`~repro.serving.faults.RetryPolicy`; a
+  stalled replica finishes its batch late or, idle, takes no work until
+  the stall ends. ``ThermalThrottle`` scales the whole group's latency
+  curves for its window. Deadline shedding and tenants'
+  :class:`~repro.serving.faults.DegradedMode` run in the same loop.
 
-The classic loop stays as the *reference implementation*: with
-autoscaling off, no faults and no hop costs, :func:`simulate_fleet`
-visits a subset of the classic loop's event times but makes the
-identical dispatch decisions at the identical instants, so completions,
-latency percentiles and per-tenant SLO attainment agree to float
-round-off — a tier-1-enforced differential invariant.
-
-Fault plans compose at group granularity: ``DeviceDown``/``Recover``
-takes a whole group out of routing (in-flight batches *drain* — their
-timing was finalized at dispatch — rather than aborting as the classic
-fault runtime does), and ``ThermalThrottle`` scales a group's latency
-curves for its window. Slot-level ``TransientStall`` events have no
-group-level meaning and are rejected.
+A run with no fault plan, no retry policy and no degraded tenant keeps
+no per-request state: batches are contiguous slices of a tenant's
+queue, recorded once each.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
+import itertools
 import math
 import numbers
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from repro.hw.transfer import h2d_time
-from repro.serving.faults import FaultPlan
-from repro.serving.request import is_finite_number
-from repro.serving.simulator import TenantSpec, TenantStats
+from repro.serving.costmodel import CallableCostModel
+from repro.serving.faults import (DegradedMode, FaultPlan, FaultRuntime,
+                                  FaultStats, RetryPolicy)
+from repro.serving.policies import BatchingPolicy
+from repro.serving.request import check_arrivals, is_finite_number
+from repro.serving.router import EarliestFinishRouter, Router
 
 __all__ = [
     "AutoscalePolicy",
@@ -77,10 +90,65 @@ __all__ = [
     "FleetReport",
     "GroupStats",
     "ScalingEvent",
+    "TenantSpec",
+    "TenantStats",
     "parse_autoscale",
     "parse_groups",
     "simulate_fleet",
 ]
+
+
+@dataclass
+class TenantSpec:
+    """One tenant (workload) of a serving simulation.
+
+    ``cost`` is the tenant's own cost model (a bare ``batch_time(k)``
+    callable is wrapped automatically), ``policy`` its batching policy and
+    ``slo`` its end-to-end latency target (drives the report's per-tenant
+    attainment column). ``weight`` is the tenant's share of the traffic
+    mix — consumed by the scenario generators in
+    :mod:`repro.serving.scenarios`, not by the event loop.
+    """
+
+    name: str
+    cost: object
+    policy: BatchingPolicy
+    slo: float | None = None
+    weight: float = 1.0
+    # Optional graceful-degradation mode (repro.serving.faults.DegradedMode):
+    # under sustained queue pressure the tenant serves with a shed modality
+    # encoder at a reduced latency factor, trading quoted accuracy for drain.
+    degraded: DegradedMode | None = None
+
+    def __post_init__(self):
+        if callable(self.cost) and not hasattr(self.cost, "latency"):
+            self.cost = CallableCostModel(self.cost)
+        if not is_finite_number(self.weight) or self.weight <= 0:
+            raise ValueError(
+                f"tenant weight must be positive and finite, got {self.weight!r}")
+        if self.slo is not None and (not is_finite_number(self.slo)
+                                     or self.slo <= 0):
+            raise ValueError(
+                f"tenant slo must be positive and finite, got {self.slo!r}")
+        if self.degraded is not None and not isinstance(self.degraded, DegradedMode):
+            raise TypeError(f"degraded must be a DegradedMode, "
+                            f"got {type(self.degraded).__name__}")
+
+
+@dataclass(frozen=True)
+class TenantStats:
+    """Per-tenant latency / SLO breakdown of one simulation."""
+
+    tenant: str
+    n_requests: int
+    slo: float | None
+    throughput: float  # this tenant's requests / overall makespan
+    mean_latency: float
+    p50_latency: float
+    p95_latency: float
+    p99_latency: float
+    mean_queue_time: float
+    slo_attainment: float | None  # None when the tenant declared no SLO
 
 
 class FleetConfigError(ValueError):
@@ -143,7 +211,7 @@ class AutoscalePolicy:
       ``idle_fraction`` of the group's active replicas sit idle — the
       group shrinks by ``step`` down to ``min_replicas``. Scale-in only
       retires *capacity*: a busy replica keeps draining its in-flight
-      batch (timing is finalized at dispatch, nothing is ever aborted).
+      batch (scaling never aborts anything).
     * ``cooldown`` suppresses any action on a group within ``cooldown``
       seconds of its previous action.
     """
@@ -247,18 +315,26 @@ class FleetReport:
     tenant_stats: dict[str, TenantStats]
     scaling_events: tuple[ScalingEvent, ...] = ()
     latencies: np.ndarray = field(default_factory=lambda: np.empty(0),
-                                  repr=False)
+                                  repr=False)  # completed requests only
+    # What the fault plan, retry policy and degraded modes did to the
+    # run (see repro.serving.faults); None when there were none.
+    fault_stats: FaultStats | None = None
 
     def slo_attainment(self, slo: float) -> float:
-        """Fraction of requests whose end-to-end latency met ``slo``."""
-        if not self.latencies.size:
+        """Fraction of issued requests whose end-to-end latency met ``slo``.
+
+        Shed requests never complete and count as misses; an empty
+        simulation misses nothing (attainment is vacuously 1).
+        """
+        if not self.n_requests:
             return 1.0
-        return float((self.latencies <= slo).mean())
+        return float((self.latencies <= slo).sum()) / self.n_requests
 
     @property
     def completed(self) -> int:
-        """Dispatch finalizes timing and the fleet never sheds: all of them."""
-        return self.n_requests
+        """Requests that actually finished (``n_requests`` minus sheds)."""
+        shed = self.fault_stats.shed if self.fault_stats is not None else 0
+        return self.n_requests - shed
 
 
 @dataclass(frozen=True)
@@ -364,8 +440,8 @@ def _dense_table(anchor_bytes: bytes, time_bytes: bytes,
 
     The vectorized interpolation reproduces
     :func:`repro.serving.costmodel._interp_affine` operation-for-operation,
-    so table lookups are bit-identical to the scalar path the classic
-    simulator takes. The result is a tuple because every caller with the
+    so table lookups are bit-identical to the cost model's own
+    ``latency``. The result is a tuple because every caller with the
     same curve shares it.
     """
     anchors = np.frombuffer(anchor_bytes, dtype=np.float64)
@@ -386,48 +462,83 @@ def _dense_table(anchor_bytes: bytes, time_bytes: bytes,
 
 
 class _GroupCost:
-    """Per-tenant cost adapter the policies and the group router see.
+    """Per-tenant cost adapter the policies and the router see.
 
-    Groups are addressed by device model name, so ``device_name`` is the
-    identity and ``underlying`` exposes the tenant's cost model — the
-    same contract the classic loop's ``_SlotCost`` provides, which keeps
-    :class:`~repro.serving.policies.AdaptiveSLOPolicy`'s drain memo
-    shared (and valid) across both simulators.
+    Groups are addressed by label; ``devices`` maps a label to its device
+    model name (absent labels name their device, as fleet groups do).
+    ``underlying`` exposes the tenant's cost model and
+    :meth:`device_name` the device behind a label, so
+    :class:`~repro.serving.policies.AdaptiveSLOPolicy`'s drain memo keys
+    on the model and the device and survives across runs.
 
-    ``throttle`` is the live group → factor dict the fault edges mutate.
+    Latencies multiply, in order, by ``scale`` (the slowdown background
+    fine-tuning jobs impose; folded into the cached values, which is the
+    same single multiplication) and the group's live throttle factor
+    from the shared ``throttle`` dict. Both are uniform in the batch
+    size, so the drain memo stays valid under them.
     """
 
-    __slots__ = ("underlying", "_max_k", "_tables", "_memo", "_throttle")
+    __slots__ = ("underlying", "_devices", "_max_k", "_tables", "_memo",
+                 "_throttle", "_scale")
 
-    def __init__(self, cost, throttle: dict[str, float], max_k: int):
+    def __init__(self, cost, devices: dict[str, str] | None = None,
+                 throttle: dict[str, float] | None = None, max_k: int = 1,
+                 scale: float = 1.0):
         self.underlying = cost
+        self._devices = devices or {}
         self._max_k = min(int(max_k), _MAX_TABLE)
-        # device -> dense table; () when the cost model has none.
+        # label -> dense table; () when the cost model has none.
         self._tables: dict[str, tuple[float, ...]] = {}
         self._memo: dict[tuple[str, int], float] = {}
-        self._throttle = throttle
+        self._throttle = throttle if throttle is not None else {}
+        self._scale = scale
 
-    def latency(self, device: str, batch_size: int) -> float:
-        table = self._tables.get(device)
+    def latency(self, label: str, batch_size: int) -> float:
+        table = self._tables.get(label)
         if table is None:
-            table = self._tables[device] = _dense_curve(
-                self.underlying, device, self._max_k) or ()
+            table = _dense_curve(self.underlying, self.device_name(label),
+                                 self._max_k) or ()
+            if self._scale != 1.0:
+                table = tuple(t * self._scale for t in table)
+            self._tables[label] = table
         if 1 <= batch_size <= len(table):
             base = table[batch_size - 1]
         else:
-            key = (device, batch_size)
+            key = (label, batch_size)
             base = self._memo.get(key)
             if base is None:
-                base = self._memo[key] = float(
-                    self.underlying.latency(device, batch_size))
+                base = float(self.underlying.latency(self.device_name(label),
+                                                     batch_size))
+                if self._scale != 1.0:
+                    base *= self._scale
+                self._memo[key] = base
         if self._throttle:
-            factor = self._throttle.get(device)
+            factor = self._throttle.get(label)
             if factor is not None:
                 base *= factor
         return base
 
-    def device_name(self, device: str) -> str:
-        return device
+    def device_name(self, label: str) -> str:
+        """Device model name behind a group label."""
+        return self._devices.get(label, label)
+
+
+class _DegradableCost(_GroupCost):
+    """The adapter of a tenant with a degraded mode: latencies further
+    multiply by ``extra``, the mode's latency factor while the tenant is
+    degraded (1 otherwise), after every other factor."""
+
+    __slots__ = ("extra",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.extra = 1.0
+
+    def latency(self, label: str, batch_size: int) -> float:
+        base = super().latency(label, batch_size)
+        if self.extra != 1.0:
+            base *= self.extra
+        return base
 
 
 def _policy_max_batch(policy, probe_cap: int) -> int:
@@ -442,20 +553,27 @@ def _policy_max_batch(policy, probe_cap: int) -> int:
 # The engine
 # ---------------------------------------------------------------------------
 
+# Event kinds, in the order they run when they fall on one instant.
+_FIRST, _EDGE, _RETRY, _PLAIN = range(4)
+
 
 class _FleetEngine:
-    """Epoch event loop over device groups.
+    """Event loop over device groups.
 
-    One *epoch* = advance the clock to the next relevant instant, absorb
-    everything due (fault edges, arrivals in bulk, autoscale ticks),
-    then offer queued work to idle groups until every policy holds.
+    Each step handles one event — the first arrival, a fault edge, a
+    retry, or a plain instant (completions, wake-ups, stall ends, ticks,
+    arrival visits) — then absorbs everything due, sheds expired
+    requests and offers queued work to idle groups until every policy
+    holds.
 
     Per-batch work runs on Python scalars, lists and heaps: the batches
     are few (thousands per 10k requests) and numpy's call overhead on
     1-64 element arrays costs more than their arithmetic. Each batch
     appends one record to its tenant's lists; the per-request columns
-    (latencies, arrival and formation-wait sums) are filled from those
-    records in one vectorized pass per tenant after the loop. No
+    are filled from those records after the loop. A tenant's queue is
+    the next slice of its arrival stream, behind an explicit ``front``
+    deque that only retried requests ever enter; without faults the
+    front stays empty and a batch is always a contiguous slice, so no
     per-request Python objects exist anywhere.
     """
 
@@ -463,12 +581,16 @@ class _FleetEngine:
                  groups: Sequence[DeviceGroup], columns,
                  autoscale: AutoscalePolicy | None,
                  faults: FaultPlan | None,
-                 hop_bytes: float, probe_cap: int):
+                 hop_bytes: float, router: Router,
+                 retry: RetryPolicy | None = None, *,
+                 index: np.ndarray | None = None,
+                 devices: dict[str, str] | None = None,
+                 slowdown: float = 1.0):
         self.tenants = list(tenants)
         self.groups = list(groups)
         self.autoscale = autoscale
         self.hop_bytes = float(hop_bytes)
-        self.probe_cap = int(probe_cap)
+        self.router = router
 
         n = len(columns)
         self.n = n
@@ -478,25 +600,27 @@ class _FleetEngine:
         # Per-tenant views of the stream. A single stable argsort groups
         # the request indices by tenant while preserving arrival order
         # within each tenant; on codes narrowed to 8 or 16 bits numpy
-        # radix-sorts, which gives the same order ~10x faster. A batch is
-        # always the next slice of one tenant's queue, so a tenant's
-        # batch records (finish, size, dispatch instant, replica idle
-        # time) are enough to rebuild every request's timing after the
-        # loop; see _fill_requests.
+        # radix-sorts, which gives the same order ~10x faster. Without
+        # faults a batch is always the next slice of one tenant's queue,
+        # so a tenant's batch records (finish, size, dispatch instant,
+        # replica idle time) are enough to rebuild every request's
+        # timing after the loop; see _tenant_columns.
         K = len(self.tenants)
         order = np.argsort(self.codes.astype(np.min_scalar_type(K - 1)),
                            kind="stable")
         bounds = np.zeros(K + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.codes, minlength=K), out=bounds[1:])
+        self.bounds = bounds
         self.arr_t = [self.arr_all[order[bounds[t]:bounds[t + 1]]]
                       for t in range(K)]
         self.lat_t: list[np.ndarray] = []  # filled by _fill_requests
-        self.arr_sum = [0.0] * K   # sum of dispatched requests' arrivals
+        self.arr_sum = [0.0] * K   # sum of completed requests' arrivals
         self.disp_sum = [0.0] * K  # sum of dispatch instants (x batch size)
         self.form_sum = 0.0        # global formation-wait sum
         self.serv_sum = 0.0        # global service-time sum
         self.head = [0] * K
         self.tail = [0] * K
+        self.front: list[deque] = [deque() for _ in range(K)]
         # Arrival of each tenant's queue head, as a Python float.
         self.head_arr = [float(a[0]) if a.size else math.inf
                          for a in self.arr_t]
@@ -505,22 +629,17 @@ class _FleetEngine:
         self.b_size: list[list[int]] = [[] for _ in range(K)]
         self.b_now: list[list[float]] = [[] for _ in range(K)]
         self.b_idle: list[list[float]] = [[] for _ in range(K)]
-
-        self.throttle: dict[str, float] = {}
-        self.policies = [spec.policy for spec in self.tenants]
-        self.tcost = [
-            _GroupCost(spec.cost, self.throttle,
-                       _policy_max_batch(spec.policy, probe_cap))
-            for spec in self.tenants
-        ]
+        self.b_group: list[list[int]] = [[] for _ in range(K)]
 
         # Per-group replica state: free times over the full provisioned
         # pool; ``act`` bounds the autoscaler-active prefix.
         G = len(self.groups)
-        self.gdev = [g.device for g in self.groups]
+        self.glabel = [g.device for g in self.groups]
+        self._gindex = {label: g for g, label in enumerate(self.glabel)}
+        devices = devices or {}
+        self.gdev = [devices.get(label, label) for label in self.glabel]
         self.free = [[0.0] * g.capacity for g in self.groups]
         self.act = [g.replicas for g in self.groups]
-        self.down = [False] * G
         self.batches = [0] * G
         self.requests = [0] * G
         self.busy = [0.0] * G
@@ -532,21 +651,20 @@ class _FleetEngine:
         self.last_action = [-math.inf] * G
         self.scaling: list[ScalingEvent] = []
 
-        self.edges: list[tuple] = []
-        if faults is not None and not faults.empty:
-            resolved = faults.resolve(self.gdev, {d: d for d in self.gdev})
-            for when, _seq, kind, grp, arg in resolved:
-                if kind == "stall":
-                    raise FleetConfigError(
-                        f"fault plan stalls {grp!r}: transient stalls are "
-                        "slot-level events with no group meaning; use the "
-                        "classic simulator for stall studies")
-                self.edges.append((when, kind, grp, arg))
-        self.edge_ptr = 0
+        self.throttle: dict[str, float] = {}
+        self.policies = [spec.policy for spec in self.tenants]
+        probe_cap = getattr(router, "probe_cap", 1)
+        self.tcost = [
+            (_GroupCost if spec.degraded is None else _DegradableCost)(
+                spec.cost, devices, self.throttle,
+                _policy_max_batch(spec.policy, probe_cap), slowdown)
+            for spec in self.tenants
+        ]
 
-        self.completed = 0
+        self.dispatched = 0  # requests on a replica or done, net of aborts
         self.makespan = 0.0
         self.next_arr = 0
+        self.first: float | None = None  # the first arrival, until visited
         self.pending_wakeup: float | None = None
         self.tick_count = 0
         # Where each tenant's batch records stood at the last autoscale
@@ -555,19 +673,64 @@ class _FleetEngine:
         self.tick_mark = [(0, 0)] * K
 
         # Busy-replica bookkeeping. The free-time lists are the ground
-        # truth, but scanning them per epoch is O(replicas x epochs); the
+        # truth, but scanning them per step is O(replicas x steps); the
         # hot loop instead keeps (a) a min-heap of in-flight batch
         # finish times — so the next completion is O(1) to peek — and
-        # (b) per group, a min-heap of the idle replica indices in the
-        # active prefix: dispatch pops the lowest idle index, and
-        # entries draining off the busy heap push theirs back. Scaling
-        # events rebuild the idle heaps from the free times (rare;
-        # ticks only).
+        # (b) per group, a min-heap of the replicas in the active prefix
+        # that can take work now: dispatch pops the lowest idle index,
+        # and entries draining off the busy heap push theirs back.
+        # Scaling events rebuild the idle heaps from the free times
+        # (rare; ticks only). ``instants`` holds the other times the
+        # loop must visit: policy wake-ups (group -1) and stall ends (the
+        # stalled group and replica).
         self.busy_heap: list[tuple[float, int, int]] = []
         self.idle = [list(range(g.replicas)) for g in self.groups]
+        self.instants: list[tuple[float, int, int]] = []
 
-        self._gindex = {d: i for i, d in enumerate(self.gdev)}
         self._device_specs: dict[str, object] = {}  # lazy, hop pricing only
+        self._columns: dict[int, tuple[np.ndarray, ...]] = {}  # after the run
+
+        self.faults: FaultRuntime | None = None
+        self.edges: list[tuple] = []
+        self.edge_ptr = 0
+        self.retry_heap: list[tuple] = []
+        if (faults is not None or retry is not None
+                or any(spec.degraded is not None for spec in self.tenants)):
+            self._init_faults(faults or FaultPlan(), retry or RetryPolicy(),
+                              order if index is None else np.asarray(index)[order])
+
+    def _init_faults(self, plan: FaultPlan, retry: RetryPolicy,
+                     ids: np.ndarray) -> None:
+        """Fault-run state: the edge timeline, per-replica fault state, and
+        per-request retry bookkeeping (request ids feed the backoff jitter)."""
+        self.faults = FaultRuntime(plan, retry, self.glabel,
+                                   dict(zip(self.glabel, self.gdev)))
+        for when, _seq, kind, label, arg in self.faults.happenings:
+            g = self._gindex[label]
+            if kind in ("throttle-on", "throttle-off"):
+                self.edges.append((when, kind, g, 0, arg))
+            else:
+                # One edge per replica, in index order: a group behaves
+                # like its expansion into slots.
+                self.edges.extend((when, kind, g, r, arg)
+                                  for r in range(self.groups[g].capacity))
+        caps = [g.capacity for g in self.groups]
+        self.rdown = [[False] * c for c in caps]
+        self.ndown = [0] * len(caps)
+        self.stalled = [[0.0] * c for c in caps]
+        # (tenant, batch record) running on each replica.
+        self.inflight: list[list[tuple[int, int] | None]] = [[None] * c
+                                                             for c in caps]
+        K = len(self.tenants)
+        self.ids_t = [ids[self.bounds[t]:self.bounds[t + 1]] for t in range(K)]
+        self.b_members: list[list[list[int] | None]] = [[] for _ in range(K)]
+        self.b_degraded: list[list[bool]] = [[] for _ in range(K)]
+        self.tries: list[dict[int, int]] = [{} for _ in range(K)]
+        self.aborted_at: list[dict[int, float]] = [{} for _ in range(K)]
+        self.shed_pos: list[list[int]] = [[] for _ in range(K)]
+        self.modes = [spec.degraded for spec in self.tenants]
+        self.degraded = [False] * K
+        self.retry_seq = itertools.count()
 
     # -- time stepping -----------------------------------------------------------
 
@@ -576,55 +739,48 @@ class _FleetEngine:
             return math.inf
         return (self.tick_count + 1) * self.autoscale.interval
 
-    def _next_time(self, now: float) -> float:
-        """Earliest instant after ``now`` at which anything can change."""
-        candidates = []
-        if self.pending_wakeup is not None:
-            candidates.append(self.pending_wakeup)
-        if self.edge_ptr < len(self.edges):
-            candidates.append(self.edges[self.edge_ptr][0])
-        tick = self._next_tick()
-        if tick < math.inf:
-            candidates.append(tick)
-        if self.busy_heap:
-            # Entries at or before ``now`` were drained in _advance, so
-            # the heap top is the next batch completion across the fleet.
-            candidates.append(self.busy_heap[0][0])
-        if self.next_arr < self.n:
-            for idle, down in zip(self.idle, self.down):
-                if idle and not down:
-                    # Some active replica is idle right now; between here
-                    # and the next free event nothing busies it, so the
-                    # next arrival is a dispatch opportunity worth
-                    # visiting.
-                    candidates.append(float(self.arr_all[self.next_arr]))
-                    break
-        nxt = min((c for c in candidates if c > now), default=math.inf)
-        return nxt
+    def _next_event(self) -> tuple[float, int]:
+        """The next event: its time and kind, plain instants last on ties."""
+        when, kind = self._next_tick(), _PLAIN
+        if self.busy_heap and self.busy_heap[0][0] < when:
+            when = self.busy_heap[0][0]
+        if self.instants and self.instants[0][0] < when:
+            when = self.instants[0][0]
+        if self.next_arr < self.n and any(self.idle):
+            # An arrival is a dispatch opportunity only while some replica
+            # is idle; while all are busy the next event absorbs it (with
+            # nothing idle, visiting it would offer nothing).
+            arrival = float(self.arr_all[self.next_arr])
+            if arrival < when:
+                when = arrival
+        if self.retry_heap and self.retry_heap[0][0] <= when:
+            when, kind = self.retry_heap[0][0], _RETRY
+        if self.edge_ptr < len(self.edges) and self.edges[self.edge_ptr][0] <= when:
+            when, kind = self.edges[self.edge_ptr][0], _EDGE
+        if self.first is not None and self.first <= when:
+            when, kind = self.first, _FIRST
+        return when, kind
 
-    def _advance(self, now: float) -> None:
-        """Absorb everything due at ``now``: completions, fault edges,
-        arrivals, ticks."""
+    def _step(self, now: float) -> None:
+        """Absorb everything due at ``now`` — completions, stall ends,
+        arrivals, ticks — then shed and offer."""
+        faulted = self.faults is not None
         heap = self.busy_heap
         while heap and heap[0][0] <= now:
-            _finish, g, ridx = heapq.heappop(heap)
-            if ridx < self.act[g]:
+            finish, g, ridx = heapq.heappop(heap)
+            if faulted:
+                if self._complete(finish, g, ridx):
+                    self._release(g, ridx, now)
+            elif ridx < self.act[g]:
                 heapq.heappush(self.idle[g], ridx)
             # else: the replica drained outside the autoscaler-active
             # prefix; its free time stays on the list and is picked
             # back up by the rebuild if the group scales out again.
-        while self.edge_ptr < len(self.edges) and self.edges[self.edge_ptr][0] <= now:
-            _when, kind, grp, arg = self.edges[self.edge_ptr]
-            self.edge_ptr += 1
-            g = self._gindex[grp]
-            if kind == "down":
-                self.down[g] = True
-            elif kind == "recover":
-                self.down[g] = False
-            elif kind == "throttle-on":
-                self.throttle[grp] = arg
-            elif kind == "throttle-off":
-                self.throttle.pop(grp, None)
+        instants = self.instants
+        while instants and instants[0][0] <= now:
+            _when, g, ridx = heapq.heappop(instants)
+            if g >= 0:  # a stall ended
+                self._release(g, ridx, now)
         if self.next_arr < self.n:
             old = self.next_arr
             new_total = int(self.arr_all.searchsorted(now, side="right"))
@@ -634,6 +790,8 @@ class _FleetEngine:
                                      minlength=len(self.tenants))
                 for t, c in enumerate(counts.tolist()):
                     self.tail[t] += c
+                if faulted:
+                    self.faults.queued += new_total - old
         if self.autoscale is not None:
             n_scaled = len(self.scaling)
             while self._next_tick() <= now:
@@ -646,9 +804,15 @@ class _FleetEngine:
                 # drained off the busy heap). An ascending list is a heap.
                 for g, free in enumerate(self.free):
                     self.idle[g] = [r for r in range(self.act[g])
-                                    if free[r] <= now]
+                                    if free[r] <= now and self._up(g, r, now)]
         if self.pending_wakeup is not None and now >= self.pending_wakeup:
             self.pending_wakeup = None
+        if faulted:
+            # No request is ever silently lost: everything issued so far
+            # is queued, on a replica, awaiting retry, completed or shed.
+            self._shed_expired(now)
+            self.faults.check_conservation(self.next_arr)
+        self._offer(now)
 
     # -- autoscaling -------------------------------------------------------------
 
@@ -658,9 +822,14 @@ class _FleetEngine:
         for t, arr in enumerate(self.arr_t):
             b0, r0 = self.tick_mark[t]
             b1, r1 = len(self.b_finish[t]), self.head[t]
-            if b1 > b0:
+            if b1 > b0 and self.faults is None:
                 lat = np.repeat(self.b_finish[t][b0:b1], self.b_size[t][b0:b1])
                 window.append(np.subtract(lat, arr[r0:r1], out=lat))
+            elif b1 > b0:
+                for k in range(b0, b1):
+                    members = self.b_members[t][k]
+                    if members is not None:
+                        window.append(self.b_finish[t][k] - arr[members])
             self.tick_mark[t] = (b1, r1)
         if not window:
             return 0.0
@@ -668,13 +837,15 @@ class _FleetEngine:
 
     def _tick(self, when: float) -> None:
         scale = self.autoscale
-        queued = self.next_arr - self.completed
+        queued = self.next_arr - self.dispatched
+        if self.faults is not None:
+            queued -= self.faults.shed
         if scale.metric == "queue":
             value = float(queued)
         else:
             value = self._window_p99()
         for g, group in enumerate(self.groups):
-            if self.down[g]:
+            if self.faults is not None and self.ndown[g]:
                 continue
             if when - self.last_action[g] < scale.cooldown:
                 continue
@@ -698,57 +869,60 @@ class _FleetEngine:
             self.peak[g] = max(self.peak[g], after)
             self.last_action[g] = when
             self.scaling.append(
-                ScalingEvent(when, self.gdev[g], act, after, reason))
+                ScalingEvent(when, self.glabel[g], act, after, reason))
 
     # -- the offer loop ----------------------------------------------------------
 
     def _offer(self, now: float) -> None:
         """Offer queued work to idle groups until every policy holds.
 
-        Mirrors the classic loop: tenants in oldest-head-first order
-        (stable on ties, i.e. spec order), groups in router order
-        (amortized per-request latency at the probe batch, device-name
-        tie-break); the first (tenant, group) pair whose policy
-        dispatches restarts the scan.
+        Tenants go in oldest-head-first order (stable on ties, i.e. spec
+        order), groups in the router's order for that tenant; the first
+        (tenant, group) pair whose policy dispatches restarts the scan.
         """
         K = len(self.tenants)
-        G = len(self.groups)
-        head, tail, head_arr = self.head, self.tail, self.head_arr
-        gdev = self.gdev
+        head, tail, front, head_arr = self.head, self.tail, self.front, self.head_arr
+        router = self.router
+        degrade = self._update_degraded if self.faults is not None else None
         while True:
-            active = [t for t in range(K) if head[t] < tail[t]]
-            if not active:
-                return
-            idle = [g for g in range(G) if self.idle[g] and not self.down[g]]
+            idle = [label for label, free in zip(self.glabel, self.idle) if free]
             if not idle:
+                return
+            active = [t for t in range(K) if head[t] < tail[t] or front[t]]
+            if not active:
                 return
             if len(active) > 1:
                 active.sort(key=head_arr.__getitem__)
-            chosen_t = chosen_g = size = None
+            chosen_t = chosen = size = None
             for t in active:
-                qlen = tail[t] - head[t]
+                if degrade is not None:
+                    degrade(t, now)
+                qlen = tail[t] - head[t] + len(front[t])
                 cost = self.tcost[t]
-                if len(idle) == 1:
-                    ranked = idle
-                else:
-                    probe = max(1, min(qlen, self.probe_cap))
-                    ranked = sorted(
-                        idle,
-                        key=lambda g: (cost.latency(gdev[g], probe) / probe,
-                                       gdev[g]))
+                # Ranking a single idle group is a no-op; skipping it also
+                # keeps legacy callable cost models (defined only up to
+                # their batch cap) away from the router's larger probes.
+                ranked = idle if len(idle) == 1 else router.rank(idle, qlen, cost)
                 oldest_wait = now - head_arr[t]
-                for g in ranked:
-                    size = self.policies[t].decide(
-                        now, qlen, oldest_wait, gdev[g], cost)
+                for label in ranked:
+                    size = self.policies[t].decide(now, qlen, oldest_wait,
+                                                   label, cost)
                     if size is not None:
-                        chosen_t, chosen_g = t, g
+                        chosen_t, chosen = t, label
                         break
                 if size is not None:
                     break
             if size is None:
                 self._hold(now, active)
                 return
-            self._dispatch(chosen_t, chosen_g, size, now)
+            self._dispatch(chosen_t, self._gindex[chosen], size, now)
+
+    def _set_head(self, t: int) -> None:
+        """Cache the arrival of tenant ``t``'s queue head (or of its next
+        arrival, when the queue is empty)."""
+        front, arr, end = self.front[t], self.arr_t[t], self.head[t]
+        self.head_arr[t] = (float(arr[front[0]]) if front
+                            else float(arr[end]) if end < arr.size else math.inf)
 
     def _hold(self, now: float, active: list[int]) -> None:
         wakes = (self.policies[t].next_wakeup(now, self.head_arr[t])
@@ -757,18 +931,19 @@ class _FleetEngine:
         if wake is not None and (self.pending_wakeup is None
                                  or wake < self.pending_wakeup):
             self.pending_wakeup = wake
-        if (self.pending_wakeup is None and self.next_arr >= self.n
+            heapq.heappush(self.instants, (wake, -1, 0))
+        if (not self.instants and self.next_arr >= self.n
                 and self.edge_ptr >= len(self.edges)
-                and not self.busy_heap):
+                and not self.busy_heap and not self.retry_heap):
             names = ",".join(self.policies[t].name for t in active)
             raise RuntimeError(f"policy {names!r} held with no pending events")
 
     def _dispatch(self, t: int, g: int, size: int, now: float) -> None:
         head = self.head[t]
-        qlen = self.tail[t] - head
-        size = max(1, min(int(size), qlen))
-        device = self.gdev[g]
-        duration = self.tcost[t].latency(device, size)
+        front = self.front[t]
+        size = max(1, min(int(size), self.tail[t] - head + len(front)))
+        label = self.glabel[g]
+        duration = self.tcost[t].latency(label, size)
         if duration <= 0:
             raise ValueError("batch_time must return a positive duration")
         # The lowest idle index: the replica a scan of the active prefix
@@ -779,6 +954,7 @@ class _FleetEngine:
         finish = now + duration
         busy = duration
         if self.hop_bytes > 0.0 and self.last_group[t] not in (None, g):
+            device = self.gdev[g]
             spec = self._device_specs.get(device)
             if spec is None:
                 from repro.hw.device import get_device
@@ -791,24 +967,243 @@ class _FleetEngine:
             self.hop_time[g] += hop
         self.last_group[t] = g
 
-        end = head + size
+        # Retried requests wait in the front deque, ahead of the fresh
+        # slice (always empty without faults).
+        retried = ([front.popleft() for _ in range(min(size, len(front)))]
+                   if front else ())
+        end = head + size - len(retried)
         self.head[t] = end
-        arr = self.arr_t[t]
-        self.head_arr[t] = float(arr[end]) if end < arr.size else math.inf
+        arr = self.arr_t[t]  # _set_head, inlined on the per-batch path
+        self.head_arr[t] = (float(arr[front[0]]) if front
+                            else float(arr[end]) if end < arr.size else math.inf)
         self.b_finish[t].append(finish)
         self.b_size[t].append(size)
         self.b_now[t].append(now)
         self.b_idle[t].append(idle_since)
+        self.b_group[t].append(g)
         self.disp_sum[t] += now * size
         self.serv_sum += (finish - now) * size
+        if self.faults is not None:
+            self._note_dispatch(t, g, ridx, [*retried, *range(head, end)])
         free[ridx] = finish
         heapq.heappush(self.busy_heap, (finish, g, ridx))
         self.batches[g] += 1
         self.requests[g] += size
         self.busy[g] += busy
-        self.completed += size
+        self.dispatched += size
         if finish > self.makespan:
             self.makespan = finish
+        self.router.note_dispatch(label)
+
+    # -- faults ------------------------------------------------------------------
+
+    def _up(self, g: int, ridx: int, now: float) -> bool:
+        """Whether a replica is neither down nor stalled at ``now``."""
+        return self.faults is None or (not self.rdown[g][ridx]
+                                       and self.stalled[g][ridx] <= now)
+
+    def _release(self, g: int, ridx: int, now: float) -> None:
+        """Put a replica back on its group's idle heap if it can take work."""
+        if (ridx < self.act[g] and self.free[g][ridx] <= now
+                and self._up(g, ridx, now)):
+            heapq.heappush(self.idle[g], ridx)
+
+    def _unidle(self, g: int, ridx: int) -> None:
+        if ridx in self.idle[g]:
+            self.idle[g].remove(ridx)
+            heapq.heapify(self.idle[g])
+
+    def _note_dispatch(self, t: int, g: int, ridx: int, members: list[int]) -> None:
+        rt = self.faults
+        self.b_members[t].append(members)
+        self.b_degraded[t].append(self.degraded[t])
+        self.inflight[g][ridx] = (t, len(self.b_members[t]) - 1)
+        rt.queued -= len(members)
+        rt.on_device += len(members)
+        if self.degraded[t]:
+            name = self.tenants[t].name
+            rt.degraded_requests[name] = (rt.degraded_requests.get(name, 0)
+                                          + len(members))
+
+    def _complete(self, finish: float, g: int, ridx: int) -> bool:
+        """A completion entry drained; finish its batch unless it is stale
+        (the batch was aborted, or a stall moved its finish)."""
+        record = self.inflight[g][ridx]
+        if record is None or self.free[g][ridx] != finish:
+            return False
+        self.inflight[g][ridx] = None
+        t, k = record
+        members = self.b_members[t][k]
+        rt = self.faults
+        rt.on_device -= len(members)
+        rt.completed += len(members)
+        aborted_at = self.aborted_at[t]
+        if aborted_at:
+            for pos in members:
+                at = aborted_at.pop(pos, None)
+                if at is not None:
+                    rt.recovery_samples.append(finish - at)
+        return True
+
+    def _apply_edge(self, now: float) -> None:
+        _when, kind, g, ridx, arg = self.edges[self.edge_ptr]
+        self.edge_ptr += 1
+        rt = self.faults
+        label = self.glabel[g]
+        if kind == "down":
+            self.rdown[g][ridx] = True
+            if not self.ndown[g]:
+                rt.down_since[label] = now
+            self.ndown[g] += 1
+            if self.ndown[g] == self.groups[g].capacity:
+                self.router.note_down(label)
+            self._unidle(g, ridx)
+            if self.inflight[g][ridx] is not None:
+                self._abort(g, ridx, now)
+        elif kind == "recover":
+            if self.ndown[g] == self.groups[g].capacity:
+                self.router.note_recover(label)
+            self.ndown[g] -= 1
+            self.rdown[g][ridx] = False
+            if not self.ndown[g]:
+                start = rt.down_since.pop(label, now)
+                rt.down_windows.setdefault(label, []).append((start, now))
+            if self.free[g][ridx] < now:
+                self.free[g][ridx] = now
+            self._release(g, ridx, now)
+        elif kind == "throttle-on":
+            active = rt.active_throttles.setdefault(label, [])
+            active.append(arg)
+            self.throttle[label] = float(np.prod(active))
+        elif kind == "throttle-off":
+            active = rt.active_throttles.get(label, [])
+            if arg in active:
+                active.remove(arg)
+            if active:
+                self.throttle[label] = float(np.prod(active))
+            else:
+                self.throttle.pop(label, None)
+        elif not self.rdown[g][ridx]:  # a stall; a down replica cannot stall
+            rt.stall_time[label] = rt.stall_time.get(label, 0.0) + arg
+            record = self.inflight[g][ridx]
+            if record is not None:
+                t, k = record
+                finish = self.b_finish[t][k] = self.b_finish[t][k] + arg
+                self.free[g][ridx] = finish
+                heapq.heappush(self.busy_heap, (finish, g, ridx))
+                self.makespan = max(self.makespan, finish)
+            else:
+                self.stalled[g][ridx] = max(self.stalled[g][ridx], now + arg)
+                self._unidle(g, ridx)
+                heapq.heappush(self.instants, (now + arg, g, ridx))
+
+    def _abort(self, g: int, ridx: int, now: float) -> None:
+        """Abort the batch on a failing replica; retry or shed its requests."""
+        t, k = self.inflight[g][ridx]
+        self.inflight[g][ridx] = None
+        members = self.b_members[t][k]
+        self.b_members[t][k] = None
+        size = len(members)
+        self.free[g][ridx] = now
+        self.busy[g] -= self.b_finish[t][k] - now  # only the executed part counts
+        self.batches[g] -= 1
+        self.requests[g] -= size
+        self.dispatched -= size
+        rt = self.faults
+        label = self.glabel[g]
+        rt.aborted_batches[label] = rt.aborted_batches.get(label, 0) + 1
+        rt.aborted_requests[label] = rt.aborted_requests.get(label, 0) + size
+        rt.on_device -= size
+        retry = rt.retry
+        arr, tries = self.arr_t[t], self.tries[t]
+        for pos in members:
+            attempt = tries[pos] = tries.get(pos, 0) + 1
+            if attempt > retry.max_retries or (
+                    retry.deadline is not None
+                    and now - arr[pos] >= retry.deadline):
+                self._shed(t, pos)
+            else:
+                rt.retries += 1
+                self.aborted_at[t][pos] = now
+                backoff = retry.backoff(int(self.ids_t[t][pos]), attempt)
+                heapq.heappush(self.retry_heap, (now + backoff,
+                                                 next(self.retry_seq), t, pos))
+                rt.awaiting_retry += 1
+
+    def _shed(self, t: int, pos: int) -> None:
+        rt = self.faults
+        name = self.tenants[t].name
+        rt.shed += 1
+        rt.tenant_shed[name] = rt.tenant_shed.get(name, 0) + 1
+        self.aborted_at[t].pop(pos, None)
+        self.shed_pos[t].append(pos)
+
+    def _requeue(self, now: float) -> None:
+        """A backoff expired: put the request back in arrival order (or shed
+        it past its deadline). Among equal arrivals it goes ahead of the
+        queue's head, or behind everything already queued."""
+        _when, _seq, t, pos = heapq.heappop(self.retry_heap)
+        rt = self.faults
+        rt.awaiting_retry -= 1
+        arr = self.arr_t[t]
+        arrival = float(arr[pos])
+        deadline = rt.retry.deadline
+        if deadline is not None and now - arrival >= deadline:
+            self._shed(t, pos)
+            return
+        front, head, tail = self.front[t], self.head[t], self.tail[t]
+        if not (front or head < tail) or arrival <= self.head_arr[t]:
+            front.appendleft(pos)
+        elif head < tail and arr[head] <= arrival:
+            # It belongs among the fresh requests: the ones that arrived
+            # no later move into the front deque ahead of it.
+            split = head + int(np.searchsorted(arr[head:tail], arrival,
+                                               side="right"))
+            front.extend(range(head, split))
+            front.append(pos)
+            self.head[t] = split
+        else:
+            front.insert(bisect.bisect_right(front, arrival,
+                                             key=lambda p: arr[p]), pos)
+        self._set_head(t)
+        rt.queued += 1
+
+    def _shed_expired(self, now: float) -> None:
+        """Shed queue heads whose deadline expired (queues are arrival-sorted)."""
+        deadline = self.faults.retry.deadline
+        if deadline is None:
+            return
+        for t, front in enumerate(self.front):
+            while ((front or self.head[t] < self.tail[t])
+                   and now - self.head_arr[t] >= deadline):
+                if front:
+                    pos = front.popleft()
+                else:
+                    pos = self.head[t]
+                    self.head[t] += 1
+                self.faults.queued -= 1
+                self._shed(t, pos)
+                self._set_head(t)
+
+    def _update_degraded(self, t: int, now: float) -> None:
+        """Enter/exit degraded mode on queue-pressure hysteresis."""
+        mode = self.modes[t]
+        if mode is None:
+            return
+        rt = self.faults
+        name = self.tenants[t].name
+        oldest_wait = now - self.head_arr[t]
+        if not self.degraded[t] and oldest_wait >= mode.enter_wait:
+            self.degraded[t] = True
+            self.tcost[t].extra = mode.latency_factor
+            rt.degraded_since[name] = now
+            rt.degraded_activations[name] = (
+                rt.degraded_activations.get(name, 0) + 1)
+        elif self.degraded[t] and oldest_wait <= mode.exit_wait:
+            self.degraded[t] = False
+            self.tcost[t].extra = 1.0
+            start = rt.degraded_since.pop(name, now)
+            rt.degraded_time[name] = rt.degraded_time.get(name, 0.0) + (now - start)
 
     # -- run ---------------------------------------------------------------------
 
@@ -816,43 +1211,88 @@ class _FleetEngine:
         if self.n == 0:
             self._fill_requests()
             return 0.0
-        first = [float(self.arr_all[0])]
-        if self.edges:
-            first.append(self.edges[0][0])
-        tick = self._next_tick()
-        if tick < math.inf:
-            first.append(tick)
-        now = min(first)
-        while self.completed < self.n:
-            self._advance(now)
-            self._offer(now)
-            if self.completed >= self.n:
-                break
-            nxt = self._next_time(now)
-            if nxt == math.inf:
+        self.first = float(self.arr_all[0])
+        rt = self.faults
+        # Without faults dispatch finalizes timing; with them a batch can
+        # still abort, so only completion or shedding retires a request.
+        while (self.dispatched if rt is None else rt.completed + rt.shed) < self.n:
+            now, kind = self._next_event()
+            if now == math.inf:
                 raise RuntimeError(
                     "fleet event loop stalled with requests pending")
-            now = nxt
+            if kind == _FIRST:
+                self.first = None
+            elif kind == _EDGE:
+                self._apply_edge(now)
+            elif kind == _RETRY:
+                self._requeue(now)
+            self._step(now)
         for g in range(len(self.groups)):
             self.occ_int[g] += self.act[g] * (self.makespan - self.occ_last[g])
             self.occ_last[g] = self.makespan
         self._fill_requests()
         return self.makespan
 
+    # -- per-request results -------------------------------------------------------
+
+    def _tenant_columns(self, t: int) -> tuple[np.ndarray, ...]:
+        """Tenant ``t``'s per-request (dispatch, finish, group, batch size,
+        replica idle time, degraded) columns, in its arrival order.
+
+        Without faults the batch records tile the tenant's queue in order,
+        so repeating each record over its size lines it up with its
+        requests. With faults only the batches that completed count, and
+        each scatters to its members; a shed request keeps NaN times,
+        group -1 and batch size 0. Computed once per tenant and run.
+        """
+        if t in self._columns:
+            return self._columns[t]
+        sizes = np.array(self.b_size[t], dtype=np.intp)
+        records = [np.array(self.b_now[t]), np.array(self.b_finish[t]),
+                   np.array(self.b_group[t], dtype=np.intp), sizes,
+                   np.array(self.b_idle[t])]
+        if self.faults is None:
+            columns = (*(np.repeat(r, sizes) for r in records),
+                       np.zeros(self.arr_t[t].size, dtype=bool))
+        else:
+            members = self.b_members[t]
+            live = np.array([m is not None for m in members], dtype=bool)
+            pos = np.fromiter(itertools.chain.from_iterable(
+                m for m in members if m is not None), dtype=np.intp)
+            records.append(np.array(self.b_degraded[t], dtype=bool))
+            columns = []
+            for r, blank in zip(records, (np.nan, np.nan, -1, 0, np.nan, False)):
+                column = np.full(self.arr_t[t].size, blank, dtype=r.dtype)
+                column[pos] = np.repeat(r[live], sizes[live])
+                columns.append(column)
+        self._columns[t] = columns = tuple(columns)
+        return columns
+
     def _fill_requests(self) -> None:
         """Per-request timing from the batch records, one pass per tenant.
 
-        A tenant's batches cover its arrivals in order, so repeating each
-        batch's record over its size lines it up with the requests it
-        served: latency is ``finish - arrival``; the queue wait sums as
-        dispatch instants (kept per batch) minus arrivals; and the
-        formation wait is the classic ``max(0, now - max(arrival,
-        idle_since))``, which — queued requests arrived at or before
-        ``now``, the replica freed at or before it — is a min of two
-        non-negative terms. Only the latencies are kept per request; the
-        waits only ever surface as means. At most two tenant-sized
-        temporaries are alive at once.
+        Latency is ``finish - arrival``; the queue wait sums as dispatch
+        instants minus arrivals; and the formation wait is
+        ``max(0, now - max(arrival, idle_since))``, which — queued
+        requests arrived at or before ``now``, the replica freed at or
+        before it — is a min of two non-negative terms. Only the
+        latencies of completed requests are kept per request; the waits
+        only ever surface as means. Without faults the records tile each
+        tenant's queue, and at most two tenant-sized temporaries are
+        alive at once.
         """
+        if self.faults is not None:
+            self.form_sum = self.serv_sum = 0.0
+            for t, arr in enumerate(self.arr_t):
+                disp, fin, _g, _s, idle, _d = self._tenant_columns(t)
+                done = ~np.isnan(disp)
+                disp, fin, idle, arr = disp[done], fin[done], idle[done], arr[done]
+                self.arr_sum[t] = float(arr.sum())
+                self.disp_sum[t] = float(disp.sum())
+                self.form_sum += float(np.minimum(disp - arr, disp - idle).sum())
+                self.serv_sum += float((fin - disp).sum())
+                self.lat_t.append(fin - arr)
+            return
         for t, arr in enumerate(self.arr_t):
             sizes = np.array(self.b_size[t], dtype=np.intp)
             self.arr_sum[t] = float(arr.sum())
@@ -864,6 +1304,62 @@ class _FleetEngine:
             del wait, idle  # the latencies below can reuse their memory
             lat = np.repeat(np.array(self.b_finish[t]), sizes)
             self.lat_t.append(np.subtract(lat, arr, out=lat))
+
+    def request_table(self) -> dict[str, np.ndarray]:
+        """Every request's outcome, in stream order: ``dispatch``,
+        ``finish``, ``group``, ``batch_size``, ``formation``, ``retries``,
+        ``shed`` and ``degraded`` columns (shed requests keep NaN times,
+        group -1, batch size 0 and formation 0)."""
+        n = self.n
+        table = {"dispatch": np.full(n, np.nan), "finish": np.full(n, np.nan),
+                 "group": np.full(n, -1, dtype=np.intp),
+                 "batch_size": np.zeros(n, dtype=np.intp),
+                 "formation": np.zeros(n), "retries": np.zeros(n, dtype=np.intp),
+                 "shed": np.zeros(n, dtype=bool), "degraded": np.zeros(n, dtype=bool)}
+        order = np.argsort(self.codes, kind="stable")
+        for t, arr in enumerate(self.arr_t):
+            ids = order[self.bounds[t]:self.bounds[t + 1]]
+            disp, fin, grp, size, idle, deg = self._tenant_columns(t)
+            done = ~np.isnan(disp)
+            table["dispatch"][ids] = disp
+            table["finish"][ids] = fin
+            table["group"][ids] = grp
+            table["batch_size"][ids] = size
+            table["formation"][ids[done]] = np.minimum(disp - arr, disp - idle)[done]
+            table["degraded"][ids] = deg
+            if self.faults is not None:
+                tries = self.tries[t]
+                table["retries"][ids[list(tries)]] = list(tries.values())
+                table["shed"][ids[self.shed_pos[t]]] = True
+        return table
+
+    def batch_histograms(self) -> list[dict[int, int]]:
+        """Per group, completed batches by size (sorted by size)."""
+        histograms: list[dict[int, int]] = [{} for _ in self.groups]
+        for t, sizes in enumerate(self.b_size):
+            members = self.b_members[t] if self.faults is not None else None
+            for k, (g, size) in enumerate(zip(self.b_group[t], sizes)):
+                if members is None or members[k] is not None:
+                    histograms[g][size] = histograms[g].get(size, 0) + 1
+        return [dict(sorted(h.items())) for h in histograms]
+
+    def fault_stats(self) -> FaultStats | None:
+        """What the fault plan, retry policy and degraded modes did, or
+        ``None`` for a run without any of them."""
+        if self.faults is None:
+            return None
+        histogram: dict[int, int] = {}
+        degraded: dict[str, np.ndarray] = {}
+        for t, spec in enumerate(self.tenants):
+            for tries in self.tries[t].values():
+                histogram[tries] = histogram.get(tries, 0) + 1
+            if any(self.b_degraded[t]):
+                disp, fin, *_rest, deg = self._tenant_columns(t)
+                degraded[spec.name] = (fin - self.arr_t[t])[deg]
+        return self.faults.build_stats(
+            self.makespan, self.n,
+            {spec.name: (spec.degraded, spec.slo) for spec in self.tenants},
+            dict(sorted(histogram.items())), degraded)
 
 
 # ---------------------------------------------------------------------------
@@ -894,19 +1390,21 @@ def _group_stats(engine: _FleetEngine, makespan: float) -> dict[str, GroupStats]
     return out
 
 
-def _tenant_stats(engine: _FleetEngine, makespan: float) -> dict[str, TenantStats]:
+def _tenant_stats(tenants: Sequence[TenantSpec], latencies: Sequence[np.ndarray],
+                  mean_queue: Sequence[float],
+                  makespan: float) -> dict[str, TenantStats]:
+    """Per-tenant latency / SLO stats from each tenant's completed
+    requests' latencies (arrival order) and mean queue time."""
     out: dict[str, TenantStats] = {}
-    for i, spec in enumerate(engine.tenants):
-        lat = engine.lat_t[i]
+    for spec, lat, queue in zip(tenants, latencies, mean_queue):
         n = int(lat.size)
         if n:
             p50, p95, p99 = np.percentile(lat, [50, 95, 99])
             mean_lat = float(lat.mean())
-            mean_queue = (engine.disp_sum[i] - engine.arr_sum[i]) / n
             attainment = (float((lat <= spec.slo).mean())
                           if spec.slo is not None else None)
         else:
-            p50 = p95 = p99 = mean_lat = mean_queue = 0.0
+            p50 = p95 = p99 = mean_lat = queue = 0.0
             attainment = 1.0 if spec.slo is not None else None
         out[spec.name] = TenantStats(
             tenant=spec.name,
@@ -917,7 +1415,7 @@ def _tenant_stats(engine: _FleetEngine, makespan: float) -> dict[str, TenantStat
             p50_latency=float(p50),
             p95_latency=float(p95),
             p99_latency=float(p99),
-            mean_queue_time=mean_queue,
+            mean_queue_time=queue,
             slo_attainment=attainment,
         )
     return out
@@ -930,17 +1428,20 @@ def simulate_fleet(
     arrival_rate: float | None = None,
     scenario: str = "uniform",
     columns=None,
+    router: Router | None = None,
     autoscale: AutoscalePolicy | None = None,
     faults: FaultPlan | None = None,
+    retry: RetryPolicy | None = None,
     hop_bytes: float = 0.0,
-    probe_cap: int = 128,
     seed: int = 0,
     lint: bool = True,
 ) -> FleetReport:
     """Serve a tenant mix on a fleet of homogeneous device groups.
 
     Parameters mirror :func:`~repro.serving.simulator.simulate_mixed`
-    where they overlap; the differences:
+    where they overlap (``router`` ranks idle groups, default
+    earliest-finish; ``faults`` and ``retry`` work as there, with the
+    plan naming groups); the differences:
 
     ``groups``
         Device groups (or a ``"dev:replicas[:pool],..."`` spec string).
@@ -952,19 +1453,17 @@ def simulate_fleet(
         its tenant axis must match ``tenants`` exactly.
     ``autoscale``
         Reactive :class:`AutoscalePolicy`; ``None`` keeps every group at
-        its initial replica count (required for classic parity).
+        its initial replica count.
     ``hop_bytes``
         Per-request payload priced through
         :func:`repro.hw.transfer.h2d_time` whenever a tenant's batch
         lands on a different group than its previous one.
-    ``probe_cap``
-        Probe batch-size cap for the amortized group ranking — the
-        group-level analogue of
-        :class:`~repro.serving.router.EarliestFinishRouter`'s cap.
 
-    With ``autoscale=None``, ``faults=None`` and ``hop_bytes=0`` the
-    result matches the classic simulator's (same devices, earliest-
-    finish router) to float round-off; a tier-1 differential test pins
+    With ``autoscale=None`` and ``hop_bytes=0`` the result equals
+    :func:`~repro.serving.simulator.simulate_mixed` on the groups'
+    expansion into slots (for groups of at most ten replicas, whose slot
+    labels sort in replica order) to float round-off, with or without a
+    plan of down/recover and stall events; tier-1 differential tests pin
     this.
     """
     if not tenants:
@@ -983,8 +1482,7 @@ def simulate_fleet(
     if not is_finite_number(hop_bytes) or hop_bytes < 0:
         raise ValueError(
             f"hop_bytes must be non-negative and finite, got {hop_bytes!r}")
-    if probe_cap < 1:
-        raise ValueError(f"probe_cap must be >= 1, got {probe_cap}")
+    router = router or EarliestFinishRouter()
 
     if lint:
         from repro.lint import check, lint_fleet, lint_tenants
@@ -1004,32 +1502,29 @@ def simulate_fleet(
             raise ValueError(
                 f"columns tagged for tenants {list(columns.tenants)}, "
                 f"simulating {names}")
-        if len(columns):
-            arr = columns.arrivals
-            if float(arr[0]) < 0.0:
-                raise ValueError("request arrivals must be non-negative")
-            if np.any(np.diff(arr) < 0):
-                raise ValueError(
-                    "request columns must be sorted by arrival time; "
-                    "see sort_request_columns")
-    n = len(columns)
+        arr = check_arrivals(columns.arrivals)
+        if np.any(np.diff(arr) < 0):
+            raise ValueError(
+                "request columns must be sorted by arrival time; "
+                "see sort_request_columns")
 
     engine = _FleetEngine(tenants, groups, columns, autoscale, faults,
-                          hop_bytes, probe_cap)
+                          hop_bytes, router, retry)
     makespan = engine.run()
+    fault_stats = engine.fault_stats()
 
-    if n:
-        # All summary statistics are order-invariant (percentiles, means,
-        # threshold counts), so they are computed straight off the
-        # engine's per-tenant contiguous latency buffers (grouped by
-        # tenant, arrival-ordered within each) and the scalar wait
-        # accumulators folded in at dispatch time.
+    # All summary statistics are order-invariant (percentiles, means,
+    # threshold counts), so they are computed straight off the engine's
+    # per-tenant contiguous latency buffers (grouped by tenant,
+    # arrival-ordered within each) and its wait sums.
+    done = sum(lat.size for lat in engine.lat_t)
+    if done:
         latencies = np.concatenate(engine.lat_t)
         p50, p95, p99 = np.percentile(latencies, [50, 95, 99])
         mean_latency = float(latencies.mean())
-        mean_queue = (sum(engine.disp_sum) - sum(engine.arr_sum)) / n
-        mean_formation = engine.form_sum / n
-        mean_service = engine.serv_sum / n
+        mean_queue = (sum(engine.disp_sum) - sum(engine.arr_sum)) / done
+        mean_formation = engine.form_sum / done
+        mean_service = engine.serv_sum / done
     else:
         latencies = np.empty(0)
         p50 = p95 = p99 = 0.0
@@ -1037,11 +1532,11 @@ def simulate_fleet(
 
     return FleetReport(
         policy=f"mixed({len(tenants)} tenants)",
-        router="earliest-finish",
-        n_requests=n,
+        router=router.name,
+        n_requests=len(columns),
         arrival_rate=arrival_rate,
         makespan=makespan,
-        throughput=n / makespan if makespan > 0 else 0.0,
+        throughput=done / makespan if makespan > 0 else 0.0,
         mean_latency=mean_latency,
         p50_latency=float(p50),
         p95_latency=float(p95),
@@ -1050,7 +1545,12 @@ def simulate_fleet(
         mean_formation_wait=mean_formation,
         mean_service_time=mean_service,
         group_stats=_group_stats(engine, makespan),
-        tenant_stats=_tenant_stats(engine, makespan),
+        tenant_stats=_tenant_stats(
+            engine.tenants, engine.lat_t,
+            [(d - a) / lat.size if lat.size else 0.0
+             for d, a, lat in zip(engine.disp_sum, engine.arr_sum, engine.lat_t)],
+            makespan),
         scaling_events=tuple(engine.scaling),
         latencies=latencies,
+        fault_stats=fault_stats,
     )

@@ -119,8 +119,8 @@ class AdaptiveSLOPolicy(BatchingPolicy):
         self.safety = safety
         self.name = f"adaptive(slo={slo:g}s)"
         # Memoized drain batch per (cost model, device). Keyed weakly by
-        # the *underlying* cost model — the simulator hands ``decide`` a
-        # per-run slot wrapper, so keying on the argument itself would
+        # the *underlying* cost model — the engine hands ``decide`` a
+        # per-run group wrapper, so keying on the argument itself would
         # rebuild the memo every simulation — while still dying with the
         # model so a reused policy never applies a stale curve's optimum.
         self._drain_batch: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -156,8 +156,8 @@ class AdaptiveSLOPolicy(BatchingPolicy):
     def _throughput_optimal(self, device: str, cost) -> int:
         from repro.serving.costmodel import throughput_optimal_batch
 
-        # Unwrap per-run slot adapters (they expose `underlying` and map
-        # slot labels to device model names) so the memo keys on the cost
+        # Unwrap per-run group adapters (they expose `underlying` and map
+        # group labels to device model names) so the memo keys on the cost
         # model and the device — both stable across simulations.
         base = getattr(cost, "underlying", cost)
         key = cost.device_name(device) if hasattr(cost, "device_name") else device

@@ -178,19 +178,21 @@ def fleet_summary(report) -> str:
     """Full ``mmbench serve --fleet`` report: tenants, groups, scaling.
 
     ``report`` is a :class:`~repro.serving.fleet.FleetReport`; the
-    tenant table is shared with the classic mixed report (both expose
-    ``tenant_stats``).
+    tenant and fault tables are shared with the classic mixed report
+    (both expose ``tenant_stats`` and ``fault_stats``).
     """
     rate = ("closed batch (all at t=0)" if report.arrival_rate is None
             else f"~{report.arrival_rate:g} req/s aggregate")
     total_replicas = sum(s.peak_replicas for s in report.group_stats.values())
+    shed = (f" + {report.fault_stats.shed:,} shed"
+            if report.fault_stats is not None else "")
     lines = [
         f"fleet serving: {report.n_requests:,} requests over "
         f"{len(report.tenant_stats)} tenants, {rate}, "
         f"{len(report.group_stats)} groups / {total_replicas} replicas (peak)",
         f"makespan {format_seconds(report.makespan)}, "
         f"{report.throughput:,.0f} req/s served; "
-        f"{report.completed:,} completed = {report.n_requests:,} "
+        f"{report.completed:,} completed{shed} = {report.n_requests:,} "
         f"issued (conserved)",
         "",
         format_tenant_breakdown(report),
@@ -224,6 +226,8 @@ def fleet_summary(report) -> str:
                 f"{e.group} {e.before}->{e.after} @ {format_seconds(e.time)}"
                 for e in report.scaling_events[-3:]),
         ]
+    if report.fault_stats is not None:
+        lines += ["", format_fault_stats(report)]
     return "\n".join(lines)
 
 

@@ -40,6 +40,31 @@ def is_finite_number(value) -> bool:
             and math.isfinite(value))
 
 
+def check_arrivals(arrivals) -> np.ndarray:
+    """Arrival times as a float64 column, or ``ValueError`` naming the
+    first bad index.
+
+    Every arrival must be a real number (not a bool or a numeric
+    string), finite and non-negative: a NaN, an infinity or a negative
+    time cannot be placed on the event clock.
+    """
+    if isinstance(arrivals, np.ndarray) and arrivals.dtype.kind in "fiu":
+        column = arrivals.astype(np.float64, copy=False)
+    else:
+        values = list(arrivals)
+        for i, value in enumerate(values):
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(
+                    f"request arrival [{i}] must be a number, got {value!r}")
+        column = np.array(values, dtype=np.float64)
+    bad = np.flatnonzero(~(column >= 0.0) | ~np.isfinite(column))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"request arrival [{i}] must be finite and "
+                         f"non-negative, got {float(column[i])!r}")
+    return column
+
+
 @dataclass(slots=True)
 class Request:
     """One inference task; timing fields are filled in by the simulator."""
@@ -105,9 +130,9 @@ class RequestColumns:
 
     The columnar twin of a ``list[Request]``: ``arrivals`` is sorted
     ascending, ``codes[i]`` indexes ``tenants`` for request ``i``. The
-    fleet simulator (:mod:`repro.serving.fleet`) consumes the columns
-    directly; the classic per-request loop materializes objects via
-    :meth:`to_requests`.
+    serving engine (:mod:`repro.serving.fleet`) consumes the columns
+    directly; :meth:`to_requests` materializes request objects for
+    callers that want them.
     """
 
     arrivals: np.ndarray  # float64, sorted ascending
@@ -129,12 +154,8 @@ class RequestColumns:
         return int(self.arrivals.size)
 
     def to_requests(self) -> list[Request]:
-        """Materialize the stream as simulator ``Request`` objects.
-
-        A thin adapter for the classic per-request event loop; one
-        ``tolist`` per column instead of a per-attribute numpy indexing
-        loop.
-        """
+        """Materialize the stream as ``Request`` objects (one ``tolist``
+        per column instead of a per-attribute numpy indexing loop)."""
         names = list(self.tenants)
         return [
             Request(index=i, arrival=arrival, tenant=names[code])

@@ -14,10 +14,10 @@ class RouterScaleError(RuntimeError):
     """The per-request router was asked to rank a fleet-sized slot pool.
 
     Ranking is O(idle · cost-model calls) per offer; past a few hundred
-    idle slots the classic event loop degrades quadratically. The fix is
-    to group homogeneous replicas and simulate with
-    :func:`repro.serving.fleet.simulate_fleet`, which routes per *group*
-    instead of per slot.
+    idle slots (each a one-replica group in ``simulate_mixed``) the event
+    loop degrades quadratically. The fix is to group homogeneous
+    replicas and simulate with :func:`repro.serving.fleet.simulate_fleet`,
+    which routes per *group* instead of per slot.
     """
 
 
@@ -87,9 +87,9 @@ class EarliestFinishRouter(Router):
     can raise it per instance or per call (``rank(..., probe_cap=...)``).
 
     ``max_idle`` is a scale guard: ranking is a per-offer sort with one
-    cost-model call per idle slot, so a fleet-sized pool (hundreds of
-    replicas) turns the classic event loop quadratic. Exceeding it raises
-    :class:`RouterScaleError` pointing at the fleet simulator instead of
+    cost-model call per idle slot, so a fleet-sized pool of slots
+    (hundreds of replicas) turns the event loop quadratic. Exceeding it
+    raises :class:`RouterScaleError` pointing at device groups instead of
     silently crawling.
     """
 

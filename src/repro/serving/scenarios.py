@@ -187,11 +187,12 @@ def scenario_columns(
 ) -> RequestColumns:
     """Generate a scenario's request stream as columnar arrays.
 
-    This is the fast path: the fleet simulator consumes the columns
+    This is the fast path: the serving engine consumes the columns
     directly, and the sort is a no-op for the generators that already
     emit non-decreasing arrivals (everything but ``bursty``'s ties is a
     cumulative sum). :func:`scenario_requests` materializes the same
-    stream as ``Request`` objects for the classic loop.
+    stream as ``Request`` objects, e.g. to replay through
+    ``simulate_mixed(requests=...)``.
     """
     if n_requests < 0:
         raise ValueError(f"n_requests must be non-negative, got {n_requests}")

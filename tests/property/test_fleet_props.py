@@ -1,10 +1,13 @@
 """Fleet-simulator invariants under randomized configurations.
 
-The anchor property: **completions are conserved**. Whatever the random
-combination of groups, pools, autoscale policy, fault windows and
-policy mix, every issued request completes exactly once — scale-in
-drains, group downs reroute, and the report's accounting (per-group
-requests, per-tenant requests) sums back to the stream.
+The anchor property: **requests are conserved**. Whatever the random
+combination of groups, pools, autoscale policy, fault timeline (down
+windows and transient stalls), retry deadline and policy mix, every
+issued request either completes exactly once or is shed — scale-in
+drains, group downs abort and retry, and the report's accounting
+(per-group requests, per-tenant requests) sums back to the completions.
+Without a deadline nothing is shed: each group goes down at most once,
+so no request exceeds the default three retries.
 """
 
 from __future__ import annotations
@@ -16,11 +19,13 @@ from repro.serving import (
     AutoscalePolicy,
     DeviceGroup,
     FixedBatchPolicy,
+    RetryPolicy,
     TenantSpec,
     TimeoutBatchPolicy,
     simulate_fleet,
 )
-from repro.serving.faults import DeviceDown, DeviceRecover, FaultPlan
+from repro.serving.faults import (DeviceDown, DeviceRecover, FaultPlan,
+                                  TransientStall)
 
 DEVICES = ("2080ti", "orin", "nano")
 SPEED = {"2080ti": 1.0, "orin": 1.7, "nano": 3.0}
@@ -71,8 +76,9 @@ def random_autoscale(rng):
 
 def random_faults(rng, groups, horizon):
     # Down/recover windows for a strict subset of groups (at least one
-    # group must stay up or the plan validator rejects it).
-    if len(groups) < 2 or rng.random() < 0.5:
+    # group must stay up or the plan validator rejects it), and transient
+    # stalls on any group.
+    if rng.random() < 0.4:
         return None
     events = []
     for group in groups[1:]:
@@ -82,6 +88,11 @@ def random_faults(rng, groups, horizon):
         end = start + float(rng.uniform(0.05, horizon * 0.3))
         events.append(DeviceDown(time=start, device=group.device))
         events.append(DeviceRecover(time=end, device=group.device))
+    for group in groups:
+        if rng.random() < 0.5:
+            events.append(TransientStall(
+                time=float(rng.uniform(0.0, horizon)), device=group.device,
+                duration=float(rng.uniform(0.001, horizon * 0.1))))
     return FaultPlan(events=tuple(events)) if events else None
 
 
@@ -98,19 +109,28 @@ def test_completions_conserved_across_random_autoscale_timelines():
         n = int(rng.integers(500, 4_000))
         rate = float(rng.uniform(200.0, 3_000.0))
         horizon = n / rate
+        retry = (RetryPolicy(deadline=float(rng.uniform(0.002, 0.02)))
+                 if rng.random() < 0.3 else None)
         report = simulate_fleet(
             tenants, groups, n_requests=n, arrival_rate=rate,
             seed=int(rng.integers(0, 1_000)),
             autoscale=random_autoscale(rng),
-            faults=random_faults(rng, groups, horizon),
+            faults=random_faults(rng, groups, horizon), retry=retry,
             hop_bytes=float(rng.choice([0.0, 1e5, 1e6])),
         )
         context = f"trial {trial}"
-        assert report.completed == n, context
-        assert sum(s.requests for s in report.group_stats.values()) == n, context
-        assert sum(s.n_requests for s in report.tenant_stats.values()) == n, context
+        fs = report.fault_stats
+        shed = fs.shed if fs is not None else 0
+        assert report.completed + shed == report.n_requests == n, context
+        if fs is not None:
+            assert fs.completed + fs.shed == fs.issued == n, context
+        if retry is None:
+            assert report.completed == n, context
+        done = report.completed
+        assert sum(s.requests for s in report.group_stats.values()) == done, context
+        assert sum(s.n_requests for s in report.tenant_stats.values()) == done, context
         assert np.isfinite(report.makespan), context
-        assert report.latencies.size == n, context
+        assert report.latencies.size == done, context
         assert float(report.latencies.min(initial=np.inf)) >= 0.0 or n == 0, context
         # Scaling actions always respect the provisioned pool and the floor.
         for event in report.scaling_events:

@@ -11,7 +11,11 @@ make the same decisions at the same instants. Tests swap this copy in
 with ``monkeypatch.setattr(fleet, "_FleetEngine", fleet_oracle._FleetEngine)``
 and compare the reports field by field.
 
-Keep this copy frozen: it is a specification, not shared code.
+Keep this copy frozen: it is a specification, not shared code. Only its
+call signature and :meth:`_FleetEngine.fault_stats` follow the
+production engine's interface. It predates fault handling beyond
+throttles (a down group drains, a stall is rejected), so it serves as a
+reference for runs without downs or stalls only.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.hw.transfer import h2d_time
-from repro.serving.faults import FaultPlan
+from repro.serving.faults import FaultPlan, FaultRuntime, RetryPolicy
 from repro.serving.fleet import (
     AutoscalePolicy,
     DeviceGroup,
@@ -143,12 +147,14 @@ class _FleetEngine:
                  groups: Sequence[DeviceGroup], columns,
                  autoscale: AutoscalePolicy | None,
                  faults: FaultPlan | None,
-                 hop_bytes: float, probe_cap: int):
+                 hop_bytes: float, router, retry=None):
         self.tenants = list(tenants)
         self.groups = list(groups)
         self.autoscale = autoscale
         self.hop_bytes = float(hop_bytes)
-        self.probe_cap = int(probe_cap)
+        # This engine ranks groups inline, earliest-finish only.
+        probe_cap = self.probe_cap = int(router.probe_cap)
+        self.faults = faults
 
         n = len(columns)
         self.n = n
@@ -510,3 +516,16 @@ class _FleetEngine:
             self.occ_int[g] += self.act[g] * (self.makespan - self.occ_last[g])
             self.occ_last[g] = self.makespan
         return self.makespan
+
+    def fault_stats(self):
+        """The report's fault accounting. This engine predates it; with
+        only throttle edges to apply nothing is aborted, retried or shed,
+        so the stats follow from the plan and the run's length."""
+        if self.faults is None:
+            return None
+        runtime = FaultRuntime(self.faults, RetryPolicy(), self.gdev,
+                               {d: d for d in self.gdev})
+        return runtime.build_stats(
+            self.makespan, self.n,
+            {spec.name: (spec.degraded, spec.slo) for spec in self.tenants},
+            {}, {})

@@ -260,16 +260,36 @@ class TestServeFleetCommand:
         assert code == 2
         assert "autoscale" in capsys.readouterr().err
 
-    def test_fleet_rejects_stall_scenarios(self, capsys):
+    def test_fleet_runs_stall_scenarios(self, capsys):
         code = main(["serve", "--fleet", "--groups", "2080ti:2,nano:2",
-                     "--workloads", "avmnist", "--n-requests", "100",
-                     "--arrival-rate", "500", "--faults", "flaky-device"])
-        assert code == 2
-        assert "stall" in capsys.readouterr().err
+                     "--workloads", "avmnist", "--n-requests", "400",
+                     "--arrival-rate", "500", "--faults", "flaky-device",
+                     "--retry-max", "5", "--request-deadline", "0.5"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "shed = 400 issued (conserved)" in out
+        assert "stalled" in out and "Per-device fault windows" in out
 
-    def test_fleet_rejects_round_robin_router(self, capsys):
-        code = main(["serve", "--fleet", "--groups", "2080ti:2",
-                     "--workloads", "avmnist", "--n-requests", "100",
+    def test_fleet_runs_round_robin_router(self, capsys):
+        code = main(["serve", "--fleet", "--groups", "2080ti:2,nano:2",
+                     "--workloads", "avmnist", "--n-requests", "400",
+                     "--arrival-rate", "2000", "--policy", "fixed",
                      "--router", "round-robin"])
+        out = capsys.readouterr().out
+        assert code == 0
+        # Round-robin rotates through the groups regardless of speed, so
+        # the slow group serves a large share (earliest-finish sends it
+        # under a tenth of this stream).
+        requests = {cells[0]: int(cells[4]) for cells in (
+            [c.strip() for c in line.split("|")] for line in out.splitlines())
+            if cells[0] in ("2080ti", "nano")}
+        assert requests["nano"] > 100 and sum(requests.values()) == 400
+
+    def test_fleet_rejects_bad_retry_flags(self, capsys):
+        code = main(["serve", "--fleet", "--groups", "2080ti:2,nano:2",
+                     "--workloads", "avmnist", "--faults", "single-failure",
+                     "--arrival-rate", "1500", "--n-requests", "2000",
+                     "--retry-max", "-1", "--retry-backoff", "nan"])
         assert code == 2
-        assert "router" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "--retry-max must be non-negative, got -1\n")

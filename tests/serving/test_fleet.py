@@ -1,12 +1,13 @@
 """Fleet simulator: classic-parity differential, autoscaling, faults, hops.
 
-The tier-1 anchor is the differential suite: with autoscaling off, no
-faults and no hop costs, :func:`simulate_fleet` on homogeneous device
-groups must reproduce the classic per-slot simulator (earliest-finish
-router, same devices) to 1e-9 — completions, latency percentiles,
-per-tenant SLO attainment, the lot. The fleet loop visits a subset of
-the classic loop's event times but makes identical dispatch decisions
-at identical instants.
+The tier-1 anchor is the differential suite: with autoscaling off and no
+hop costs, :func:`simulate_fleet` on homogeneous device groups must
+reproduce :func:`simulate_mixed` on the groups' expansion into slots
+(earliest-finish router) to 1e-9 — completions, latency percentiles,
+per-tenant SLO attainment, the lot — with no faults and under chaos
+plans of downs, recoveries and stalls. Both run the one serving engine;
+the classic entry point gives every slot its own one-replica group, so
+the pair pins that a group behaves like its slots.
 """
 
 from __future__ import annotations
@@ -74,13 +75,14 @@ def analytic_tenants(policy_factory):
 
 
 def assert_matches_classic(tenants_fleet, tenants_classic, groups, devices,
-                           n_requests, arrival_rate, seed, scenario="uniform"):
+                           n_requests, arrival_rate, seed, scenario="uniform",
+                           faults=None):
     fleet = simulate_fleet(tenants_fleet, groups, n_requests=n_requests,
                            arrival_rate=arrival_rate, scenario=scenario,
-                           seed=seed)
+                           seed=seed, faults=faults)
     classic = simulate_mixed(tenants_classic, devices=devices,
                              n_requests=n_requests, arrival_rate=arrival_rate,
-                             scenario=scenario, seed=seed,
+                             scenario=scenario, seed=seed, faults=faults,
                              router=EarliestFinishRouter())
     assert fleet.n_requests == classic.n_requests
     for attr in REPORT_ATTRS:
@@ -141,6 +143,39 @@ def test_differential_heavy_head_scenario():
         scenario="heavy-head")
 
 
+# -- tier-1 differential under faults: a group is its slots ---------------------------------------
+
+
+FAULT_SETUPS = {
+    "one-replica": ((DeviceGroup("2080ti", 1), DeviceGroup("orin", 1),
+                     DeviceGroup("nano", 1)), ("2080ti", "orin", "nano")),
+    # At most ten replicas per group, so slot labels sort in replica order.
+    "multi-replica": ((DeviceGroup("2080ti", 3), DeviceGroup("nano", 2)),
+                      ("2080ti",) * 3 + ("nano",) * 2),
+}
+
+
+@pytest.mark.parametrize("chaos", ["single-failure", "rolling-restart",
+                                   "flaky-device"])
+@pytest.mark.parametrize("setup", list(FAULT_SETUPS))
+def test_differential_under_faults(setup, chaos):
+    groups, devices = FAULT_SETUPS[setup]
+    n, rate = 3_000, 1_400.0
+    # The plan names bare devices: each group in the fleet run, every
+    # slot of that device in the classic one.
+    plan = chaos_plan(chaos, tuple(g.device for g in groups), n / rate, seed=5)
+    tenants = lambda: analytic_tenants(lambda: AdaptiveSLOPolicy(0.05))  # noqa: E731
+    fleet, classic = assert_matches_classic(
+        tenants(), tenants(), groups=groups, devices=devices, n_requests=n,
+        arrival_rate=rate, seed=5, faults=plan)
+    got, ref = fleet.fault_stats, classic.fault_stats
+    assert (got.completed, got.shed, got.retries) == (
+        ref.completed, ref.shed, ref.retries)
+    assert got.retries > 0 or chaos == "flaky-device"
+    if chaos == "flaky-device":
+        assert any(d.stall_time > 0 for d in got.devices.values())
+
+
 # -- config parsing and validation ----------------------------------------------------------------
 
 
@@ -172,13 +207,21 @@ def test_duplicate_group_devices_rejected():
                        n_requests=10, arrival_rate=100.0)
 
 
-def test_stall_fault_plans_rejected():
+def test_group_stall_freezes_every_replica():
+    # A stall is a group-level event: both replicas freeze, so the run's
+    # latencies grow and the stall is accounted once per replica.
     plan = FaultPlan(events=(TransientStall(time=0.1, device="2080ti",
                                             duration=0.05),))
-    with pytest.raises(FleetConfigError, match="stall"):
-        simulate_fleet(analytic_tenants(lambda: FixedBatchPolicy(4)),
-                       (DeviceGroup("2080ti", 2),),
-                       n_requests=100, arrival_rate=100.0, faults=plan)
+    clean = simulate_fleet(analytic_tenants(lambda: FixedBatchPolicy(4)),
+                           (DeviceGroup("2080ti", 2),),
+                           n_requests=400, arrival_rate=1_000.0)
+    stalled = simulate_fleet(analytic_tenants(lambda: FixedBatchPolicy(4)),
+                             (DeviceGroup("2080ti", 2),),
+                             n_requests=400, arrival_rate=1_000.0, faults=plan)
+    fs = stalled.fault_stats
+    assert fs.completed == fs.issued == 400 and fs.shed == 0
+    assert fs.devices["2080ti"].stall_time == pytest.approx(2 * 0.05)
+    assert stalled.p99_latency > clean.p99_latency
 
 
 def test_columns_tenant_mismatch_rejected():
@@ -379,7 +422,8 @@ def test_engine_holds_no_per_request_objects():
 
     tracemalloc.start()
     try:
-        fleet._FleetEngine(warm, groups, columns, None, None, 0.0, 128).run()
+        fleet._FleetEngine(warm, groups, columns, None, None, 0.0,
+                           EarliestFinishRouter()).run()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

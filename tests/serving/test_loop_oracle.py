@@ -1,11 +1,13 @@
-"""The classic event loop against its per-arrival oracle.
+"""The classic entry points on the serving engine against the old simulator.
 
-The production loop (:func:`repro.serving.simulator._run_event_loop`)
-visits an arrival only while some slot is idle; ``tests/serving/oracle.py``
-keeps the loop that visits every arrival. Both must make the same
-decisions at the same instants, so every configuration below must give
-repr-identical per-request timings, device stats, fault stats and
-fine-tune stats. The last test pins why the production loop skips
+:func:`repro.serving.simulator._run_event_loop` runs the fleet engine on
+one-replica groups, one per slot, and visits an arrival only while some
+replica is idle; ``tests/serving/oracle.py`` keeps the classic simulator it
+replaced, with the heap loop that visits every arrival, ``Request``
+objects in per-tenant queues and the per-slot fault hooks. Both must
+make the same decisions at the same instants, so every configuration
+below must give repr-identical per-request timings, device stats, fault
+stats and fine-tune stats. The last test pins why the engine skips
 arrivals: on a saturated run, its heap work scales with its decisions,
 not with its arrivals.
 """
@@ -79,7 +81,7 @@ def observed(report) -> str:
 
 
 def both_loops(monkeypatch, run):
-    """(production loop's run, oracle loop's run) of the same call."""
+    """(engine run, oracle run) of the same call."""
     fast = run()
     with monkeypatch.context() as patched:
         patched.setattr(simulator, "_run_event_loop", oracle._run_event_loop)
@@ -193,8 +195,8 @@ def test_loop_work_scales_with_decisions_not_arrivals(monkeypatch):
     """A saturated serve-mixed-shaped run: 1,500 requests, nine tenants.
 
     The per-arrival loop pops ~1,550 events here for ~50 decisions; the
-    production loop pops one per free, fault, retry or wakeup event plus
-    the few arrivals that land on an idle slot.
+    engine pops one idle replica and one completion per batch, one entry
+    per retry or wakeup, and the few arrivals that land on an idle slot.
     """
     devices = ("2080ti", "2080ti", "orin", "nano")
     n, rate = 1_500, 100_000.0

@@ -11,6 +11,7 @@ the module's own error: :class:`FaultPlanError` for plan fields,
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.cli import main
@@ -31,7 +32,7 @@ from repro.serving import (
     simulate_fleet,
     simulate_mixed,
 )
-from repro.serving.request import poisson_arrivals
+from repro.serving.request import Request, RequestColumns, poisson_arrivals
 from repro.serving.scenarios import scenario_columns
 
 
@@ -134,6 +135,39 @@ class TestArrivalRate:
         assert code == 2
         assert "--arrival-rate must be positive and finite" in (
             capsys.readouterr().err)
+
+
+class TestRequestStreams:
+    """Caller-supplied arrivals are checked where they enter the engine;
+    the error names the first bad request by its position."""
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, "0.5", None,
+                                     True],
+                             ids=["negative", "nan", "inf", "string", "none",
+                                  "bool"])
+    def test_simulate_mixed_request_list(self, bad):
+        requests = [Request(0, 0.0, "x"), Request(1, 0.001, "y"),
+                    Request(2, bad, "x"), Request(3, 0.003, "y")]
+        with pytest.raises(ValueError, match=r"request arrival \[2\]"):
+            simulate_mixed(tenants(), devices=("a",), requests=requests)
+
+    def test_unsorted_request_list_still_sorted(self):
+        requests = [Request(0, 0.002, "x"), Request(1, 0.0, "y"),
+                    Request(2, 0.001, "x")]
+        report = simulate_mixed(tenants(), devices=("a",), requests=requests)
+        assert [r.index for r in report.requests] == [1, 2, 0]
+
+    @pytest.mark.parametrize("position", [0, 3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0],
+                             ids=["nan", "inf", "negative"])
+    def test_simulate_fleet_columns(self, position, bad):
+        arrivals = np.linspace(0.0, 0.01, 6)
+        arrivals[position] = bad
+        columns = RequestColumns(arrivals, np.array([0, 1, 0, 1, 0, 1]),
+                                 ("x", "y"))
+        with pytest.raises(ValueError,
+                           match=rf"request arrival \[{position}\]"):
+            simulate_fleet(tenants(), parse_groups("a:2"), columns=columns)
 
 
 class TestPolicies:

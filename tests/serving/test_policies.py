@@ -15,7 +15,7 @@ from repro.serving import (
     simulate,
 )
 from repro.serving.policies import _wake_after
-from repro.serving.simulator import _SlotCost
+from repro.serving.fleet import _GroupCost
 
 
 def affine(k: int) -> float:
@@ -155,7 +155,7 @@ class TestWakeAfter:
 
 class TestDrainMemo:
     """The drain-batch memo must key on the underlying cost model, not on
-    the per-run slot wrapper the simulator hands to ``decide``."""
+    the per-run group wrapper the engine hands to ``decide``."""
 
     class CountingCost:
         def __init__(self):
@@ -169,11 +169,11 @@ class TestDrainMemo:
         cost = self.CountingCost()
         policy = AdaptiveSLOPolicy(slo=1e-6, max_batch=512)  # always drains
         # Two simulations build two distinct wrappers over the same model.
-        first = _SlotCost(cost, {"slot": "dev"})
+        first = _GroupCost(cost, {"slot": "dev"})
         policy.decide(0.0, 1_000, 1.0, "slot", first)
         probes = cost.calls
         assert probes > 2  # the ladder search ran once
-        second = _SlotCost(cost, {"slot": "dev"})
+        second = _GroupCost(cost, {"slot": "dev"})
         policy.decide(0.0, 1_000, 1.0, "slot", second)
         # Only decide's own headroom probe (latency at k=1) runs again;
         # the ladder search is a memo hit despite the fresh wrapper.
@@ -182,19 +182,19 @@ class TestDrainMemo:
     def test_memo_keys_on_device_not_slot_label(self):
         cost = self.CountingCost()
         policy = AdaptiveSLOPolicy(slo=1e-6, max_batch=512)
-        policy.decide(0.0, 1_000, 1.0, "dev#0", _SlotCost(cost, {"dev#0": "dev"}))
+        policy.decide(0.0, 1_000, 1.0, "dev#0", _GroupCost(cost, {"dev#0": "dev"}))
         probes = cost.calls
         # A different slot label over the same device model: still a memo
         # hit (only the per-decide headroom probe runs).
-        policy.decide(0.0, 1_000, 1.0, "dev#3", _SlotCost(cost, {"dev#3": "dev"}))
+        policy.decide(0.0, 1_000, 1.0, "dev#3", _GroupCost(cost, {"dev#3": "dev"}))
         assert cost.calls == probes + 1
 
     def test_distinct_models_keep_distinct_optima(self):
         policy = AdaptiveSLOPolicy(slo=1e-6, max_batch=512)
         cost_a = CallableCostModel(lambda k: 1e-3 + 1e-6 * k * k)  # optimum ~32
         cost_b = CallableCostModel(lambda k: 1e-3 + 1e-8 * k * k)  # optimum ~256
-        a = policy.decide(0.0, 10_000, 1.0, "d", _SlotCost(cost_a, {}))
-        b = policy.decide(0.0, 10_000, 1.0, "d", _SlotCost(cost_b, {}))
+        a = policy.decide(0.0, 10_000, 1.0, "d", _GroupCost(cost_a, {}))
+        b = policy.decide(0.0, 10_000, 1.0, "d", _GroupCost(cost_b, {}))
         assert (a, b) == (32, 256)
 
     def test_profiled_stats_flat_across_simulations(self):
