@@ -2,8 +2,8 @@
 
 Measures the tentpole of the columnar execution path: for each registry
 workload it captures one meta-backend trace at batch 64, prices it with
-the scalar reference engine (:mod:`repro.hw.reference`, one Python call
-chain per kernel event) and with the vectorized
+the scalar reference engine (the twin in ``tests/hw/reference.py``, one
+Python call chain per kernel event) and with the vectorized
 :class:`~repro.hw.engine.ExecutionEngine` (numpy over
 :class:`~repro.trace.columns.TraceColumns`), checks the two totals agree
 to 1e-9, and reports the speedup. A second section times the one-pass
@@ -33,15 +33,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
-from repro.hw.device import get_device
-from repro.hw.engine import ExecutionEngine
-from repro.hw.reference import ScalarExecutionEngine
-from repro.profiling.profiler import price_grid
-from repro.trace.store import TraceStore
-from repro.workloads.registry import list_workloads
+# The scalar twin is a test module: put the repo root (and its sources) on
+# the path so the script runs from a checkout.
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from repro.hw.device import get_device  # noqa: E402
+from repro.hw.engine import ExecutionEngine  # noqa: E402
+from repro.profiling.profiler import price_grid  # noqa: E402
+from repro.trace.store import TraceStore  # noqa: E402
+from repro.workloads.registry import list_workloads  # noqa: E402
+from tests.hw.reference import ScalarExecutionEngine  # noqa: E402
 
 GRID_DEVICES = ("2080ti", "orin", "nano")
 GRID_BATCHES = (1, 8, 64)

@@ -19,11 +19,11 @@ import pytest
 from benchmarks.conftest import print_table
 from repro.data.synthetic import random_batch
 from repro.hw.device import get_device
-from repro.hw.latency import kernel_latency
 from repro.profiling.profiler import MMBenchProfiler
 from repro.trace.events import KernelCategory, KernelEvent
 from repro.trace.tracer import Trace
 from repro.workloads.registry import get_workload
+from tests.hw.reference import kernel_latency
 
 
 def _clone_kernel(k: KernelEvent, **overrides) -> KernelEvent:

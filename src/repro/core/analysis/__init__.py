@@ -8,7 +8,6 @@ from repro.core.analysis.batchsize import (
 )
 from repro.core.analysis.concurrency import (
     ConcurrencyAnalysis,
-    analytic_concurrency,
     analyze_concurrency,
     concurrency_study,
 )
@@ -52,8 +51,7 @@ from repro.core.analysis.synchronization import (
 )
 
 __all__ = [
-    "ConcurrencyAnalysis", "analytic_concurrency", "analyze_concurrency",
-    "concurrency_study",
+    "ConcurrencyAnalysis", "analyze_concurrency", "concurrency_study",
     "RobustnessReport", "robustness_analysis",
     "best_batch_for_slo", "policy_study", "serving_sweep",
     "BatchSizeResult", "batch_size_study", "peak_memory_study", "speedup_factor",

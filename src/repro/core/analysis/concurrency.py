@@ -10,10 +10,9 @@ execution" (MuJoCo Push, whose image encoder is a 4.09x straggler).
 :func:`analyze_concurrency` derives those quantities from a *simulated
 schedule*: :mod:`repro.hw.streams` executes the one-stream-per-modality
 timeline on an equal-share device partition, and the idle-resource
-geometry is read off the per-stream busy/idle windows. The closed-form
-max/sum shortcut the module originally used is kept as
-:func:`analytic_concurrency`; a tier-1 test pins the two to each other on
-every multi-modal workload.
+geometry is read off the per-stream busy/idle windows. A tier-1 test pins
+the result to the closed-form max/sum shortcut over per-modality encoder
+times on every multi-modal workload.
 """
 
 from __future__ import annotations
@@ -40,44 +39,6 @@ class ConcurrencyAnalysis:
     # (covering (M-1)/M of the resources) have already finished.
     idle_window_fraction: float
     idle_stream_share: float  # (M-1)/M — the "75% of resources" in the paper
-
-
-def analytic_concurrency(times: dict[str, float]) -> ConcurrencyAnalysis:
-    """The closed-form max/sum shortcut over per-modality encoder times.
-
-    Kept as the reference the schedule-derived :func:`analyze_concurrency`
-    is differentially tested against.
-    """
-    if len(times) < 2:
-        raise ValueError("concurrency analysis needs a multi-modal report")
-    straggler = max(times, key=times.get)
-    t_max = times[straggler]
-    t_min = min(times.values())
-    serial = sum(times.values())
-    m = len(times)
-
-    # Idle area: each of the m equal resource shares is busy for its
-    # modality's time and idle until the straggler finishes.
-    idle_area = sum(t_max - t for t in times.values())
-    idle_fraction = idle_area / (m * t_max) if t_max > 0 else 0.0
-
-    # The paper's phrasing: the other (m-1) streams go idle once their own
-    # work finishes; on average that happens after mean(non-straggler time).
-    others = [t for name, t in times.items() if name != straggler]
-    mean_other = sum(others) / len(others)
-    idle_window = 1.0 - (mean_other / t_max) if t_max > 0 else 0.0
-
-    return ConcurrencyAnalysis(
-        modality_times=times,
-        straggler=straggler,
-        straggler_ratio=t_max / t_min if t_min > 0 else float("inf"),
-        serial_encoder_time=serial,
-        concurrent_encoder_time=t_max,
-        concurrency_speedup=serial / t_max if t_max > 0 else 1.0,
-        idle_resource_fraction=idle_fraction,
-        idle_window_fraction=idle_window,
-        idle_stream_share=(m - 1) / m,
-    )
 
 
 def analyze_concurrency(report: ExecutionReport) -> ConcurrencyAnalysis:

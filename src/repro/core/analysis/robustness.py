@@ -101,17 +101,3 @@ def robustness_analysis(
         report.noise_sweep[sigma] = metric
 
     return report
-
-
-def degraded_mode_cost(workload: str, modality: str, **kwargs) -> float:
-    """Accuracy cost of serving ``workload`` with ``modality`` shed.
-
-    The bridge between the serving stack's graceful degradation
-    (:class:`repro.serving.faults.DegradedMode`) and this algorithm-level
-    analysis: runs :func:`robustness_analysis` (``kwargs`` forwarded, e.g.
-    ``epochs=2`` for a quick quote) and returns the signed metric change
-    of dropping the modality — the number a degraded-mode SLO decision
-    should weigh against the latency relief.
-    """
-    report = robustness_analysis(workload, **kwargs)
-    return report.degradation(modality)

@@ -4,24 +4,22 @@ The paper traces five microarchitectural metrics with ``nsight compute``
 (Sec. 4.3.1): DRAM utilization, achieved occupancy, IPC, global-load
 efficiency and global-store efficiency; its Figure-9 kernel deep dives add
 L1/L2 hit rates, fp32 op counts, DRAM read bytes and read transactions.
-This module derives each of those from the same underlying quantities the
-real counters measure.
+:func:`repro.hw.vectorized.derive_counters_batch` derives each of those
+from the same underlying quantities the real counters measure; this module
+holds the counter record and its per-category table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.hw.device import DeviceSpec
-from repro.hw.latency import LatencyBreakdown, kernel_latency
-from repro.trace.events import KernelCategory, KernelEvent
+from repro.trace.events import KernelCategory
 
 # Transaction size used to convert bytes to read transactions (32B sectors).
 _SECTOR_BYTES = 32.0
 
 # Issue-rate ceiling per kernel category: how close each category's
-# instruction mix gets to the scheduler's peak issue rate. Shared with the
-# vectorized counter model (see repro.hw.vectorized).
+# instruction mix gets to the scheduler's peak issue rate.
 _ISSUE_EFFICIENCY: dict[KernelCategory, float] = {
     KernelCategory.GEMM: 1.0,
     KernelCategory.CONV: 0.95,
@@ -51,87 +49,3 @@ class KernelCounters:
     fp32_ops: float
     dram_read_bytes: float
     read_transactions_per_second: float
-
-
-def derive_counters(
-    kernel: KernelEvent, device: DeviceSpec, latency: LatencyBreakdown | None = None
-) -> KernelCounters:
-    """Compute the counter set for ``kernel`` executed on ``device``."""
-    lat = latency or kernel_latency(kernel, device)
-    duration = lat.total
-
-    # DRAM utilization: the share of the kernel's lifetime the DRAM pipes
-    # are busy, scaled by how close the achieved bandwidth is to peak.
-    busy = lat.memory_time / duration if duration > 0 else 0.0
-    achieved_bw = lat.dram_bytes / duration if duration > 0 else 0.0
-    dram_util = min(1.0, busy * min(1.0, achieved_bw / max(device.dram_bandwidth, 1.0) * 4.0))
-
-    # IPC: issue rate scaled by compute-side business. Memory-bound kernels
-    # leave the schedulers idle waiting on loads.
-    compute_busy = lat.compute_time / duration if duration > 0 else 0.0
-    issue_efficiency = _ISSUE_EFFICIENCY[kernel.category]
-    ipc = device.issue_width * compute_busy * issue_efficiency
-    # Even pure copy kernels retire some instructions.
-    ipc = max(ipc, 0.08 * device.issue_width * min(1.0, busy + compute_busy))
-
-    # Load/store efficiency mirror the access pattern's coalescing.
-    gld = kernel.coalesced_fraction
-    gst = min(1.0, kernel.coalesced_fraction + 0.08)
-
-    # Cache hit rates follow data reuse; L1 captures a fixed fraction of
-    # what the L2 would otherwise serve.
-    reuse = max(kernel.reuse_factor, 1.0)
-    l2_hit = min(0.95, 1.0 - 1.0 / reuse)
-    small_working_set = kernel.bytes_read > 0 and kernel.bytes_read < device.l2_bytes
-    if small_working_set:
-        l2_hit = max(l2_hit, 0.60)
-    l1_hit = 0.45 * l2_hit
-    l2_read_hit = l2_hit
-    # Writes mostly allocate in L2 on modern parts.
-    l2_write_hit = min(0.98, l2_hit + 0.25)
-
-    dram_read = lat.dram_bytes - kernel.bytes_written
-    dram_read = max(dram_read, 0.0)
-    read_tps = (kernel.bytes_read / _SECTOR_BYTES) / duration if duration > 0 else 0.0
-
-    return KernelCounters(
-        duration=duration,
-        dram_utilization=dram_util,
-        achieved_occupancy=lat.occupancy,
-        ipc=ipc,
-        gld_efficiency=gld,
-        gst_efficiency=gst,
-        l1_hit_rate=l1_hit,
-        l2_hit_rate=l2_hit,
-        l2_read_hit_rate=l2_read_hit,
-        l2_write_hit_rate=l2_write_hit,
-        fp32_ops=kernel.flops,
-        dram_read_bytes=dram_read,
-        read_transactions_per_second=read_tps,
-    )
-
-
-def aggregate_counters(items: list[tuple[KernelCounters, float]]) -> dict[str, float]:
-    """Duration-weighted average of counters; items are (counters, weight).
-
-    This is how per-stage resource-usage numbers (Figure 7) are produced:
-    each kernel's counters are weighted by its share of the stage's time,
-    which is what a per-stage nsight summary reports.
-    """
-    total_w = sum(w for _, w in items)
-    if total_w <= 0:
-        return {}
-    fields = (
-        "dram_utilization",
-        "achieved_occupancy",
-        "ipc",
-        "gld_efficiency",
-        "gst_efficiency",
-        "l1_hit_rate",
-        "l2_hit_rate",
-    )
-    out = {f: sum(getattr(c, f) * w for c, w in items) / total_w for f in fields}
-    out["duration"] = total_w
-    out["fp32_ops"] = sum(c.fp32_ops for c, _ in items)
-    out["dram_read_bytes"] = sum(c.dram_read_bytes for c, _ in items)
-    return out

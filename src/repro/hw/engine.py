@@ -15,17 +15,18 @@ counter / stall models from :mod:`repro.hw.vectorized` over whole columns
 — a handful of numpy ops regardless of kernel count. Report aggregations
 (per-stage/modality/category times, duration-weighted counters and
 stalls, the kernel-size histogram) are ``np.bincount`` group-bys over the
-integer code columns. Per-kernel :class:`KernelExecution` records remain
-available for API compatibility but are materialized lazily, only when a
-consumer indexes into ``report.kernels``. The original one-event-at-a-time
-implementation is kept in :mod:`repro.hw.reference` and pinned to this one
-by a golden-equivalence test suite.
+integer code columns. Per-kernel :class:`KernelExecution` records are
+materialized lazily, only when a consumer indexes into ``report.kernels``.
+This is the package's only pricing code: a scalar twin that prices one
+event at a time lives in ``tests/hw/reference.py``, and a golden-equivalence
+test suite pins this engine to it.
 
 :meth:`ExecutionEngine.run_sweep` prices one trace on *many* devices in a
 single broadcasted pass — the device-model parameters become ``(D, 1)``
 columns and every kernel array broadcasts to ``(D, K)`` — which is what
 the batch-size / edge / heterogeneity analyses and the serving cost model
-fill their grids with.
+fill their grids with. :meth:`~ExecutionEngine.run` and ``run_sweep`` are
+two entry points over one pricing body.
 
 The timeline model is serialized: GPU kernels execute back-to-back and
 host work (launches, copies, data prep, syncs) adds to wall time. This is
@@ -164,7 +165,7 @@ class ExecutionReport:
             total=float(lat.total[i] * s) if s != 1.0 else float(lat.total[i]),
             compute_time=float(lat.compute_time[i] * s) if s != 1.0 else float(lat.compute_time[i]),
             memory_time=float(lat.memory_time[i] * s) if s != 1.0 else float(lat.memory_time[i]),
-            fixed_overhead=float(np.asarray(lat.fixed_overhead).reshape(-1)[0]),
+            fixed_overhead=float(lat.fixed_overhead),
             dram_bytes=float(lat.dram_bytes[i]),
             compute_utilization=float(lat.compute_utilization[i]),
             occupancy=float(lat.occupancy[i]),
@@ -218,25 +219,25 @@ class ExecutionReport:
 
     # -- group-by helpers ------------------------------------------------------
 
-    def _stage_groups(self) -> tuple[np.ndarray, np.ndarray]:
-        """(per-stage kernel counts, per-stage duration sums) over the table."""
-        cols = self.columns
-        n_stages = len(cols.stage_table)
-        counts = np.bincount(cols.stage_codes, minlength=n_stages)
-        sums = np.bincount(cols.stage_codes, weights=self.durations, minlength=n_stages)
-        return counts, sums
+    def _group_time(self, codes: np.ndarray, durations: np.ndarray,
+                    n_groups: int) -> dict[int, float]:
+        """Device time per group code, including per-kernel launch overhead.
+
+        ``{code: time}`` for every code that has kernels, in ascending code
+        order; ``durations`` is aligned with ``codes``.
+        """
+        counts = np.bincount(codes, minlength=n_groups)
+        sums = np.bincount(codes, weights=durations, minlength=n_groups)
+        overhead = self.device.kernel_launch_overhead * self.slowdown
+        return {int(c): float(sums[c] + counts[c] * overhead) for c in np.nonzero(counts)[0]}
 
     # -- per-stage aggregations (Figures 6, 7, 8) -------------------------------
 
     def stage_time(self) -> dict[str, float]:
         """Device time per stage, including per-kernel launch overhead."""
-        counts, sums = self._stage_groups()
-        overhead = self.device.kernel_launch_overhead * self.slowdown
-        return {
-            stage: float(sums[code] + counts[code] * overhead)
-            for code, stage in enumerate(self.columns.stage_table)
-            if counts[code]
-        }
+        cols = self.columns
+        times = self._group_time(cols.stage_codes, self.durations, len(cols.stage_table))
+        return {cols.stage_table[code]: t for code, t in times.items()}
 
     def stage_counters(self) -> dict[str, dict[str, float]]:
         """Duration-weighted counters per stage (Figure 7)."""
@@ -282,7 +283,7 @@ class ExecutionReport:
     def stage_stalls(self) -> dict[str, dict[str, float]]:
         """Duration-weighted stall breakdown per stage (Figure 15)."""
         cols = self.columns
-        counts, _ = self._stage_groups()
+        counts = np.bincount(cols.stage_codes, minlength=len(cols.stage_table))
         shares = self._weighted_stalls(cols.stage_codes, len(cols.stage_table))
         return {
             stage: {r: float(shares[code, j]) for j, r in enumerate(STALL_REASONS)}
@@ -327,16 +328,8 @@ class ExecutionReport:
         """Device time per pass (forward/loss/backward/optimizer),
         including per-kernel launch overhead. Inference traces report a
         single ``forward`` entry."""
-        cols = self.columns
-        n_passes = len(PASS_ORDER)
-        counts = np.bincount(cols.pass_codes, minlength=n_passes)
-        sums = np.bincount(cols.pass_codes, weights=self.durations, minlength=n_passes)
-        overhead = self.device.kernel_launch_overhead * self.slowdown
-        return {
-            PASS_ORDER[code]: float(sums[code] + counts[code] * overhead)
-            for code in range(n_passes)
-            if counts[code]
-        }
+        times = self._group_time(self.columns.pass_codes, self.durations, len(PASS_ORDER))
+        return {PASS_ORDER[code]: t for code, t in times.items()}
 
     def pass_stage_time(self) -> dict[str, dict[str, float]]:
         """Device time per (pass, stage) — the training-step breakdown
@@ -345,16 +338,11 @@ class ExecutionReport:
         cols = self.columns
         n_stages = len(cols.stage_table)
         combined = cols.pass_codes * n_stages + cols.stage_codes
-        minlength = len(PASS_ORDER) * n_stages
-        counts = np.bincount(combined, minlength=minlength)
-        sums = np.bincount(combined, weights=self.durations, minlength=minlength)
-        overhead = self.device.kernel_launch_overhead * self.slowdown
         out: dict[str, dict[str, float]] = {}
-        for code in np.nonzero(counts)[0]:
-            pass_name = PASS_ORDER[int(code) // n_stages]
-            stage = cols.stage_table[int(code) % n_stages]
-            out.setdefault(pass_name, {})[stage] = float(
-                sums[code] + counts[code] * overhead)
+        for code, t in self._group_time(combined, self.durations,
+                                        len(PASS_ORDER) * n_stages).items():
+            out.setdefault(PASS_ORDER[code // n_stages], {})[
+                cols.stage_table[code % n_stages]] = t
         return out
 
     def pass_modality_time(self) -> dict[str, dict[str, float]]:
@@ -362,20 +350,13 @@ class ExecutionReport:
         kernels — how each encoder's forward/backward shares compare."""
         cols = self.columns
         mask = cols.modality_codes != NO_MODALITY
-        if not mask.any():
-            return {}
-        n_mods = len(cols.modality_table)
-        combined = cols.modality_codes[mask] * len(PASS_ORDER) + cols.pass_codes[mask]
-        minlength = n_mods * len(PASS_ORDER)
-        counts = np.bincount(combined, minlength=minlength)
-        sums = np.bincount(combined, weights=self.durations[mask], minlength=minlength)
-        overhead = self.device.kernel_launch_overhead * self.slowdown
+        n_passes = len(PASS_ORDER)
+        combined = cols.modality_codes[mask] * n_passes + cols.pass_codes[mask]
         out: dict[str, dict[str, float]] = {}
-        for code in np.nonzero(counts)[0]:
-            modality = cols.modality_table[int(code) // len(PASS_ORDER)]
-            pass_name = PASS_ORDER[int(code) % len(PASS_ORDER)]
-            out.setdefault(modality, {})[pass_name] = float(
-                sums[code] + counts[code] * overhead)
+        for code, t in self._group_time(combined, self.durations[mask],
+                                        len(cols.modality_table) * n_passes).items():
+            out.setdefault(cols.modality_table[code // n_passes], {})[
+                PASS_ORDER[code % n_passes]] = t
         return out
 
     # -- per-modality aggregations (Figure 10) ----------------------------------
@@ -384,16 +365,9 @@ class ExecutionReport:
         """Encoder-stage device time per modality."""
         cols = self.columns
         mask = cols.modality_codes != NO_MODALITY
-        codes = cols.modality_codes[mask]
-        n_mods = len(cols.modality_table)
-        sums = np.bincount(codes, weights=self.durations[mask], minlength=n_mods)
-        counts = np.bincount(codes, minlength=n_mods)
-        overhead = self.device.kernel_launch_overhead * self.slowdown
-        return {
-            mod: float(sums[code] + counts[code] * overhead)
-            for code, mod in enumerate(cols.modality_table)
-            if counts[code]
-        }
+        times = self._group_time(cols.modality_codes[mask], self.durations[mask],
+                                 len(cols.modality_table))
+        return {cols.modality_table[code]: t for code, t in times.items()}
 
     def modality_imbalance(self) -> float:
         """Straggler ratio: slowest modality time over fastest (>= 1)."""
@@ -497,28 +471,33 @@ class ExecutionEngine:
         tail = float(enc_totals[~attributed].sum())
         return max(latency_bound, throughput_bound) + tail - serial
 
-    def _price_host_events(self, cols: TraceColumns) -> tuple[float, float, float, float]:
+    @staticmethod
+    def _price_host_events(
+        cols: TraceColumns, device: DeviceSpec
+    ) -> tuple[float, float, float, float]:
         """Vectorized host-event pricing: (launch, transfer, data_prep, sync)."""
-        d = self.device
         kinds = cols.host_kind_codes
         hbytes = cols.host_bytes
 
         transfer_mask = (kinds == _H2D) | (kinds == _D2H)
         n_transfers = int(transfer_mask.sum())
-        transfer = n_transfers * d.transfer_latency
-        if not d.unified_memory and n_transfers:
-            transfer += float(hbytes[transfer_mask].sum()) / d.pcie_bandwidth
+        transfer = n_transfers * device.transfer_latency
+        if not device.unified_memory and n_transfers:
+            transfer += float(hbytes[transfer_mask].sum()) / device.pcie_bandwidth
 
-        host_speed = d.host_gflops * 1e9
+        host_speed = device.host_gflops * 1e9
         data_prep = (
             float(hbytes[kinds == _DATA_PREP].sum()) * 8.0 / host_speed
             + float(hbytes[kinds == _PREPROCESS].sum()) * 6.0 / host_speed
         )
-        sync = int((kinds == _SYNC).sum()) * 5.0 * d.kernel_launch_overhead
-        launch = int((kinds == _LAUNCH).sum()) * d.kernel_launch_overhead
+        sync = int((kinds == _SYNC).sum()) * 5.0 * device.kernel_launch_overhead
+        launch = int((kinds == _LAUNCH).sum()) * device.kernel_launch_overhead
         return launch, transfer, data_prep, sync
 
     # -- entry points -----------------------------------------------------------
+    # ``run`` and ``run_sweep`` each call ``_price`` and never each other:
+    # perfbench wraps both and counts runs in each, so nesting would count
+    # a run twice.
 
     def run(self, trace: Trace, model_bytes: float = 0.0, input_bytes: float = 0.0) -> ExecutionReport:
         """Price every event in the trace and aggregate.
@@ -528,44 +507,7 @@ class ExecutionEngine:
         memory model; capacity pressure beyond ~80% applies a thrashing
         slowdown to all times (the Jetson Nano b=320 cliff of Figure 14).
         """
-        cols = trace.columns()
-        params = DeviceParams.from_spec(self.device)
-        lat = kernel_latency_batch(cols, params)
-
-        gpu_time = float(lat.total.sum())
-        if self.concurrent_modalities:
-            gpu_time += self._concurrent_encoder_adjustment(
-                cols, self.device, lat.total, saturated_latency_batch(cols, params)
-            )
-
-        extra_launch, transfer_time, data_prep_time, sync_time = self._price_host_events(cols)
-        launch_time = cols.n * self.device.kernel_launch_overhead + extra_launch
-
-        mem = memory_breakdown_columns(cols, model_bytes=model_bytes, input_bytes=input_bytes)
-        pressure = capacity_pressure(mem, self.device)
-        slowdown = thrash_factor(pressure)
-
-        host_time = (launch_time + transfer_time + data_prep_time + sync_time) * slowdown
-        gpu_time *= slowdown
-        durations = lat.total * slowdown if slowdown != 1.0 else lat.total
-
-        return ExecutionReport(
-            device=self.device,
-            trace=trace,
-            columns=cols,
-            gpu_time=gpu_time,
-            host_time=host_time,
-            launch_time=launch_time * slowdown,
-            transfer_time=transfer_time * slowdown,
-            data_prep_time=data_prep_time * slowdown,
-            sync_time=sync_time * slowdown,
-            memory=mem,
-            memory_pressure=pressure,
-            slowdown=slowdown,
-            durations=durations,
-            raw_latency=lat,
-            params=params,
-        )
+        return self._price(trace, [self.device], model_bytes, input_bytes)[0]
 
     def run_sweep(
         self,
@@ -576,28 +518,36 @@ class ExecutionEngine:
     ) -> list[ExecutionReport]:
         """Price one trace on many devices in a single broadcasted pass.
 
-        The device parameters become ``(D, 1)`` columns, so the roofline,
-        counter and stall models evaluate ``(D, K)`` arrays once instead
-        of re-running per device. Returns one :class:`ExecutionReport` per
+        For two or more devices the device parameters become ``(D, 1)``
+        columns, so the roofline, counter and stall models evaluate
+        ``(D, K)`` arrays once instead of re-running per device. Returns one :class:`ExecutionReport` per
         entry of ``devices`` (order preserved); each report is a row view
-        of the shared arrays.
+        of the shared arrays, bit-identical to a :meth:`run` on its device.
         """
         specs = [get_device(d) if isinstance(d, str) else d for d in devices]
-        if not specs:
-            return []
+        return self._price(trace, specs, model_bytes, input_bytes) if specs else []
+
+    def _price(self, trace: Trace, specs: list[DeviceSpec], model_bytes: float,
+               input_bytes: float) -> list[ExecutionReport]:
+        """One report per device of ``specs``, priced in one pass.
+
+        One device prices with plain-float parameters, several with
+        ``(D, 1)`` columns: broadcasting a single device to ``(1, K)`` costs
+        more than it saves, while one pass over D devices is cheaper than D.
+        """
         cols = trace.columns()
-        params = DeviceParams.from_specs(specs)
+        row_params = [DeviceParams.from_spec(spec) for spec in specs]
+        params = row_params[0] if len(specs) == 1 else DeviceParams.from_specs(specs)
         lat = kernel_latency_batch(cols, params)
-        mem = memory_breakdown_columns(cols, model_bytes=model_bytes, input_bytes=input_bytes)
         saturated = (
             saturated_latency_batch(cols, params) if self.concurrent_modalities else None
         )
+        mem = memory_breakdown_columns(cols, model_bytes=model_bytes, input_bytes=input_bytes)
 
         reports = []
-        for d, spec in enumerate(specs):
-            engine = ExecutionEngine(spec, self.concurrent_modalities)
+        for d, (spec, spec_params) in enumerate(zip(specs, row_params)):
             lat_d = LatencyColumns(
-                total=lat.total[d],
+                total=device_row(lat.total, d),
                 compute_time=device_row(lat.compute_time, d),
                 memory_time=device_row(lat.memory_time, d),
                 dram_bytes=device_row(lat.dram_bytes, d),
@@ -607,13 +557,13 @@ class ExecutionEngine:
             )
 
             gpu_time = float(lat_d.total.sum())
-            if self.concurrent_modalities:
+            if saturated is not None:
                 gpu_time += self._concurrent_encoder_adjustment(
                     cols, spec, lat_d.total, device_row(saturated, d)
                 )
 
             extra_launch, transfer_time, data_prep_time, sync_time = (
-                engine._price_host_events(cols)
+                self._price_host_events(cols, spec)
             )
             launch_time = cols.n * spec.kernel_launch_overhead + extra_launch
             pressure = capacity_pressure(mem, spec)
@@ -637,6 +587,6 @@ class ExecutionEngine:
                 slowdown=slowdown,
                 durations=durations,
                 raw_latency=lat_d,
-                params=DeviceParams.from_spec(spec),
+                params=spec_params,
             ))
         return reports

@@ -6,14 +6,17 @@ off for small kernels — the mechanism behind the paper's batch-size case
 study (Sec. 5.1): small-batch workloads launch many sub-10-microsecond
 kernels that cannot fill the machine, so a 10x batch increase yields far
 less than a 10x latency reduction.
+
+The tables below are the model's per-category parameters;
+:func:`repro.hw.vectorized.kernel_latency_batch` evaluates the model over
+whole trace columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.hw.device import DeviceSpec
-from repro.trace.events import KernelCategory, KernelEvent
+from repro.trace.events import KernelCategory
 
 # Peak-fraction ceilings per kernel category for large kernels. GEMM and
 # conv (implicit GEMM) approach peak; element-wise ops are bandwidth-bound
@@ -52,75 +55,3 @@ class LatencyBreakdown:
     @property
     def bound(self) -> str:
         return "memory" if self.memory_time >= self.compute_time else "compute"
-
-
-def dram_traffic(kernel: KernelEvent, device: DeviceSpec) -> float:
-    """Estimate DRAM bytes after cache filtering of the logical traffic.
-
-    Reads are filtered by the reuse factor (bounded by what the L2 could
-    plausibly capture); writes mostly go through to DRAM.
-    """
-    reuse = min(max(kernel.reuse_factor, 1.0), _MAX_CACHE_REUSE)
-    # A tiny working set that fits in L2 entirely gets extra filtering.
-    if kernel.bytes_read > 0 and kernel.bytes_read < device.l2_bytes:
-        reuse = max(reuse, 2.0)
-    return kernel.bytes_read / reuse + kernel.bytes_written
-
-
-def machine_fill(kernel: KernelEvent, device: DeviceSpec) -> float:
-    """Fraction of the device the kernel's parallelism can occupy (0..1].
-
-    A saturating ramp in the number of threads relative to the device's
-    resident-thread capacity. Small kernels on big devices fill little of
-    the machine; the same kernel on a Jetson Nano fills all of it.
-    """
-    capacity = device.max_resident_threads
-    # Half-saturation at one full wave of threads.
-    return kernel.threads / (kernel.threads + capacity)
-
-
-def saturated_latency(kernel: KernelEvent, device: DeviceSpec) -> float:
-    """Kernel time at full machine utilization (throughput bound).
-
-    The time the device needs to chew the kernel's work when the machine is
-    already saturated by co-running work — no fill derating and no
-    per-kernel ramp, just raw work over peak rates. Used by the
-    concurrent-modality makespan model.
-    """
-    ceiling = _COMPUTE_EFFICIENCY[kernel.category]
-    compute = kernel.flops / (device.peak_fp32_flops * ceiling)
-    memory = dram_traffic(kernel, device) / (device.dram_bandwidth * _MEM_EFFICIENCY_CEILING)
-    return max(compute, memory)
-
-
-def kernel_latency(kernel: KernelEvent, device: DeviceSpec) -> LatencyBreakdown:
-    """Latency of one kernel on one device."""
-    fill = machine_fill(kernel, device)
-    occupancy = min(1.0, kernel.threads / device.max_resident_threads)
-
-    ceiling = _COMPUTE_EFFICIENCY[kernel.category]
-    effective_flops = device.peak_fp32_flops * ceiling * max(fill, 1e-6)
-    compute_time = kernel.flops / effective_flops if kernel.flops > 0 else 0.0
-
-    bytes_dram = dram_traffic(kernel, device)
-    # Memory pipelines saturate with less parallelism than the ALUs do, so
-    # the bandwidth ramp rises faster than the compute ramp and has a floor.
-    mem_fill = min(1.0, 0.25 + 0.75 * min(fill * 8.0, 1.0))
-    effective_bw = (
-        device.dram_bandwidth
-        * _MEM_EFFICIENCY_CEILING
-        * max(kernel.coalesced_fraction, 0.05)
-        * max(mem_fill, 0.25)
-    )
-    memory_time = bytes_dram / effective_bw if bytes_dram > 0 else 0.0
-
-    total = max(compute_time, memory_time) + device.kernel_fixed_overhead
-    return LatencyBreakdown(
-        total=total,
-        compute_time=compute_time,
-        memory_time=memory_time,
-        fixed_overhead=device.kernel_fixed_overhead,
-        dram_bytes=bytes_dram,
-        compute_utilization=fill,
-        occupancy=occupancy,
-    )

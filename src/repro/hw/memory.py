@@ -6,10 +6,13 @@ linearly with batch size — and that multi-modal DNNs carry a larger
 intermediate share (more modalities, plus fusion features), making them
 hit GPU capacity earlier.
 
-``MemoryModel`` derives the same decomposition from a trace: model bytes
-come from the parameter count, dataset bytes from the input batch, and the
-intermediate component from the largest per-stage sum of live activation
-outputs.
+:func:`memory_breakdown_columns` derives the same decomposition from a
+trace's columns: model bytes come from the parameter count, dataset bytes
+from the input batch, and the intermediate component from the largest
+per-stage sum of activation outputs — a standard proxy for the live set
+under a stage-granular allocator, which keeps the two properties Figure 13
+demonstrates: linearity in batch size and a larger share for multi-modal
+models.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import numpy as np
 
 from repro.hw.device import DeviceSpec
 from repro.trace.columns import TraceColumns
-from repro.trace.tracer import Trace
 
 
 @dataclass(frozen=True)
@@ -44,27 +46,10 @@ class MemoryBreakdown:
         }
 
 
-def memory_breakdown(trace: Trace, model_bytes: float, input_bytes: float) -> MemoryBreakdown:
-    """Decompose peak memory for one inference batch.
-
-    The intermediate component is the maximum over stages of the stage's
-    total activation output — a standard proxy for the live set under a
-    stage-granular allocator. It preserves the two properties Figure 13
-    demonstrates: linearity in batch size and a larger share for
-    multi-modal models.
-    """
-    stage_bytes: dict[str, float] = {}
-    for k in trace.kernels:
-        stage_bytes[k.stage] = stage_bytes.get(k.stage, 0.0) + k.bytes_written
-    intermediate = max(stage_bytes.values()) if stage_bytes else 0.0
-    return MemoryBreakdown(model=float(model_bytes), dataset=float(input_bytes),
-                           intermediate=float(intermediate))
-
-
 def memory_breakdown_columns(
     cols: TraceColumns, model_bytes: float, input_bytes: float
 ) -> MemoryBreakdown:
-    """:func:`memory_breakdown` over a columnar trace (no event objects)."""
+    """Decompose peak memory for one inference batch from its columns."""
     if cols.n:
         stage_sums = np.bincount(cols.stage_codes, weights=cols.bytes_written,
                                  minlength=len(cols.stage_table))

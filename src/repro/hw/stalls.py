@@ -12,13 +12,12 @@ We reproduce that mechanism: stall shares are derived from the kernel's
 roofline balance on the device (memory-bound time begets Mem/Cache stalls,
 compute-bound time begets Exec/Pipe stalls) modulated by device pressure
 parameters that encode how starved the machine's front end and ALUs are.
+:func:`repro.hw.vectorized.stall_breakdown_batch` evaluates it.
 """
 
 from __future__ import annotations
 
-from repro.hw.device import DeviceSpec
-from repro.hw.latency import LatencyBreakdown, kernel_latency
-from repro.trace.events import KernelCategory, KernelEvent
+from repro.trace.events import KernelCategory
 
 STALL_REASONS = ("Cache", "Mem", "Exec", "Pipe", "Sync", "Inst", "Else")
 
@@ -34,40 +33,3 @@ _SYNC_WEIGHT: dict[KernelCategory, float] = {
     KernelCategory.RELU: 0.02,
     KernelCategory.OTHER: 0.04,
 }
-
-
-def stall_breakdown(
-    kernel: KernelEvent, device: DeviceSpec, latency: LatencyBreakdown | None = None
-) -> dict[str, float]:
-    """Normalized stall-reason shares for one kernel on one device."""
-    lat = latency or kernel_latency(kernel, device)
-    duration = max(lat.total, 1e-12)
-    mem_frac = lat.memory_time / duration
-    comp_frac = lat.compute_time / duration
-
-    # Cache-resident reuse turns DRAM stalls into (shorter) cache stalls.
-    reuse = max(kernel.reuse_factor, 1.0)
-    l2_hit = min(0.95, 1.0 - 1.0 / reuse)
-
-    weights = {
-        "Mem": mem_frac * (1.0 - l2_hit) * 1.2,
-        "Cache": mem_frac * l2_hit * 0.9,
-        "Exec": comp_frac * device.exec_dep_pressure * 3.0,
-        "Pipe": comp_frac * 0.5,
-        "Sync": _SYNC_WEIGHT[kernel.category],
-        "Inst": device.inst_fetch_pressure * (0.4 + 0.6 * comp_frac),
-        "Else": 0.08,
-    }
-    total = sum(weights.values())
-    return {reason: weights[reason] / total for reason in STALL_REASONS}
-
-
-def aggregate_stalls(items: list[tuple[dict[str, float], float]]) -> dict[str, float]:
-    """Duration-weighted aggregate of per-kernel stall breakdowns."""
-    total_w = sum(w for _, w in items)
-    if total_w <= 0:
-        return {reason: 0.0 for reason in STALL_REASONS}
-    return {
-        reason: sum(b.get(reason, 0.0) * w for b, w in items) / total_w
-        for reason in STALL_REASONS
-    }

@@ -5,7 +5,9 @@ On the discrete-GPU server every modality's input batch crosses PCIe
 cross back (device-to-host); each call also pays a fixed runtime latency.
 On Jetson-class devices CPU and GPU share one physical memory, so the copy
 itself vanishes but the runtime synchronization cost remains — exactly the
-unified-memory behaviour the paper notes in Sec. 3.3.
+unified-memory behaviour the paper notes in Sec. 3.3. The link is
+symmetric: a device-to-host call costs what a host-to-device call of the
+same size does.
 """
 
 from __future__ import annotations
@@ -20,21 +22,3 @@ def h2d_time(bytes_: float, device: DeviceSpec) -> float:
     if device.unified_memory:
         return device.transfer_latency
     return device.transfer_latency + bytes_ / device.pcie_bandwidth
-
-
-def d2h_time(bytes_: float, device: DeviceSpec) -> float:
-    """Device-to-host transfer time for one call."""
-    # Symmetric link in this model.
-    return h2d_time(bytes_, device)
-
-
-def host_data_prep_time(bytes_: float, device: DeviceSpec, ops_per_byte: float = 2.0) -> float:
-    """CPU time to massage intermediate data (reshaping, gluing features).
-
-    The fusion stage's host-side preparation of feature maps is the "lengthy
-    intermediate data operations" the paper identifies as a multi-modal
-    bottleneck; its cost scales with the host's (not the GPU's) speed.
-    """
-    if bytes_ < 0:
-        raise ValueError("negative data size")
-    return (bytes_ * ops_per_byte) / (device.host_gflops * 1e9)

@@ -1,11 +1,11 @@
-"""Vectorized counterparts of the scalar roofline / counter / stall models.
+"""The roofline / counter / stall models, evaluated over whole trace columns.
 
-The scalar functions in :mod:`repro.hw.latency`, :mod:`repro.hw.counters`
-and :mod:`repro.hw.stalls` price one :class:`~repro.trace.events.KernelEvent`
-at a time; these batch versions run the identical math over a whole
-:class:`~repro.trace.columns.TraceColumns` at once — per-category
-efficiency tables become lookup vectors indexed by the category-code
-column, and device scalars broadcast over the kernel axis.
+These functions are the only shipped implementation of the device model.
+They price a whole :class:`~repro.trace.columns.TraceColumns` at once:
+the per-category tables in :mod:`repro.hw.latency`,
+:mod:`repro.hw.counters` and :mod:`repro.hw.stalls` become lookup vectors
+indexed by the category-code column, and device scalars broadcast over the
+kernel axis.
 
 Shapes: with a single :class:`DeviceParams` (scalar parameters) every
 output array is ``(K,)`` for K kernels. With
@@ -15,15 +15,16 @@ on every device of a sweep. Device-independent columns (e.g. load/store
 efficiency, which depends only on the access pattern) stay ``(K,)``;
 :func:`device_row` slices either form down to one device.
 
-The scalar implementations remain the source of truth: the lookup vectors
-are built from their tables, and the golden-equivalence suite
-(``tests/hw/test_vectorized_equivalence.py``) pins the two paths together
-to 1e-9 relative tolerance on every report field.
+The tables are the model. A scalar twin in ``tests/hw/reference.py``
+spells the same math one kernel event at a time from the same tables, and
+the golden-equivalence suite (``tests/hw/test_vectorized_equivalence.py``)
+pins the two together to 1e-9 relative tolerance on every report field; a
+model change edits both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -56,7 +57,8 @@ class DeviceParams:
 
     Single device: plain floats/ints. Sweep (:meth:`from_specs`): each
     field is a ``(D, 1)`` array so kernel-axis arrays broadcast to
-    ``(D, K)``.
+    ``(D, K)``. Each field is named after the :class:`DeviceSpec`
+    attribute it is read from.
     """
 
     peak_fp32_flops: object
@@ -71,35 +73,14 @@ class DeviceParams:
 
     @classmethod
     def from_spec(cls, device: DeviceSpec) -> "DeviceParams":
-        return cls(
-            peak_fp32_flops=device.peak_fp32_flops,
-            dram_bandwidth=device.dram_bandwidth,
-            l2_bytes=device.l2_bytes,
-            max_resident_threads=device.max_resident_threads,
-            kernel_fixed_overhead=device.kernel_fixed_overhead,
-            issue_width=device.issue_width,
-            exec_dep_pressure=device.exec_dep_pressure,
-            inst_fetch_pressure=device.inst_fetch_pressure,
-            sm_count=device.sm_count,
-        )
+        return cls(**{f.name: getattr(device, f.name) for f in fields(cls)})
 
     @classmethod
     def from_specs(cls, devices: Sequence[DeviceSpec]) -> "DeviceParams":
-        def col(attr: str) -> np.ndarray:
-            return np.array([getattr(d, attr) for d in devices],
-                            dtype=np.float64)[:, None]
-
-        return cls(
-            peak_fp32_flops=col("peak_fp32_flops"),
-            dram_bandwidth=col("dram_bandwidth"),
-            l2_bytes=col("l2_bytes"),
-            max_resident_threads=col("max_resident_threads"),
-            kernel_fixed_overhead=col("kernel_fixed_overhead"),
-            issue_width=col("issue_width"),
-            exec_dep_pressure=col("exec_dep_pressure"),
-            inst_fetch_pressure=col("inst_fetch_pressure"),
-            sm_count=col("sm_count"),
-        )
+        return cls(**{
+            f.name: np.array([getattr(d, f.name) for d in devices], dtype=np.float64)[:, None]
+            for f in fields(cls)
+        })
 
 
 def device_row(arr: np.ndarray, d: int) -> np.ndarray:
@@ -144,15 +125,26 @@ class CounterColumns:
 
 
 def dram_traffic_batch(cols: TraceColumns, params: DeviceParams) -> np.ndarray:
-    """Vectorized :func:`repro.hw.latency.dram_traffic`."""
+    """DRAM bytes after cache filtering of the logical traffic.
+
+    Reads are filtered by the reuse factor (bounded by what the L2 could
+    plausibly capture); writes mostly go through to DRAM.
+    """
     reuse = np.clip(cols.reuse_factor, 1.0, _MAX_CACHE_REUSE)
+    # A tiny working set that fits in L2 entirely gets extra filtering.
     small = (cols.bytes_read > 0) & (cols.bytes_read < params.l2_bytes)
     reuse = np.where(small, np.maximum(reuse, 2.0), reuse)
     return cols.bytes_read / reuse + cols.bytes_written
 
 
 def kernel_latency_batch(cols: TraceColumns, params: DeviceParams) -> LatencyColumns:
-    """Vectorized :func:`repro.hw.latency.kernel_latency` over a trace."""
+    """Per-kernel latency on the device(s).
+
+    The machine fill is a saturating ramp in the kernel's threads, at half
+    saturation for one full wave of resident threads: small kernels on big
+    devices fill little of the machine, and the same kernel on a Jetson
+    Nano fills all of it.
+    """
     threads = cols.threads_f
     fill = threads / (threads + params.max_resident_threads)
     occupancy = np.minimum(1.0, threads / params.max_resident_threads)
@@ -162,6 +154,8 @@ def kernel_latency_batch(cols: TraceColumns, params: DeviceParams) -> LatencyCol
     compute_time = np.where(cols.flops > 0, cols.flops / effective_flops, 0.0)
 
     dram_bytes = dram_traffic_batch(cols, params)
+    # Memory pipelines saturate with less parallelism than the ALUs do, so
+    # the bandwidth ramp rises faster than the compute ramp and has a floor.
     mem_fill = np.minimum(1.0, 0.25 + 0.75 * np.minimum(fill * 8.0, 1.0))
     effective_bw = (
         params.dram_bandwidth
@@ -184,7 +178,11 @@ def kernel_latency_batch(cols: TraceColumns, params: DeviceParams) -> LatencyCol
 
 
 def saturated_latency_batch(cols: TraceColumns, params: DeviceParams) -> np.ndarray:
-    """Vectorized :func:`repro.hw.latency.saturated_latency`."""
+    """Kernel time at full machine utilization (throughput bound).
+
+    No fill derating and no per-kernel ramp, just raw work over peak
+    rates: the concurrent-modality makespan model's throughput bound.
+    """
     ceiling = COMPUTE_EFFICIENCY_VEC[cols.category_codes]
     compute = cols.flops / (params.peak_fp32_flops * ceiling)
     memory = dram_traffic_batch(cols, params) / (
@@ -196,7 +194,7 @@ def saturated_latency_batch(cols: TraceColumns, params: DeviceParams) -> np.ndar
 def derive_counters_batch(
     cols: TraceColumns, params: DeviceParams, lat: LatencyColumns
 ) -> CounterColumns:
-    """Vectorized :func:`repro.hw.counters.derive_counters` over a trace."""
+    """Per-kernel profiler counters from the (pre-thrash) latencies."""
     duration = lat.total
     positive = duration > 0
     busy = np.where(positive, lat.memory_time / duration, 0.0)
@@ -246,10 +244,10 @@ def derive_counters_batch(
 def stall_breakdown_batch(
     cols: TraceColumns, params: DeviceParams, lat: LatencyColumns
 ) -> np.ndarray:
-    """Vectorized :func:`repro.hw.stalls.stall_breakdown`.
+    """Per-kernel stall-reason shares, normalized over the last axis.
 
-    Returns normalized shares of shape ``(..., K, len(STALL_REASONS))``
-    with the last axis in :data:`~repro.hw.stalls.STALL_REASONS` order.
+    Shape ``(..., K, len(STALL_REASONS))``, the last axis in
+    :data:`~repro.hw.stalls.STALL_REASONS` order.
     """
     duration = np.maximum(lat.total, 1e-12)
     mem_frac = lat.memory_time / duration

@@ -93,7 +93,6 @@ from repro.serving.request import (
     Request,
     RequestColumns,
     closed_arrivals,
-    make_mixed_requests,
     make_requests,
     poisson_arrivals,
     sort_request_columns,
@@ -142,8 +141,8 @@ __all__ = [
     "fleet_summary", "format_device_breakdown", "format_fault_stats",
     "format_finetune_breakdown", "format_policy_comparison",
     "format_tenant_breakdown", "mixed_serving_summary", "serving_summary",
-    "Request", "RequestColumns", "closed_arrivals", "make_mixed_requests",
-    "make_requests", "poisson_arrivals", "sort_request_columns",
+    "Request", "RequestColumns", "closed_arrivals", "make_requests",
+    "poisson_arrivals", "sort_request_columns",
     "EarliestFinishRouter", "RoundRobinRouter", "Router", "RouterScaleError",
     "make_router",
     "SCENARIO_NAMES", "SCENARIOS", "Scenario", "get_scenario", "make_tenants",

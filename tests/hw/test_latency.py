@@ -3,8 +3,8 @@
 import pytest
 
 from repro.hw.device import JETSON_NANO, JETSON_ORIN, RTX_2080TI
-from repro.hw.latency import dram_traffic, kernel_latency, machine_fill
 from repro.trace.events import KernelCategory, KernelEvent
+from tests.hw.reference import dram_traffic, kernel_latency, machine_fill
 
 
 def make_kernel(flops=1e6, bytes_read=1e5, bytes_written=1e4, threads=100_000,

@@ -6,12 +6,12 @@ from repro.hw.device import JETSON_NANO, JETSON_ORIN, RTX_2080TI
 from repro.hw.memory import (
     MemoryBreakdown,
     capacity_pressure,
-    memory_breakdown,
     thrash_factor,
 )
-from repro.hw.transfer import d2h_time, h2d_time, host_data_prep_time
+from repro.hw.transfer import h2d_time
 from repro.trace.events import KernelCategory, KernelEvent
 from repro.trace.tracer import Trace
+from tests.hw.reference import d2h_time, host_data_prep_time, memory_breakdown
 
 
 def k(stage, bytes_written):

