@@ -19,7 +19,10 @@ weights against meta activations): numpy defers to this class, and the
 result is meta. Where exact numpy indexing semantics matter
 (``__getitem__``, ``sliding_window_view``) shapes are inferred by
 applying the real numpy operation to a zero-stride *phantom* array of
-the same shape — an O(1) view, never a dense allocation.
+the same shape — an O(1) view, never a dense allocation — and a bounded
+memo answers repeats of the same basic index. Ufunc results broadcast in
+pure Python and take their dtype from a memo of numpy's own resolution
+per (ufunc, operand dtypes).
 
 The invariant that makes the backend trustworthy (and that tier-1
 enforces differentially): for every workload, the meta backend emits an
@@ -29,6 +32,7 @@ event stream identical, event for event, to the eager backend's.
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -98,17 +102,92 @@ def _phantom(shape: tuple[int, ...], dtype) -> np.ndarray:
     return np.broadcast_to(np.empty((), dtype=dtype), shape)
 
 
-_COMPARISON_UFUNCS = frozenset({
-    np.greater, np.greater_equal, np.less, np.less_equal,
-    np.equal, np.not_equal, np.logical_and, np.logical_or,
-    np.logical_xor, np.logical_not, np.isfinite, np.isinf, np.isnan,
-})
+def _broadcast(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """numpy's broadcasting rule for two shapes, in pure Python."""
+    if a == b or not b:
+        return a
+    if not a:
+        return b
+    n = max(len(a), len(b))
+    out = []
+    for x, y in zip((1,) * (n - len(a)) + a, (1,) * (n - len(b)) + b):
+        if x == y or y == 1:
+            out.append(x)
+        elif x == 1:
+            out.append(y)
+        else:
+            return tuple(np.broadcast_shapes(a, b))  # raises numpy's error
+    return tuple(out)
 
-#: ufuncs whose result is always floating even for integer inputs.
-_FLOAT_RESULT_UFUNCS = frozenset({
-    np.true_divide, np.exp, np.log, np.log2, np.log10, np.sqrt,
-    np.tanh, np.sin, np.cos, np.arctan, np.expm1, np.log1p,
-})
+
+_BOOL = np.dtype(bool)
+
+
+def _dtype_key(x):
+    """One operand's part of a result-dtype memo key.
+
+    Arrays and numpy scalars key by dtype. Python scalars key by type:
+    under NEP 50 an ``int``/``float``/``complex`` promotes weakly, by kind
+    and never by value, and a ``bool`` promotes like numpy's bool.
+    """
+    if isinstance(x, (MetaArray, np.ndarray, np.generic)):
+        return x.dtype
+    return _BOOL if type(x) is bool else type(x)
+
+
+#: (ufunc, *operand keys) -> the result dtype numpy resolves for them.
+_UFUNC_DTYPES: dict[tuple, np.dtype] = {}
+
+
+def _ufunc_dtype(ufunc, inputs) -> np.dtype:
+    key = (ufunc, *[_dtype_key(x) for x in inputs])
+    dtype = _UFUNC_DTYPES.get(key)
+    if dtype is None:
+        resolved = ufunc.resolve_dtypes(key[1:] + (None,) * ufunc.nout)
+        dtype = _UFUNC_DTYPES[key] = resolved[ufunc.nin]
+    return dtype
+
+
+#: Bounded memo of view shapes: (op, shape, dtype, args) -> (shape, dtype).
+_VIEWS: dict[tuple, tuple] = {}
+_VIEWS_LIMIT = 4096
+
+
+def _view(key, make):
+    """``(shape, dtype)`` of the phantom view ``make()`` builds, memoized
+    under ``key`` (None: not memoizable)."""
+    hit = _VIEWS.get(key) if key is not None else None
+    if hit is None:
+        view = make()
+        hit = (view.shape, view.dtype)
+        if key is not None:
+            if len(_VIEWS) >= _VIEWS_LIMIT:
+                _VIEWS.clear()
+            _VIEWS[key] = hit
+    return hit
+
+
+def _basic_index_key(index):
+    """A hashable spelling of a basic index (ints, slices, ``None``,
+    ``Ellipsis``), or None for anything else."""
+    key = []
+    for item in index if type(index) is tuple else (index,):
+        if type(item) is slice:
+            bounds = (item.start, item.stop, item.step)
+            if any(b is not None and type(b) is not int for b in bounds):
+                return None
+            key.append(bounds)
+        elif type(item) is int or item is None or item is Ellipsis:
+            key.append(item)
+        else:
+            return None
+    return tuple(key)
+
+
+def _int_spec(v) -> bool:
+    """An int, a tuple of ints, or None (a hashable window/axis spec)."""
+    return (v is None or type(v) is int
+            or (type(v) is tuple and all(type(d) is int for d in v)))
 
 
 def _matmul_shape(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -118,8 +197,7 @@ def _matmul_shape(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     b2 = b + (1,) if len(b) == 1 else b
     if a2[-1] != b2[-2]:
         raise ValueError(f"matmul: dimension mismatch {a} @ {b}")
-    batch = np.broadcast_shapes(a2[:-2], b2[:-2])
-    out = tuple(batch) + (a2[-2], b2[-1])
+    out = _broadcast(a2[:-2], b2[:-2]) + (a2[-2], b2[-1])
     if len(a) == 1:
         out = out[:-2] + out[-1:]
     if len(b) == 1:
@@ -165,11 +243,13 @@ class MetaArray:
     materialization is impossible.
     """
 
-    __slots__ = ("shape", "dtype")
+    __slots__ = ("shape", "dtype", "size")
 
     def __init__(self, shape, dtype=np.float32):
-        object.__setattr__(self, "shape", tuple(int(d) for d in shape))
-        object.__setattr__(self, "dtype", np.dtype(dtype))
+        shape = tuple(int(d) for d in shape)
+        _SET_SHAPE(self, shape)
+        _SET_DTYPE(self, np.dtype(dtype))
+        _SET_SIZE(self, math.prod(shape))
 
     def __setattr__(self, name, value):
         raise AttributeError("MetaArray is immutable")
@@ -181,19 +261,12 @@ class MetaArray:
         return len(self.shape)
 
     @property
-    def size(self) -> int:
-        out = 1
-        for d in self.shape:
-            out *= d
-        return out
-
-    @property
     def nbytes(self) -> int:
         return self.size * self.dtype.itemsize
 
     @property
     def T(self) -> "MetaArray":
-        return MetaArray(tuple(reversed(self.shape)), self.dtype)
+        return _meta(self.shape[::-1], self.dtype)
 
     def __len__(self) -> int:
         if not self.shape:
@@ -225,10 +298,10 @@ class MetaArray:
     # -- shape methods ------------------------------------------------------------
 
     def astype(self, dtype, *args, **kwargs) -> "MetaArray":
-        return MetaArray(self.shape, dtype)
+        return _meta(self.shape, np.dtype(dtype))
 
     def copy(self) -> "MetaArray":
-        return MetaArray(self.shape, self.dtype)
+        return _meta(self.shape, self.dtype)
 
     def reshape(self, *shape) -> "MetaArray":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -250,7 +323,7 @@ class MetaArray:
             new_size *= d
         if new_size != self.size:
             raise ValueError(f"cannot reshape array of size {self.size} into shape {shape}")
-        return MetaArray(shape, self.dtype)
+        return _meta(shape, self.dtype)
 
     def transpose(self, *axes) -> "MetaArray":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
@@ -259,7 +332,7 @@ class MetaArray:
             axes = tuple(reversed(range(self.ndim)))
         if sorted(axes) != list(range(self.ndim)):
             raise ValueError(f"invalid transpose axes {axes} for ndim {self.ndim}")
-        return MetaArray(tuple(self.shape[ax] for ax in axes), self.dtype)
+        return _meta(tuple(self.shape[ax] for ax in axes), self.dtype)
 
     def repeat(self, repeats: int, axis: int | None = None) -> "MetaArray":
         repeats = int(repeats)
@@ -273,14 +346,16 @@ class MetaArray:
     def __getitem__(self, index) -> "MetaArray":
         # Borrow numpy's exact indexing semantics from a zero-stride
         # phantom. Basic indexing is an O(1) view; the forward path uses
-        # nothing else.
-        view = _phantom(self.shape, self.dtype)[index]
-        return MetaArray(view.shape, view.dtype)
+        # nothing else, and repeats of a basic index hit the memo.
+        key = _basic_index_key(index)
+        if key is not None:
+            key = ("getitem", self.shape, self.dtype, key)
+        return _meta(*_view(key, lambda: _phantom(self.shape, self.dtype)[index]))
 
     # -- reductions ---------------------------------------------------------------
 
     def _reduce(self, axis, keepdims, dtype=None) -> "MetaArray":
-        return MetaArray(_reduce_shape(self.shape, axis, keepdims), dtype or self.dtype)
+        return _meta(_reduce_shape(self.shape, axis, keepdims), dtype or self.dtype)
 
     def sum(self, axis=None, keepdims: bool = False) -> "MetaArray":
         return self._reduce(axis, keepdims)
@@ -314,14 +389,10 @@ class MetaArray:
             a, b = inputs
             shape = _matmul_shape(_shape_of(a), _shape_of(b))
         else:
-            shape = np.broadcast_shapes(*(_shape_of(x) for x in inputs))
-        if ufunc in _COMPARISON_UFUNCS:
-            dtype = np.dtype(bool)
-        else:
-            dtype = np.result_type(*(_dtype_operand(x) for x in inputs))
-            if ufunc in _FLOAT_RESULT_UFUNCS and not np.issubdtype(dtype, np.floating):
-                dtype = np.dtype(np.float64)
-        return MetaArray(shape, dtype)
+            shape = _shape_of(inputs[0])
+            for x in inputs[1:]:
+                shape = _broadcast(shape, _shape_of(x))
+        return _meta(shape, _ufunc_dtype(ufunc, inputs))
 
     def __array_function__(self, func, types, args, kwargs):
         impl = _HANDLED_FUNCTIONS.get(func)
@@ -368,7 +439,7 @@ class MetaArray:
         return self._binop(np.matmul, other, self)
 
     def __neg__(self):
-        return MetaArray(self.shape, self.dtype)
+        return _meta(self.shape, self.dtype)
 
     def __gt__(self, other):
         return self._binop(np.greater, self, other)
@@ -381,6 +452,22 @@ class MetaArray:
 
     def __le__(self, other):
         return self._binop(np.less_equal, self, other)
+
+
+_NEW = object.__new__
+_SET_SHAPE = MetaArray.shape.__set__
+_SET_DTYPE = MetaArray.dtype.__set__
+_SET_SIZE = MetaArray.size.__set__
+
+
+def _meta(shape: tuple[int, ...], dtype: np.dtype) -> MetaArray:
+    """Trusted constructor: ``shape`` is already a tuple of ints and
+    ``dtype`` a ``np.dtype`` (results the meta ops computed themselves)."""
+    out = _NEW(MetaArray)
+    _SET_SHAPE(out, shape)
+    _SET_DTYPE(out, dtype)
+    _SET_SIZE(out, math.prod(shape))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +518,11 @@ def _meta_pad(array, pad_width, mode="constant", **kwargs):
 
 @_implements(np.lib.stride_tricks.sliding_window_view)
 def _meta_sliding_window_view(x, window_shape, axis=None, **kwargs):
-    view = np.lib.stride_tricks.sliding_window_view(
-        _phantom(x.shape, x.dtype), window_shape, axis=axis
-    )
-    return MetaArray(view.shape, view.dtype)
+    key = None
+    if _int_spec(window_shape) and _int_spec(axis):
+        key = ("sliding_window_view", x.shape, x.dtype, window_shape, axis)
+    return _meta(*_view(key, lambda: np.lib.stride_tricks.sliding_window_view(
+        _phantom(x.shape, x.dtype), window_shape, axis=axis)))
 
 
 @_implements(np.concatenate)

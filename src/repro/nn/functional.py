@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.backend import MetaArray, is_meta, meta_array, meta_like
+from repro.nn.backend import MetaArray, _meta, is_meta, meta_array, meta_like
 from repro.nn.tensor import DEFAULT_DTYPE, Tensor, as_tensor, is_grad_enabled
 from repro.trace.events import KernelCategory, PASS_BACKWARD
 from repro.trace.tracer import UNSET, active_tracer, emit_kernel
@@ -107,19 +107,24 @@ def _emit_bwd(ctx, name, category, flops, inputs_bytes, out_bytes, threads,
     )
 
 
+_GRAD_DTYPE = np.dtype(DEFAULT_DTYPE)
+
+
 def _meta_accumulate(grad, *tensors) -> bool:
     """Shape-only gradient propagation for the meta backend.
 
-    When ``grad`` is a :class:`MetaArray`, accumulate a meta gradient of
-    each grad-requiring tensor's own shape and report True so the caller
-    skips its numeric path. The backward *events* were already emitted
-    (shape-derived, backend-independent) before this call.
+    When ``grad`` is a :class:`MetaArray`, give each grad-requiring tensor
+    that has no gradient yet a meta gradient of its own shape (what
+    ``accumulate_grad`` does with a meta gradient; accumulating into one
+    is a no-op) and report True so the caller skips its numeric path. The
+    backward *events* were already emitted (shape-derived,
+    backend-independent) before this call.
     """
-    if not is_meta(grad):
+    if not isinstance(grad, MetaArray):
         return False
     for t in tensors:
-        if t is not None and t.requires_grad:
-            t.accumulate_grad(meta_like(t.data))
+        if t is not None and t.requires_grad and t.grad is None:
+            t.grad = _meta(t.data.shape, _GRAD_DTYPE)
     return True
 
 

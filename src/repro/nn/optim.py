@@ -7,7 +7,9 @@ update performs, so a traced training step accounts the optimizer's share
 of the step the same way it accounts forward and backward kernels. Under
 the meta backend gradients are shape-only and the numeric update is
 skipped — the events are shape-derived either way, which keeps the
-meta==eager event invariant intact.
+meta==eager event invariant intact. Optimizer state (momentum velocity,
+Adam moments) is allocated per parameter at its first numeric update, so
+a meta step allocates none.
 """
 
 from __future__ import annotations
@@ -65,14 +67,14 @@ class SGD(Optimizer):
         super().__init__(params, lr)
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
+        self._velocity: list[np.ndarray | None] = [None] * len(self.params)
 
     def step(self) -> None:
         # Update traffic: read param+grad (plus velocity with momentum),
         # write param (plus velocity with momentum).
         state = 1.0 if self.momentum else 0.0
         flops = 2.0 + (2.0 if self.momentum else 0.0) + (2.0 if self.weight_decay else 0.0)
-        for p, v in zip(self.params, self._velocity):
+        for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
             _emit_update("sgd_update", p, flops, 2.0 + state, 1.0 + state)
@@ -82,6 +84,9 @@ class SGD(Optimizer):
             if self.weight_decay:
                 g = g + self.weight_decay * p.data
             if self.momentum:
+                v = self._velocity[i]
+                if v is None:
+                    v = self._velocity[i] = np.zeros_like(p.data)
                 v *= self.momentum
                 v += g
                 g = v
@@ -106,8 +111,8 @@ class Adam(Optimizer):
         self.eps = eps
         self.weight_decay = weight_decay
         self.decoupled = decoupled
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        self._m: list[np.ndarray | None] = [None] * len(self.params)
+        self._v: list[np.ndarray | None] = [None] * len(self.params)
         self._t = 0
 
     def step(self) -> None:
@@ -116,13 +121,16 @@ class Adam(Optimizer):
         bc2 = 1.0 - self.beta2**self._t
         name = "adamw_update" if self.decoupled else "adam_update"
         flops = 12.0 + (2.0 if self.weight_decay else 0.0)
-        for p, m, v in zip(self.params, self._m, self._v):
+        for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
             # Reads param + grad + both moments; writes param + both moments.
             _emit_update(name, p, flops, 4.0, 3.0)
             if isinstance(p.grad, MetaArray):
                 continue
+            if self._m[i] is None:
+                self._m[i], self._v[i] = np.zeros_like(p.data), np.zeros_like(p.data)
+            m, v = self._m[i], self._v[i]
             g = p.grad
             if self.weight_decay and not self.decoupled:
                 # L2: decay rides the gradient into the adaptive moments,

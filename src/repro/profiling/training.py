@@ -77,9 +77,13 @@ def trace_training_step(
     data for ``model.shapes`` on ``backend``; ``optimizer`` is a name from
     :data:`repro.nn.optim.OPTIMIZERS` or a ready optimizer instance.
 
-    The optimizer step mutates ``model``'s parameters (eager backend);
-    callers who need the pristine model should pass a fresh build — the
-    trace store's training path does exactly that.
+    On the eager backend the step mutates ``model``: its parameters,
+    batch-norm running statistics and dropout generators. Callers who need
+    the pristine model should pass a fresh build, as the trace store's
+    eager training path does. On the meta backend the step leaves every
+    parameter, buffer and generator as it was and only sets shape-only
+    gradients (``model.zero_grad()`` clears them), so the store reuses its
+    memoized build there.
     """
     from repro.core.train import loss_fn_for
     from repro.data.synthetic import random_batch, random_targets

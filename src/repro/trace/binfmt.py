@@ -80,14 +80,23 @@ class StringInterner:
     are content hashes, so concurrent writers never need to coordinate —
     appends are single ``O_APPEND`` writes, duplicates are idempotent, and
     a torn trailing line (a crash mid-append) is skipped on read and
-    rewritten by the next writer that needs the string.
+    rewritten by the next writer that needs the string; that writer starts
+    its append on a fresh line.
+
+    A writer reads the sidecar once, on its first :meth:`intern`, and then
+    trusts its own table plus its own appends: a string another process
+    appended meanwhile is appended again, as a harmless duplicate. A
+    reader (:meth:`resolve`) re-reads on unknown ids, since it needs other
+    writers' strings.
     """
 
     def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
         self._by_id: dict[int, str] = {}
+        self._loaded = False
 
     def _refresh(self) -> None:
+        self._loaded = True
         try:
             raw = self.path.read_bytes()
         except OSError:
@@ -110,7 +119,7 @@ class StringInterner:
     def intern(self, strings) -> list[int]:
         """Ids for ``strings``, appending any the sidecar lacks."""
         ids = [string_id(s) for s in strings]
-        if any(i not in self._by_id for i in ids):
+        if not self._loaded:
             self._refresh()
         new = [(i, s) for i, s in zip(ids, strings) if self._by_id.get(i) != s]
         for i, s in new:
@@ -122,8 +131,12 @@ class StringInterner:
                 json.dumps({"id": i, "s": s}, separators=(",", ":")) + "\n"
                 for i, s in new
             ).encode()
-            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+            fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
             try:
+                # After a torn tail, a glued-on first record would be lost.
+                size = os.fstat(fd).st_size
+                if size and os.pread(fd, 1, size - 1) != b"\n":
+                    blob = b"\n" + blob
                 os.write(fd, blob)
             finally:
                 os.close(fd)

@@ -1,20 +1,18 @@
 """Columnar (structure-of-arrays) view of a trace.
 
-A :class:`~repro.trace.tracer.Trace` holds one Python object per kernel
-launch, which is the right shape for *capture* but the wrong shape for
-*pricing*: the execution engine wants to run the roofline model over
-thousands of kernels in a handful of numpy operations, not an interpreter
-loop. :class:`TraceColumns` is the pricing-side layout — one contiguous
+:class:`TraceColumns` is the one layout a trace lives in: one contiguous
 float64 array per work descriptor (FLOPs, bytes read/written, threads,
 coalescing, reuse), plus small integer code arrays for the categorical
 fields (kernel category, stage, modality, event name) backed by interned
-string tables in first-seen order.
+string tables in first-seen order. The execution engine runs the roofline
+model over thousands of kernels in a handful of numpy operations on it.
 
-The columns are built once per trace and cached on it
-(:meth:`Trace.columns`); the trace store's disk tier serializes this form
-directly, so a warm load never churns through per-event objects at all —
-``KernelEvent`` / ``HostEvent`` lists are materialized lazily only when a
-consumer actually asks for them.
+A capture records one plain tuple per kernel launch and host event and
+builds the columns once, when the tracer finishes (:meth:`from_rows`); an
+ingest does the same, and the trace store's disk tier serializes this
+form directly, so a warm load never churns through per-event objects at
+all — ``KernelEvent`` / ``HostEvent`` lists are materialized lazily only
+when a consumer actually asks for them.
 """
 
 from __future__ import annotations
@@ -60,23 +58,6 @@ HOST_COLUMN_SPEC: tuple[tuple[str, str], ...] = (
 )
 #: Interned string tables, in header order.
 TABLE_NAMES = ("stage_table", "modality_table", "name_table", "host_name_table")
-
-
-class _Interner:
-    """First-seen-order string interning: name -> small int code."""
-
-    def __init__(self, table: tuple[str, ...] = ()):
-        self.codes: dict[str, int] = {s: i for i, s in enumerate(table)}
-
-    def code(self, name: str) -> int:
-        code = self.codes.get(name)
-        if code is None:
-            code = len(self.codes)
-            self.codes[name] = code
-        return code
-
-    def table(self) -> tuple[str, ...]:
-        return tuple(self.codes)
 
 
 @dataclass
@@ -136,83 +117,78 @@ class TraceColumns:
     # -- construction ----------------------------------------------------------
 
     @classmethod
+    def from_rows(cls, kernel_rows, host_rows=()) -> "TraceColumns":
+        """Build columns from plain rows, one array pass per column.
+
+        A kernel row is ``(name, category, flops, bytes_read,
+        bytes_written, threads, coalesced_fraction, reuse_factor, stage,
+        modality, pass_, seq, meta)``; a host row is ``(kind, bytes, name,
+        stage, modality, pass_, seq, meta)``. The stage and modality tables
+        are shared and interned in first-seen order, kernels first, then
+        host events; ``None`` modality codes as :data:`NO_MODALITY`.
+        """
+        stages: dict[str, int] = {}
+        modalities: dict[str, int] = {}
+        names: dict[str, int] = {}
+        host_names: dict[str, int] = {}
+
+        def f8(values) -> np.ndarray:
+            return np.array(values, dtype=np.float64)
+
+        def i8(values) -> np.ndarray:
+            return np.array(values, dtype=np.int64)
+
+        def interned(table: dict[str, int], values) -> np.ndarray:
+            return i8([table.setdefault(v, len(table)) for v in values])
+
+        def modality_codes(values) -> np.ndarray:
+            return i8([NO_MODALITY if v is None
+                       else modalities.setdefault(v, len(modalities))
+                       for v in values])
+
+        (name, category, flops, bytes_read, bytes_written, threads, coalesced,
+         reuse, stage, modality, pass_, seq, meta) = (
+            list(zip(*kernel_rows)) or [()] * 13)
+        (host_kind, host_bytes, host_name, host_stage, host_modality,
+         host_pass, host_seq, host_meta) = list(zip(*host_rows)) or [()] * 8
+
+        # Kernels intern before host events: the shared tables' order.
+        stage_codes = interned(stages, stage)
+        host_stage_codes = interned(stages, host_stage)
+        kernel_modality_codes = modality_codes(modality)
+        host_modality_codes = modality_codes(host_modality)
+        return cls(
+            n=len(kernel_rows), flops=f8(flops), bytes_read=f8(bytes_read),
+            bytes_written=f8(bytes_written), threads=i8(threads),
+            coalesced_fraction=f8(coalesced), reuse_factor=f8(reuse),
+            category_codes=i8([CATEGORY_CODES[c] for c in category]),
+            stage_codes=stage_codes, modality_codes=kernel_modality_codes,
+            pass_codes=i8([PASS_CODES[p] for p in pass_]),
+            name_codes=interned(names, name), seq=i8(seq),
+            host_n=len(host_rows),
+            host_kind_codes=i8([HOST_KIND_CODES[k] for k in host_kind]),
+            host_bytes=f8(host_bytes), host_stage_codes=host_stage_codes,
+            host_modality_codes=host_modality_codes,
+            host_pass_codes=i8([PASS_CODES[p] for p in host_pass]),
+            host_name_codes=interned(host_names, host_name),
+            host_seq=i8(host_seq),
+            stage_table=tuple(stages), modality_table=tuple(modalities),
+            name_table=tuple(names), host_name_table=tuple(host_names),
+            meta={i: m for i, m in enumerate(meta) if m},
+            host_meta={i: m for i, m in enumerate(host_meta) if m},
+        )
+
+    @classmethod
     def from_events(
         cls, kernels: list[KernelEvent], host_events: list[HostEvent]
     ) -> "TraceColumns":
-        """Build columns from event objects (the once-per-trace cost)."""
-        stages = _Interner()
-        modalities = _Interner()
-        names = _Interner()
-        host_names = _Interner()
-
-        n = len(kernels)
-        flops = np.empty(n)
-        bytes_read = np.empty(n)
-        bytes_written = np.empty(n)
-        threads = np.empty(n, dtype=np.int64)
-        coalesced = np.empty(n)
-        reuse = np.empty(n)
-        category_codes = np.empty(n, dtype=np.int64)
-        stage_codes = np.empty(n, dtype=np.int64)
-        modality_codes = np.empty(n, dtype=np.int64)
-        pass_codes = np.empty(n, dtype=np.int64)
-        name_codes = np.empty(n, dtype=np.int64)
-        seq = np.empty(n, dtype=np.int64)
-        meta: dict[int, dict] = {}
-        for i, k in enumerate(kernels):
-            flops[i] = k.flops
-            bytes_read[i] = k.bytes_read
-            bytes_written[i] = k.bytes_written
-            threads[i] = k.threads
-            coalesced[i] = k.coalesced_fraction
-            reuse[i] = k.reuse_factor
-            category_codes[i] = CATEGORY_CODES[k.category]
-            stage_codes[i] = stages.code(k.stage)
-            modality_codes[i] = (
-                NO_MODALITY if k.modality is None else modalities.code(k.modality)
-            )
-            pass_codes[i] = PASS_CODES[k.pass_]
-            name_codes[i] = names.code(k.name)
-            seq[i] = k.seq
-            if k.meta:
-                meta[i] = k.meta
-
-        host_n = len(host_events)
-        host_kind_codes = np.empty(host_n, dtype=np.int64)
-        host_bytes = np.empty(host_n)
-        host_stage_codes = np.empty(host_n, dtype=np.int64)
-        host_modality_codes = np.empty(host_n, dtype=np.int64)
-        host_pass_codes = np.empty(host_n, dtype=np.int64)
-        host_name_codes = np.empty(host_n, dtype=np.int64)
-        host_seq = np.empty(host_n, dtype=np.int64)
-        host_meta: dict[int, dict] = {}
-        for i, h in enumerate(host_events):
-            host_kind_codes[i] = HOST_KIND_CODES[h.kind]
-            host_bytes[i] = h.bytes
-            host_stage_codes[i] = stages.code(h.stage)
-            host_modality_codes[i] = (
-                NO_MODALITY if h.modality is None else modalities.code(h.modality)
-            )
-            host_pass_codes[i] = PASS_CODES[h.pass_]
-            host_name_codes[i] = host_names.code(h.name)
-            host_seq[i] = h.seq
-            if h.meta:
-                host_meta[i] = h.meta
-
-        return cls(
-            n=n, flops=flops, bytes_read=bytes_read, bytes_written=bytes_written,
-            threads=threads, coalesced_fraction=coalesced, reuse_factor=reuse,
-            category_codes=category_codes, stage_codes=stage_codes,
-            modality_codes=modality_codes, pass_codes=pass_codes,
-            name_codes=name_codes, seq=seq,
-            host_n=host_n, host_kind_codes=host_kind_codes, host_bytes=host_bytes,
-            host_stage_codes=host_stage_codes,
-            host_modality_codes=host_modality_codes,
-            host_pass_codes=host_pass_codes,
-            host_name_codes=host_name_codes, host_seq=host_seq,
-            stage_table=stages.table(), modality_table=modalities.table(),
-            name_table=names.table(), host_name_table=host_names.table(),
-            meta=meta, host_meta=host_meta,
+        """Build columns from event objects (rows in :meth:`from_rows` order)."""
+        return cls.from_rows(
+            [(k.name, k.category, k.flops, k.bytes_read, k.bytes_written,
+              k.threads, k.coalesced_fraction, k.reuse_factor, k.stage,
+              k.modality, k.pass_, k.seq, k.meta) for k in kernels],
+            [(h.kind, h.bytes, h.name, h.stage, h.modality, h.pass_, h.seq,
+              h.meta) for h in host_events],
         )
 
     @classmethod

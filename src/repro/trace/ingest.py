@@ -44,11 +44,10 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.trace.columns import TraceColumns
 from repro.trace.events import (
-    HostEvent,
     HostOpKind,
     KernelCategory,
-    KernelEvent,
     PASSES,
     PASS_BACKWARD,
     PASS_FORWARD,
@@ -482,6 +481,27 @@ def _positive_float(node, key, node_id, source, default=None):
     return float(value)
 
 
+def _attrs(node, node_id, source) -> dict:
+    """A node's ``attrs``: an object, null or absent (-> empty)."""
+    attrs = node.get("attrs")
+    if attrs is None:
+        return {}
+    if not isinstance(attrs, dict):
+        raise IngestError(f"attrs must be an object, got {attrs!r}", node_id, source)
+    return dict(attrs)
+
+
+def _label(node, key, node_id, source, default=None, nullable=False):
+    """A stage/modality label: a non-empty string (or null if ``nullable``)."""
+    value = node.get(key, default)
+    if value is None and nullable:
+        return None
+    if not isinstance(value, str) or not value:
+        kind = "a non-empty string or null" if nullable else "a non-empty string"
+        raise IngestError(f"{key} must be {kind}, got {value!r}", node_id, source)
+    return value
+
+
 # -- graph loading ---------------------------------------------------------------
 
 
@@ -688,8 +708,8 @@ def ingest_graph(source, registry: OpMappingRegistry | None = None,
 
     order = _toposort(raw_nodes, ids, label)
 
-    kernels: list[KernelEvent] = []
-    host_events: list[HostEvent] = []
+    kernel_rows: list[tuple] = []
+    host_rows: list[tuple] = []
     report = IngestReport(source=label, digest=digest, n_nodes=len(raw_nodes))
     stages_seen: dict[str, None] = {}
     modalities_seen: dict[str, None] = {}
@@ -714,17 +734,16 @@ def ingest_graph(source, registry: OpMappingRegistry | None = None,
                 raise IngestError(
                     f"unknown host op kind {kind_name!r}; valid: "
                     f"{sorted(k.value for k in HostOpKind)}", node_id, label)
-            event = HostEvent(
-                kind=kind,
-                bytes=_positive_float(node, "bytes", node_id, label, default=0.0),
-                stage=node.get("stage", STAGE_ENCODER),
-                modality=node.get("modality"),
-                pass_=explicit_pass or PASS_FORWARD,
-                seq=seq,
-                name=op_name,
-                meta=dict(node.get("attrs") or {}),
-            )
-            host_events.append(event)
+            host_rows.append((
+                kind,
+                _positive_float(node, "bytes", node_id, label, default=0.0),
+                op_name,
+                _label(node, "stage", node_id, label, default=STAGE_ENCODER),
+                _label(node, "modality", node_id, label, nullable=True),
+                explicit_pass or PASS_FORWARD,
+                seq,
+                _attrs(node, node_id, label),
+            ))
             continue
 
         # -- kernel nodes --------------------------------------------------------
@@ -760,10 +779,7 @@ def ingest_graph(source, registry: OpMappingRegistry | None = None,
         # Stage: explicit field > rule default > name heuristic >
         # optimizer-pass implication > the reported 'unknown' bucket.
         if "stage" in node:
-            stage = node["stage"]
-            if not isinstance(stage, str) or not stage:
-                raise IngestError(f"stage must be a non-empty string, got "
-                                  f"{stage!r}", node_id, label)
+            stage = _label(node, "stage", node_id, label)
         elif rule is not None and rule.stage:
             stage = rule.stage
         else:
@@ -775,7 +791,7 @@ def ingest_graph(source, registry: OpMappingRegistry | None = None,
 
         # Modality: explicit (null means "explicitly none") > name heuristic.
         if "modality" in node:
-            modality = node["modality"]
+            modality = _label(node, "modality", node_id, label, nullable=True)
         else:
             modality = _detect_modality(op_name)
 
@@ -805,29 +821,19 @@ def ingest_graph(source, registry: OpMappingRegistry | None = None,
             raise IngestError(f"reuse_factor must be positive, got {reuse}",
                               node_id, label)
 
-        event = KernelEvent(
-            name=op_name,
-            category=category,
-            flops=float(flops),
-            bytes_read=float(bytes_read),
-            bytes_written=float(bytes_written),
-            threads=max(1, int(threads)),
-            stage=stage,
-            modality=modality,
-            pass_=pass_,
-            seq=seq,
-            coalesced_fraction=float(coalesced),
-            reuse_factor=float(reuse),
-            meta=dict(node.get("attrs") or {}),
-        )
-        kernels.append(event)
+        kernel_rows.append((
+            op_name, category, float(flops), float(bytes_read),
+            float(bytes_written), max(1, int(threads)), float(coalesced),
+            float(reuse), stage, modality, pass_, seq,
+            _attrs(node, node_id, label),
+        ))
         report.pass_counts[pass_] = report.pass_counts.get(pass_, 0) + 1
         stages_seen.setdefault(stage)
         if modality is not None:
             modalities_seen.setdefault(modality)
 
-    report.n_kernels = len(kernels)
-    report.n_host_events = len(host_events)
+    report.n_kernels = len(kernel_rows)
+    report.n_host_events = len(host_rows)
     report.stages = list(stages_seen)
     report.modalities = list(modalities_seen)
 
@@ -856,9 +862,8 @@ def ingest_graph(source, registry: OpMappingRegistry | None = None,
                 f"got {value!r}", source=label)
         return int(value)
 
-    trace = Trace(kernels=kernels, host_events=host_events)
     return IngestedGraph(
-        trace=trace,
+        trace=Trace.from_columns(TraceColumns.from_rows(kernel_rows, host_rows)),
         name=str(graph_name),
         batch_size=batch_size,
         parameters=_model_count("parameters"),

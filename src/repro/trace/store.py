@@ -458,9 +458,12 @@ class TraceStore:
         """Return the cached *training-step* trace, capturing it on a miss.
 
         The capture runs one full traced step — forward, loss, backward and
-        optimizer update — through :func:`repro.profiling.training.trace_training_step`
-        on a **fresh** model build (the optimizer step mutates parameters,
-        so the memoized inference model must never be reused here).
+        optimizer update — through :func:`repro.profiling.training.trace_training_step`.
+        An eager step mutates parameters, so it runs on a **fresh** model
+        build. A meta step mutates nothing (shape-only gradients, no
+        numeric update, no running-statistics update, no dropout mask), so
+        it reuses the memoized model of :meth:`model` and clears the meta
+        gradients afterwards.
         """
         key = self.make_key(workload, fusion, unimodal, batch_size, seed,
                             backend, mode=f"train:{optimizer}")
@@ -471,15 +474,18 @@ class TraceStore:
         from repro.profiling.training import trace_training_step
         from repro.workloads.registry import get_workload
 
-        info = get_workload(workload)
-        if key.unimodal is not None:
-            model = info.build_unimodal(key.unimodal, seed=key.seed)
+        if key.backend == "meta":
+            model = self.model(workload, key.fusion, key.unimodal, seed=key.seed)
+        elif key.unimodal is not None:
+            model = get_workload(workload).build_unimodal(key.unimodal, seed=key.seed)
         else:
-            model = info.build(key.fusion, seed=key.seed)
+            model = get_workload(workload).build(key.fusion, seed=key.seed)
         trace = trace_training_step(
             model, batch_size=key.batch_size, seed=key.seed,
             backend=key.backend, optimizer=optimizer,
         )
+        if key.backend == "meta":
+            model.zero_grad()
         entry = StoredTrace(
             trace=trace,
             model_name=model.name,

@@ -22,17 +22,11 @@ from __future__ import annotations
 import contextlib
 from typing import TYPE_CHECKING
 
-from repro.trace.events import (
-    HostEvent,
-    HostOpKind,
-    KernelCategory,
-    KernelEvent,
-    PASS_FORWARD,
-    STAGE_ENCODER,
-)
+from repro.trace.columns import TraceColumns
+from repro.trace.events import PASS_FORWARD, STAGE_ENCODER
 
 if TYPE_CHECKING:
-    from repro.trace.columns import TraceColumns
+    from repro.trace.events import HostEvent, HostOpKind, KernelCategory, KernelEvent
 
 # The currently-active tracer, or None. A single global keeps the per-op
 # emission cost to one attribute load + branch.
@@ -67,27 +61,22 @@ def emit_kernel(
     ``stage`` / ``modality`` / ``pass_`` override the tracer's context
     stacks when given. Backward closures use this: they execute long after
     the stage/modality scopes that built them have unwound, so they carry
-    the snapshotted forward context explicitly.
+    the snapshotted forward context explicitly. The launch is recorded as
+    one row in :meth:`TraceColumns.from_rows` order.
     """
     tracer = _ACTIVE
     if tracer is None:
         return
-    tracer.record_kernel(
-        KernelEvent(
-            name=name,
-            category=category,
-            flops=float(flops),
-            bytes_read=float(bytes_read),
-            bytes_written=float(bytes_written),
-            threads=int(threads),
-            coalesced_fraction=coalesced_fraction,
-            reuse_factor=reuse_factor,
-            meta=meta,
-        ),
-        stage=stage,
-        modality=modality,
-        pass_=pass_,
-    )
+    seq = tracer._seq
+    tracer._seq = seq + 1
+    tracer._kernel_rows.append((
+        name, category, float(flops), float(bytes_read), float(bytes_written),
+        int(threads), coalesced_fraction, reuse_factor,
+        tracer.current_stage if stage is None else stage,
+        tracer.current_modality if modality is UNSET else modality,
+        tracer.current_pass if pass_ is None else pass_,
+        seq, meta,
+    ))
 
 
 def emit_host(kind: HostOpKind, bytes: float = 0.0, name: str = "", **meta) -> None:
@@ -95,7 +84,12 @@ def emit_host(kind: HostOpKind, bytes: float = 0.0, name: str = "", **meta) -> N
     tracer = _ACTIVE
     if tracer is None:
         return
-    tracer.record_host(HostEvent(kind=kind, bytes=float(bytes), name=name, meta=meta))
+    seq = tracer._seq
+    tracer._seq = seq + 1
+    tracer._host_rows.append((
+        kind, float(bytes), name, tracer.current_stage,
+        tracer.current_modality, tracer.current_pass, seq, meta,
+    ))
 
 
 @contextlib.contextmanager
@@ -135,15 +129,15 @@ class Trace:
     """The immutable result of a tracing session.
 
     Holds two equivalent representations and converts lazily between them:
-    the per-event object lists (``kernels`` / ``host_events``, the capture
-    form) and the columnar structure-of-arrays view
-    (:class:`~repro.trace.columns.TraceColumns`, the pricing form). A trace
-    loaded from the store's disk tier starts life columnar and only
-    materializes event objects if a consumer asks for them; a trace fresh
-    from a tracer starts as events and builds its columns once, on first
-    use, caching them here. The trace is treated as immutable once
-    finished — mutating events after the columns were built desynchronizes
-    the two views.
+    the columnar structure-of-arrays view
+    (:class:`~repro.trace.columns.TraceColumns`, the pricing form) and the
+    per-event object lists (``kernels`` / ``host_events``). A trace fresh
+    from a tracer or an ingest, or loaded from the store's disk tier,
+    starts life columnar and only materializes event objects if a consumer
+    asks for them; a trace built from event lists builds its columns once,
+    on first use, caching them here. The trace is treated as immutable
+    once finished — mutating events after the columns were built
+    desynchronizes the two views.
     """
 
     __slots__ = ("_kernels", "_host_events", "_columns",
@@ -187,8 +181,6 @@ class Trace:
     def columns(self) -> "TraceColumns":
         """The cached columnar view (built on first use)."""
         if self._columns is None:
-            from repro.trace.columns import TraceColumns
-
             self._columns = TraceColumns.from_events(self._kernels,
                                                      self._host_events)
         return self._columns
@@ -237,8 +229,8 @@ class Tracer:
     """Collects kernel and host events with stage/modality context."""
 
     def __init__(self) -> None:
-        self._kernels: list[KernelEvent] = []
-        self._host: list[HostEvent] = []
+        self._kernel_rows: list[tuple] = []
+        self._host_rows: list[tuple] = []
         self._stage_stack: list[str] = []
         self._modality_stack: list[str] = []
         self._pass_stack: list[str] = []
@@ -298,31 +290,12 @@ class Tracer:
     def current_pass(self) -> str:
         return self._pass_stack[-1] if self._pass_stack else PASS_FORWARD
 
-    # -- recording -----------------------------------------------------------
-
-    def record_kernel(self, event: KernelEvent, stage: str | None = None,
-                      modality=UNSET, pass_: str | None = None) -> None:
-        event.stage = self.current_stage if stage is None else stage
-        event.modality = self.current_modality if modality is UNSET else modality
-        event.pass_ = self.current_pass if pass_ is None else pass_
-        event.seq = self._seq
-        self._seq += 1
-        self._kernels.append(event)
-
-    def record_host(self, event: HostEvent) -> None:
-        event.stage = self.current_stage
-        event.modality = self.current_modality
-        event.pass_ = self.current_pass
-        event.seq = self._seq
-        self._seq += 1
-        self._host.append(event)
-
     # -- results ---------------------------------------------------------------
 
     def finish(self) -> Trace:
-        """Return the collected trace and reset the tracer."""
-        trace = Trace(kernels=self._kernels, host_events=self._host)
-        self._kernels = []
-        self._host = []
+        """Return the collected trace (columns built once) and reset."""
+        columns = TraceColumns.from_rows(self._kernel_rows, self._host_rows)
+        self._kernel_rows = []
+        self._host_rows = []
         self._seq = 0
-        return trace
+        return Trace.from_columns(columns)

@@ -9,6 +9,9 @@ round-trip coverage live in ``test_ingest_golden.py`` and
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.trace.events import (
@@ -29,6 +32,9 @@ from repro.trace.ingest import (
     ingest_graph,
     source_digest,
 )
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "execution_graphs"
 
 
 def graph_of(*nodes, **top):
@@ -326,6 +332,42 @@ class TestIngestErrors:
         self.assert_raises_naming(
             graph_of(kernel(1, "relu", output_shapes=[[4]], **{"pass": "sideways"})),
             "unknown pass", "node 1")
+
+    @staticmethod
+    def fixture_with(position, **fields):
+        """``cnn_forward.json`` with ``fields`` set on one node (0 is a
+        host node, 1 a kernel node)."""
+        graph = json.loads((FIXTURES / "cnn_forward.json").read_text())
+        graph["nodes"][position].update(fields)
+        return graph
+
+    @pytest.mark.parametrize("position", [0, 1])
+    @pytest.mark.parametrize("attrs", [[1, 2], "x", 3])
+    def test_attrs_must_be_an_object(self, position, attrs):
+        node_id = position + 1
+        self.assert_raises_naming(self.fixture_with(position, attrs=attrs),
+                                  "attrs must be an object", f"node {node_id}")
+
+    @pytest.mark.parametrize("position", [0, 1])
+    @pytest.mark.parametrize("modality", [5, ["a"], ""])
+    def test_modality_must_be_a_string_or_null(self, position, modality):
+        node_id = position + 1
+        self.assert_raises_naming(self.fixture_with(position, modality=modality),
+                                  "modality must be a non-empty string or null",
+                                  f"node {node_id}")
+
+    @pytest.mark.parametrize("stage", [7, "", None])
+    def test_host_stage_must_be_a_string(self, stage):
+        self.assert_raises_naming(self.fixture_with(0, stage=stage),
+                                  "stage must be a non-empty string", "node 1")
+
+    def test_null_attrs_and_modality_are_accepted(self):
+        graph = self.fixture_with(0, attrs=None, modality=None)
+        graph["nodes"][1].update(attrs={"k": 3}, modality=None)
+        trace = ingest_graph(graph).trace
+        assert trace.host_events[0].modality is None
+        assert trace.kernels[0].modality is None
+        assert trace.kernels[0].meta == {"k": 3}
 
     def test_unparseable_file(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -9,6 +9,7 @@ from repro.trace.store import (
     default_store,
     set_default_store,
 )
+from repro.workloads.registry import get_workload, list_workloads
 
 
 @pytest.fixture(autouse=True)
@@ -80,6 +81,71 @@ class TestCaptureAndHits:
                                  model_bytes=eager.parameter_bytes,
                                  input_bytes=eager.input_bytes).total_time
         assert t_meta == t_eager
+
+
+class TestTrainingModelReuse:
+    """A meta training capture runs on the memoized build; eager builds fresh."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        from repro.workloads.registry import WorkloadInfo
+
+        calls = []
+        for name in ("build", "build_unimodal"):
+            def counted(self, *args, _original=getattr(WorkloadInfo, name), **kwargs):
+                calls.append(self.name)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(WorkloadInfo, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("backend, n_builds", [("meta", 1), ("eager", 2)])
+    @pytest.mark.parametrize("training_first", [False, True])
+    def test_one_build_per_workload_and_seed_on_meta(self, builds, backend,
+                                                     n_builds, training_first):
+        store = TraceStore()
+        captures = [
+            lambda: store.get_or_capture("avmnist", batch_size=2, seed=1,
+                                         backend=backend),
+            lambda: store.get_or_capture_training("avmnist", batch_size=2, seed=1,
+                                                  backend=backend),
+        ]
+        for capture in captures[::-1] if training_first else captures:
+            capture()
+        assert store.stats["captures"] == 2
+        assert builds == ["avmnist"] * n_builds
+
+    @pytest.mark.parametrize("workload", list_workloads())
+    def test_meta_training_capture_leaves_the_build_pristine(self, workload):
+        store = TraceStore()
+        store.get_or_capture_training(workload, batch_size=2, seed=1, backend="meta")
+        model = store.model(workload, seed=1)
+        assert all(p.grad is None for p in model.parameters())
+        fresh = get_workload(workload).build(None, seed=1).state_dict()
+        state = model.state_dict()
+        assert state.keys() == fresh.keys()
+        for name, value in state.items():
+            assert value.dtype == fresh[name].dtype, name
+            assert value.tobytes() == fresh[name].tobytes(), name
+
+    @pytest.mark.parametrize("optimizer, buffers", [
+        ("adam", ("_m", "_v")), ("sgd_momentum", ("_velocity",))])
+    def test_meta_step_allocates_no_optimizer_state(self, monkeypatch,
+                                                    optimizer, buffers):
+        import repro.nn.optim as optim
+
+        made = []
+
+        def recording(*args, _original=optim.make_optimizer, **kwargs):
+            made.append(_original(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(optim, "make_optimizer", recording)
+        TraceStore().get_or_capture_training("avmnist", batch_size=2,
+                                             backend="meta", optimizer=optimizer)
+        (opt,) = made
+        for attr in buffers:
+            assert getattr(opt, attr) == [None] * len(opt.params), attr
 
 
 class TestDiskTier:

@@ -333,6 +333,37 @@ class TestInterning:
         assert cold.stats["disk_hits"] == 1
         assert loaded.trace.total_flops > 0
 
+    def test_append_after_torn_tail_starts_a_new_line(self, tmp_path):
+        # A writer that glued its first record onto a torn line would lose
+        # it, and the next cold read would quarantine a good entry.
+        TraceStore(tmp_path).get_or_capture("avmnist", batch_size=2, backend="meta")
+        sidecar = tmp_path / TraceStore.INTERNING_SIDECAR
+        with open(sidecar, "ab") as fh:
+            fh.write(b'{"id": 123, "s": "trun')  # crash mid-append
+        TraceStore(tmp_path).get_or_capture("mmimdb", batch_size=2, backend="meta")
+        cold = TraceStore(tmp_path)
+        loaded = cold.get_or_capture("mmimdb", batch_size=2, backend="meta")
+        assert cold.stats["disk_hits"] == 1 and cold.stats["corrupt"] == 0
+        assert loaded.trace.total_flops > 0
+
+    def test_sidecar_ends_in_newline_without_a_torn_tail(self, tmp_path):
+        store = TraceStore(tmp_path)
+        store.get_or_capture("avmnist", batch_size=2, backend="meta")
+        TraceStore(tmp_path).get_or_capture("mmimdb", batch_size=2, backend="meta")
+        raw = (tmp_path / TraceStore.INTERNING_SIDECAR).read_bytes()
+        assert raw.endswith(b"\n") and b"\n\n" not in raw
+
+    def test_writer_reads_the_sidecar_once(self, tmp_path, monkeypatch):
+        TraceStore(tmp_path).get_or_capture("avmnist", batch_size=2, backend="meta")
+        reads = []
+        refresh = binfmt.StringInterner._refresh
+        monkeypatch.setattr(binfmt.StringInterner, "_refresh",
+                            lambda self: reads.append(1) or refresh(self))
+        store = TraceStore(tmp_path)
+        for workload in ("mmimdb", "mustard", "cmu_mosei"):
+            store.get_or_capture(workload, batch_size=2, backend="meta")
+        assert store.stats["captures"] == 3 and len(reads) == 1
+
     def test_missing_sidecar_quarantines_instead_of_crashing(self, tmp_path):
         store = TraceStore(tmp_path)
         store.get_or_capture("avmnist", batch_size=2, backend="meta")

@@ -6,6 +6,7 @@ import pytest
 from repro import nn
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
+from repro.trace.columns import HOST_COLUMN_SPEC, KERNEL_COLUMN_SPEC, TABLE_NAMES, TraceColumns
 from repro.trace.events import HostOpKind, KernelCategory
 from repro.trace.tracer import (
     Tracer,
@@ -123,3 +124,44 @@ class TestFrameworkIntegration:
         assert trace.modalities() == ["image"]
         assert len(trace.kernels_in_stage("encoder")) == 1
         assert len(trace.kernels_for_modality("image")) == 1
+
+
+class TestRowCapture:
+    """A capture records rows and builds its columns once, at ``finish()``."""
+
+    def test_finish_builds_columns_and_no_events(self):
+        tracer = Tracer()
+        with tracer.activate():
+            emit_kernel("a", KernelCategory.GEMM, 1, 1, 1, 1)
+            emit_host(HostOpKind.SYNC)
+        trace = tracer.finish()
+        assert trace._columns is not None
+        assert trace._kernels is None and trace._host_events is None
+        assert trace.columns().n == 1 and trace.columns().host_n == 1
+
+    def test_host_first_labels_intern_after_kernel_labels(self):
+        # "preprocess" and "video" are first seen on host events, ahead of
+        # every kernel; the shared tables still list kernel labels first.
+        tracer = Tracer()
+        with tracer.activate():
+            with tracer.stage("preprocess"), tracer.modality("video"):
+                emit_host(HostOpKind.H2D, bytes=64, name="copy", note="x")
+            with tracer.stage("fusion"):
+                emit_kernel("gemm", KernelCategory.GEMM, 10, 4, 4, 8, m=2)
+                emit_kernel("relu", KernelCategory.RELU, 1, 1, 1, 1, modality="text")
+            emit_host(HostOpKind.SYNC, name="sync")
+            with tracer.modality("audio"):
+                emit_kernel("gemm", KernelCategory.GEMM, 10, 4, 4, 8, pass_="backward")
+        trace = tracer.finish()
+        cols = trace.columns()
+        assert cols.stage_table == ("fusion", "encoder", "preprocess")
+        assert cols.modality_table == ("text", "audio", "video")
+
+        ref = TraceColumns.from_events(trace.kernels, trace.host_events)
+        for name, _ in KERNEL_COLUMN_SPEC + HOST_COLUMN_SPEC:
+            got, want = getattr(cols, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        for name in TABLE_NAMES:
+            assert getattr(cols, name) == getattr(ref, name), name
+        assert cols.meta == ref.meta == {0: {"m": 2}}
+        assert cols.host_meta == ref.host_meta == {0: {"note": "x"}}
