@@ -8,7 +8,8 @@ Four artifact kinds live here:
   transformations): overlapping windows on one stream, device share sums
   over 1.0, windows running past the makespan.
 * ``serving`` — :class:`~repro.serving.simulator.ServingReport`: replay
-  checks over the recorded request timeline. Cross-tenant batch leakage
+  checks over the recorded request timeline (the report's request
+  columns, ``report.table``). Cross-tenant batch leakage
   (two tenants' requests riding one dispatched batch) and
   dispatch-to-down-slot races (a request dispatched inside a fault
   window, replayed from ``fault_stats``).
@@ -98,15 +99,15 @@ def window_past_makespan(schedule, ctx: LintContext) -> Iterator[Diagnostic]:
 
 
 def _dispatched(report):
-    """(tenants, slots, dispatch) arrays for requests that actually ran."""
-    rows = [(r.tenant, r.device, r.dispatch) for r in report.requests
-            if not r.shed and r.device]
-    if not rows:
+    """(tenants, slots, dispatch) arrays for requests that actually ran,
+    read off the report's request columns."""
+    table = report.table
+    ran = ~table.shed & (table.slot >= 0)
+    if not ran.any():
         return None
-    tenants = np.array([r[0] for r in rows])
-    slots = np.array([r[1] for r in rows])
-    dispatch = np.array([r[2] for r in rows], dtype=np.float64)
-    return tenants, slots, dispatch
+    tenants = np.array(table.tenants)[table.tenant[ran]]
+    slots = np.array(table.slots)[table.slot[ran]]
+    return tenants, slots, table.dispatch[ran]
 
 
 @rule("MMB304", "error", "serving",

@@ -92,6 +92,7 @@ from repro.serving.report import (
 from repro.serving.request import (
     Request,
     RequestColumns,
+    RequestTable,
     closed_arrivals,
     make_requests,
     poisson_arrivals,
@@ -141,7 +142,8 @@ __all__ = [
     "fleet_summary", "format_device_breakdown", "format_fault_stats",
     "format_finetune_breakdown", "format_policy_comparison",
     "format_tenant_breakdown", "mixed_serving_summary", "serving_summary",
-    "Request", "RequestColumns", "closed_arrivals", "make_requests",
+    "Request", "RequestColumns", "RequestTable", "closed_arrivals",
+    "make_requests",
     "poisson_arrivals", "sort_request_columns",
     "EarliestFinishRouter", "RoundRobinRouter", "Router", "RouterScaleError",
     "make_router",

@@ -26,6 +26,9 @@ structure of a fleet:
   call overhead costs more than the arithmetic;
 * per-request timing (latencies, queue and formation waits) is filled
   after the loop, one vectorized pass per tenant over its batch records;
+  a caller that wants every request's outcome (the classic entry points'
+  reports) gets one :class:`~repro.serving.request.RequestTable`, built
+  from all tenants' records at once;
 * batch latencies reuse the cost models' memoized anchor curves
   (:class:`~repro.serving.costmodel.ProfiledCostModel`) as a dense
   precomputed interpolation table per (tenant, device), shared by
@@ -79,7 +82,8 @@ from repro.serving.costmodel import CallableCostModel
 from repro.serving.faults import (DegradedMode, FaultPlan, FaultRuntime,
                                   FaultStats, RetryPolicy)
 from repro.serving.policies import BatchingPolicy
-from repro.serving.request import check_arrivals, is_finite_number
+from repro.serving.request import (RequestTable, check_arrivals,
+                                   is_finite_number)
 from repro.serving.router import EarliestFinishRouter, Router
 
 __all__ = [
@@ -137,10 +141,18 @@ class TenantSpec:
 
 @dataclass(frozen=True)
 class TenantStats:
-    """Per-tenant latency / SLO breakdown of one simulation."""
+    """Per-tenant latency / SLO breakdown of one simulation.
+
+    Every field covers the tenant's *completed* requests only: a shed
+    request counts in neither ``n_requests`` nor ``slo_attainment``, so
+    a tenant that shed most of its traffic can still attain 1.0 while the
+    report's own ``slo_attainment`` (over issued requests, sheds as
+    misses) is low. The tenant's sheds are in
+    ``report.fault_stats.tenants[name].shed``.
+    """
 
     tenant: str
-    n_requests: int
+    n_requests: int  # completed requests
     slo: float | None
     throughput: float  # this tenant's requests / overall makespan
     mean_latency: float
@@ -356,7 +368,7 @@ def parse_groups(spec: str) -> tuple[DeviceGroup, ...]:
     """Parse ``"2080ti:64,orin:32,nano:16"`` into device groups.
 
     Each entry is ``DEVICE:REPLICAS`` or ``DEVICE:REPLICAS:POOL`` (the
-    autoscaler's provisioned ceiling).
+    autoscaler's provisioned ceiling); a device may head one entry only.
     """
     groups: list[DeviceGroup] = []
     for entry in spec.split(","):
@@ -374,6 +386,10 @@ def parse_groups(spec: str) -> tuple[DeviceGroup, ...]:
             raise FleetConfigError(
                 f"bad group spec {entry!r}; replicas/pool must be integers"
             ) from None
+        if any(g.device == parts[0] for g in groups):
+            raise FleetConfigError(
+                f"duplicate group device {parts[0]!r} in spec {spec!r}; "
+                f"give each device one DEVICE:REPLICAS[:POOL] entry")
         groups.append(DeviceGroup(parts[0], replicas, pool))
     if not groups:
         raise FleetConfigError(f"no device groups in spec {spec!r}")
@@ -597,23 +613,24 @@ class _FleetEngine:
         self.arr_all = columns.arrivals
         self.codes = columns.codes
 
-        # Per-tenant views of the stream. A single stable argsort groups
-        # the request indices by tenant while preserving arrival order
-        # within each tenant; on codes narrowed to 8 or 16 bits numpy
-        # radix-sorts, which gives the same order ~10x faster. Without
-        # faults a batch is always the next slice of one tenant's queue,
-        # so a tenant's batch records (finish, size, dispatch instant,
-        # replica idle time) are enough to rebuild every request's
-        # timing after the loop; see _tenant_columns.
+        # Per-tenant views of the stream, in tenant order (see
+        # _tenant_order). Without faults a batch is always the next slice
+        # of one tenant's queue, so a tenant's batch records (finish,
+        # size, dispatch instant, replica idle time) are enough to rebuild
+        # every request's timing after the loop; see request_table.
         K = len(self.tenants)
-        order = np.argsort(self.codes.astype(np.min_scalar_type(K - 1)),
-                           kind="stable")
+        order = self._tenant_order()
         bounds = np.zeros(K + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.codes, minlength=K), out=bounds[1:])
         self.bounds = bounds
+        self.index = index
         self.arr_t = [self.arr_all[order[bounds[t]:bounds[t + 1]]]
                       for t in range(K)]
-        self.lat_t: list[np.ndarray] = []  # filled by _fill_requests
+        # Each tenant's completed latencies, filled by _fill_requests, and
+        # the stream positions of the completed requests in the same
+        # order, set by request_table.
+        self.lat_t: list[np.ndarray] = []
+        self.done_order: np.ndarray | None = None
         self.arr_sum = [0.0] * K   # sum of completed requests' arrivals
         self.disp_sum = [0.0] * K  # sum of dispatch instants (x batch size)
         self.form_sum = 0.0        # global formation-wait sum
@@ -688,7 +705,7 @@ class _FleetEngine:
         self.instants: list[tuple[float, int, int]] = []
 
         self._device_specs: dict[str, object] = {}  # lazy, hop pricing only
-        self._columns: dict[int, tuple[np.ndarray, ...]] = {}  # after the run
+        self._table: RequestTable | None = None  # after the run
 
         self.faults: FaultRuntime | None = None
         self.edges: list[tuple] = []
@@ -698,6 +715,18 @@ class _FleetEngine:
                 or any(spec.degraded is not None for spec in self.tenants)):
             self._init_faults(faults or FaultPlan(), retry or RetryPolicy(),
                               order if index is None else np.asarray(index)[order])
+
+    def _tenant_order(self) -> np.ndarray:
+        """Stream positions grouped by tenant, arrival order within each.
+
+        A stable argsort of the tenant codes; on codes narrowed to 8 or 16
+        bits numpy radix-sorts, which gives the same order ~10x faster. It
+        is sorted again after the run rather than kept through it: the
+        loop's memory is a few columns per request.
+        """
+        K = len(self.tenants)
+        return np.argsort(self.codes.astype(np.min_scalar_type(K - 1)),
+                          kind="stable")
 
     def _init_faults(self, plan: FaultPlan, retry: RetryPolicy,
                      ids: np.ndarray) -> None:
@@ -1235,39 +1264,6 @@ class _FleetEngine:
 
     # -- per-request results -------------------------------------------------------
 
-    def _tenant_columns(self, t: int) -> tuple[np.ndarray, ...]:
-        """Tenant ``t``'s per-request (dispatch, finish, group, batch size,
-        replica idle time, degraded) columns, in its arrival order.
-
-        Without faults the batch records tile the tenant's queue in order,
-        so repeating each record over its size lines it up with its
-        requests. With faults only the batches that completed count, and
-        each scatters to its members; a shed request keeps NaN times,
-        group -1 and batch size 0. Computed once per tenant and run.
-        """
-        if t in self._columns:
-            return self._columns[t]
-        sizes = np.array(self.b_size[t], dtype=np.intp)
-        records = [np.array(self.b_now[t]), np.array(self.b_finish[t]),
-                   np.array(self.b_group[t], dtype=np.intp), sizes,
-                   np.array(self.b_idle[t])]
-        if self.faults is None:
-            columns = (*(np.repeat(r, sizes) for r in records),
-                       np.zeros(self.arr_t[t].size, dtype=bool))
-        else:
-            members = self.b_members[t]
-            live = np.array([m is not None for m in members], dtype=bool)
-            pos = np.fromiter(itertools.chain.from_iterable(
-                m for m in members if m is not None), dtype=np.intp)
-            records.append(np.array(self.b_degraded[t], dtype=bool))
-            columns = []
-            for r, blank in zip(records, (np.nan, np.nan, -1, 0, np.nan, False)):
-                column = np.full(self.arr_t[t].size, blank, dtype=r.dtype)
-                column[pos] = np.repeat(r[live], sizes[live])
-                columns.append(column)
-        self._columns[t] = columns = tuple(columns)
-        return columns
-
     def _fill_requests(self) -> None:
         """Per-request timing from the batch records, one pass per tenant.
 
@@ -1279,19 +1275,24 @@ class _FleetEngine:
         latencies of completed requests are kept per request; the waits
         only ever surface as means. Without faults the records tile each
         tenant's queue, and at most two tenant-sized temporaries are
-        alive at once.
+        alive at once. With faults the sums and latencies are read off
+        the request table, tenant by tenant.
         """
         if self.faults is not None:
+            table = self.request_table()
+            order = self.done_order
+            arr, disp = table.arrival[order], table.dispatch[order]
+            fin, form = table.finish[order], table.formation[order]
+            lat, serv = fin - arr, fin - disp
             self.form_sum = self.serv_sum = 0.0
-            for t, arr in enumerate(self.arr_t):
-                disp, fin, _g, _s, idle, _d = self._tenant_columns(t)
-                done = ~np.isnan(disp)
-                disp, fin, idle, arr = disp[done], fin[done], idle[done], arr[done]
-                self.arr_sum[t] = float(arr.sum())
-                self.disp_sum[t] = float(disp.sum())
-                self.form_sum += float(np.minimum(disp - arr, disp - idle).sum())
-                self.serv_sum += float((fin - disp).sum())
-                self.lat_t.append(fin - arr)
+            end = 0
+            for t, shed in enumerate(self.shed_pos):
+                start, end = end, end + self.arr_t[t].size - len(shed)
+                self.arr_sum[t] = float(arr[start:end].sum())
+                self.disp_sum[t] = float(disp[start:end].sum())
+                self.form_sum += float(form[start:end].sum())
+                self.serv_sum += float(serv[start:end].sum())
+                self.lat_t.append(lat[start:end])
             return
         for t, arr in enumerate(self.arr_t):
             sizes = np.array(self.b_size[t], dtype=np.intp)
@@ -1305,33 +1306,78 @@ class _FleetEngine:
             lat = np.repeat(np.array(self.b_finish[t]), sizes)
             self.lat_t.append(np.subtract(lat, arr, out=lat))
 
-    def request_table(self) -> dict[str, np.ndarray]:
-        """Every request's outcome, in stream order: ``dispatch``,
-        ``finish``, ``group``, ``batch_size``, ``formation``, ``retries``,
-        ``shed`` and ``degraded`` columns (shed requests keep NaN times,
-        group -1, batch size 0 and formation 0)."""
-        n = self.n
-        table = {"dispatch": np.full(n, np.nan), "finish": np.full(n, np.nan),
-                 "group": np.full(n, -1, dtype=np.intp),
-                 "batch_size": np.zeros(n, dtype=np.intp),
-                 "formation": np.zeros(n), "retries": np.zeros(n, dtype=np.intp),
-                 "shed": np.zeros(n, dtype=bool), "degraded": np.zeros(n, dtype=bool)}
-        order = np.argsort(self.codes, kind="stable")
-        for t, arr in enumerate(self.arr_t):
-            ids = order[self.bounds[t]:self.bounds[t + 1]]
-            disp, fin, grp, size, idle, deg = self._tenant_columns(t)
-            done = ~np.isnan(disp)
-            table["dispatch"][ids] = disp
-            table["finish"][ids] = fin
-            table["group"][ids] = grp
-            table["batch_size"][ids] = size
-            table["formation"][ids[done]] = np.minimum(disp - arr, disp - idle)[done]
-            table["degraded"][ids] = deg
-            if self.faults is not None:
-                tries = self.tries[t]
-                table["retries"][ids[list(tries)]] = list(tries.values())
-                table["shed"][ids[self.shed_pos[t]]] = True
-        return table
+    def request_table(self) -> RequestTable:
+        """Every request's outcome in stream order, built once per run.
+
+        All tenants' batch records are concatenated once, tenant by
+        tenant, and each column is one ``np.repeat`` of a record field
+        over the batch sizes, scattered to stream positions through the
+        stable tenant order. Without faults the records tile the
+        tenant-grouped stream in order; with faults only the batches that
+        completed count, each landing on its members, and a shed request
+        keeps NaN times, slot -1, batch size 0 and formation 0.
+        """
+        if self._table is not None:
+            return self._table
+        n, order, bounds = self.n, self._tenant_order(), self.bounds
+        chain = itertools.chain.from_iterable
+        n_batches = [len(sizes) for sizes in self.b_size]
+        count = sum(n_batches)
+
+        def record(lists, dtype):
+            return np.fromiter(chain(lists), dtype=dtype, count=count)
+
+        sizes = record(self.b_size, np.intp)
+        now, finish = record(self.b_now, np.float64), record(self.b_finish, np.float64)
+        idle, group = record(self.b_idle, np.float64), record(self.b_group, np.intp)
+        retries = np.zeros(n, dtype=np.intp)
+        shed = np.zeros(n, dtype=bool)
+        if self.faults is None:
+            dest, degraded = order, np.zeros(count, dtype=bool)
+        else:
+            live = np.fromiter((m is not None for m in chain(self.b_members)),
+                               dtype=bool, count=count)
+            sizes, now, finish = sizes[live], now[live], finish[live]
+            idle, group = idle[live], group[live]
+            degraded = record(self.b_degraded, bool)[live]
+            # Members are positions in their tenant's queue; the tenant's
+            # bound turns them into tenant-grouped positions.
+            first = np.repeat(bounds[:-1], n_batches)[live]
+            pos = np.fromiter(chain(m for m in chain(self.b_members)
+                                    if m is not None),
+                              dtype=np.intp, count=int(sizes.sum()))
+            dest = order[pos + np.repeat(first, sizes)]
+            for t, tries in enumerate(self.tries):
+                ids = order[bounds[t]:bounds[t + 1]]
+                retries[ids[list(tries)]] = list(tries.values())
+                shed[ids[self.shed_pos[t]]] = True
+
+        def spread(values, blank, dtype=np.float64):
+            column = np.full(n, blank, dtype=dtype)
+            column[dest] = values
+            return column
+
+        dispatch = np.repeat(now, sizes)
+        formation = np.minimum(dispatch - self.arr_all[dest],
+                               dispatch - np.repeat(idle, sizes))
+        self.done_order = order if self.faults is None else order[~shed[order]]
+        self._table = RequestTable(
+            index=(np.arange(n, dtype=np.int64) if self.index is None
+                   else np.asarray(self.index, dtype=np.int64)),
+            arrival=self.arr_all,
+            tenant=self.codes,
+            tenants=tuple(spec.name for spec in self.tenants),
+            dispatch=spread(dispatch, np.nan),
+            finish=spread(np.repeat(finish, sizes), np.nan),
+            slot=spread(np.repeat(group, sizes), -1, np.intp),
+            slots=tuple(self.glabel),
+            batch_size=spread(np.repeat(sizes, sizes), 0, np.intp),
+            formation=spread(formation, 0.0),
+            retries=retries,
+            shed=shed,
+            degraded=spread(np.repeat(degraded, sizes), False, bool),
+        )
+        return self._table
 
     def batch_histograms(self) -> list[dict[int, int]]:
         """Per group, completed batches by size (sorted by size)."""
@@ -1350,12 +1396,15 @@ class _FleetEngine:
             return None
         histogram: dict[int, int] = {}
         degraded: dict[str, np.ndarray] = {}
+        # Degraded flags of the completed requests, aligned with lat_t.
+        flags = self.request_table().degraded[self.done_order]
+        end = 0
         for t, spec in enumerate(self.tenants):
             for tries in self.tries[t].values():
                 histogram[tries] = histogram.get(tries, 0) + 1
+            start, end = end, end + self.lat_t[t].size
             if any(self.b_degraded[t]):
-                disp, fin, *_rest, deg = self._tenant_columns(t)
-                degraded[spec.name] = (fin - self.arr_t[t])[deg]
+                degraded[spec.name] = self.lat_t[t][flags[start:end]]
         return self.faults.build_stats(
             self.makespan, self.n,
             {spec.name: (spec.degraded, spec.slo) for spec in self.tenants},
@@ -1390,16 +1439,55 @@ def _group_stats(engine: _FleetEngine, makespan: float) -> dict[str, GroupStats]
     return out
 
 
+# np.percentile's q / 100 for the p50, p95 and p99 every report carries.
+_QUANTILES = np.true_divide([50, 95, 99], 100)
+
+
+def _percentiles(segments: Sequence[np.ndarray]) -> list[list[float]]:
+    """``np.percentile(segment, [50, 95, 99])`` of every non-empty,
+    NaN-free segment, bit for bit, in one pass over all of them.
+
+    Each segment is sorted: a sorted array holds every order statistic
+    where ``np.percentile``'s partition puts it. Then numpy's linear
+    method runs on all segments at once, the same element-wise
+    operations on the same operands: virtual index ``(n - 1) * q``,
+    neighbours at ``floor`` and ``floor + 1`` (both at ``n - 1`` once the
+    index reaches it, where numpy takes the weight against index -1),
+    and ``a + (b - a) * g``, or ``b - (b - a) * (1 - g)`` where
+    ``g >= 0.5``.
+    """
+    if not segments:
+        return []
+    sizes = np.array([s.size for s in segments], dtype=np.intp)
+    values = np.concatenate([np.sort(s) for s in segments])
+    last = (sizes - 1)[:, None]
+    virtual = last * _QUANTILES
+    prev = np.floor(virtual)
+    above = virtual >= last
+    prev[above] = -1
+    gamma = virtual - prev
+    lo = np.where(above, last, prev.astype(np.intp))
+    lo += (np.cumsum(sizes) - sizes)[:, None]
+    a, b = values[lo], values[np.where(above, lo, lo + 1)]
+    diff = b - a
+    out = a + diff * gamma
+    upper = gamma >= 0.5
+    out[upper] = (b - diff * (1 - gamma))[upper]
+    return out.tolist()
+
+
 def _tenant_stats(tenants: Sequence[TenantSpec], latencies: Sequence[np.ndarray],
                   mean_queue: Sequence[float],
                   makespan: float) -> dict[str, TenantStats]:
     """Per-tenant latency / SLO stats from each tenant's completed
-    requests' latencies (arrival order) and mean queue time."""
+    requests' latencies (arrival order) and mean queue time; every
+    tenant's percentiles come from one :func:`_percentiles` pass."""
     out: dict[str, TenantStats] = {}
+    percentiles = iter(_percentiles([lat for lat in latencies if lat.size]))
     for spec, lat, queue in zip(tenants, latencies, mean_queue):
         n = int(lat.size)
         if n:
-            p50, p95, p99 = np.percentile(lat, [50, 95, 99])
+            p50, p95, p99 = next(percentiles)
             mean_lat = float(lat.mean())
             attainment = (float((lat <= spec.slo).mean())
                           if spec.slo is not None else None)

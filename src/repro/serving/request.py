@@ -16,6 +16,11 @@ service time on the device it was routed to.
 Multi-tenant streams tag each request with the ``tenant`` (workload) it
 belongs to; the simulator keeps one FIFO queue per tenant and never
 batches across tenants (different workloads cannot share a batch).
+
+The serving engine never holds ``Request`` objects: an arrival stream
+enters as :class:`RequestColumns`, and a run's per-request outcomes
+leave as a :class:`RequestTable`, which builds the objects only for a
+caller that asks for them.
 """
 
 from __future__ import annotations
@@ -162,6 +167,78 @@ class RequestColumns:
             for i, (arrival, code) in enumerate(
                 zip(self.arrivals.tolist(), self.codes.tolist()))
         ]
+
+
+@dataclass(frozen=True, eq=False)
+class RequestTable:
+    """Every served request's outcome as parallel columns, in stream order.
+
+    The columnar twin of a served ``list[Request]``, one row per request:
+    ``tenant`` indexes ``tenants`` and ``slot`` indexes ``slots``. A shed
+    request keeps NaN ``dispatch``/``finish``, slot ``-1`` (no slot),
+    batch size 0 and formation wait 0. :meth:`to_requests` builds the
+    ``Request`` objects for callers that read them;
+    :meth:`from_requests` goes the other way.
+    """
+
+    index: np.ndarray  # int64, each request's caller-facing index
+    arrival: np.ndarray  # float64
+    tenant: np.ndarray  # int64 code into ``tenants``
+    tenants: tuple[str, ...]
+    dispatch: np.ndarray  # float64
+    finish: np.ndarray  # float64
+    slot: np.ndarray  # intp code into ``slots``; -1 = never completed
+    slots: tuple[str, ...]
+    batch_size: np.ndarray  # intp
+    formation: np.ndarray  # float64 formation wait
+    retries: np.ndarray  # intp
+    shed: np.ndarray  # bool
+    degraded: np.ndarray  # bool
+
+    def __len__(self) -> int:
+        return int(self.arrival.size)
+
+    def to_requests(self) -> list[Request]:
+        """Materialize the rows as ``Request`` objects (one ``tolist`` per
+        column, so every field is a plain Python scalar)."""
+        names = list(self.tenants)
+        labels = [*self.slots, ""]  # code -1: never completed
+        return list(map(
+            Request, self.index.tolist(), self.arrival.tolist(),
+            map(names.__getitem__, self.tenant.tolist()),
+            self.dispatch.tolist(), self.finish.tolist(),
+            map(labels.__getitem__, self.slot.tolist()),
+            self.batch_size.tolist(), self.formation.tolist(),
+            self.retries.tolist(), self.shed.tolist(), self.degraded.tolist()))
+
+    @classmethod
+    def from_requests(cls, requests: Sequence[Request]) -> RequestTable:
+        """The table of a request list (tenant and slot tables in order of
+        first appearance; a request with no device gets slot -1)."""
+        tenants = tuple(dict.fromkeys(r.tenant for r in requests))
+        slots = tuple(dict.fromkeys(r.device for r in requests if r.device))
+        tenant_code = {name: i for i, name in enumerate(tenants)}
+        slot_code = {label: i for i, label in enumerate(slots)}
+        slot_code[""] = -1
+
+        def column(values, dtype):
+            return np.fromiter(values, dtype=dtype, count=len(requests))
+
+        return cls(
+            index=column((r.index for r in requests), np.int64),
+            arrival=column((r.arrival for r in requests), np.float64),
+            tenant=column((tenant_code[r.tenant] for r in requests), np.int64),
+            tenants=tenants,
+            dispatch=column((r.dispatch for r in requests), np.float64),
+            finish=column((r.finish for r in requests), np.float64),
+            slot=column((slot_code[r.device] for r in requests), np.intp),
+            slots=slots,
+            batch_size=column((r.batch_size for r in requests), np.intp),
+            formation=column((r.formation_wait for r in requests), np.float64),
+            retries=column((r.retries for r in requests), np.intp),
+            shed=column((r.shed for r in requests), bool),
+            degraded=column((r.degraded for r in requests), bool),
+        )
 
 
 def sort_request_columns(

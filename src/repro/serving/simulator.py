@@ -22,14 +22,17 @@ latency and SLO attainment down per tenant (:class:`TenantStats`).
 Both are thin wrappers over the one serving engine,
 :class:`repro.serving.fleet._FleetEngine`: each device slot becomes a
 one-replica group keyed by its slot label (``2080ti#1``), so routing,
-faults and per-slot statistics stay exactly per slot, and the
-per-request records (:class:`~repro.serving.request.Request`) are built
-from the engine's columns after the run.
+faults and per-slot statistics stay exactly per slot. The report keeps
+every request's outcome as columns
+(:class:`~repro.serving.request.RequestTable`) and builds
+:class:`~repro.serving.request.Request` objects only when
+``report.requests`` is first read.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -40,8 +43,9 @@ from repro.serving.faults import FaultPlan, FaultStats, RetryPolicy
 from repro.serving.fleet import (DeviceGroup, TenantSpec, TenantStats,
                                  _FleetEngine, _tenant_stats)
 from repro.serving.policies import BatchingPolicy
-from repro.serving.request import (Request, RequestColumns, check_arrivals,
-                                   closed_arrivals, poisson_arrivals)
+from repro.serving.request import (Request, RequestColumns, RequestTable,
+                                   check_arrivals, closed_arrivals,
+                                   poisson_arrivals)
 from repro.serving.router import EarliestFinishRouter, Router
 
 __all__ = [
@@ -88,7 +92,8 @@ class ServingReport:
     mean_formation_wait: float
     mean_service_time: float
     device_stats: dict[str, DeviceStats]
-    requests: list[Request] = field(repr=False)
+    # Every request's outcome as columns; ``requests`` builds the objects.
+    table: RequestTable = field(repr=False, compare=False)
     tenant_stats: dict[str, TenantStats] = field(default_factory=dict)
     # Background fine-tuning jobs that shared the devices during the run
     # (see repro.serving.finetune); empty for pure-inference simulations.
@@ -98,16 +103,23 @@ class ServingReport:
     # None when the run had no fault injection at all.
     fault_stats: FaultStats | None = None
 
+    @functools.cached_property
+    def requests(self) -> list[Request]:
+        """Every request as a :class:`Request`, in stream order, built
+        from ``table`` on first read."""
+        return self.table.to_requests()
+
     def slo_attainment(self, slo: float) -> float:
-        """Fraction of completed requests whose end-to-end latency met ``slo``.
+        """Fraction of issued requests whose end-to-end latency met ``slo``.
 
         Shed requests never complete and count as misses; an empty
         simulation misses nothing (attainment is vacuously 1).
         """
-        if not self.requests:
+        table = self.table
+        if not len(table):
             return 1.0
-        met = sum(1 for r in self.requests if not r.shed and r.latency <= slo)
-        return met / len(self.requests)
+        met = ~table.shed & (table.finish - table.arrival <= slo)
+        return int(np.count_nonzero(met)) / len(table)
 
     @property
     def completed(self) -> int:
@@ -182,21 +194,24 @@ def _run_event_loop(
                           slowdown=slowdown)
     makespan = engine.run()
     table = engine.request_table()
-    done = ~table["shed"]
-    arrivals = columns.arrivals
-    latencies = (table["finish"] - arrivals)[done]
-    queue_times = (table["dispatch"] - arrivals)[done]
-    n_done = int(done.sum())
+    done = ~table.shed
+    latencies = (table.finish - table.arrival)[done]
+    queue = table.dispatch - table.arrival
+    n_done = latencies.size
     if n_done:
         p50, p95, p99 = np.percentile(latencies, [50, 95, 99])
-        summary = (float(latencies.mean()), float(queue_times.mean()),
-                   float(table["formation"][done].mean()),
-                   float((table["finish"] - table["dispatch"])[done].mean()))
+        summary = (float(latencies.mean()), float(queue[done].mean()),
+                   float(table.formation[done].mean()),
+                   float((table.finish - table.dispatch)[done].mean()))
     else:
         p50 = p95 = p99 = 0.0
         summary = (0.0, 0.0, 0.0, 0.0)
-    codes = columns.codes[done]
-    per_tenant = [codes == t for t in range(len(tenants))]
+    # Each tenant's queue waits are a slice of the tenant-grouped column,
+    # in the order of its completed latencies in ``engine.lat_t``.
+    grouped = queue[engine.done_order]
+    ends = np.cumsum([lat.size for lat in engine.lat_t]).tolist()
+    mean_queue = [float(grouped[start:end].mean()) if end > start else 0.0
+                  for start, end in zip([0, *ends], ends)]
 
     histograms = engine.batch_histograms()
     device_stats = {
@@ -213,20 +228,6 @@ def _run_event_loop(
         )
         for g, (label, device) in enumerate(zip(labels, devices))
     }
-
-    # Request fields, positionally: index, arrival, tenant, dispatch,
-    # finish, device, batch_size, formation_wait, retries, shed, degraded.
-    names = list(columns.tenants)
-    group_label = [*labels, ""]  # group -1: never completed
-    requests = list(map(
-        Request,
-        range(len(columns)) if index is None else index.tolist(),
-        arrivals.tolist(),
-        map(names.__getitem__, columns.codes.tolist()),
-        table["dispatch"].tolist(), table["finish"].tolist(),
-        map(group_label.__getitem__, table["group"].tolist()),
-        *(table[key].tolist() for key in ("batch_size", "formation", "retries",
-                                          "shed", "degraded"))))
     return ServingReport(
         policy=f"mixed({len(tenants)} tenants)",
         router=router.name,
@@ -242,12 +243,8 @@ def _run_event_loop(
         mean_formation_wait=summary[2],
         mean_service_time=summary[3],
         device_stats=device_stats,
-        requests=requests,
-        tenant_stats=_tenant_stats(
-            tenants, [latencies[mask] for mask in per_tenant],
-            [float(queue_times[mask].mean()) if mask.any() else 0.0
-             for mask in per_tenant],
-            makespan),
+        table=table,
+        tenant_stats=_tenant_stats(tenants, engine.lat_t, mean_queue, makespan),
         fault_stats=engine.fault_stats(),
     )
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.analysis.serving import best_batch_for_slo, policy_study
 from repro.serving import ServingReport
+from repro.serving.request import RequestTable
 
 
 def result(batch_size: int, p99: float) -> ServingReport:
@@ -12,7 +13,8 @@ def result(batch_size: int, p99: float) -> ServingReport:
         arrival_rate=None, makespan=1.0, throughput=100.0,
         mean_latency=p99 / 2, p50_latency=p99 / 2, p95_latency=p99,
         p99_latency=p99, mean_queue_time=0.0, mean_formation_wait=0.0,
-        mean_service_time=p99 / 2, device_stats={}, requests=[],
+        mean_service_time=p99 / 2, device_stats={},
+        table=RequestTable.from_requests([]),
     )
 
 

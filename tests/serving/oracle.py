@@ -30,7 +30,7 @@ import numpy as np
 from repro.serving.faults import (DegradedMode, DeviceFaultStats, FaultPlan,
                                   FaultStats, RetryPolicy, TenantFaultStats)
 from repro.serving.policies import BatchingPolicy
-from repro.serving.request import Request
+from repro.serving.request import Request, RequestTable
 from repro.serving.router import Router
 from repro.serving.simulator import (DeviceStats, ServingReport, TenantSpec,
                                      TenantStats)
@@ -293,7 +293,7 @@ def _summarize(
         mean_formation_wait=mean_formation,
         mean_service_time=mean_service,
         device_stats=stats,
-        requests=requests,
+        table=RequestTable.from_requests(requests),
         tenant_stats=tenant_stats,
         finetune_stats=finetune_stats or {},
         inference_slowdown=inference_slowdown,

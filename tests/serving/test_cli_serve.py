@@ -253,6 +253,14 @@ class TestServeFleetCommand:
         assert code == 2
         assert "bad group spec" in capsys.readouterr().err
 
+    def test_fleet_rejects_duplicate_group_device(self, capsys):
+        code = main(["serve", "--fleet", "--groups", "2080ti:2,2080ti:3",
+                     "--n-requests", "200"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "duplicate group device '2080ti'" in err
+        assert "Traceback" not in err
+
     def test_fleet_rejects_bad_autoscale_spec(self, capsys):
         code = main(["serve", "--fleet", "--groups", "2080ti:2",
                      "--workloads", "avmnist", "--n-requests", "100",

@@ -186,7 +186,8 @@ def test_parse_groups():
 
 
 @pytest.mark.parametrize("spec", ["", "2080ti", "2080ti:0", "2080ti:x",
-                                  "2080ti:4:2", "2080ti:4:4:4"])
+                                  "2080ti:4:2", "2080ti:4:4:4",
+                                  "2080ti:2,2080ti:3"])
 def test_parse_groups_rejects(spec):
     with pytest.raises((FleetConfigError, ValueError)):
         parse_groups(spec)
