@@ -24,6 +24,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from repro.core.suite import BenchmarkSuite, RunConfig
 from repro.profiling.report import format_table
@@ -46,8 +47,10 @@ def _print_store_stats() -> None:
 
 
 def _validate_common(args) -> None:
-    """Fail fast, with one clean line, on anything the user typed wrong."""
+    """Fail fast, with one clean line, on anything the user typed wrong:
+    each flag below, in every subcommand but ``serve`` that has it."""
     from repro.hw.device import get_device
+    from repro.nn.optim import OPTIMIZERS
     from repro.workloads.registry import get_workload
 
     if hasattr(args, "device"):
@@ -61,13 +64,21 @@ def _validate_common(args) -> None:
         if args.unimodal not in info.modalities:
             raise KeyError(f"unknown modality {args.unimodal!r} for {args.workload}; "
                            f"available: {list(info.modalities)}")
-    if getattr(args, "batch_size", 1) <= 0:
+    # `export` reads --optimizer only for --training exports.
+    if hasattr(args, "optimizer") and getattr(args, "training", True) \
+            and args.optimizer not in OPTIMIZERS:
+        raise KeyError(f"unknown optimizer {args.optimizer!r}; "
+                       f"available: {sorted(OPTIMIZERS)}")
+    if getattr(args, "batch_size", None) is not None and args.batch_size <= 0:
         raise ValueError(f"--batch-size must be positive, got {args.batch_size}")
     if getattr(args, "seed", 0) < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    if getattr(args, "n_requests", 1) <= 0:
+        raise ValueError(f"--n-requests must be positive, got {args.n_requests}")
+    _check_positive("--arrival-rate", getattr(args, "arrival_rate", None))
 
 
-def _cmd_list(_args) -> int:
+def _cmd_list(_args, _checked) -> int:
     rows = []
     for name in list_workloads():
         info = WORKLOADS[name]
@@ -82,12 +93,7 @@ def _cmd_list(_args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
-    try:
-        _validate_common(args)
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0] if exc.args else str(exc), file=sys.stderr)
-        return 2
+def _cmd_run(args, _checked) -> int:
     _configure_store(args)
     config = RunConfig(
         workload=args.workload,
@@ -105,12 +111,7 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    try:
-        _validate_common(args)
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0] if exc.args else str(exc), file=sys.stderr)
-        return 2
+def _cmd_report(args, _checked) -> int:
     _configure_store(args)
     from repro.core.report import characterization_report
 
@@ -128,12 +129,43 @@ def _cmd_report(args) -> int:
 
 
 def _parse_devices(spec: str) -> tuple[str, ...]:
-    """Split a ``--devices`` list, rejecting empty components up front."""
+    """Split a ``--devices`` list into known device names, rejecting empty
+    components and typos up front."""
+    from repro.hw.device import get_device
+
     devices = tuple(d.strip() for d in spec.split(","))
     if not spec.strip() or any(not d for d in devices):
         raise ValueError(f"--devices must be a comma-separated list of device "
                          f"names, got {spec!r}")
+    for device in devices:
+        get_device(device)
     return devices
+
+
+def _parse_sweep(spec: str | None) -> tuple[int, ...] | None:
+    """Split a ``--sweep B1,B2,...`` list into positive batch sizes."""
+    if spec is None:
+        return None
+    try:
+        batches = tuple(int(b) for b in spec.split(","))
+    except ValueError:
+        raise ValueError(f"--sweep must be comma-separated ints, "
+                         f"got {spec!r}") from None
+    if any(b <= 0 for b in batches):
+        raise ValueError(f"--sweep batch sizes must be positive, got {spec!r}")
+    return batches
+
+
+def _parse_workloads(flag: str, spec: str) -> tuple[str, ...]:
+    """Split a workload list, rejecting duplicates and unknown names."""
+    from repro.workloads.registry import get_workload
+
+    workloads = tuple(spec.split(","))
+    if len(set(workloads)) != len(workloads):
+        raise ValueError(f"duplicate workloads in {flag}: {','.join(workloads)}")
+    for workload in workloads:
+        get_workload(workload)
+    return workloads
 
 
 def _check_positive(flag: str, value: float | None) -> None:
@@ -148,8 +180,8 @@ def _build_fault_inputs(args, devices):
     """Resolve the serve fault flags into a validated ``(plan, retry)`` pair.
 
     Raises :class:`~repro.serving.faults.FaultPlanError` (a ``ValueError``)
-    on any malformed input, so the serve commands' up-front validation
-    turns it into a clean exit-2 line instead of a traceback mid-run.
+    on any malformed input, so the serve check turns it into a clean
+    exit-2 line instead of a traceback mid-run.
     """
     import os
 
@@ -186,305 +218,206 @@ def _build_fault_inputs(args, devices):
     return plan, retry
 
 
-def _cmd_serve(args) -> int:
-    from repro.serving import ProfiledCostModel, make_policy, make_router, simulate
-    from repro.serving.report import serving_summary
+#: The mode-specific serve flags each mode reads. Every other serve flag
+#: applies to all three modes; ``--mix`` also picks the scenario of a
+#: ``--fleet`` run.
+_SERVE_MODE_FLAGS = {
+    "single": ("--workload", "--fusion", "--devices"),
+    "mix": ("--workloads", "--devices", "--finetune-workloads",
+            "--finetune-share", "--degrade-after"),
+    "fleet": ("--workloads", "--groups", "--autoscale", "--autoscale-min",
+              "--autoscale-max", "--hop-bytes"),
+}
+_SERVE_MODE_NAMES = {"single": "a single-workload serve", "mix": "--mix",
+                     "fleet": "--fleet"}
 
+
+def _check_serve(args) -> SimpleNamespace:
+    """Validate every serve flag in one pass, whatever the mode.
+
+    A mode-specific flag moved off its default in a mode that never reads
+    it is an error, not a silent no-op. Returns what the run loop needs.
+    """
     from repro.hw.device import get_device
-    from repro.workloads.registry import get_workload
+    from repro.lint import check, lint_fleet
+    from repro.serving import (get_scenario, make_policy, parse_autoscale,
+                               parse_groups)
 
-    if args.fleet:
-        return _cmd_serve_fleet(args)
-    if args.mix is not None:
-        return _cmd_serve_mix(args)
-    args.workload = args.workload or "avmnist"
+    mode = "fleet" if args.fleet else "mix" if args.mix is not None else "single"
+    defaults = vars(build_parser().parse_args(["serve"]))
+    for flag in dict.fromkeys(sum(_SERVE_MODE_FLAGS.values(), ())):
+        dest = flag[2:].replace("-", "_")
+        if flag not in _SERVE_MODE_FLAGS[mode] \
+                and getattr(args, dest) != defaults[dest]:
+            readers = [_SERVE_MODE_NAMES[m] for m, flags
+                       in _SERVE_MODE_FLAGS.items() if flag in flags]
+            raise ValueError(
+                f"{flag} applies to {' and '.join(readers)} only; "
+                f"{_SERVE_MODE_NAMES[mode]} reads "
+                f"{', '.join(_SERVE_MODE_FLAGS[mode])}")
+    if mode == "fleet" and args.groups is None:
+        raise ValueError("--fleet needs --groups DEV:REPLICAS[:POOL],...")
+    if args.n_requests <= 0:
+        raise ValueError(f"--n-requests must be positive, got {args.n_requests}")
+    _check_positive("--arrival-rate", args.arrival_rate)
+    _check_positive("--slo", args.slo)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
 
-    # Validate everything user-typed up front: typos get one clean line and
-    # exit 2, while errors raised later inside the simulation stay loud.
-    try:
-        if args.workloads is not None:
-            raise ValueError("--workloads only applies with --mix; for one "
-                             "workload use --workload")
-        if args.degrade_after is not None:
-            raise ValueError("--degrade-after applies to --mix runs "
-                             "(degraded modes are per-tenant)")
-        policies = {
-            name: make_policy(name, batch_size=args.batch_size,
-                              timeout=args.timeout, slo=args.slo,
-                              max_batch=args.max_batch)
-            for name in args.policy.split(",")
-        }
-        devices = _parse_devices(args.devices)
-        for device in devices:
-            get_device(device)
-        info = get_workload(args.workload)
-        if args.fusion is not None and args.fusion not in info.fusions:
-            raise KeyError(f"unknown fusion {args.fusion!r} for {args.workload}; "
-                           f"available: {sorted(info.fusions)}")
-        if args.n_requests <= 0:
-            raise ValueError(f"--n-requests must be positive, got {args.n_requests}")
-        _check_positive("--arrival-rate", args.arrival_rate)
-        if args.seed < 0:
-            raise ValueError(f"--seed must be non-negative, got {args.seed}")
-        fault_plan, retry = _build_fault_inputs(args, devices)
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0] if exc.args else str(exc), file=sys.stderr)
-        return 2
+    def policy_factory(name):
+        return lambda _workload: make_policy(
+            name, batch_size=args.batch_size, timeout=args.timeout,
+            slo=args.slo, max_batch=args.max_batch)
 
-    _configure_store(args)
-    cost = ProfiledCostModel(args.workload, args.fusion, seed=args.seed,
-                             backend=args.backend)
-    # A fresh router per run: routers are stateful (round-robin rotation)
-    # and each policy must see identical starting conditions.
-    reports = {
-        policy.name: simulate(
-            cost, policy, devices=devices, n_requests=args.n_requests,
-            arrival_rate=args.arrival_rate, router=make_router(args.router),
-            seed=args.seed, faults=fault_plan, retry=retry,
-        )
-        for policy in policies.values()
-    }
-    print(f"workload={args.workload} fusion={args.fusion or 'default'} "
-          f"devices={','.join(devices)}")
-    print(serving_summary(reports, slo=args.slo))
-    _print_store_stats()
-    return 0
-
-
-def _cmd_serve_mix(args) -> int:
-    """The ``mmbench serve --mix`` path: a multi-tenant workload mix."""
-    from repro.serving import (
-        get_scenario,
-        make_finetune_jobs,
-        make_policy,
-        make_router,
-        make_tenants,
-        mixed_serving_summary,
-        simulate_mixed,
-    )
-
-    from repro.hw.device import get_device
-    from repro.workloads.registry import get_workload
-
-    try:
-        if args.workload is not None or args.fusion is not None:
-            raise ValueError("--workload/--fusion don't apply to --mix; "
-                             "name the tenants with --workloads instead")
-        get_scenario(args.mix)
-        policy_names = args.policy.split(",")
-
-        def policy_factory(name):
-            return lambda _workload: make_policy(
-                name, batch_size=args.batch_size, timeout=args.timeout,
-                slo=args.slo, max_batch=args.max_batch)
-
-        for name in policy_names:  # validate every policy name up front
-            policy_factory(name)("probe")
-        workloads = tuple((args.workloads or ",".join(list_workloads())).split(","))
-        if len(set(workloads)) != len(workloads):
-            raise ValueError(f"duplicate workloads in --workloads: "
-                             f"{','.join(workloads)}")
-        for workload in workloads:
-            get_workload(workload)
-        devices = _parse_devices(args.devices)
-        for device in devices:
-            get_device(device)
-        if args.n_requests <= 0:
-            raise ValueError(f"--n-requests must be positive, got {args.n_requests}")
-        _check_positive("--arrival-rate", args.arrival_rate)
-        if get_scenario(args.mix).needs_rate and args.arrival_rate is None:
-            raise ValueError(f"--mix {args.mix} needs --arrival-rate "
+    run = SimpleNamespace(mode=mode, scenario=args.mix or "uniform",
+                          policies=args.policy.split(","),
+                          policy_factory=policy_factory, finetune=(),
+                          groups=None, autoscale=None)
+    for name in run.policies:  # validate every policy name up front
+        policy_factory(name)("probe")
+    if mode == "single":
+        args.workload = args.workload or "avmnist"
+        # The same workload/fusion check as every other subcommand.
+        _validate_common(SimpleNamespace(workload=args.workload,
+                                         fusion=args.fusion))
+    else:
+        if get_scenario(run.scenario).needs_rate and args.arrival_rate is None:
+            raise ValueError(f"--mix {run.scenario} needs --arrival-rate "
                              "(its traffic shape is time-varying)")
-        _check_positive("--slo", args.slo)
-        if args.seed < 0:
-            raise ValueError(f"--seed must be non-negative, got {args.seed}")
-        if not 0.0 < args.finetune_share < 1.0:
-            raise ValueError(f"--finetune-share must be in (0, 1), got "
-                             f"{args.finetune_share}")
-        finetune_workloads = ()
-        if args.mix == "finetune" or args.finetune_workloads is not None:
-            # Background training jobs: the named workloads (default: the
-            # first tenant) fine-tune behind the inference traffic.
-            finetune_workloads = tuple(
-                (args.finetune_workloads or workloads[0]).split(","))
-            if len(set(finetune_workloads)) != len(finetune_workloads):
-                raise ValueError(f"duplicate workloads in --finetune-workloads: "
-                                 f"{','.join(finetune_workloads)}")
-            for workload in finetune_workloads:
-                get_workload(workload)
-        fault_plan, retry = _build_fault_inputs(args, devices)
-        if args.degrade_after is not None and args.degrade_after <= 0:
-            raise ValueError(f"--degrade-after must be positive, "
-                             f"got {args.degrade_after}")
-        # Fault runs degrade by default: sustained pressure past 4x the SLO
-        # flips multi-modal tenants to their shed-encoder serving mode.
-        degrade_after = args.degrade_after
-        if degrade_after is None and fault_plan is not None:
-            degrade_after = 4.0 * args.slo
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0] if exc.args else str(exc), file=sys.stderr)
-        return 2
-
-    _configure_store(args)
-    finetune = make_finetune_jobs(
-        finetune_workloads, share=args.finetune_share,
-        seed=args.seed, backend=args.backend or "meta",
-    ) if finetune_workloads else None
-    # Like the single-workload path, run every listed policy against the
-    # identical scenario stream (same seed) and report each; a fresh
-    # router and fresh per-tenant policy instances per run.
-    for name in policy_names:
-        tenants = make_tenants(workloads, policy_factory=policy_factory(name),
-                               slo=args.slo, seed=args.seed,
-                               backend=args.backend)
-        if degrade_after is not None:
-            from repro.serving import degraded_mode_for
-
-            for spec in tenants:
-                # Single-modality tenants have no encoder to shed.
-                if len(get_workload(spec.name).modalities) > 1:
-                    spec.degraded = degraded_mode_for(
-                        spec.name, enter_wait=degrade_after,
-                        seed=args.seed, backend=args.backend or "meta")
-        report = simulate_mixed(
-            tenants, devices=devices, n_requests=args.n_requests,
-            arrival_rate=args.arrival_rate, scenario=args.mix,
-            router=make_router(args.router), finetune=finetune, seed=args.seed,
-            faults=fault_plan, retry=retry,
-        )
-        print(f"mix={args.mix} policy={name} "
-              f"workloads={','.join(workloads)} devices={','.join(devices)}")
-        print(mixed_serving_summary(report))
-        print()
-    _print_store_stats()
-    return 0
-
-
-def _cmd_serve_fleet(args) -> int:
-    """The ``mmbench serve --fleet`` path: device groups + autoscaling."""
-    from repro.serving import (
-        fleet_summary,
-        get_scenario,
-        make_policy,
-        make_router,
-        make_tenants,
-        parse_autoscale,
-        parse_groups,
-        simulate_fleet,
-    )
-    from repro.workloads.registry import get_workload
-
-    from repro.hw.device import get_device
-
-    scenario = args.mix or "uniform"
-    try:
-        if args.workload is not None or args.fusion is not None:
-            raise ValueError("--workload/--fusion don't apply to --fleet; "
-                             "name the tenants with --workloads instead")
-        if args.groups is None:
-            raise ValueError("--fleet needs --groups DEV:REPLICAS[:POOL],...")
-        if args.finetune_workloads is not None:
-            raise ValueError("--finetune-workloads doesn't apply to --fleet")
-        if args.degrade_after is not None:
-            raise ValueError("--degrade-after applies to --mix runs")
-        get_scenario(scenario)
-        policy_names = args.policy.split(",")
-
-        def policy_factory(name):
-            return lambda _workload: make_policy(
-                name, batch_size=args.batch_size, timeout=args.timeout,
-                slo=args.slo, max_batch=args.max_batch)
-
-        for name in policy_names:  # validate every policy name up front
-            policy_factory(name)("probe")
-        workloads = tuple((args.workloads or ",".join(list_workloads())).split(","))
-        if len(set(workloads)) != len(workloads):
-            raise ValueError(f"duplicate workloads in --workloads: "
-                             f"{','.join(workloads)}")
-        for workload in workloads:
-            get_workload(workload)
-        groups = parse_groups(args.groups)
-        for group in groups:
-            get_device(group.device)
-        if args.n_requests <= 0:
-            raise ValueError(f"--n-requests must be positive, got {args.n_requests}")
-        _check_positive("--arrival-rate", args.arrival_rate)
-        if get_scenario(scenario).needs_rate and args.arrival_rate is None:
-            raise ValueError(f"--mix {scenario} needs --arrival-rate "
-                             "(its traffic shape is time-varying)")
-        _check_positive("--slo", args.slo)
-        if args.seed < 0:
-            raise ValueError(f"--seed must be non-negative, got {args.seed}")
+        run.workloads = _parse_workloads(
+            "--workloads", args.workloads or ",".join(list_workloads()))
+    if mode == "fleet":
+        run.groups = parse_groups(args.groups)
+        run.devices = tuple(group.device for group in run.groups)
+        for device in run.devices:
+            get_device(device)
         if not (math.isfinite(args.hop_bytes) and args.hop_bytes >= 0):
             raise ValueError(f"--hop-bytes must be non-negative and finite, "
                              f"got {args.hop_bytes}")
-        autoscale = None
         if args.autoscale is not None:
-            autoscale = parse_autoscale(args.autoscale,
-                                        min_replicas=args.autoscale_min,
-                                        max_replicas=args.autoscale_max)
-        # A fault plan names groups: each group is one "device" here.
-        plan, retry = _build_fault_inputs(args, tuple(g.device for g in groups))
-        from repro.lint import check, lint_fleet
-
-        check(lint_fleet(groups, autoscale=autoscale, faults=plan,
+            run.autoscale = parse_autoscale(args.autoscale,
+                                            min_replicas=args.autoscale_min,
+                                            max_replicas=args.autoscale_max)
+    else:
+        run.devices = _parse_devices(args.devices)
+    if mode == "mix":
+        if not 0.0 < args.finetune_share < 1.0:
+            raise ValueError(f"--finetune-share must be in (0, 1), got "
+                             f"{args.finetune_share}")
+        if args.mix == "finetune" or args.finetune_workloads is not None:
+            # Background training jobs: the named workloads (default: the
+            # first tenant) fine-tune behind the inference traffic.
+            run.finetune = _parse_workloads(
+                "--finetune-workloads", args.finetune_workloads or run.workloads[0])
+        _check_positive("--degrade-after", args.degrade_after)
+    # A fault plan names devices; under --fleet each group is one device.
+    run.faults, run.retry = _build_fault_inputs(args, run.devices)
+    if mode == "fleet":
+        check(lint_fleet(run.groups, autoscale=run.autoscale, faults=run.faults,
                          source="mmbench serve --fleet"),
               what="fleet configuration")
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0] if exc.args else str(exc), file=sys.stderr)
-        return 2
+    # Fault runs degrade by default: sustained pressure past 4x the SLO
+    # flips multi-modal tenants to their shed-encoder serving mode.
+    run.degrade_after = args.degrade_after
+    if mode == "mix" and run.degrade_after is None and run.faults is not None:
+        run.degrade_after = 4.0 * args.slo
+    return run
+
+
+def _cmd_serve(args, run) -> int:
+    """Every serve mode in one loop: each listed policy runs against the
+    identical stream (same seed), with a fresh router and fresh policies."""
+    from repro.serving import (
+        ProfiledCostModel,
+        degraded_mode_for,
+        fleet_summary,
+        make_finetune_jobs,
+        make_router,
+        make_tenants,
+        mixed_serving_summary,
+        simulate,
+        simulate_fleet,
+        simulate_mixed,
+    )
+    from repro.serving.report import serving_summary
+    from repro.workloads.registry import get_workload
 
     _configure_store(args)
-    for name in policy_names:
-        tenants = make_tenants(workloads, policy_factory=policy_factory(name),
+    if run.mode == "single":
+        cost = ProfiledCostModel(args.workload, args.fusion, seed=args.seed,
+                                 backend=args.backend)
+    finetune = make_finetune_jobs(
+        run.finetune, share=args.finetune_share,
+        seed=args.seed, backend=args.backend or "meta",
+    ) if run.finetune else None
+    reports = {}
+    for name in run.policies:
+        factory = run.policy_factory(name)
+        if run.mode == "single":
+            policy = factory(args.workload)
+            reports[policy.name] = simulate(
+                cost, policy, devices=run.devices, n_requests=args.n_requests,
+                arrival_rate=args.arrival_rate, router=make_router(args.router),
+                seed=args.seed, faults=run.faults, retry=run.retry,
+            )
+            continue
+        tenants = make_tenants(run.workloads, policy_factory=factory,
                                slo=args.slo, seed=args.seed,
                                backend=args.backend)
-        report = simulate_fleet(
-            tenants, groups, n_requests=args.n_requests,
-            arrival_rate=args.arrival_rate, scenario=scenario,
-            router=make_router(args.router), autoscale=autoscale,
-            faults=plan, retry=retry, hop_bytes=args.hop_bytes,
-            seed=args.seed,
-        )
-        print(f"fleet mix={scenario} policy={name} "
-              f"workloads={','.join(workloads)} groups={args.groups}")
-        print(fleet_summary(report))
+        if run.mode == "mix":
+            for spec in tenants:
+                # Single-modality tenants have no encoder to shed.
+                if run.degrade_after is not None and \
+                        len(get_workload(spec.name).modalities) > 1:
+                    spec.degraded = degraded_mode_for(
+                        spec.name, enter_wait=run.degrade_after,
+                        seed=args.seed, backend=args.backend or "meta")
+            report = simulate_mixed(
+                tenants, devices=run.devices, n_requests=args.n_requests,
+                arrival_rate=args.arrival_rate, scenario=args.mix,
+                router=make_router(args.router), finetune=finetune,
+                seed=args.seed, faults=run.faults, retry=run.retry,
+            )
+            print(f"mix={args.mix} policy={name} "
+                  f"workloads={','.join(run.workloads)} "
+                  f"devices={','.join(run.devices)}")
+            print(mixed_serving_summary(report))
+        else:
+            report = simulate_fleet(
+                tenants, run.groups, n_requests=args.n_requests,
+                arrival_rate=args.arrival_rate, scenario=run.scenario,
+                router=make_router(args.router), autoscale=run.autoscale,
+                faults=run.faults, retry=run.retry, hop_bytes=args.hop_bytes,
+                seed=args.seed,
+            )
+            print(f"fleet mix={run.scenario} policy={name} "
+                  f"workloads={','.join(run.workloads)} groups={args.groups}")
+            print(fleet_summary(report))
         print()
+    if run.mode == "single":
+        print(f"workload={args.workload} fusion={args.fusion or 'default'} "
+              f"devices={','.join(run.devices)}")
+        print(serving_summary(reports, slo=args.slo))
     _print_store_stats()
     return 0
 
 
-def _cmd_train_analyze(args) -> int:
-    """Per-pass / per-stage breakdown of traced training steps."""
-    try:
-        from repro.hw.device import get_device
-        from repro.nn.optim import OPTIMIZERS
+def _check_train_analyze(args):
+    workloads = (args.workloads.split(",") if args.workloads
+                 else [args.workload])
+    for workload in workloads:
+        args.workload = workload
+        _validate_common(args)
+    if args.sweep is not None and len(workloads) != 1:
+        raise ValueError("--sweep takes exactly one workload")
+    sweep = _parse_sweep(args.sweep)
+    devices = _parse_devices(args.devices) if sweep is not None else None
+    return workloads, sweep, devices
 
-        if args.optimizer not in OPTIMIZERS:
-            raise KeyError(f"unknown optimizer {args.optimizer!r}; "
-                           f"available: {sorted(OPTIMIZERS)}")
-        workloads = (args.workloads.split(",") if args.workloads
-                     else [args.workload])
-        for workload in workloads:
-            args.workload = workload
-            _validate_common(args)
-        if args.sweep is not None and len(workloads) != 1:
-            raise ValueError("--sweep takes exactly one workload")
-        sweep_batches = None
-        if args.sweep is not None:
-            try:
-                sweep_batches = tuple(int(b) for b in args.sweep.split(","))
-            except ValueError:
-                raise ValueError(f"--sweep must be comma-separated ints, "
-                                 f"got {args.sweep!r}") from None
-            if any(b <= 0 for b in sweep_batches):
-                raise ValueError(f"--sweep batch sizes must be positive, "
-                                 f"got {args.sweep!r}")
-            for device in _parse_devices(args.devices):
-                get_device(device)
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0] if exc.args else str(exc), file=sys.stderr)
-        return 2
+
+def _cmd_train_analyze(args, checked) -> int:
+    """Per-pass / per-stage breakdown of traced training steps."""
+    workloads, sweep_batches, devices = checked
     _configure_store(args)
     from repro.core.analysis.training import (
         traced_vs_synthetic,
@@ -493,7 +426,6 @@ def _cmd_train_analyze(args) -> int:
     )
 
     if sweep_batches is not None:
-        devices = tuple(args.devices.split(","))
         grid = training_batch_sweep(
             workloads[0], batches=sweep_batches, devices=devices,
             optimizer=args.optimizer, seed=args.seed, backend=args.backend)
@@ -548,12 +480,7 @@ def _cmd_train_analyze(args) -> int:
     return 0
 
 
-def _cmd_analyze(args) -> int:
-    try:
-        _validate_common(args)
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0] if exc.args else str(exc), file=sys.stderr)
-        return 2
+def _cmd_analyze(args, _checked) -> int:
     _configure_store(args)
     from repro.core import analysis
 
@@ -582,32 +509,18 @@ def _cmd_analyze(args) -> int:
                 for r in results]
         print(format_table(["variant", "batch", "GPU time", "inference time", "kernel mix"],
                            rows, title="Figure 12: batch size case study (10k tasks)"))
-    elif name == "edge":
+    else:  # "edge": argparse allows no other choice
         results = analysis.edge_latency_study(backend=args.backend)
         rows = [[r.device, r.variant, r.batch_size, f"{r.inference_time:.2f} s",
                  f"{r.memory_pressure:.2f}"] for r in results]
         print(format_table(["device", "variant", "batch", "inference time", "mem pressure"],
                            rows, title="Figure 14: edge migration"))
-    else:
-        print(f"unknown analysis {name!r}", file=sys.stderr)
-        return 2
     _print_store_stats()
     return 0
 
 
-def _cmd_export(args) -> int:
+def _cmd_export(args, _checked) -> int:
     """Serialize a built-in workload's trace to execution-graph JSON."""
-    try:
-        _validate_common(args)
-        if args.training:
-            from repro.nn.optim import OPTIMIZERS
-
-            if args.optimizer not in OPTIMIZERS:
-                raise KeyError(f"unknown optimizer {args.optimizer!r}; "
-                               f"available: {sorted(OPTIMIZERS)}")
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0] if exc.args else str(exc), file=sys.stderr)
-        return 2
     store = _configure_store(args)
     from repro.export.graph import stored_to_graph, write_graph
 
@@ -628,57 +541,41 @@ def _cmd_export(args) -> int:
     return 0
 
 
-def _cmd_ingest(args) -> int:
+def _check_ingest(args):
+    from repro.trace.ingest import OpMappingRegistry
+
+    _validate_common(args)
+    devices = _parse_devices(args.devices) if args.devices else (args.device,)
+    sweep_batches = _parse_sweep(args.sweep)
+    registry = None
+    if args.op_map:
+        import json as _json
+
+        try:
+            with open(args.op_map) as fh:
+                mapping = _json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"cannot read --op-map {args.op_map}: {exc}") from None
+        if not isinstance(mapping, dict):
+            raise ValueError("--op-map must be a JSON object of "
+                             "{pattern: category}")
+        registry = OpMappingRegistry.from_mapping(mapping)
+    return devices, sweep_batches, registry
+
+
+def _cmd_ingest(args, checked) -> int:
     """Price an external execution-graph JSON end-to-end."""
     from repro.hw.device import get_device
-    from repro.trace.ingest import IngestError, OpMappingRegistry
-
-    try:
-        get_device(args.device)
-        devices = _parse_devices(args.devices) if args.devices else (args.device,)
-        for device in devices:
-            get_device(device)
-        sweep_batches = None
-        if args.sweep is not None:
-            try:
-                sweep_batches = tuple(int(b) for b in args.sweep.split(","))
-            except ValueError:
-                raise ValueError(f"--sweep must be comma-separated ints, "
-                                 f"got {args.sweep!r}") from None
-            if any(b <= 0 for b in sweep_batches):
-                raise ValueError(f"--sweep batch sizes must be positive, "
-                                 f"got {args.sweep!r}")
-        if args.batch_size is not None and args.batch_size <= 0:
-            raise ValueError(f"--batch-size must be positive, got {args.batch_size}")
-        if args.n_requests <= 0:
-            raise ValueError(f"--n-requests must be positive, got {args.n_requests}")
-        _check_positive("--arrival-rate", args.arrival_rate)
-        if args.seed < 0:
-            raise ValueError(f"--seed must be non-negative, got {args.seed}")
-        registry = None
-        if args.op_map:
-            import json as _json
-
-            try:
-                with open(args.op_map) as fh:
-                    mapping = _json.load(fh)
-            except (OSError, ValueError) as exc:
-                raise ValueError(f"cannot read --op-map {args.op_map}: {exc}") from None
-            if not isinstance(mapping, dict):
-                raise ValueError("--op-map must be a JSON object of "
-                                 "{pattern: category}")
-            registry = OpMappingRegistry.from_mapping(mapping)
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0] if exc.args else str(exc), file=sys.stderr)
-        return 2
-
-    store = _configure_store(args)
+    from repro.lint import LintFailure
     from repro.profiling.profiler import MMBenchProfiler
-    from repro.trace.ingest import IngestReport
+    from repro.trace.ingest import IngestError, IngestReport
+
+    devices, sweep_batches, registry = checked
+    store = _configure_store(args)
 
     try:
         stored = store.get_or_ingest(args.graph, registry=registry)
-    except IngestError as exc:
+    except (IngestError, LintFailure) as exc:  # the graph, not the program
         print(f"ingest failed: {exc}", file=sys.stderr)
         return 2
 
@@ -761,7 +658,7 @@ def _finish_lint(report, args) -> int:
     return report.exit_code(strict=args.strict)
 
 
-def _cmd_lint(args) -> int:
+def _cmd_lint(args, _checked) -> int:
     """Statically analyze traces, graphs, fault plans and store entries."""
     import os
 
@@ -798,7 +695,7 @@ def _cmd_lint(args) -> int:
     return _finish_lint(merged, args)
 
 
-def _cmd_store(args) -> int:
+def _cmd_store(args, _checked) -> int:
     """Corpus operations on the on-disk trace store."""
     import os
 
@@ -856,32 +753,29 @@ def _cmd_store(args) -> int:
               f"{removed['unreadable']} unreadable, {removed['tmp']} torn tmp")
         return 0
 
-    if args.action == "lint":
-        from repro.lint import LintReport, lint_trace
+    # "lint": the last of the four actions argparse allows
+    from repro.lint import LintReport, lint_trace
 
-        merged = LintReport()
-        skipped = 0
-        for info in store.entries():
-            if info["status"] != "ok":
-                skipped += 1
-                continue
-            try:
-                entry = store.load_digest(info["digest"])
-            except KeyError:
-                skipped += 1
-                continue
-            key = info["key"] or {}
-            merged.extend(lint_trace(
-                entry,
-                source=f"store:{info['digest'][:12]} "
-                       f"({key.get('workload', '?')})"))
-        if skipped:
-            print(f"lint [{cache_dir}]: skipped {skipped} unreadable "
-                  f"entr{'y' if skipped == 1 else 'ies'}", file=sys.stderr)
-        return _finish_lint(merged, args)
-
-    print(f"unknown store action {args.action!r}", file=sys.stderr)
-    return 2
+    merged = LintReport()
+    skipped = 0
+    for info in store.entries():
+        if info["status"] != "ok":
+            skipped += 1
+            continue
+        try:
+            entry = store.load_digest(info["digest"])
+        except KeyError:
+            skipped += 1
+            continue
+        key = info["key"] or {}
+        merged.extend(lint_trace(
+            entry,
+            source=f"store:{info['digest'][:12]} "
+                   f"({key.get('workload', '?')})"))
+    if skipped:
+        print(f"lint [{cache_dir}]: skipped {skipped} unreadable "
+              f"entr{'y' if skipped == 1 else 'ies'}", file=sys.stderr)
+    return _finish_lint(merged, args)
 
 
 def _add_lint_options(sub_parser) -> None:
@@ -915,6 +809,7 @@ def _add_trace_options(sub_parser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mmbench",
                                      description="MMBench reproduction CLI")
+    parser.set_defaults(check=lambda _args: None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list the nine workloads").set_defaults(fn=_cmd_list)
@@ -927,7 +822,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--device", default="2080ti")
     run.add_argument("--seed", type=int, default=0)
     _add_trace_options(run)
-    run.set_defaults(fn=_cmd_run)
+    run.set_defaults(fn=_cmd_run, check=_validate_common)
 
     report = sub.add_parser("report", help="full characterization report (markdown)")
     report.add_argument("--workload", default="avmnist", choices=list_workloads())
@@ -935,12 +830,13 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--batch-size", type=int, default=32)
     report.add_argument("-o", "--output", default=None, metavar="FILE")
     _add_trace_options(report)
-    report.set_defaults(fn=_cmd_report)
+    report.set_defaults(fn=_cmd_report, check=_validate_common)
 
     serve = sub.add_parser(
         "serve", help="open-loop serving simulation with dynamic batching")
-    # Default None so the --mix path can reject an explicit --workload
-    # instead of silently ignoring it; the single path falls back to avmnist.
+    # Default None so --mix/--fleet can reject an explicit --workload
+    # instead of silently ignoring it; a single-workload serve falls back
+    # to avmnist.
     serve.add_argument("--workload", default=None, choices=list_workloads())
     serve.add_argument("--fusion", default=None)
     serve.add_argument("--mix", default=None, metavar="SCENARIO",
@@ -1016,7 +912,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "different group")
     serve.add_argument("--seed", type=int, default=0)
     _add_trace_options(serve)
-    serve.set_defaults(fn=_cmd_serve)
+    serve.set_defaults(fn=_cmd_serve, check=_check_serve)
 
     export = sub.add_parser(
         "export", help="serialize a workload trace to execution-graph JSON")
@@ -1032,7 +928,7 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--seed", type=int, default=0)
     export.add_argument("-o", "--output", required=True, metavar="FILE")
     _add_trace_options(export)
-    export.set_defaults(fn=_cmd_export)
+    export.set_defaults(fn=_cmd_export, check=_validate_common)
 
     ingest = sub.add_parser(
         "ingest", help="price an external execution-graph JSON "
@@ -1067,7 +963,7 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="persist ingested traces to DIR "
                              "(content-addressed on the file digest)")
-    ingest.set_defaults(fn=_cmd_ingest)
+    ingest.set_defaults(fn=_cmd_ingest, check=_check_ingest)
 
     lint_p = sub.add_parser(
         "lint", help="statically analyze traces, execution graphs, fault "
@@ -1113,7 +1009,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["stage-time", "kernel-breakdown", "batch-size", "edge"])
     analyze.add_argument("--device", default="2080ti")
     _add_trace_options(analyze)
-    analyze.set_defaults(fn=_cmd_analyze)
+    analyze.set_defaults(fn=_cmd_analyze, check=_validate_common)
 
     train = sub.add_parser(
         "train-analyze",
@@ -1136,13 +1032,21 @@ def build_parser() -> argparse.ArgumentParser:
                             "heuristic) differential")
     train.add_argument("--seed", type=int, default=0)
     _add_trace_options(train)
-    train.set_defaults(fn=_cmd_train_analyze)
+    train.set_defaults(fn=_cmd_train_analyze,
+                       check=_check_train_analyze)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    # The one boundary for user input: whatever a command's check raises
+    # exits 2 with one line, while errors raised later in the run stay loud.
+    try:
+        checked = args.check(args)
+    except (KeyError, ValueError) as exc:
+        print(exc.args[0] if exc.args else str(exc), file=sys.stderr)
+        return 2
+    return args.fn(args, checked)
 
 
 if __name__ == "__main__":

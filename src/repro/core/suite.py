@@ -113,26 +113,6 @@ class BenchmarkSuite:
         optimizer.step()
         return loss.item()
 
-    def training_breakdown(self, config: RunConfig, optimizer: str = "adam"):
-        """Priced per-pass/per-stage breakdown of one traced training step.
-
-        Backs ``mmbench train-analyze``: the store-cached traced step
-        (forward + loss + backward + optimizer kernels) priced on the
-        vectorized engine for ``config.device``.
-        """
-        from repro.core.analysis.training import training_step_analysis
-
-        return training_step_analysis(
-            workloads=[config.workload],
-            device=config.device or self.device,
-            batch_size=config.batch_size,
-            optimizer=optimizer,
-            fusion=config.fusion,
-            unimodal=config.unimodal,
-            seed=config.seed,
-            backend=config.backend,
-        )[config.workload]
-
     def train(self, config: RunConfig, n_train: int = 384, n_test: int = 256,
               epochs: int = 6):
         """Full training on a latent-factor dataset; returns a TrainResult."""
@@ -142,95 +122,6 @@ class BenchmarkSuite:
         model = self.build_model(config)
         return train_model(model, dataset, n_train=n_train, n_test=n_test,
                            epochs=epochs, seed=config.seed)
-
-    # -- serving under faults ------------------------------------------------------
-
-    def chaos_serve(self, scenario: str = "single-failure",
-                    workloads=None, mix: str = "uniform",
-                    n_requests: int = 2_000, arrival_rate: float = 1_000.0,
-                    slo: float = 50e-3, devices=None, seed: int = 0,
-                    backend: str = "meta", retry=None):
-        """Serve a tenant mix under a named chaos scenario; returns the report.
-
-        The programmatic twin of ``mmbench serve --mix ... --faults``:
-        builds profiled tenants for ``workloads`` (default: the full
-        registry), sizes the fault plan's horizon from
-        ``n_requests / arrival_rate``, and runs :func:`simulate_mixed`
-        with the scenario's fault plan plus a default retry policy.
-        The returned report's ``fault_stats`` carries the per-device
-        downtime, retry and shedding accounting.
-        """
-        from repro.serving import (
-            RetryPolicy,
-            chaos_plan,
-            make_tenants,
-            simulate_mixed,
-        )
-
-        if arrival_rate <= 0:
-            raise ValueError(f"arrival_rate must be positive, got {arrival_rate}")
-        # Chaos plans must leave at least one device up, so the default
-        # pool pairs the suite's device with an edge box (the CLI default).
-        devices = tuple(devices) if devices else (self.device, "nano")
-        workloads = tuple(workloads) if workloads else tuple(list_workloads())
-        tenants = make_tenants(workloads, slo=slo, seed=seed, backend=backend)
-        plan = chaos_plan(scenario, devices, n_requests / arrival_rate,
-                          seed=seed)
-        return simulate_mixed(
-            tenants, devices=devices, n_requests=n_requests,
-            arrival_rate=arrival_rate, scenario=mix, seed=seed,
-            faults=plan, retry=retry if retry is not None else RetryPolicy(),
-        )
-
-    # -- fleet-scale serving -------------------------------------------------------
-
-    def fleet_serve(self, groups="2080ti:4,nano:2", workloads=None,
-                    mix: str = "uniform", n_requests: int = 10_000,
-                    arrival_rate: float | None = None, slo: float = 50e-3,
-                    autoscale=None, faults=None, hop_bytes: float = 0.0,
-                    seed: int = 0, backend: str = "meta"):
-        """Serve a tenant mix on a fleet of device groups; returns a
-        :class:`~repro.serving.fleet.FleetReport`.
-
-        The programmatic twin of ``mmbench serve --fleet``: ``groups`` is
-        either a ``"dev:replicas[:pool],..."`` spec string or a sequence
-        of :class:`~repro.serving.fleet.DeviceGroup`; ``autoscale`` is an
-        :class:`~repro.serving.fleet.AutoscalePolicy` (or a CLI-style
-        ``"metric:threshold[:interval[:cooldown]]"`` spec); ``faults`` is
-        a :class:`~repro.serving.faults.FaultPlan` or a chaos-scenario
-        name resolved against the group device names (requires
-        ``arrival_rate`` to size its horizon).
-        """
-        from repro.serving import (
-            chaos_plan,
-            make_tenants,
-            parse_autoscale,
-            parse_groups,
-            simulate_fleet,
-        )
-        from repro.serving.faults import CHAOS_SCENARIO_NAMES
-
-        if isinstance(groups, str):
-            groups = parse_groups(groups)
-        if isinstance(autoscale, str):
-            autoscale = parse_autoscale(autoscale)
-        if isinstance(faults, str):
-            if faults not in CHAOS_SCENARIO_NAMES:
-                raise ValueError(
-                    f"unknown chaos scenario {faults!r}; "
-                    f"available: {', '.join(CHAOS_SCENARIO_NAMES)}")
-            if arrival_rate is None:
-                raise ValueError(f"chaos scenario {faults!r} needs an "
-                                 "arrival_rate to size its horizon")
-            faults = chaos_plan(faults, tuple(g.device for g in groups),
-                                n_requests / arrival_rate, seed=seed)
-        workloads = tuple(workloads) if workloads else tuple(list_workloads())
-        tenants = make_tenants(workloads, slo=slo, seed=seed, backend=backend)
-        return simulate_fleet(
-            tenants, groups, n_requests=n_requests, arrival_rate=arrival_rate,
-            scenario=mix, autoscale=autoscale, faults=faults,
-            hop_bytes=hop_bytes, seed=seed,
-        )
 
     # -- external execution graphs -----------------------------------------------
 

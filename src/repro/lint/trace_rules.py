@@ -18,6 +18,7 @@ Two artifact kinds live here:
 from __future__ import annotations
 
 import math
+import sys
 from typing import Iterator
 
 import numpy as np
@@ -286,29 +287,44 @@ def _node_id(node: dict, index: int) -> str:
     return f"node {nid} ({name!r})" if name else f"node {nid}"
 
 
+def _graph_nodes(payload: dict) -> list:
+    """The graph's node list; a non-list ``nodes`` is ingest's finding, so
+    the static rules see no nodes (``lint_path`` reports the refusal)."""
+    nodes = payload.get("nodes", [])
+    return nodes if isinstance(nodes, list) else []
+
+
+def _bad_id(value) -> bool:
+    """A node or parent id nothing can key a graph by (a JSON list or
+    object)."""
+    return isinstance(value, (list, dict))
+
+
 def _bad_number(value) -> bool:
     """True when an explicit descriptor is negative, non-finite, or not a
     number at all (bool counts as not-a-number: it is a flag, not work)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return True
-    return not math.isfinite(value) or value < 0
+    return not 0 <= value <= sys.float_info.max  # NaN, inf, oversized int
 
 
 @rule("MMB111", "error", "graph",
       "dependency violation: missing parent or dependency cycle")
 def graph_dependencies(payload: dict, ctx: LintContext) -> Iterator[Diagnostic]:
-    nodes = payload.get("nodes", [])
-    ids = {node.get("id") for node in nodes if isinstance(node, dict)}
+    nodes = _graph_nodes(payload)
+    ids = {node.get("id") for node in nodes
+           if isinstance(node, dict) and not _bad_id(node.get("id"))}
     adjacency: dict = {}
     missing = 0
     first_missing = None
     for index, node in enumerate(nodes):
-        if not isinstance(node, dict):
+        # A node id that is a list or an object is ingest's finding.
+        if not isinstance(node, dict) or _bad_id(node.get("id")):
             continue
         parents = node.get("parents", [])
         kept = []
         for parent in parents if isinstance(parents, list) else []:
-            if parent not in ids:
+            if _bad_id(parent) or parent not in ids:
                 missing += 1
                 if first_missing is None:
                     first_missing = (index, node, parent)
@@ -344,7 +360,7 @@ def graph_dependencies(payload: dict, ctx: LintContext) -> Iterator[Diagnostic]:
         stuck = sorted((nid for nid, deg in indegree.items() if deg > 0),
                        key=str)
         by_id = {node.get("id"): (i, node) for i, node in enumerate(nodes)
-                 if isinstance(node, dict)}
+                 if isinstance(node, dict) and not _bad_id(node.get("id"))}
         index, node = by_id[stuck[0]]
         yield ctx.diag(
             "MMB111",
@@ -360,7 +376,7 @@ def graph_dependencies(payload: dict, ctx: LintContext) -> Iterator[Diagnostic]:
 def graph_descriptors(payload: dict, ctx: LintContext) -> Iterator[Diagnostic]:
     bad = 0
     first = None
-    for index, node in enumerate(payload.get("nodes", [])):
+    for index, node in enumerate(_graph_nodes(payload)):
         if not isinstance(node, dict):
             continue
         for key in _NODE_DESCRIPTORS:
@@ -401,7 +417,7 @@ def dtype_bytes(payload: dict, ctx: LintContext) -> Iterator[Diagnostic]:
     node cannot materialize its outputs in fewer bytes."""
     bad = 0
     first = None
-    for index, node in enumerate(payload.get("nodes", [])):
+    for index, node in enumerate(_graph_nodes(payload)):
         if not isinstance(node, dict) or "bytes_written" not in node:
             continue
         declared = node.get("output_shapes")
@@ -414,13 +430,14 @@ def dtype_bytes(payload: dict, ctx: LintContext) -> Iterator[Diagnostic]:
             continue  # MMB112's finding, not ours
         footprint = 0
         for shape, dtype in zip(declared, dtypes):
-            if not isinstance(shape, list) or dtype not in _DTYPE_BYTES:
+            # A shape or dtype that ingest refuses is ingest's finding.
+            if not isinstance(shape, list) or not isinstance(dtype, str) \
+                    or dtype not in _DTYPE_BYTES \
+                    or not all(type(dim) is int and dim >= 0 for dim in shape) \
+                    or math.prod(shape) >= 2**63:
                 footprint = None
                 break
-            elems = 1
-            for dim in shape:
-                elems *= int(dim)
-            footprint += elems * _DTYPE_BYTES[dtype]
+            footprint += math.prod(shape) * _DTYPE_BYTES[dtype]
         if footprint is not None and value < footprint:
             bad += 1
             if first is None:

@@ -258,13 +258,15 @@ class FaultPlan:
     def from_json(cls, payload: dict) -> "FaultPlan":
         if not isinstance(payload, dict) or "events" not in payload:
             raise FaultPlanError('fault plan JSON must be {"events": [...]}')
+        if not isinstance(payload["events"], list):
+            raise FaultPlanError(f"events: not a list: {payload['events']!r}")
         events: list[FaultEvent] = []
         for i, raw in enumerate(payload["events"]):
             where = f"event[{i}]"
             if not isinstance(raw, dict):
                 raise FaultPlanError(f"{where}: not an object: {raw!r}")
             kind = raw.get("kind")
-            if kind not in _KINDS:
+            if not isinstance(kind, str) or kind not in _KINDS:
                 raise FaultPlanError(
                     f"{where}: unknown kind {kind!r}; "
                     f"available: {', '.join(sorted(_KINDS))}")
@@ -283,7 +285,7 @@ def load_fault_plan(path) -> FaultPlan:
     try:
         with open(path) as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or digits
         raise FaultPlanError(f"cannot read fault plan {path!r}: {exc}") from None
     return FaultPlan.from_json(payload)
 

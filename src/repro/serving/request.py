@@ -27,10 +27,13 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+
+_FLOAT_MAX = sys.float_info.max
 
 
 def is_finite_number(value) -> bool:
@@ -39,10 +42,12 @@ def is_finite_number(value) -> bool:
 
     Fault-plan fields, retry settings, policy timeouts and SLOs, and
     arrival rates all pass through it: one NaN among them silently
-    breaks event ordering instead of raising.
+    breaks event ordering instead of raising. It is a range test rather
+    than ``math.isfinite``: an int too large for a float64 (JSON allows
+    one) is not finite on the event clock either.
     """
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and -_FLOAT_MAX <= value <= _FLOAT_MAX)
 
 
 def check_arrivals(arrivals) -> np.ndarray:
@@ -57,11 +62,20 @@ def check_arrivals(arrivals) -> np.ndarray:
         column = arrivals.astype(np.float64, copy=False)
     else:
         values = list(arrivals)
-        for i, value in enumerate(values):
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ValueError(
-                    f"request arrival [{i}] must be a number, got {value!r}")
-        column = np.array(values, dtype=np.float64)
+        # Plain floats and ints need no per-element check (an ABC test
+        # per element dominates a million-request list); any other type
+        # takes the loop that names the first bad index.
+        if not set(map(type, values)) <= {float, int}:
+            for i, value in enumerate(values):
+                if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                    raise ValueError(
+                        f"request arrival [{i}] must be a number, got {value!r}")
+        try:
+            column = np.array(values, dtype=np.float64)
+        except OverflowError:  # an int past the float64 range reads as inf
+            column = np.array([v if is_finite_number(v) or v != v
+                               else math.inf if v > 0 else -math.inf
+                               for v in values], dtype=np.float64)
     bad = np.flatnonzero(~(column >= 0.0) | ~np.isfinite(column))
     if bad.size:
         i = int(bad[0])

@@ -41,6 +41,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -87,6 +88,10 @@ _CATEGORY_BY_NAME.update({c.name.lower(): c for c in KernelCategory})
 _HOST_KIND_BY_NAME = {k.value.lower(): k for k in HostOpKind}
 
 _NON_ALNUM = re.compile(r"[^0-9a-z]+")
+#: Counts go into int64 columns and descriptors into float64 ones; a JSON
+#: int may be larger than either.
+_INT64_LIMIT = 2**63
+_FLOAT_MAX = sys.float_info.max
 _CAMEL_BOUNDARY = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
 
 
@@ -398,6 +403,9 @@ def _shapes(raw, node_id, source, which: str) -> list[tuple[int, ...]]:
                 raise IngestError(f"invalid dimension {dim!r} in {which}",
                                   node_id, source)
             dims.append(dim)
+        if math.prod(dims) >= _INT64_LIMIT:
+            raise IngestError(f"{which} shape has 2**63 or more elements",
+                              node_id, source)
         shapes.append(tuple(dims))
     return shapes
 
@@ -475,7 +483,7 @@ def _positive_float(node, key, node_id, source, default=None):
     value = node[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise IngestError(f"{key} must be a number, got {value!r}", node_id, source)
-    if value < 0 or not math.isfinite(value):
+    if not 0 <= value <= _FLOAT_MAX:  # NaN, infinities, oversized ints
         raise IngestError(f"{key} must be finite and non-negative, got {value!r}",
                           node_id, source)
     return float(value)
@@ -530,7 +538,7 @@ def load_graph(source) -> dict:
         raise IngestError(f"cannot read graph file: {exc}", source=str(path)) from exc
     try:
         graph = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int past Python's digit limit
         raise IngestError(f"invalid JSON: {exc}", source=str(path)) from exc
     if not isinstance(graph, dict):
         raise IngestError(f"graph root must be a JSON object, got "
@@ -567,6 +575,9 @@ def _toposort(nodes: list[dict], ids: list, source) -> list[int]:
             raise IngestError(f"parents must be a list, got {parents!r}",
                               ids[pos], source)
         for parent in parents:
+            if isinstance(parent, (list, dict)):
+                raise IngestError(f"parent id must be a string or number, "
+                                  f"got {parent!r}", ids[pos], source)
             parent_pos = index_of.get(parent)
             if parent_pos is None:
                 raise IngestError(f"unknown parent id {parent!r}", ids[pos], source)
@@ -704,6 +715,9 @@ def ingest_graph(source, registry: OpMappingRegistry | None = None,
         node_id = node.get("id")
         if node_id is None:
             raise IngestError(f"node #{pos} has no 'id'", source=label)
+        if isinstance(node_id, (list, dict)):
+            raise IngestError(f"node #{pos} id must be a string or number, "
+                              f"got {node_id!r}", source=label)
         ids.append(node_id)
 
     order = _toposort(raw_nodes, ids, label)
@@ -811,6 +825,9 @@ def ingest_graph(source, registry: OpMappingRegistry | None = None,
         if threads is None:
             threads = sum(_elems(s) for s in out_shapes) or \
                 sum(_elems(s) for s in in_shapes)
+        if threads >= _INT64_LIMIT:
+            raise IngestError(f"threads must be below 2**63, got {threads:g}",
+                              node_id, label)
         coalesced = _positive_float(node, "coalesced_fraction", node_id, label,
                                     default=1.0)
         reuse = _positive_float(node, "reuse_factor", node_id, label, default=1.0)
@@ -841,14 +858,19 @@ def ingest_graph(source, registry: OpMappingRegistry | None = None,
     graph_name = graph.get("name") or (Path(origin).stem if origin != "<dict>"
                                        else "graph")
     batch_size = graph.get("batch_size", 1)
-    if isinstance(batch_size, bool) or not isinstance(batch_size, int) or batch_size < 1:
-        raise IngestError(f"batch_size must be a positive int, got {batch_size!r}",
-                          source=label)
+    if isinstance(batch_size, bool) or not isinstance(batch_size, int) \
+            or not 1 <= batch_size < _INT64_LIMIT:
+        raise IngestError(f"batch_size must be a positive int below 2**63, "
+                          f"got {batch_size!r}", source=label)
     model_meta = graph.get("model") or {}
     if not isinstance(model_meta, dict):
         raise IngestError(f"'model' must be an object, got {model_meta!r}",
                           source=label)
-    modalities = list(model_meta.get("modalities") or report.modalities)
+    modalities = model_meta.get("modalities") or report.modalities
+    if not isinstance(modalities, (list, tuple)) or \
+            not all(isinstance(m, str) for m in modalities):
+        raise IngestError(f"model.modalities must be a list of strings, "
+                          f"got {modalities!r}", source=label)
 
     def _model_count(key: str) -> int:
         # Same contract as node-level descriptors: finite, non-negative,
@@ -856,7 +878,7 @@ def ingest_graph(source, registry: OpMappingRegistry | None = None,
         # garbage value silently corrupts every priced run downstream.
         value = model_meta.get(key, 0)
         if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not math.isfinite(value) or value < 0:
+                or not 0 <= value <= _FLOAT_MAX:
             raise IngestError(
                 f"model.{key} must be a finite non-negative number, "
                 f"got {value!r}", source=label)
@@ -869,7 +891,7 @@ def ingest_graph(source, registry: OpMappingRegistry | None = None,
         parameters=_model_count("parameters"),
         parameter_bytes=_model_count("parameter_bytes"),
         input_bytes=_model_count("input_bytes"),
-        modalities=modalities,
+        modalities=list(modalities),
         report=report,
         topo_order=tuple(ids[pos] for pos in order),
     )

@@ -83,6 +83,74 @@ class TestLintCommand:
         assert "--cache-dir" in capsys.readouterr().err
 
 
+def _node(node_id, name, parents=(), **fields):
+    return {"id": node_id, "name": name, "parents": list(parents), **fields}
+
+
+#: Malformed graphs the static rules and the ingest behind them must read
+#: without raising, with the error code and the fragment the report names.
+MALFORMED_GRAPHS = {
+    "number-nodes": ({"nodes": 5}, "MMB112", "'nodes' must be a list"),
+    "list-id": ({"nodes": [_node([1], "relu")]}, "MMB112",
+                "node #0 id must be a string or number, got [1]"),
+    "object-id": ({"nodes": [_node({}, "relu")]}, "MMB112",
+                  "node #0 id must be a string or number, got {}"),
+    "list-parent": ({"nodes": [_node(1, "a"), _node(2, "b", [[1]])]}, "MMB111",
+                    "parents that are not in the graph (first: parent [1])"),
+    "object-parent": ({"nodes": [_node(1, "a"), _node(2, "b", [{}])]}, "MMB111",
+                      "parents that are not in the graph (first: parent {})"),
+    "number-modalities": ({"nodes": [_node(1, "relu", output_shapes=[[4]])],
+                           "model": {"modalities": 5.0}}, "MMB112",
+                          "model.modalities must be a list of strings"),
+    "huge-flops": ({"nodes": [_node(1, "relu", flops=10**400)]}, "MMB112",
+                   "non-finite or non-numeric"),
+    "huge-threads": ({"nodes": [_node(1, "relu", threads=1e308,
+                                      output_shapes=[[4]])]}, "MMB112",
+                     "threads must be below 2**63"),
+    **{f"{what}-declared-output": (
+        {"nodes": [_node(1, "relu", bytes_written=10.0, output_shapes=[shape],
+                         output_dtypes=[dtype])]}, "MMB112", fragment)
+       for what, shape, dtype, fragment in (
+           ("string-dim", ["x"], "float32", "invalid dimension 'x'"),
+           ("null-dim", [None], "float32", "invalid dimension None"),
+           ("infinite-dim", [float("inf")], "float32", "invalid dimension inf"))},
+}
+
+
+class TestMalformedGraphs:
+    @pytest.fixture(params=sorted(MALFORMED_GRAPHS))
+    def case(self, request, tmp_path):
+        payload, code, fragment = MALFORMED_GRAPHS[request.param]
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(payload))
+        return payload, str(path), code, fragment
+
+    def test_static_rules_return_a_report(self, case):
+        from repro.lint import LintReport, lint_graph
+
+        payload = json.loads(json.dumps(case[0]))
+        assert isinstance(lint_graph(payload), LintReport)
+
+    def test_mmbench_lint_reports_an_error(self, case, capsys):
+        _, path, code, fragment = case
+        assert main(["lint", path]) == 1
+        captured = capsys.readouterr()
+        assert f"error {code}" in captured.out and fragment in captured.out
+        assert "Traceback" not in captured.err
+
+    def test_list_dtype_beside_explicit_bytes_is_not_a_crash(self, tmp_path):
+        # Explicit bytes mean ingest never reads the dtypes, so the graph is
+        # valid, and MMB110 must not hash the list dtype.
+        from repro.lint import lint_graph
+
+        payload = {"nodes": [_node(1, "relu", bytes_written=10.0,
+                                   output_shapes=[[2]], output_dtypes=[[1]])]}
+        assert lint_graph(payload).diagnostics == []
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(payload))
+        assert main(["lint", str(path)]) == 0
+
+
 class TestBaselineWorkflow:
     def test_write_then_suppress(self, tmp_path, capsys):
         baseline = tmp_path / "lint-baseline.json"

@@ -309,10 +309,15 @@ def test_simulated_schedule_lints_clean(tmp_path):
 
 
 def test_chaos_serving_report_lints_clean():
-    from repro.core.suite import BenchmarkSuite
+    from repro.serving import RetryPolicy, chaos_plan, make_tenants, simulate_mixed
 
-    report = BenchmarkSuite().chaos_serve(
-        "single-failure", workloads=("avmnist", "mmimdb"),
-        n_requests=400, arrival_rate=1000.0)
+    devices = ("2080ti", "nano")
+    tenants = make_tenants(("avmnist", "mmimdb"), slo=50e-3, seed=0,
+                           backend="meta")
+    report = simulate_mixed(
+        tenants, devices=devices, n_requests=400, arrival_rate=1000.0,
+        scenario="uniform", seed=0,
+        faults=chaos_plan("single-failure", devices, 0.4, seed=0),
+        retry=RetryPolicy())
     lint = lint_serving_report(report)
     assert lint.diagnostics == [], [d.render() for d in lint.diagnostics]

@@ -2,7 +2,50 @@
 
 import json
 
+import pytest
+
 from repro.core.cli import main
+
+#: Serve command lines that set a flag their mode never reads, or an SLO
+#: no request can meet, with the fragment of the one line they exit 2 with.
+MISAPPLIED = {
+    "single-negative-slo": (["--slo", "-1"], "--slo must be positive and finite"),
+    "single-nan-slo": (["--slo", "nan"], "--slo must be positive and finite"),
+    "single-groups": (["--groups", "2080ti:2"],
+                      "--groups applies to --fleet only; a single-workload "
+                      "serve reads --workload, --fusion, --devices"),
+    "single-autoscale": (["--autoscale", "queue:4"],
+                         "--autoscale applies to --fleet only"),
+    "single-hop-bytes": (["--hop-bytes", "1e6"],
+                         "--hop-bytes applies to --fleet only"),
+    "single-finetune-workloads": (["--finetune-workloads", "mmimdb"],
+                                  "--finetune-workloads applies to --mix only"),
+    "mix-groups": (["--mix", "uniform", "--workloads", "avmnist",
+                    "--groups", "2080ti:2"],
+                   "--groups applies to --fleet only; --mix reads --workloads"),
+    "mix-autoscale": (["--mix", "uniform", "--workloads", "avmnist",
+                       "--autoscale", "queue:4"],
+                      "--autoscale applies to --fleet only; --mix reads"),
+    "fleet-devices": (["--fleet", "--groups", "2080ti:2", "--workloads",
+                       "avmnist", "--devices", "nano"],
+                      "--devices applies to a single-workload serve and --mix "
+                      "only; --fleet reads --workloads, --groups"),
+    "fleet-finetune-share": (["--fleet", "--groups", "2080ti:2", "--workloads",
+                              "avmnist", "--finetune-share", "5"],
+                             "--finetune-share applies to --mix only; "
+                             "--fleet reads"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISAPPLIED))
+def test_misapplied_flag_exits_2_naming_flag_and_mode(case, capsys):
+    extra, fragment = MISAPPLIED[case]
+    code = main(["serve", "--arrival-rate", "1000", "--n-requests", "50",
+                 "--policy", "fixed", *extra])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and fragment in err
+    assert "Traceback" not in err
 
 
 class TestServeCommand:
@@ -190,6 +233,16 @@ class TestServeFaults:
                      "--arrival-rate", "100"])
         assert code == 2
         assert "--request-deadline" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_degrade_after_fails_cleanly(self, value, capsys):
+        # Neither is a wait a queue can pass; both must fail before the run.
+        code = main(["serve", "--mix", "uniform", "--workloads", "avmnist,mmimdb",
+                     "--arrival-rate", "1000", "--n-requests", "50",
+                     "--policy", "fixed", "--degrade-after", value])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"--degrade-after must be positive and finite, got {value}\n"
 
     def test_degrade_after_rejected_on_single_path(self, capsys):
         code = main(["serve", "--workload", "avmnist", "--degrade-after",

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.cli import main
 from repro.serving import (
     CHAOS_SCENARIO_NAMES,
     DegradedMode,
@@ -101,6 +102,59 @@ class TestJsonRoundTrip:
         with pytest.raises(FaultPlanError, match="unknown kind 'explode'"):
             FaultPlan.from_json({"events": [{"kind": "explode", "device": "a",
                                              "time": 0.1}]})
+
+
+#: Malformed plan JSON (wrong types where ``from_json`` indexes or hashes,
+#: a time past the float64 range) and the fragment its FaultPlanError names.
+MALFORMED_PLANS = {
+    "number-events": ('{"events": 5}', "events: not a list: 5"),
+    "null-events": ('{"events": null}', "events: not a list: None"),
+    "true-events": ('{"events": true}', "events: not a list: True"),
+    "infinite-events": ('{"events": Infinity}', "events: not a list: inf"),
+    "list-kind": ('{"events": [{"kind": ["down"], "device": "nano", '
+                  '"time": 0.1}]}', "event[0]: unknown kind ['down']"),
+    "object-kind": ('{"events": [{"kind": {}, "device": "nano", "time": 0.1}]}',
+                    "event[0]: unknown kind {}"),
+    "huge-time": ('{"events": [{"kind": "down", "device": "nano", "time": 1'
+                  + "0" * 400 + "}]}", "event[0]: time must be a finite number"),
+}
+
+
+class TestMalformedPlanJson:
+    @pytest.fixture(params=sorted(MALFORMED_PLANS))
+    def plan(self, request, tmp_path):
+        text, fragment = MALFORMED_PLANS[request.param]
+        path = tmp_path / "plan.json"
+        path.write_text(text)
+        return text, str(path), fragment
+
+    def test_from_json_raises_fault_plan_error(self, plan):
+        text, _, fragment = plan
+        with pytest.raises(FaultPlanError) as excinfo:
+            FaultPlan.from_json(json.loads(text))
+        assert fragment in str(excinfo.value)
+
+    def test_mmbench_serve_exits_2(self, plan, capsys):
+        _, path, fragment = plan
+        assert main(["serve", "--faults", path, "--arrival-rate", "100",
+                     "--n-requests", "50", "--devices", "2080ti,nano"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and fragment in err
+        assert "Traceback" not in err
+
+    def test_mmbench_lint_exits_2(self, plan, capsys):
+        _, path, fragment = plan
+        assert main(["lint", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"lint: {path}: {fragment}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_int_past_the_digit_limit_is_unreadable(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text('{"events": [{"kind": "down", "device": "nano", '
+                        '"time": ' + "1" * 5000 + "}]}")
+        with pytest.raises(FaultPlanError, match="cannot read fault plan"):
+            load_fault_plan(path)
 
 
 class TestDownRecover:

@@ -32,7 +32,8 @@ from repro.serving import (
     simulate_fleet,
     simulate_mixed,
 )
-from repro.serving.request import Request, RequestColumns, poisson_arrivals
+from repro.serving.request import (Request, RequestColumns, check_arrivals,
+                                   poisson_arrivals)
 from repro.serving.scenarios import scenario_columns
 
 
@@ -150,6 +151,23 @@ class TestRequestStreams:
                     Request(2, bad, "x"), Request(3, 0.003, "y")]
         with pytest.raises(ValueError, match=r"request arrival \[2\]"):
             simulate_mixed(tenants(), devices=("a",), requests=requests)
+
+    @pytest.mark.parametrize("arrivals, position", [
+        ([10**400], 0), ([0.0, 0.5, -(10**400)], 2), ([0.0, 1, 10**400, 2], 2),
+    ], ids=["alone", "negative-after-floats", "among-ints"])
+    def test_int_too_large_for_float64_is_named(self, arrivals, position):
+        # An int past the float64 range cannot be cast; it is not finite.
+        with pytest.raises(ValueError, match=rf"request arrival \[{position}\] "
+                                             "must be finite"):
+            check_arrivals(arrivals)
+
+    def test_plain_numbers_and_other_reals_give_one_column(self):
+        from fractions import Fraction
+
+        for arrivals in ([0.0, 1, 2.5], [0.0, np.float64(1.0), Fraction(5, 2)]):
+            column = check_arrivals(arrivals)
+            assert column.dtype == np.float64
+            assert column.tolist() == [0.0, 1.0, 2.5]
 
     def test_unsorted_request_list_still_sorted(self):
         requests = [Request(0, 0.002, "x"), Request(1, 0.0, "y"),

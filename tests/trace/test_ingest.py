@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.cli import main
 from repro.trace.events import (
     KernelCategory,
     PASS_BACKWARD,
@@ -378,6 +379,73 @@ class TestIngestErrors:
     def test_missing_nodes_list(self):
         with pytest.raises(IngestError, match="no 'nodes'"):
             ingest_graph({"name": "x"})
+
+    #: Malformed graphs (ids and metadata of the wrong JSON type, integers
+    #: past the int64/float64 range or the JSON digit limit) and the
+    #: fragment their IngestError names. Each is written to a file, as a
+    #: user's is.
+    MALFORMED = {
+        "list-id": (graph_of(kernel([1], "relu", output_shapes=[[4]])),
+                    "node #0 id must be a string or number"),
+        "object-id": (graph_of(kernel({}, "relu", output_shapes=[[4]])),
+                      "node #0 id must be a string or number"),
+        "list-parent": (graph_of(kernel(1, "a", output_shapes=[[4]]),
+                                 kernel(2, "b", [[1]], output_shapes=[[4]])),
+                        "parent id must be a string or number"),
+        "object-parent": (graph_of(kernel(1, "a", output_shapes=[[4]]),
+                                   kernel(2, "b", [{}], output_shapes=[[4]])),
+                          "parent id must be a string or number"),
+        "number-modalities": (graph_of(kernel(1, "relu", output_shapes=[[4]]),
+                                       model={"modalities": 5.0}),
+                              "model.modalities must be a list of strings"),
+        "huge-flops": (graph_of(kernel(1, "relu", flops=10**400,
+                                       output_shapes=[[4]])),
+                       "flops must be finite and non-negative"),
+        "huge-shape": (graph_of(kernel(1, "relu", input_shapes=[[10**200, 10**200]],
+                                       output_shapes=[[4]])),
+                       "input_shapes shape has 2**63 or more elements"),
+        "huge-threads": (graph_of(kernel(1, "relu", threads=1e308,
+                                         output_shapes=[[4]])),
+                         "threads must be below 2**63"),
+        "huge-parameters": (graph_of(kernel(1, "relu", output_shapes=[[4]]),
+                                     model={"parameters": 10**400}),
+                            "model.parameters must be a finite non-negative"),
+        "huge-batch": (graph_of(kernel(1, "relu", output_shapes=[[4]]),
+                                batch_size=10**400),
+                       "batch_size must be a positive int below 2**63"),
+        "int-past-digit-limit": ('{"nodes": [{"id": ' + "1" * 5000 + "}]}",
+                                 "invalid JSON"),
+    }
+
+    @pytest.fixture(params=sorted(MALFORMED))
+    def malformed(self, request, tmp_path):
+        graph, fragment = self.MALFORMED[request.param]
+        path = tmp_path / "graph.json"
+        path.write_text(graph if isinstance(graph, str) else json.dumps(graph))
+        return str(path), fragment
+
+    def test_malformed_graph_raises_ingest_error(self, malformed):
+        path, fragment = malformed
+        self.assert_raises_naming(path, fragment, "graph.json")
+
+    def test_malformed_graph_fails_mmbench_ingest_cleanly(self, malformed, capsys):
+        path, fragment = malformed
+        assert main(["ingest", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ingest failed: ") and fragment in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_lint_hook_refusal_fails_mmbench_ingest_cleanly(self, tmp_path, capsys):
+        # The graph ingests, but its backward kernel precedes a forward one
+        # (MMB201), so the store's pre-cache lint hook refuses it.
+        path = tmp_path / "interleaved.json"
+        path.write_text(json.dumps(graph_of(
+            kernel(1, "relu_backward", output_shapes=[[4]], **{"pass": "backward"}),
+            kernel(2, "relu", [1], output_shapes=[[4]]))))
+        assert main(["ingest", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ingest failed: ") and "MMB201" in err
+        assert "Traceback" not in err
 
     def test_errors_are_never_raw_keyerror_or_recursion(self):
         # The regression this PR pins: malformed graphs must never escape
