@@ -240,8 +240,8 @@ def _check_serve(args) -> SimpleNamespace:
     """
     from repro.hw.device import get_device
     from repro.lint import check, lint_fleet
-    from repro.serving import (get_scenario, make_policy, parse_autoscale,
-                               parse_groups)
+    from repro.serving import (POLICY_NAMES, get_scenario, make_policy,
+                               parse_autoscale, parse_groups)
 
     mode = "fleet" if args.fleet else "mix" if args.mix is not None else "single"
     defaults = vars(build_parser().parse_args(["serve"]))
@@ -273,7 +273,9 @@ def _check_serve(args) -> SimpleNamespace:
                           policies=args.policy.split(","),
                           policy_factory=policy_factory, finetune=(),
                           groups=None, autoscale=None)
-    for name in run.policies:  # validate every policy name up front
+    # Every policy's constructor checks the flags it reads, whichever
+    # policies are listed; a listed unknown name still fails.
+    for name in dict.fromkeys([*run.policies, *POLICY_NAMES]):
         policy_factory(name)("probe")
     if mode == "single":
         args.workload = args.workload or "avmnist"
@@ -545,6 +547,7 @@ def _check_ingest(args):
     from repro.trace.ingest import OpMappingRegistry
 
     _validate_common(args)
+    _check_positive("--slo", args.slo)
     devices = _parse_devices(args.devices) if args.devices else (args.device,)
     sweep_batches = _parse_sweep(args.sweep)
     registry = None

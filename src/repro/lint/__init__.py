@@ -176,7 +176,7 @@ def lint_artifact(obj, source: str | None = None, **options) -> LintReport:
     name = type(obj).__name__
     if hasattr(obj, "streams") and hasattr(obj, "makespan"):
         return lint_schedule(obj, source=source or name, **options)
-    if hasattr(obj, "device_stats") and hasattr(obj, "requests"):
+    if hasattr(obj, "group_stats") and hasattr(obj, "request_table"):
         return lint_serving_report(obj, source=source or name, **options)
     if hasattr(obj, "events") and hasattr(obj, "empty"):
         return lint_fault_plan(obj, source=source or name, **options)

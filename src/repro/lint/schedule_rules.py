@@ -7,7 +7,7 @@ Four artifact kinds live here:
   rules guard hand-built and deserialized schedules (and future schedule
   transformations): overlapping windows on one stream, device share sums
   over 1.0, windows running past the makespan.
-* ``serving`` — :class:`~repro.serving.simulator.ServingReport`: replay
+* ``serving`` — :class:`~repro.serving.fleet.ServingReport`: replay
   checks over the recorded request timeline (the report's request
   columns, ``report.table``). Cross-tenant batch leakage
   (two tenants' requests riding one dispatched batch) and

@@ -346,7 +346,7 @@ def tanh(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """GELU with the tanh approximation (as used by BERT/ALBERT)."""
     c = np.float32(np.sqrt(2.0 / np.pi))
-    inner = c * (a.data + 0.044715 * a.data**3)
+    inner = c * (a.data + 0.044715 * (a.data * a.data * a.data))
     t = np.tanh(inner)
     data = 0.5 * a.data * (1.0 + t)
     ctx = _ctx()

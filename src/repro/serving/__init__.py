@@ -16,10 +16,10 @@ with a discrete-event simulator driven by memoized profiler cost models:
   thermal throttling, stalls), retry/shed accounting, graceful
   degradation, and the named chaos scenarios
 * :mod:`repro.serving.simulator` — single- and multi-tenant serving on
-  device slots (one-replica groups of the engine) and its report
-* :mod:`repro.serving.fleet` — the serving engine and fleet-scale
-  serving: homogeneous device groups, faults, cross-group hop costs,
-  reactive autoscaling
+  device slots (one-replica groups of the engine)
+* :mod:`repro.serving.fleet` — the serving engine, its one report
+  (``ServingReport``) and fleet-scale serving: homogeneous device groups,
+  faults, cross-group hop costs, reactive autoscaling
 * :mod:`repro.serving.report` — formatted throughput–tail-latency tables
 """
 
@@ -55,9 +55,9 @@ from repro.serving.fleet import (
     DeviceGroup,
     FleetConfig,
     FleetConfigError,
-    FleetReport,
     GroupStats,
     ScalingEvent,
+    ServingReport,
     parse_autoscale,
     parse_groups,
     simulate_fleet,
@@ -115,8 +115,6 @@ from repro.serving.scenarios import (
     scenario_requests,
 )
 from repro.serving.simulator import (
-    DeviceStats,
-    ServingReport,
     TenantSpec,
     TenantStats,
     simulate,
@@ -133,7 +131,7 @@ __all__ = [
     "FaultStats", "RetryPolicy", "TenantFaultStats", "ThermalThrottle",
     "TransientStall", "chaos_plan", "degraded_mode_for", "load_fault_plan",
     "AutoscalePolicy", "DeviceGroup", "FleetConfig", "FleetConfigError",
-    "FleetReport", "GroupStats", "ScalingEvent", "parse_autoscale",
+    "GroupStats", "ScalingEvent", "ServingReport", "parse_autoscale",
     "parse_groups", "simulate_fleet",
     "FinetuneJob", "FinetuneStats", "TrainingCostModel", "finetune_progress",
     "inference_slowdown", "make_finetune_jobs", "total_background_share",
@@ -149,6 +147,6 @@ __all__ = [
     "make_router",
     "SCENARIO_NAMES", "SCENARIOS", "Scenario", "get_scenario", "make_tenants",
     "scenario_columns", "scenario_requests",
-    "DeviceStats", "ServingReport", "TenantSpec", "TenantStats",
+    "TenantSpec", "TenantStats",
     "simulate", "simulate_mixed", "slot_labels", "validate_fault_plan",
 ]

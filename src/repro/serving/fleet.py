@@ -7,6 +7,8 @@ tenant mix on homogeneous :class:`DeviceGroup`\\ s
 :func:`~repro.serving.simulator.simulate_mixed`) map each device slot to
 a one-replica group keyed by its slot label (``2080ti#0``) and run the
 same engine, so ranking, faults and per-slot statistics stay per slot.
+All three return one :class:`ServingReport`, built from the engine by
+one function (``_report``).
 
 The loop processes one event at a time in the order a time-ordered
 event heap would pop it: the first arrival, then fault edges, then
@@ -26,9 +28,9 @@ structure of a fleet:
   call overhead costs more than the arithmetic;
 * per-request timing (latencies, queue and formation waits) is filled
   after the loop, one vectorized pass per tenant over its batch records;
-  a caller that wants every request's outcome (the classic entry points'
-  reports) gets one :class:`~repro.serving.request.RequestTable`, built
-  from all tenants' records at once;
+  a report's ``table``, every request's outcome as one
+  :class:`~repro.serving.request.RequestTable`, is built from all
+  tenants' records at once, and only when first read;
 * batch latencies reuse the cost models' memoized anchor curves
   (:class:`~repro.serving.costmodel.ProfiledCostModel`) as a dense
   precomputed interpolation table per (tenant, device), shared by
@@ -73,7 +75,7 @@ import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -82,7 +84,7 @@ from repro.serving.costmodel import CallableCostModel
 from repro.serving.faults import (DegradedMode, FaultPlan, FaultRuntime,
                                   FaultStats, RetryPolicy)
 from repro.serving.policies import BatchingPolicy
-from repro.serving.request import (RequestTable, check_arrivals,
+from repro.serving.request import (Request, RequestTable, check_arrivals,
                                    is_finite_number)
 from repro.serving.router import EarliestFinishRouter, Router
 
@@ -91,9 +93,9 @@ __all__ = [
     "DeviceGroup",
     "FleetConfig",
     "FleetConfigError",
-    "FleetReport",
     "GroupStats",
     "ScalingEvent",
+    "ServingReport",
     "TenantSpec",
     "TenantStats",
     "parse_autoscale",
@@ -143,12 +145,12 @@ class TenantSpec:
 class TenantStats:
     """Per-tenant latency / SLO breakdown of one simulation.
 
-    Every field covers the tenant's *completed* requests only: a shed
-    request counts in neither ``n_requests`` nor ``slo_attainment``, so
-    a tenant that shed most of its traffic can still attain 1.0 while the
-    report's own ``slo_attainment`` (over issued requests, sheds as
-    misses) is low. The tenant's sheds are in
-    ``report.fault_stats.tenants[name].shed``.
+    ``n_requests``, throughput, the percentiles and the means cover the
+    tenant's *completed* requests. ``slo_attainment`` divides the
+    completed requests within the SLO by the requests the tenant was
+    *issued*, so a shed request counts as a miss, as in the report's own
+    ``slo_attainment``; it is 1.0 for a tenant issued nothing. The
+    tenant's sheds are in ``report.fault_stats.tenants[name].shed``.
     """
 
     tenant: str
@@ -291,9 +293,11 @@ class ScalingEvent:
 
 @dataclass(frozen=True)
 class GroupStats:
-    """Per-group accounting of one fleet simulation."""
+    """Per-group accounting of one serving simulation; a classic device
+    slot is a one-replica group keyed by its slot label (``2080ti#1``)."""
 
-    group: str  # device model name
+    group: str  # group label: a device model name, or a classic slot label
+    device: str  # device model name the group runs
     replicas: int  # active replicas at the end of the run
     peak_replicas: int
     mean_replicas: float  # time-weighted mean active replicas (occupancy)
@@ -302,13 +306,18 @@ class GroupStats:
     busy_time: float
     utilization: float  # busy time / (mean_replicas * makespan)
     mean_batch: float
+    batch_histogram: dict[int, int]  # batch size -> completed batches
     hop_batches: int  # batches that paid a cross-group transfer
     hop_time: float  # total transfer seconds added to those batches
 
 
 @dataclass(frozen=True)
-class FleetReport:
-    """Everything one fleet simulation produced."""
+class ServingReport:
+    """Everything one serving simulation produced, whichever entry point
+    ran it (:func:`simulate_fleet`, ``simulate`` or ``simulate_mixed``).
+    Latency statistics cover completed requests; ``n_requests`` counts
+    every issued request, sheds included.
+    """
 
     policy: str
     router: str
@@ -324,13 +333,35 @@ class FleetReport:
     mean_formation_wait: float
     mean_service_time: float
     group_stats: dict[str, GroupStats]
-    tenant_stats: dict[str, TenantStats]
+    # Builds every request's outcome as columns; ``table`` calls it once.
+    request_table: Callable[[], RequestTable] = field(repr=False, compare=False)
+    tenant_stats: dict[str, TenantStats] = field(default_factory=dict)
     scaling_events: tuple[ScalingEvent, ...] = ()
     latencies: np.ndarray = field(default_factory=lambda: np.empty(0),
-                                  repr=False)  # completed requests only
+                                  repr=False, compare=False)  # completed, by tenant
+    # Background fine-tuning jobs that shared the devices during the run
+    # (see repro.serving.finetune); empty for pure-inference simulations.
+    finetune_stats: dict = field(default_factory=dict)
+    inference_slowdown: float = 1.0  # batch-latency multiplier the jobs imposed
     # What the fault plan, retry policy and degraded modes did to the
     # run (see repro.serving.faults); None when there were none.
     fault_stats: FaultStats | None = None
+
+    @functools.cached_property
+    def table(self) -> RequestTable:
+        """Every request's outcome as columns, built on first read."""
+        return self.request_table()
+
+    @functools.cached_property
+    def requests(self) -> list[Request]:
+        """Every request as a :class:`Request`, in stream order, built
+        from ``table`` on first read."""
+        return self.table.to_requests()
+
+    @property
+    def device_stats(self) -> dict[str, GroupStats]:
+        """``group_stats`` under its classic name (one entry per slot)."""
+        return self.group_stats
 
     def slo_attainment(self, slo: float) -> float:
         """Fraction of issued requests whose end-to-end latency met ``slo``.
@@ -347,6 +378,19 @@ class FleetReport:
         """Requests that actually finished (``n_requests`` minus sheds)."""
         shed = self.fault_stats.shed if self.fault_stats is not None else 0
         return self.n_requests - shed
+
+    def batch_sizes_used(self) -> dict[str, list[int]]:
+        """Distinct dispatched batch sizes per group (sorted)."""
+        return {name: sorted(s.batch_histogram)
+                for name, s in self.group_stats.items()}
+
+    @property
+    def total_utilization(self) -> float:
+        """Busy time over replica time: summed busy time / (summed mean
+        replicas x makespan); for one-replica slots, the mean over slots."""
+        busy = sum(s.busy_time for s in self.group_stats.values())
+        replicas = sum(s.mean_replicas for s in self.group_stats.values())
+        return busy / (replicas * self.makespan) if self.makespan > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -1412,11 +1456,13 @@ class _FleetEngine:
 
 
 # ---------------------------------------------------------------------------
-# Entry point
+# The report and the entry point
 # ---------------------------------------------------------------------------
 
 
-def _group_stats(engine: _FleetEngine, makespan: float) -> dict[str, GroupStats]:
+def _group_stats(engine: _FleetEngine) -> dict[str, GroupStats]:
+    makespan = engine.makespan
+    histograms = engine.batch_histograms()
     out: dict[str, GroupStats] = {}
     for g, group in enumerate(engine.groups):
         mean_rep = (engine.occ_int[g] / makespan if makespan > 0
@@ -1424,6 +1470,7 @@ def _group_stats(engine: _FleetEngine, makespan: float) -> dict[str, GroupStats]
         denom = mean_rep * makespan
         out[group.device] = GroupStats(
             group=group.device,
+            device=engine.gdev[g],
             replicas=engine.act[g],
             peak_replicas=engine.peak[g],
             mean_replicas=mean_rep,
@@ -1433,6 +1480,7 @@ def _group_stats(engine: _FleetEngine, makespan: float) -> dict[str, GroupStats]
             utilization=engine.busy[g] / denom if denom > 0 else 0.0,
             mean_batch=(engine.requests[g] / engine.batches[g]
                         if engine.batches[g] else 0.0),
+            batch_histogram=histograms[g],
             hop_batches=engine.hop_batches[g],
             hop_time=engine.hop_time[g],
         )
@@ -1476,24 +1524,27 @@ def _percentiles(segments: Sequence[np.ndarray]) -> list[list[float]]:
     return out.tolist()
 
 
-def _tenant_stats(tenants: Sequence[TenantSpec], latencies: Sequence[np.ndarray],
-                  mean_queue: Sequence[float],
-                  makespan: float) -> dict[str, TenantStats]:
+def _tenant_stats(engine: _FleetEngine) -> dict[str, TenantStats]:
     """Per-tenant latency / SLO stats from each tenant's completed
-    requests' latencies (arrival order) and mean queue time; every
-    tenant's percentiles come from one :func:`_percentiles` pass."""
+    requests' latencies (arrival order) and wait sums; every tenant's
+    percentiles come from one :func:`_percentiles` pass. Attainment
+    divides by the requests the tenant was issued, sheds included."""
+    makespan = engine.makespan
     out: dict[str, TenantStats] = {}
-    percentiles = iter(_percentiles([lat for lat in latencies if lat.size]))
-    for spec, lat, queue in zip(tenants, latencies, mean_queue):
+    percentiles = iter(_percentiles([lat for lat in engine.lat_t if lat.size]))
+    for t, (spec, lat) in enumerate(zip(engine.tenants, engine.lat_t)):
         n = int(lat.size)
         if n:
             p50, p95, p99 = next(percentiles)
             mean_lat = float(lat.mean())
-            attainment = (float((lat <= spec.slo).mean())
-                          if spec.slo is not None else None)
+            queue = (engine.disp_sum[t] - engine.arr_sum[t]) / n
         else:
             p50 = p95 = p99 = mean_lat = queue = 0.0
-            attainment = 1.0 if spec.slo is not None else None
+        attainment = None
+        if spec.slo is not None:
+            issued = engine.arr_t[t].size
+            attainment = (int(np.count_nonzero(lat <= spec.slo)) / issued
+                          if issued else 1.0)
         out[spec.name] = TenantStats(
             tenant=spec.name,
             n_requests=n,
@@ -1507,6 +1558,47 @@ def _tenant_stats(tenants: Sequence[TenantSpec], latencies: Sequence[np.ndarray]
             slo_attainment=attainment,
         )
     return out
+
+
+def _report(engine: _FleetEngine, router: Router,
+            arrival_rate: float | None) -> ServingReport:
+    """The report of a finished engine run, for every entry point: every
+    statistic comes off the engine's per-tenant latency buffers, wait
+    sums and per-group counters; the per-request columns wait for the
+    first read of ``report.table``."""
+    makespan = engine.makespan
+    latencies = np.concatenate(engine.lat_t)
+    done = latencies.size
+    if done:
+        p50, p95, p99 = np.percentile(latencies, [50, 95, 99])
+        mean_latency = float(latencies.mean())
+        mean_queue = (sum(engine.disp_sum) - sum(engine.arr_sum)) / done
+        mean_formation = engine.form_sum / done
+        mean_service = engine.serv_sum / done
+    else:
+        p50 = p95 = p99 = 0.0
+        mean_latency = mean_queue = mean_formation = mean_service = 0.0
+    return ServingReport(
+        policy=f"mixed({len(engine.tenants)} tenants)",
+        router=router.name,
+        n_requests=engine.n,
+        arrival_rate=arrival_rate,
+        makespan=makespan,
+        throughput=done / makespan if makespan > 0 else 0.0,
+        mean_latency=mean_latency,
+        p50_latency=float(p50),
+        p95_latency=float(p95),
+        p99_latency=float(p99),
+        mean_queue_time=mean_queue,
+        mean_formation_wait=mean_formation,
+        mean_service_time=mean_service,
+        group_stats=_group_stats(engine),
+        request_table=engine.request_table,
+        tenant_stats=_tenant_stats(engine),
+        scaling_events=tuple(engine.scaling),
+        latencies=latencies,
+        fault_stats=engine.fault_stats(),
+    )
 
 
 def simulate_fleet(
@@ -1523,7 +1615,7 @@ def simulate_fleet(
     hop_bytes: float = 0.0,
     seed: int = 0,
     lint: bool = True,
-) -> FleetReport:
+) -> ServingReport:
     """Serve a tenant mix on a fleet of homogeneous device groups.
 
     Parameters mirror :func:`~repro.serving.simulator.simulate_mixed`
@@ -1598,47 +1690,5 @@ def simulate_fleet(
 
     engine = _FleetEngine(tenants, groups, columns, autoscale, faults,
                           hop_bytes, router, retry)
-    makespan = engine.run()
-    fault_stats = engine.fault_stats()
-
-    # All summary statistics are order-invariant (percentiles, means,
-    # threshold counts), so they are computed straight off the engine's
-    # per-tenant contiguous latency buffers (grouped by tenant,
-    # arrival-ordered within each) and its wait sums.
-    done = sum(lat.size for lat in engine.lat_t)
-    if done:
-        latencies = np.concatenate(engine.lat_t)
-        p50, p95, p99 = np.percentile(latencies, [50, 95, 99])
-        mean_latency = float(latencies.mean())
-        mean_queue = (sum(engine.disp_sum) - sum(engine.arr_sum)) / done
-        mean_formation = engine.form_sum / done
-        mean_service = engine.serv_sum / done
-    else:
-        latencies = np.empty(0)
-        p50 = p95 = p99 = 0.0
-        mean_latency = mean_queue = mean_formation = mean_service = 0.0
-
-    return FleetReport(
-        policy=f"mixed({len(tenants)} tenants)",
-        router=router.name,
-        n_requests=len(columns),
-        arrival_rate=arrival_rate,
-        makespan=makespan,
-        throughput=done / makespan if makespan > 0 else 0.0,
-        mean_latency=mean_latency,
-        p50_latency=float(p50),
-        p95_latency=float(p95),
-        p99_latency=float(p99),
-        mean_queue_time=mean_queue,
-        mean_formation_wait=mean_formation,
-        mean_service_time=mean_service,
-        group_stats=_group_stats(engine, makespan),
-        tenant_stats=_tenant_stats(
-            engine.tenants, engine.lat_t,
-            [(d - a) / lat.size if lat.size else 0.0
-             for d, a, lat in zip(engine.disp_sum, engine.arr_sum, engine.lat_t)],
-            makespan),
-        scaling_events=tuple(engine.scaling),
-        latencies=latencies,
-        fault_stats=fault_stats,
-    )
+    engine.run()
+    return _report(engine, router, arrival_rate)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.profiling.report import format_seconds, format_table
-from repro.serving.simulator import ServingReport
+from repro.serving.fleet import ServingReport
 
 
 def _batch_sizes_summary(report: ServingReport) -> str:
@@ -174,12 +174,11 @@ def mixed_serving_summary(report: ServingReport) -> str:
     return "\n".join(lines)
 
 
-def fleet_summary(report) -> str:
+def fleet_summary(report: ServingReport) -> str:
     """Full ``mmbench serve --fleet`` report: tenants, groups, scaling.
 
-    ``report`` is a :class:`~repro.serving.fleet.FleetReport`; the
-    tenant and fault tables are shared with the classic mixed report
-    (both expose ``tenant_stats`` and ``fault_stats``).
+    The tenant and fault tables are the classic mixed report's; the group
+    table adds each group's replicas and hops.
     """
     rate = ("closed batch (all at t=0)" if report.arrival_rate is None
             else f"~{report.arrival_rate:g} req/s aggregate")

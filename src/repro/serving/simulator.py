@@ -22,34 +22,28 @@ latency and SLO attainment down per tenant (:class:`TenantStats`).
 Both are thin wrappers over the one serving engine,
 :class:`repro.serving.fleet._FleetEngine`: each device slot becomes a
 one-replica group keyed by its slot label (``2080ti#1``), so routing,
-faults and per-slot statistics stay exactly per slot. The report keeps
-every request's outcome as columns
-(:class:`~repro.serving.request.RequestTable`) and builds
-:class:`~repro.serving.request.Request` objects only when
-``report.requests`` is first read.
+faults and per-slot statistics stay exactly per slot. They return the
+one :class:`~repro.serving.fleet.ServingReport` every entry point
+returns, whose ``group_stats`` (``device_stats``) hold one entry per
+slot.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from repro.serving.costmodel import CallableCostModel
-from repro.serving.faults import FaultPlan, FaultStats, RetryPolicy
-from repro.serving.fleet import (DeviceGroup, TenantSpec, TenantStats,
-                                 _FleetEngine, _tenant_stats)
+from repro.serving.faults import FaultPlan, RetryPolicy
+from repro.serving.fleet import (DeviceGroup, ServingReport, TenantSpec,
+                                 TenantStats, _FleetEngine, _report)
 from repro.serving.policies import BatchingPolicy
-from repro.serving.request import (Request, RequestColumns, RequestTable,
-                                   check_arrivals, closed_arrivals,
-                                   poisson_arrivals)
+from repro.serving.request import (Request, RequestColumns, check_arrivals,
+                                   closed_arrivals, poisson_arrivals)
 from repro.serving.router import EarliestFinishRouter, Router
 
 __all__ = [
-    "DeviceStats",
     "ServingReport",
     "TenantSpec",
     "TenantStats",
@@ -58,85 +52,6 @@ __all__ = [
     "slot_labels",
     "validate_fault_plan",
 ]
-
-
-@dataclass(frozen=True)
-class DeviceStats:
-    """Per-device accounting of one simulation."""
-
-    slot: str  # unique slot label, e.g. "2080ti" or "2080ti#1"
-    device: str  # device model name the slot runs
-    batches: int
-    requests: int
-    busy_time: float
-    utilization: float  # busy time / makespan
-    mean_batch: float
-    batch_histogram: dict[int, int]  # batch size -> dispatch count
-
-
-@dataclass(frozen=True)
-class ServingReport:
-    """Everything one open-loop serving simulation produced."""
-
-    policy: str
-    router: str
-    n_requests: int
-    arrival_rate: float | None
-    makespan: float
-    throughput: float
-    mean_latency: float
-    p50_latency: float
-    p95_latency: float
-    p99_latency: float
-    mean_queue_time: float
-    mean_formation_wait: float
-    mean_service_time: float
-    device_stats: dict[str, DeviceStats]
-    # Every request's outcome as columns; ``requests`` builds the objects.
-    table: RequestTable = field(repr=False, compare=False)
-    tenant_stats: dict[str, TenantStats] = field(default_factory=dict)
-    # Background fine-tuning jobs that shared the devices during the run
-    # (see repro.serving.finetune); empty for pure-inference simulations.
-    finetune_stats: dict = field(default_factory=dict)
-    inference_slowdown: float = 1.0  # batch-latency multiplier the jobs imposed
-    # What the fault plan did to the run (see repro.serving.faults);
-    # None when the run had no fault injection at all.
-    fault_stats: FaultStats | None = None
-
-    @functools.cached_property
-    def requests(self) -> list[Request]:
-        """Every request as a :class:`Request`, in stream order, built
-        from ``table`` on first read."""
-        return self.table.to_requests()
-
-    def slo_attainment(self, slo: float) -> float:
-        """Fraction of issued requests whose end-to-end latency met ``slo``.
-
-        Shed requests never complete and count as misses; an empty
-        simulation misses nothing (attainment is vacuously 1).
-        """
-        table = self.table
-        if not len(table):
-            return 1.0
-        met = ~table.shed & (table.finish - table.arrival <= slo)
-        return int(np.count_nonzero(met)) / len(table)
-
-    @property
-    def completed(self) -> int:
-        """Requests that actually finished (``n_requests`` minus sheds)."""
-        shed = self.fault_stats.shed if self.fault_stats is not None else 0
-        return self.n_requests - shed
-
-    def batch_sizes_used(self) -> dict[str, list[int]]:
-        """Distinct dispatched batch sizes per device slot (sorted)."""
-        return {slot: sorted(s.batch_histogram) for slot, s in self.device_stats.items()}
-
-    @property
-    def total_utilization(self) -> float:
-        """Mean per-slot utilization: busy time / makespan, averaged over slots."""
-        busy = sum(s.busy_time for s in self.device_stats.values())
-        n = len(self.device_stats)
-        return busy / (n * self.makespan) if self.makespan > 0 else 0.0
 
 
 def slot_labels(devices: tuple[str, ...]) -> list[str]:
@@ -182,71 +97,14 @@ def _run_event_loop(
     ``index`` holds each request's caller-facing index (``None`` = its
     stream position). Returns the mixed report; its ``arrival_rate`` is
     left ``None`` for the caller to fill in.
-
-    Latency statistics cover completed requests in stream order; shed
-    requests (fault runs only) keep ``n_requests`` at the issued total and
-    count in no timing column.
     """
     labels = slot_labels(devices)
     engine = _FleetEngine(tenants, [DeviceGroup(label, 1) for label in labels],
                           columns, None, faults, 0.0, router, retry,
                           index=index, devices=dict(zip(labels, devices)),
                           slowdown=slowdown)
-    makespan = engine.run()
-    table = engine.request_table()
-    done = ~table.shed
-    latencies = (table.finish - table.arrival)[done]
-    queue = table.dispatch - table.arrival
-    n_done = latencies.size
-    if n_done:
-        p50, p95, p99 = np.percentile(latencies, [50, 95, 99])
-        summary = (float(latencies.mean()), float(queue[done].mean()),
-                   float(table.formation[done].mean()),
-                   float((table.finish - table.dispatch)[done].mean()))
-    else:
-        p50 = p95 = p99 = 0.0
-        summary = (0.0, 0.0, 0.0, 0.0)
-    # Each tenant's queue waits are a slice of the tenant-grouped column,
-    # in the order of its completed latencies in ``engine.lat_t``.
-    grouped = queue[engine.done_order]
-    ends = np.cumsum([lat.size for lat in engine.lat_t]).tolist()
-    mean_queue = [float(grouped[start:end].mean()) if end > start else 0.0
-                  for start, end in zip([0, *ends], ends)]
-
-    histograms = engine.batch_histograms()
-    device_stats = {
-        label: DeviceStats(
-            slot=label,
-            device=device,
-            batches=engine.batches[g],
-            requests=engine.requests[g],
-            busy_time=engine.busy[g],
-            utilization=engine.busy[g] / makespan if makespan > 0 else 0.0,
-            mean_batch=(engine.requests[g] / engine.batches[g]
-                        if engine.batches[g] else 0.0),
-            batch_histogram=histograms[g],
-        )
-        for g, (label, device) in enumerate(zip(labels, devices))
-    }
-    return ServingReport(
-        policy=f"mixed({len(tenants)} tenants)",
-        router=router.name,
-        n_requests=len(columns),
-        arrival_rate=None,
-        makespan=makespan,
-        throughput=n_done / makespan if makespan > 0 else 0.0,
-        mean_latency=summary[0],
-        p50_latency=float(p50),
-        p95_latency=float(p95),
-        p99_latency=float(p99),
-        mean_queue_time=summary[1],
-        mean_formation_wait=summary[2],
-        mean_service_time=summary[3],
-        device_stats=device_stats,
-        table=table,
-        tenant_stats=_tenant_stats(tenants, engine.lat_t, mean_queue, makespan),
-        fault_stats=engine.fault_stats(),
-    )
+    engine.run()
+    return _report(engine, router, None)
 
 
 def simulate(
@@ -287,8 +145,6 @@ def simulate(
     """
     if not devices:
         raise ValueError("need at least one device")
-    if callable(cost) and not hasattr(cost, "latency"):
-        cost = CallableCostModel(cost)
     if arrival_rate is None:
         arrivals = closed_arrivals(n_requests)
     else:
@@ -416,7 +272,7 @@ def simulate_mixed(
                             for label, stats in report.fault_stats.devices.items()
                             if stats.down_windows}
         finetune_stats = finetune_progress(
-            finetune, {s.slot: s.device for s in report.device_stats.values()},
+            finetune, {s.group: s.device for s in report.group_stats.values()},
             report.makespan, down_windows=down_windows)
     return dataclasses.replace(report, arrival_rate=arrival_rate,
                                finetune_stats=finetune_stats,

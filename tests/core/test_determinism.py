@@ -6,6 +6,9 @@ would differ between two processes. Each seed below runs in a fresh
 interpreter that calls ``repro.core.cli.main`` for three commands — a
 faulted multi-tenant serve, an autoscaled faulted fleet serve, and a
 characterization report — and the captured stdout must be byte-identical.
+It must also equal the committed ``tests/fixtures/determinism_stdout.txt``,
+which pins these bytes from one commit to the next: a change that means
+to move this output re-records that file (the seed-0 stdout) and says so.
 """
 
 import os
@@ -14,6 +17,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[2] / "src"
+GOLDEN = Path(__file__).resolve().parents[1] / "fixtures" / "determinism_stdout.txt"
 
 COMMANDS = [
     ["serve", "--mix", "heavy-head", "--workloads", "avmnist,mmimdb,transfuser",
@@ -52,3 +56,4 @@ def test_output_is_byte_identical_across_hash_seeds():
     assert first.count("exit 0") == len(COMMANDS), first[-2000:]
     assert "issued (conserved)" in first and "autoscaling:" in first
     assert first == second
+    assert first == GOLDEN.read_text()

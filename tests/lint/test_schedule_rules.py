@@ -107,8 +107,8 @@ def _report(requests, fault_stats=None):
         n_requests=len(requests), arrival_rate=None, makespan=1.0,
         throughput=0.0, mean_latency=0.0, p50_latency=0.0, p95_latency=0.0,
         p99_latency=0.0, mean_queue_time=0.0, mean_formation_wait=0.0,
-        mean_service_time=0.0, device_stats={},
-        table=RequestTable.from_requests(requests),
+        mean_service_time=0.0, group_stats={},
+        request_table=lambda: RequestTable.from_requests(requests),
         fault_stats=fault_stats,
     )
 

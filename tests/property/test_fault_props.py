@@ -1,6 +1,6 @@
 """Fault-injection invariants: empty-plan bit-identity and conservation.
 
-Two properties anchor the fault subsystem:
+Three properties anchor the fault subsystem:
 
 1. An **empty fault plan is a no-op**: threading ``faults=FaultPlan()``
    (and a retry policy with no deadline) through the event loop must
@@ -10,6 +10,9 @@ Two properties anchor the fault subsystem:
 2. **Requests are never lost**: under any valid fault plan,
    ``completed + shed == issued`` and every non-shed request has finite,
    fully-decomposed timings.
+3. **Attainment adds up over tenants**: with every tenant on one SLO,
+   the tenants' attainments weighted by their issued requests sum to
+   the report's attainment over all issued requests, sheds included.
 """
 
 import math
@@ -20,6 +23,7 @@ import pytest
 from repro.serving import (
     AdaptiveSLOPolicy,
     DeviceDown,
+    DeviceGroup,
     DeviceRecover,
     FaultPlan,
     FixedBatchPolicy,
@@ -30,6 +34,7 @@ from repro.serving import (
     TransientStall,
     chaos_plan,
     simulate,
+    simulate_fleet,
     simulate_mixed,
     validate_fault_plan,
 )
@@ -176,3 +181,35 @@ class TestConservation:
         fs = report.fault_stats
         assert fs.completed + fs.shed == fs.issued == 900
         assert report.completed == fs.completed
+
+
+class TestTenantAttainment:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("entry", ["mixed", "fleet"])
+    def test_tenant_attainments_weighted_by_issued_sum_to_report(self, entry,
+                                                                  seed):
+        rng = np.random.default_rng(200 + seed)
+        events, t = [], 0.0
+        for _ in range(rng.integers(1, 4)):  # disjoint down windows on 'a'
+            t += float(rng.uniform(0.0, 5e-3))
+            end = t + float(rng.uniform(1e-3, 5e-3))
+            events += [DeviceDown("a", t), DeviceRecover("a", end)]
+            t = end
+        plan = FaultPlan(tuple(events))
+        retry = RetryPolicy(deadline=float(rng.uniform(1e-4, 1e-3)))
+        slo = float(rng.uniform(2e-4, 2e-3))
+        specs = [TenantSpec("fast", fast, FixedBatchPolicy(8), slo=slo),
+                 TenantSpec("slow", slow, AdaptiveSLOPolicy(50e-3), slo=slo)]
+        kwargs = dict(n_requests=700, arrival_rate=60_000.0, seed=seed,
+                      faults=plan, retry=retry)
+        if entry == "mixed":
+            report = simulate_mixed(specs, devices=DEVICES, **kwargs)
+        else:
+            report = simulate_fleet(
+                specs, (DeviceGroup("a", 2), DeviceGroup("b", 1)), **kwargs)
+        assert report.fault_stats.shed > 0
+        issued = np.bincount(report.table.tenant, minlength=len(specs))
+        met = sum(stats.slo_attainment * n
+                  for stats, n in zip(report.tenant_stats.values(), issued))
+        assert met == pytest.approx(report.slo_attainment(slo) * report.n_requests,
+                                    rel=0, abs=1e-9)

@@ -12,10 +12,13 @@ with ``monkeypatch.setattr(fleet, "_FleetEngine", fleet_oracle._FleetEngine)``
 and compare the reports field by field.
 
 Keep this copy frozen: it is a specification, not shared code. Only its
-call signature and :meth:`_FleetEngine.fault_stats` follow the
-production engine's interface. It predates fault handling beyond
-throttles (a down group drains, a stall is rejected), so it serves as a
-reference for runs without downs or stalls only.
+call signature, :meth:`_FleetEngine.fault_stats`,
+:meth:`_FleetEngine.batch_histograms` and
+:meth:`_FleetEngine.request_table` follow the production engine's
+interface, so the production report builder can read this engine too.
+It predates fault handling beyond throttles (a down group drains, a
+stall is rejected), so it serves as a reference for runs without downs
+or stalls only.
 """
 
 from __future__ import annotations
@@ -207,6 +210,7 @@ class _FleetEngine:
         self.hop_batches = [0] * G
         self.hop_time = [0.0] * G
         self.peak = [g.replicas for g in self.groups]
+        self.histograms: list[dict[int, int]] = [{} for _ in range(G)]
         self.occ_int = [0.0] * G  # integral of act over time
         self.occ_last = [0.0] * G
         self.last_action = [-np.inf] * G
@@ -483,6 +487,7 @@ class _FleetEngine:
         self.idle_count[g] -= 1
         self.batches[g] += 1
         self.requests[g] += size
+        self.histograms[g][size] = self.histograms[g].get(size, 0) + 1
         self.busy[g] += busy
         self.completed += size
         if finish > self.makespan:
@@ -516,6 +521,14 @@ class _FleetEngine:
             self.occ_int[g] += self.act[g] * (self.makespan - self.occ_last[g])
             self.occ_last[g] = self.makespan
         return self.makespan
+
+    def batch_histograms(self) -> list[dict[int, int]]:
+        """Per group, dispatched batches by size (sorted by size)."""
+        return [dict(sorted(h.items())) for h in self.histograms]
+
+    def request_table(self):
+        """This engine keeps no per-request columns but the latencies."""
+        raise NotImplementedError("the fleet oracle builds no request table")
 
     def fault_stats(self):
         """The report's fault accounting. This engine predates it; with

@@ -20,6 +20,7 @@ Keep this copy frozen: it is a specification, not shared code.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from collections import deque
@@ -29,11 +30,11 @@ import numpy as np
 
 from repro.serving.faults import (DegradedMode, DeviceFaultStats, FaultPlan,
                                   FaultStats, RetryPolicy, TenantFaultStats)
+from repro.serving.fleet import GroupStats
 from repro.serving.policies import BatchingPolicy
 from repro.serving.request import Request, RequestTable
 from repro.serving.router import Router
-from repro.serving.simulator import (DeviceStats, ServingReport, TenantSpec,
-                                     TenantStats)
+from repro.serving.simulator import ServingReport, TenantSpec, TenantStats
 
 
 def _run_event_loop(tenants, devices, columns, index, router, faults, retry,
@@ -261,15 +262,20 @@ def _summarize(
         p50 = p95 = p99 = 0.0
         mean_latency = mean_queue = mean_formation = mean_service = 0.0
     stats = {
-        s.label: DeviceStats(
-            slot=s.label,
+        s.label: GroupStats(
+            group=s.label,
             device=s.device,
+            replicas=1,
+            peak_replicas=1,
+            mean_replicas=1.0,
             batches=s.batches,
             requests=s.requests,
             busy_time=s.busy_time,
             utilization=s.busy_time / makespan if makespan > 0 else 0.0,
             mean_batch=s.requests / s.batches if s.batches else 0.0,
             batch_histogram=dict(sorted(s.histogram.items())),
+            hop_batches=0,
+            hop_time=0.0,
         )
         for s in slots
     }
@@ -292,9 +298,10 @@ def _summarize(
         mean_queue_time=mean_queue,
         mean_formation_wait=mean_formation,
         mean_service_time=mean_service,
-        device_stats=stats,
-        table=RequestTable.from_requests(requests),
+        group_stats=stats,
+        request_table=functools.partial(RequestTable.from_requests, requests),
         tenant_stats=tenant_stats,
+        latencies=latencies,
         finetune_stats=finetune_stats or {},
         inference_slowdown=inference_slowdown,
         fault_stats=fault_stats,

@@ -48,6 +48,35 @@ def test_misapplied_flag_exits_2_naming_flag_and_mode(case, capsys):
     assert "Traceback" not in err
 
 
+#: Policy flags no policy can take, with the fragment of the one line they
+#: exit 2 with: every policy's constructor checks its flags, listed or not.
+BAD_POLICY_FLAGS = {
+    "adaptive-batch-size-0": (["--policy", "adaptive", "--batch-size", "0"],
+                              "batch_size must be positive"),
+    "adaptive-negative-timeout": (["--policy", "adaptive", "--timeout", "-5"],
+                                  "timeout must be non-negative and finite"),
+    "adaptive-nan-timeout": (["--policy", "adaptive", "--timeout", "nan"],
+                             "timeout must be non-negative and finite"),
+    "fixed-max-batch-0": (["--policy", "fixed", "--max-batch", "0"],
+                          "max_batch must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_POLICY_FLAGS))
+def test_bad_policy_flag_exits_2_whichever_policy_is_listed(case, capsys):
+    extra, fragment = BAD_POLICY_FLAGS[case]
+    code = main(["serve", "--arrival-rate", "500", "--n-requests", "100", *extra])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and fragment in err
+    assert "Traceback" not in err
+
+
+def test_zero_timeout_stays_valid(capsys):
+    assert main(["serve", "--arrival-rate", "500", "--n-requests", "100",
+                 "--policy", "adaptive", "--timeout", "0"]) == 0
+
+
 class TestServeCommand:
     def test_reports_two_policies_on_two_devices(self, capsys):
         code = main([

@@ -4,12 +4,18 @@ import pytest
 
 from repro.serving import (
     AdaptiveSLOPolicy,
+    DeviceDown,
+    DeviceRecover,
+    FaultPlan,
     FixedBatchPolicy,
+    RetryPolicy,
     RoundRobinRouter,
     TenantSpec,
     make_requests,
+    make_tenants,
     poisson_arrivals,
     simulate,
+    simulate_fleet,
     simulate_mixed,
 )
 from repro.serving.request import Request
@@ -106,6 +112,28 @@ class TestTenantStats:
                                 arrival_rate=10_000.0, seed=0)
         assert report.tenant_stats["a"].slo_attainment == pytest.approx(1.0)
         assert report.tenant_stats["b"].slo_attainment == 0.0
+
+    @pytest.mark.parametrize("entry", ["mixed", "fleet"])
+    def test_shed_requests_count_as_misses(self, entry):
+        """The 2080ti is down for the first 3 ms and requests retry within
+        0.1 ms only, so 155 of 200 shed: each tenant's attainment divides
+        its completed requests within the SLO by the requests it was
+        issued, not by the requests it completed."""
+        tenants = make_tenants(["avmnist", "mmimdb"],
+                               policy_factory=lambda _w: AdaptiveSLOPolicy(50e-3),
+                               slo=50e-3)
+        plan = FaultPlan((DeviceDown("2080ti", 0.0), DeviceRecover("2080ti", 3e-3)))
+        kwargs = dict(n_requests=200, arrival_rate=10_000.0, faults=plan,
+                      retry=RetryPolicy(deadline=1e-4))
+        if entry == "mixed":
+            report = simulate_mixed(tenants, devices=("2080ti", "nano"), **kwargs)
+        else:
+            report = simulate_fleet(tenants, "2080ti:1,nano:1", **kwargs)
+        assert report.fault_stats.shed == 155
+        assert report.slo_attainment(50e-3) == 45 / 200
+        avmnist, mmimdb = report.tenant_stats.values()
+        assert (avmnist.n_requests, avmnist.slo_attainment) == (23, 23 / 88)
+        assert (mmimdb.n_requests, mmimdb.slo_attainment) == (22, 22 / 112)
 
     def test_no_slo_means_no_attainment(self):
         tenants = [TenantSpec("a", fast, FixedBatchPolicy(8), slo=None)]

@@ -159,7 +159,7 @@ def _report(table, fault_stats=None):
         arrival_rate=None, makespan=1.0, throughput=0.0, mean_latency=0.0,
         p50_latency=0.0, p95_latency=0.0, p99_latency=0.0,
         mean_queue_time=0.0, mean_formation_wait=0.0, mean_service_time=0.0,
-        device_stats={}, table=table, fault_stats=fault_stats)
+        group_stats={}, request_table=lambda: table, fault_stats=fault_stats)
 
 
 def test_mmb304_fires_on_columns_without_building_requests():

@@ -456,3 +456,11 @@ class TestIngestErrors:
         deep["nodes"][0]["parents"] = [5000]  # one giant cycle
         with pytest.raises(IngestError):
             ingest_graph(deep)
+
+
+@pytest.mark.parametrize("policy", ["adaptive", "fixed"])
+def test_bad_serve_slo_fails_mmbench_ingest_cleanly(policy, capsys):
+    assert main(["ingest", str(FIXTURES / "cnn_forward.json"), "--serve",
+                 "--policy", policy, "--slo", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "--slo must be positive and finite, got -1.0\n"
