@@ -568,9 +568,8 @@ def _check_ingest(args):
 
 def _cmd_ingest(args, checked) -> int:
     """Price an external execution-graph JSON end-to-end."""
-    from repro.hw.device import get_device
     from repro.lint import LintFailure
-    from repro.profiling.profiler import MMBenchProfiler
+    from repro.profiling.profiler import MMBenchProfiler, price_batches
     from repro.trace.ingest import IngestError, IngestReport
 
     devices, sweep_batches, registry = checked
@@ -600,21 +599,9 @@ def _cmd_ingest(args, checked) -> int:
         print(profile_summary(result))
 
     if sweep_batches is not None:
-        from repro.hw.engine import ExecutionEngine
-        from repro.trace.timeline import scale_trace
-
-        specs = [get_device(d) for d in devices]
         rows = []
-        for b in sweep_batches:
-            factor = b / base_batch
-            trace = (stored.trace if factor == 1.0
-                     else scale_trace(stored.trace, factor))
-            engine = ExecutionEngine(specs[0])
-            reports = engine.run_sweep(
-                trace, specs,
-                model_bytes=stored.parameter_bytes,
-                input_bytes=stored.input_bytes * factor,
-            )
+        swept = price_batches(stored, base_batch, sweep_batches, devices)
+        for b, reports in zip(sweep_batches, swept):
             for device, priced in zip(devices, reports):
                 rows.append([b, device, f"{priced.total_time * 1e3:.3f} ms",
                              f"{b / priced.total_time:,.0f}/s",

@@ -99,30 +99,32 @@ def window_past_makespan(schedule, ctx: LintContext) -> Iterator[Diagnostic]:
 
 
 def _dispatched(report):
-    """(tenants, slots, dispatch) arrays for requests that actually ran,
-    read off the report's request columns."""
+    """(tenants, slots, replicas, dispatch) arrays for requests that
+    actually ran, read off the report's request columns."""
     table = report.table
     ran = ~table.shed & (table.slot >= 0)
     if not ran.any():
         return None
     tenants = np.array(table.tenants)[table.tenant[ran]]
     slots = np.array(table.slots)[table.slot[ran]]
-    return tenants, slots, table.dispatch[ran]
+    return tenants, slots, table.replica[ran], table.dispatch[ran]
 
 
 @rule("MMB304", "error", "serving",
       "cross-tenant batch leakage: one dispatched batch carries two tenants")
 def tenant_leakage(report, ctx: LintContext) -> Iterator[Diagnostic]:
     """Batches form per tenant queue; every request sharing a (slot,
-    dispatch instant) batch must belong to the same tenant."""
+    replica, dispatch instant) batch must belong to the same tenant."""
     arrays = _dispatched(report)
     if arrays is None:
         return
-    tenants, slots, dispatch = arrays
-    # A batch is one (slot, dispatch) pair; sort and compare neighbors.
-    order = np.lexsort((tenants, dispatch, slots))
-    slots, dispatch, tenants = slots[order], dispatch[order], tenants[order]
-    same_batch = (slots[1:] == slots[:-1]) & (dispatch[1:] == dispatch[:-1])
+    tenants, slots, replicas, dispatch = arrays
+    # A batch is one (slot, replica, dispatch) triple; compare sorted neighbors.
+    order = np.lexsort((tenants, dispatch, replicas, slots))
+    slots, replicas = slots[order], replicas[order]
+    dispatch, tenants = dispatch[order], tenants[order]
+    same_batch = ((slots[1:] == slots[:-1]) & (replicas[1:] == replicas[:-1])
+                  & (dispatch[1:] == dispatch[:-1]))
     leaked = same_batch & (tenants[1:] != tenants[:-1])
     if leaked.any():
         i = int(np.argmax(leaked))
@@ -146,7 +148,7 @@ def down_slot_race(report, ctx: LintContext) -> Iterator[Diagnostic]:
     arrays = _dispatched(report)
     if arrays is None:
         return
-    tenants, slots, dispatch = arrays
+    tenants, slots, _, dispatch = arrays
     for label, device_stats in stats.devices.items():
         if not device_stats.down_windows:
             continue

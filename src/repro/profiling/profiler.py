@@ -21,7 +21,8 @@ of pointing the same scripts at the server or a Jetson board.
 trace from the shared store once and pricing it on every device in a
 single broadcasted :meth:`~repro.hw.engine.ExecutionEngine.run_sweep`
 pass. The batch-size / edge / heterogeneity / stage analyses and the
-serving cost model all fill their grids through it.
+serving cost model all fill their grids through it; :func:`price_batches`
+batch-scales one stored trace (an ingested graph) instead.
 """
 
 from __future__ import annotations
@@ -296,4 +297,22 @@ def price_grid(
                     batch_size=int(batch_size), device=spec, report=report,
                     stored=stored, scale=scale,
                 )
+    return out
+
+
+def price_batches(stored: StoredTrace, base_batch_size: int, batches: Sequence[int],
+                  devices: Sequence[str | DeviceSpec]) -> list[list[ExecutionReport]]:
+    """Per batch size ``b``, one report per device for the stored trace
+    batch-scaled by ``b / base_batch_size``: per-kernel work and the input
+    footprint scale with the batch while the parameter footprint stays
+    fixed, which is the batch semantics (``price_grid``'s ``scale`` scales
+    both because it models scaling the *model*, not the batch)."""
+    specs = [get_device(d) if isinstance(d, str) else d for d in devices]
+    out = []
+    for b in batches:
+        factor = b / base_batch_size
+        trace = stored.trace if factor == 1.0 else scale_trace(stored.trace, factor)
+        out.append(ExecutionEngine(specs[0]).run_sweep(
+            trace, specs, model_bytes=stored.parameter_bytes,
+            input_bytes=stored.input_bytes * factor))
     return out

@@ -31,10 +31,10 @@ structure of a fleet:
   a report's ``table``, every request's outcome as one
   :class:`~repro.serving.request.RequestTable`, is built from all
   tenants' records at once, and only when first read;
-* batch latencies reuse the cost models' memoized anchor curves
-  (:class:`~repro.serving.costmodel.ProfiledCostModel`) as a dense
-  precomputed interpolation table per (tenant, device), shared by
-  content across runs, so the hot loop never re-enters the interpolator.
+* batch latencies come from each anchored cost model's dense table per
+  (tenant, device) (:meth:`~repro.serving.costmodel.AnchoredCostModel.curve`;
+  profiled curves are one module-level cache shared across runs), so
+  the hot loop never re-enters the interpolator.
 
 Routing goes through the caller's :class:`~repro.serving.router.Router`
 and ranks *groups*, not replicas: every replica of a group shares one
@@ -80,7 +80,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.hw.transfer import h2d_time
-from repro.serving.costmodel import CallableCostModel
+from repro.serving.costmodel import AnchoredCostModel, CallableCostModel
 from repro.serving.faults import (DegradedMode, FaultPlan, FaultRuntime,
                                   FaultStats, RetryPolicy)
 from repro.serving.policies import BatchingPolicy
@@ -469,56 +469,8 @@ def parse_autoscale(spec: str, min_replicas: int = 1,
 
 
 # ---------------------------------------------------------------------------
-# Dense latency tables
+# Per-tenant latency adapters
 # ---------------------------------------------------------------------------
-
-# A dense table never needs to stretch past the policies' decision range;
-# anything larger falls back to the exact per-query path.
-_MAX_TABLE = 4096
-
-
-def _dense_curve(cost, device: str, max_k: int) -> tuple[float, ...] | None:
-    """Precompute ``latency(device, k)`` for ``k = 1..max_k``, or ``None``.
-
-    Only cost models exposing their anchor representation
-    (``_anchor_arr`` + ``_anchor_curve``, i.e. the profiled/trace
-    models) are vectorized; everything else (e.g. test callables) goes
-    through the exact per-query fallback. Tables are shared by content,
-    so a fresh cost model over an already-seen curve builds nothing.
-    """
-    anchors = getattr(cost, "_anchor_arr", None)
-    curve_fn = getattr(cost, "_anchor_curve", None)
-    if anchors is None or curve_fn is None:
-        return None
-    return _dense_table(anchors.tobytes(), curve_fn(device).tobytes(), max_k)
-
-
-@functools.lru_cache(maxsize=256)
-def _dense_table(anchor_bytes: bytes, time_bytes: bytes,
-                 max_k: int) -> tuple[float, ...]:
-    """The dense table of one float64 anchor curve, as Python floats.
-
-    The vectorized interpolation reproduces
-    :func:`repro.serving.costmodel._interp_affine` operation-for-operation,
-    so table lookups are bit-identical to the cost model's own
-    ``latency``. The result is a tuple because every caller with the
-    same curve shares it.
-    """
-    anchors = np.frombuffer(anchor_bytes, dtype=np.float64)
-    times = np.frombuffer(time_bytes, dtype=np.float64)
-    ks = np.arange(1, max_k + 1, dtype=np.float64)
-    out = np.interp(ks, anchors, times)
-    if anchors.size > 1:
-        hi = ks > anchors[-1]
-        if hi.any():
-            slope = (times[-1] - times[-2]) / (anchors[-1] - anchors[-2])
-            out[hi] = times[-1] + slope * (ks[hi] - anchors[-1])
-        lo = ks < anchors[0]
-        if lo.any():
-            slope = (times[1] - times[0]) / (anchors[1] - anchors[0])
-            out[lo] = np.maximum(times[0] - slope * (anchors[0] - ks[lo]),
-                                 times[0] * ks[lo] / anchors[0])
-    return tuple(out.tolist())
 
 
 class _GroupCost:
@@ -531,22 +483,21 @@ class _GroupCost:
     :class:`~repro.serving.policies.AdaptiveSLOPolicy`'s drain memo keys
     on the model and the device and survives across runs.
 
-    Latencies multiply, in order, by ``scale`` (the slowdown background
-    fine-tuning jobs impose; folded into the cached values, which is the
-    same single multiplication) and the group's live throttle factor
-    from the shared ``throttle`` dict. Both are uniform in the batch
-    size, so the drain memo stays valid under them.
+    Latencies come from the cost model's ``curve`` table when it has one,
+    else from a per-query memo. They multiply, in order, by ``scale`` (the
+    slowdown background fine-tuning jobs impose; folded into the cached
+    values, which is the same single multiplication) and the group's live
+    throttle factor from the shared ``throttle`` dict. Both are uniform in
+    the batch size, so the drain memo stays valid under them.
     """
 
-    __slots__ = ("underlying", "_devices", "_max_k", "_tables", "_memo",
-                 "_throttle", "_scale")
+    __slots__ = ("underlying", "_devices", "_tables", "_memo", "_throttle",
+                 "_scale")
 
     def __init__(self, cost, devices: dict[str, str] | None = None,
-                 throttle: dict[str, float] | None = None, max_k: int = 1,
-                 scale: float = 1.0):
+                 throttle: dict[str, float] | None = None, scale: float = 1.0):
         self.underlying = cost
         self._devices = devices or {}
-        self._max_k = min(int(max_k), _MAX_TABLE)
         # label -> dense table; () when the cost model has none.
         self._tables: dict[str, tuple[float, ...]] = {}
         self._memo: dict[tuple[str, int], float] = {}
@@ -556,8 +507,8 @@ class _GroupCost:
     def latency(self, label: str, batch_size: int) -> float:
         table = self._tables.get(label)
         if table is None:
-            table = _dense_curve(self.underlying, self.device_name(label),
-                                 self._max_k) or ()
+            table = (self.underlying.curve(self.device_name(label))
+                     if isinstance(self.underlying, AnchoredCostModel) else ())
             if self._scale != 1.0:
                 table = tuple(t * self._scale for t in table)
             self._tables[label] = table
@@ -599,14 +550,6 @@ class _DegradableCost(_GroupCost):
         if self.extra != 1.0:
             base *= self.extra
         return base
-
-
-def _policy_max_batch(policy, probe_cap: int) -> int:
-    """Largest batch size a policy's decisions can ever price."""
-    return max(int(probe_cap),
-               int(getattr(policy, "max_batch", 0) or 0),
-               int(getattr(policy, "batch_size", 0) or 0),
-               1)
 
 
 # ---------------------------------------------------------------------------
@@ -691,6 +634,7 @@ class _FleetEngine:
         self.b_now: list[list[float]] = [[] for _ in range(K)]
         self.b_idle: list[list[float]] = [[] for _ in range(K)]
         self.b_group: list[list[int]] = [[] for _ in range(K)]
+        self.b_replica: list[list[int]] = [[] for _ in range(K)]
 
         # Per-group replica state: free times over the full provisioned
         # pool; ``act`` bounds the autoscaler-active prefix.
@@ -714,11 +658,9 @@ class _FleetEngine:
 
         self.throttle: dict[str, float] = {}
         self.policies = [spec.policy for spec in self.tenants]
-        probe_cap = getattr(router, "probe_cap", 1)
         self.tcost = [
             (_GroupCost if spec.degraded is None else _DegradableCost)(
-                spec.cost, devices, self.throttle,
-                _policy_max_batch(spec.policy, probe_cap), slowdown)
+                spec.cost, devices, self.throttle, slowdown)
             for spec in self.tenants
         ]
 
@@ -1054,6 +996,7 @@ class _FleetEngine:
         self.b_now[t].append(now)
         self.b_idle[t].append(idle_since)
         self.b_group[t].append(g)
+        self.b_replica[t].append(ridx)
         self.disp_sum[t] += now * size
         self.serv_sum += (finish - now) * size
         if self.faults is not None:
@@ -1359,7 +1302,7 @@ class _FleetEngine:
         stable tenant order. Without faults the records tile the
         tenant-grouped stream in order; with faults only the batches that
         completed count, each landing on its members, and a shed request
-        keeps NaN times, slot -1, batch size 0 and formation 0.
+        keeps NaN times, slot and replica -1, batch size 0 and formation 0.
         """
         if self._table is not None:
             return self._table
@@ -1374,6 +1317,7 @@ class _FleetEngine:
         sizes = record(self.b_size, np.intp)
         now, finish = record(self.b_now, np.float64), record(self.b_finish, np.float64)
         idle, group = record(self.b_idle, np.float64), record(self.b_group, np.intp)
+        replica = record(self.b_replica, np.intp)
         retries = np.zeros(n, dtype=np.intp)
         shed = np.zeros(n, dtype=bool)
         if self.faults is None:
@@ -1382,7 +1326,7 @@ class _FleetEngine:
             live = np.fromiter((m is not None for m in chain(self.b_members)),
                                dtype=bool, count=count)
             sizes, now, finish = sizes[live], now[live], finish[live]
-            idle, group = idle[live], group[live]
+            idle, group, replica = idle[live], group[live], replica[live]
             degraded = record(self.b_degraded, bool)[live]
             # Members are positions in their tenant's queue; the tenant's
             # bound turns them into tenant-grouped positions.
@@ -1415,6 +1359,7 @@ class _FleetEngine:
             finish=spread(np.repeat(finish, sizes), np.nan),
             slot=spread(np.repeat(group, sizes), -1, np.intp),
             slots=tuple(self.glabel),
+            replica=spread(np.repeat(replica, sizes), -1, np.intp),
             batch_size=spread(np.repeat(sizes, sizes), 0, np.intp),
             formation=spread(formation, 0.0),
             retries=retries,

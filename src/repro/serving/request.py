@@ -188,8 +188,9 @@ class RequestTable:
     """Every served request's outcome as parallel columns, in stream order.
 
     The columnar twin of a served ``list[Request]``, one row per request:
-    ``tenant`` indexes ``tenants`` and ``slot`` indexes ``slots``. A shed
-    request keeps NaN ``dispatch``/``finish``, slot ``-1`` (no slot),
+    ``tenant`` indexes ``tenants``, ``slot`` indexes ``slots`` and
+    ``replica`` is the replica of the slot's group that ran it. A shed
+    request keeps NaN ``dispatch``/``finish``, slot and replica ``-1``,
     batch size 0 and formation wait 0. :meth:`to_requests` builds the
     ``Request`` objects for callers that read them;
     :meth:`from_requests` goes the other way.
@@ -203,6 +204,7 @@ class RequestTable:
     finish: np.ndarray  # float64
     slot: np.ndarray  # intp code into ``slots``; -1 = never completed
     slots: tuple[str, ...]
+    replica: np.ndarray  # intp replica in the slot's group (0 on a classic slot)
     batch_size: np.ndarray  # intp
     formation: np.ndarray  # float64 formation wait
     retries: np.ndarray  # intp
@@ -247,6 +249,7 @@ class RequestTable:
             finish=column((r.finish for r in requests), np.float64),
             slot=column((slot_code[r.device] for r in requests), np.intp),
             slots=slots,
+            replica=column((0 if r.device else -1 for r in requests), np.intp),
             batch_size=column((r.batch_size for r in requests), np.intp),
             formation=column((r.formation_wait for r in requests), np.float64),
             retries=column((r.retries for r in requests), np.intp),

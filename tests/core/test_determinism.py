@@ -3,9 +3,10 @@
 Python salts ``str`` hashes per process (``PYTHONHASHSEED``), so any
 iteration over a set or a hash-ordered structure that leaks into output
 would differ between two processes. Each seed below runs in a fresh
-interpreter that calls ``repro.core.cli.main`` for three commands — a
-faulted multi-tenant serve, an autoscaled faulted fleet serve, and a
-characterization report — and the captured stdout must be byte-identical.
+interpreter that calls ``repro.core.cli.main`` for four commands — a
+faulted multi-tenant serve, an autoscaled faulted fleet serve, a
+characterization report, and an ingested graph's batch sweep served
+adaptively — and the captured stdout must be byte-identical.
 It must also equal the committed ``tests/fixtures/determinism_stdout.txt``,
 which pins these bytes from one commit to the next: a change that means
 to move this output re-records that file (the seed-0 stdout) and says so.
@@ -16,7 +17,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[2] / "src"
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src"
 GOLDEN = Path(__file__).resolve().parents[1] / "fixtures" / "determinism_stdout.txt"
 
 COMMANDS = [
@@ -28,6 +30,9 @@ COMMANDS = [
      "--autoscale", "queue:16:0.02:0.04", "--arrival-rate", "3000",
      "--n-requests", "2000", "--policy", "adaptive"],
     ["report", "--workload", "avmnist"],
+    ["ingest", "tests/fixtures/execution_graphs/cnn_forward.json", "--sweep",
+     "1,3,8,32,100", "--devices", "2080ti,nano", "--serve", "--arrival-rate",
+     "200000", "--n-requests", "5000", "--policy", "adaptive"],
 ]
 
 SCRIPT = f"""
@@ -45,7 +50,8 @@ def run_with_hash_seed(seed: int) -> str:
                PYTHONPATH=os.pathsep.join(
                    p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     env.pop("MMBENCH_CACHE_DIR", None)
-    result = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
+    # From the repo root, so the ingest command's relative graph path resolves.
+    result = subprocess.run([sys.executable, "-c", SCRIPT], env=env, cwd=ROOT,
                             capture_output=True, text=True, timeout=300,
                             check=True)
     return result.stdout

@@ -52,18 +52,18 @@ def _dense_curve(cost, device: str, max_k: int) -> np.ndarray | None:
     """Precompute ``latency(device, k)`` for ``k = 1..max_k``, or ``None``.
 
     Only cost models exposing their anchor representation
-    (``_anchor_arr`` + ``_anchor_curve``, i.e. the profiled/trace
-    models) are vectorized; everything else (e.g. test callables) goes
-    through the exact per-query fallback. The vectorized interpolation
-    reproduces :func:`repro.serving.costmodel._interp_affine`
+    (``anchors`` + ``anchor_times``, i.e. the profiled/trace models) are
+    vectorized; everything else (e.g. test callables) goes through the
+    exact per-query fallback. The vectorized interpolation reproduces
+    the scalar ``_interp_affine`` (``tests/serving/curve_oracle.py``)
     operation-for-operation, so table lookups are bit-identical to the
-    scalar path the classic simulator takes.
+    scalar path the classic simulator took.
     """
-    anchors = getattr(cost, "_anchor_arr", None)
-    curve_fn = getattr(cost, "_anchor_curve", None)
-    if anchors is None or curve_fn is None:
+    times_fn = getattr(cost, "anchor_times", None)
+    if times_fn is None:
         return None
-    times = curve_fn(device)
+    anchors = np.array(cost.anchors, dtype=np.float64)
+    times = times_fn(device)
     ks = np.arange(1, max_k + 1, dtype=np.float64)
     out = np.interp(ks, anchors, times)
     if anchors.size > 1:

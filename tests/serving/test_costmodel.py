@@ -103,17 +103,17 @@ class TestCurve:
     def test_below_anchor_extrapolation_floors_positive(self):
         import numpy as np
 
-        from repro.serving.costmodel import _interp_affine
+        from repro.serving.costmodel import interpolate
 
         # Superlinear anchor pair: the affine extrapolation would cross
         # zero at small k; the floor keeps pricing proportional instead.
         anchors = np.array([8.0, 32.0])
         times = np.array([1.0, 10.0])  # slope 0.375 -> affine at k=1: -1.625
-        priced = _interp_affine(1, anchors, times)
+        priced = interpolate(np.array([1.0]), anchors, times)[0]
         assert priced == pytest.approx(1.0 * 1 / 8)
         # The normal (positive-intercept) case is untouched by the floor.
         gentle = np.array([1.0, 1.24])  # slope 0.01/k
-        assert _interp_affine(4, anchors, gentle) == pytest.approx(
+        assert interpolate(np.array([4.0]), anchors, gentle)[0] == pytest.approx(
             1.0 - (0.24 / 24) * 4)
 
     def test_edge_slower_than_server(self, cost):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import tracemalloc
 
-import numpy as np
 import pytest
 
 import repro.serving.fleet as fleet
@@ -25,6 +24,7 @@ from repro.serving import (
     EarliestFinishRouter,
     FixedBatchPolicy,
     FleetConfigError,
+    PROFILE_STATS,
     TenantSpec,
     TimeoutBatchPolicy,
     chaos_plan,
@@ -406,8 +406,9 @@ def test_fleet_summary_renders():
 
 
 def test_engine_holds_no_per_request_objects():
-    """The engine's peak memory is a few numpy columns per request, and a
-    run over fresh cost models rebuilds no dense latency table."""
+    """The engine's peak memory is a few numpy columns per request, and
+    fresh cost models get the warm dense latency tables and price
+    nothing."""
     n = 200_000
     groups = parse_groups("2080ti:8,orin:4,nano:2")
 
@@ -432,7 +433,12 @@ def test_engine_holds_no_per_request_objects():
     # post-loop pass adds two temporaries of the largest tenant's size.
     assert peak / n <= 32.0, f"{peak / n:.1f} B/request"
 
-    misses = fleet._dense_table.cache_info().misses
-    simulate_fleet(tenants(), groups, n_requests=2_000, arrival_rate=1e6,
+    fresh = tenants()
+    for warm_spec, fresh_spec in zip(warm, fresh):
+        for group in groups:
+            assert (fresh_spec.cost.curve(group.device)
+                    is warm_spec.cost.curve(group.device))
+    pricings = PROFILE_STATS["pricings"]
+    simulate_fleet(fresh, groups, n_requests=2_000, arrival_rate=1e6,
                    scenario="heavy-head", seed=1)
-    assert fleet._dense_table.cache_info().misses == misses
+    assert PROFILE_STATS["pricings"] == pricings

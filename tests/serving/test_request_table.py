@@ -136,19 +136,23 @@ def test_caller_indices_survive_the_table():
 # -- the timeline lint rules read the columns -----------------------------------------------
 
 
-def _table(tenants, slots, dispatch, shed=None):
-    """A table of requests that ran on ``slots`` at ``dispatch``."""
+def _table(tenants, slots, dispatch, shed=None, replicas=None):
+    """A table of requests that ran on ``slots`` (replica 0 unless
+    ``replicas`` says otherwise) at ``dispatch``."""
     n = len(tenants)
     names = tuple(dict.fromkeys(tenants))
     labels = tuple(dict.fromkeys(s for s in slots if s))
     dispatch = np.array(dispatch, dtype=np.float64)
     shed = np.zeros(n, dtype=bool) if shed is None else np.array(shed)
+    if replicas is None:
+        replicas = [0 if s else -1 for s in slots]
     return RequestTable(
         index=np.arange(n), arrival=dispatch - 0.01,
         tenant=np.array([names.index(t) for t in tenants]), tenants=names,
         dispatch=dispatch, finish=dispatch + 0.02,
         slot=np.array([labels.index(s) if s else -1 for s in slots]),
-        slots=labels, batch_size=np.ones(n, dtype=np.intp),
+        slots=labels, replica=np.array(replicas, dtype=np.intp),
+        batch_size=np.ones(n, dtype=np.intp),
         formation=np.zeros(n), retries=np.zeros(n, dtype=np.intp),
         shed=shed, degraded=np.zeros(n, dtype=bool))
 
@@ -170,6 +174,29 @@ def test_mmb304_fires_on_columns_without_building_requests():
     assert [d.code for d in diags] == ["MMB304"]
     assert "avmnist" in diags[0].message and "mmimdb" in diags[0].message
     assert "requests" not in report.__dict__
+
+
+@pytest.mark.parametrize("replicas, codes", [([1, 1], ["MMB304"]), ([0, 1], [])])
+def test_mmb304_keys_a_batch_on_its_replica(replicas, codes):
+    # Two tenants dispatched on one group at one instant are one batch
+    # only when one replica ran them both.
+    report = _report(_table(["avmnist", "mmimdb"], ["2080ti", "2080ti"],
+                            [0.10, 0.10], replicas=replicas))
+    assert [d.code for d in lint_serving_report(report).diagnostics] == codes
+
+
+def test_multi_replica_fleet_run_lints_clean():
+    # Replicas of one group dispatch two tenants' batches at one instant;
+    # each batch still carries one tenant.
+    tenants = [TenantSpec("x", affine, FixedBatchPolicy(8)),
+               TenantSpec("y", affine, FixedBatchPolicy(8))]
+    report = simulate_fleet(
+        tenants, "a:2,b:1", n_requests=N, arrival_rate=RATE,
+        faults=chaos_plan("single-failure", ("a", "b"), 0.02, seed=1),
+        retry=RetryPolicy(deadline=8e-3))
+    assert lint_serving_report(report).diagnostics == []
+    table = report.table
+    assert set(table.replica[table.slot == table.slots.index("a")]) == {0, 1}
 
 
 @pytest.mark.parametrize("shed, codes", [(False, ["MMB305"]), (True, [])])
