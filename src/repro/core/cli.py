@@ -21,6 +21,7 @@ cache, shared across runs); each prints a trace-store cache-stats line.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -594,7 +595,15 @@ def _cmd_ingest(args, checked) -> int:
     if args.report or not (args.sweep or args.serve):
         from repro.profiling.report import profile_summary
 
-        result = profiler.profile_stored(stored, batch_size)
+        result = profiler.profile_stored(stored, base_batch)
+        if batch_size != base_batch:
+            # The stored trace ran at the graph's batch; the sweep's pricer
+            # scales it to the one asked for.
+            [[priced]] = price_batches(stored, base_batch, [batch_size],
+                                       [profiler.device])
+            result = dataclasses.replace(
+                result, batch_size=batch_size, report=priced,
+                flops=result.flops * (batch_size / base_batch))
         print()
         print(profile_summary(result))
 

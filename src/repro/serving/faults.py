@@ -614,10 +614,8 @@ class FaultRuntime:
                 accuracy_cost=mode.accuracy_cost if mode is not None else None,
             )
 
-        samples = np.array(self.recovery_samples, dtype=np.float64)
-        p50, p99 = ((float(np.percentile(samples, 50)),
-                     float(np.percentile(samples, 99)))
-                    if samples.size else (0.0, 0.0))
+        p50, p99 = (np.percentile(self.recovery_samples, [50, 99]).tolist()
+                    if self.recovery_samples else (0.0, 0.0))
         return FaultStats(
             plan_events=len(self.plan.events),
             issued=issued,

@@ -27,7 +27,7 @@ structure of a fleet:
   Python scalars: on the 1-64 element arrays a batch touches, numpy's
   call overhead costs more than the arithmetic;
 * per-request timing (latencies, queue and formation waits) is filled
-  after the loop, one vectorized pass per tenant over its batch records;
+  after the loop from the batch records, in vectorized passes;
   a report's ``table``, every request's outcome as one
   :class:`~repro.serving.request.RequestTable`, is built from all
   tenants' records at once, and only when first read;
@@ -62,7 +62,10 @@ calls. On top of the core loop:
 
 A run with no fault plan, no retry policy and no degraded tenant keeps
 no per-request state: batches are contiguous slices of a tenant's
-queue, recorded once each.
+queue, recorded once each. A faulted run's only per-request state is
+its retried requests: a batch records the retried requests it took and
+its fresh slice, and is expanded into its members only on demand (by an
+abort, the p99 autoscale window or the request table).
 """
 
 from __future__ import annotations
@@ -577,7 +580,9 @@ class _FleetEngine:
     the next slice of its arrival stream, behind an explicit ``front``
     deque that only retried requests ever enter; without faults the
     front stays empty and a batch is always a contiguous slice, so no
-    per-request Python objects exist anywhere.
+    per-request Python objects exist anywhere. With faults a batch is
+    the requests it took from the front plus a contiguous slice, and
+    only requests that were retried have Python objects.
     """
 
     def __init__(self, tenants: Sequence[TenantSpec],
@@ -611,13 +616,13 @@ class _FleetEngine:
         np.cumsum(np.bincount(self.codes, minlength=K), out=bounds[1:])
         self.bounds = bounds
         self.index = index
-        self.arr_t = [self.arr_all[order[bounds[t]:bounds[t + 1]]]
+        # Arrivals grouped by tenant; arr_t[t] is tenant t's queue.
+        self.arr_grouped = self.arr_all[order]
+        self.arr_t = [self.arr_grouped[bounds[t]:bounds[t + 1]]
                       for t in range(K)]
-        # Each tenant's completed latencies, filled by _fill_requests, and
-        # the stream positions of the completed requests in the same
-        # order, set by request_table.
+        # Each tenant's completed latencies in arrival order, filled by
+        # _fill_requests.
         self.lat_t: list[np.ndarray] = []
-        self.done_order: np.ndarray | None = None
         self.arr_sum = [0.0] * K   # sum of completed requests' arrivals
         self.disp_sum = [0.0] * K  # sum of dispatch instants (x batch size)
         self.form_sum = 0.0        # global formation-wait sum
@@ -738,7 +743,12 @@ class _FleetEngine:
                                                              for c in caps]
         K = len(self.tenants)
         self.ids_t = [ids[self.bounds[t]:self.bounds[t + 1]] for t in range(K)]
-        self.b_members: list[list[list[int] | None]] = [[] for _ in range(K)]
+        # A batch's members are the retried requests it took from the
+        # front deque (usually none: the shared empty tuple) and then its
+        # fresh queue slice [head, head + size - len(retried)); an aborted
+        # batch's retried entry becomes None. See _members and _runs.
+        self.b_head: list[list[int]] = [[] for _ in range(K)]
+        self.b_retried: list[list[tuple[int, ...] | None]] = [[] for _ in range(K)]
         self.b_degraded: list[list[bool]] = [[] for _ in range(K)]
         self.tries: list[dict[int, int]] = [{} for _ in range(K)]
         self.aborted_at: list[dict[int, float]] = [{} for _ in range(K)]
@@ -842,9 +852,9 @@ class _FleetEngine:
                 window.append(np.subtract(lat, arr[r0:r1], out=lat))
             elif b1 > b0:
                 for k in range(b0, b1):
-                    members = self.b_members[t][k]
-                    if members is not None:
-                        window.append(self.b_finish[t][k] - arr[members])
+                    if self.b_retried[t][k] is not None:
+                        window.append(self.b_finish[t][k]
+                                      - arr[self._members(t, k)])
             self.tick_mark[t] = (b1, r1)
         if not window:
             return 0.0
@@ -984,7 +994,7 @@ class _FleetEngine:
 
         # Retried requests wait in the front deque, ahead of the fresh
         # slice (always empty without faults).
-        retried = ([front.popleft() for _ in range(min(size, len(front)))]
+        retried = (tuple([front.popleft() for _ in range(min(size, len(front)))])
                    if front else ())
         end = head + size - len(retried)
         self.head[t] = end
@@ -1000,7 +1010,7 @@ class _FleetEngine:
         self.disp_sum[t] += now * size
         self.serv_sum += (finish - now) * size
         if self.faults is not None:
-            self._note_dispatch(t, g, ridx, [*retried, *range(head, end)])
+            self._note_dispatch(t, g, ridx, size, head, retried)
         free[ridx] = finish
         heapq.heappush(self.busy_heap, (finish, g, ridx))
         self.batches[g] += 1
@@ -1029,17 +1039,24 @@ class _FleetEngine:
             self.idle[g].remove(ridx)
             heapq.heapify(self.idle[g])
 
-    def _note_dispatch(self, t: int, g: int, ridx: int, members: list[int]) -> None:
+    def _note_dispatch(self, t: int, g: int, ridx: int, size: int, head: int,
+                       retried: tuple[int, ...]) -> None:
         rt = self.faults
-        self.b_members[t].append(members)
+        self.b_head[t].append(head)
+        self.b_retried[t].append(retried)
         self.b_degraded[t].append(self.degraded[t])
-        self.inflight[g][ridx] = (t, len(self.b_members[t]) - 1)
-        rt.queued -= len(members)
-        rt.on_device += len(members)
+        self.inflight[g][ridx] = (t, len(self.b_head[t]) - 1)
+        rt.queued -= size
+        rt.on_device += size
         if self.degraded[t]:
             name = self.tenants[t].name
-            rt.degraded_requests[name] = (rt.degraded_requests.get(name, 0)
-                                          + len(members))
+            rt.degraded_requests[name] = rt.degraded_requests.get(name, 0) + size
+
+    def _members(self, t: int, k: int) -> list[int]:
+        """Tenant ``t``'s batch ``k`` as queue positions: its retried
+        requests, then its fresh slice."""
+        retried, head = self.b_retried[t][k], self.b_head[t][k]
+        return [*retried, *range(head, head + self.b_size[t][k] - len(retried))]
 
     def _complete(self, finish: float, g: int, ridx: int) -> bool:
         """A completion entry drained; finish its batch unless it is stale
@@ -1049,13 +1066,14 @@ class _FleetEngine:
             return False
         self.inflight[g][ridx] = None
         t, k = record
-        members = self.b_members[t][k]
+        size = self.b_size[t][k]
         rt = self.faults
-        rt.on_device -= len(members)
-        rt.completed += len(members)
-        aborted_at = self.aborted_at[t]
-        if aborted_at:
-            for pos in members:
+        rt.on_device -= size
+        rt.completed += size
+        # Only a retried request can have been aborted before.
+        retried, aborted_at = self.b_retried[t][k], self.aborted_at[t]
+        if retried and aborted_at:
+            for pos in retried:
                 at = aborted_at.pop(pos, None)
                 if at is not None:
                     rt.recovery_samples.append(finish - at)
@@ -1117,8 +1135,8 @@ class _FleetEngine:
         """Abort the batch on a failing replica; retry or shed its requests."""
         t, k = self.inflight[g][ridx]
         self.inflight[g][ridx] = None
-        members = self.b_members[t][k]
-        self.b_members[t][k] = None
+        members = self._members(t, k)
+        self.b_retried[t][k] = None
         size = len(members)
         self.free[g][ridx] = now
         self.busy[g] -= self.b_finish[t][k] - now  # only the executed part counts
@@ -1252,7 +1270,7 @@ class _FleetEngine:
     # -- per-request results -------------------------------------------------------
 
     def _fill_requests(self) -> None:
-        """Per-request timing from the batch records, one pass per tenant.
+        """Per-request timing from the batch records.
 
         Latency is ``finish - arrival``; the queue wait sums as dispatch
         instants minus arrivals; and the formation wait is
@@ -1261,25 +1279,44 @@ class _FleetEngine:
         before it — is a min of two non-negative terms. Only the
         latencies of completed requests are kept per request; the waits
         only ever surface as means. Without faults the records tile each
-        tenant's queue, and at most two tenant-sized temporaries are
-        alive at once. With faults the sums and latencies are read off
-        the request table, tenant by tenant.
+        tenant's queue, one pass per tenant, and at most two tenant-sized
+        temporaries are alive at once. With faults one pass over every
+        tenant's completed requests at once expands the sorted runs of
+        :meth:`_runs`, and the sums are taken tenant by tenant.
         """
         if self.faults is not None:
-            table = self.request_table()
-            order = self.done_order
-            arr, disp = table.arrival[order], table.dispatch[order]
-            fin, form = table.finish[order], table.formation[order]
-            lat, serv = fin - arr, fin - disp
+            # The completed requests: the tenant-grouped stream without
+            # its sheds, in the order the sorted runs expand to.
+            _starts, lens, batch = self._runs()
+            arr = self.arr_grouped
+            if self.faults.shed:
+                arr = np.delete(arr, np.concatenate(
+                    [np.asarray(pos, dtype=np.intp) + self.bounds[t]
+                     for t, pos in enumerate(self.shed_pos)]))
+            cuts = [0]
+            for queue, shed in zip(self.arr_t, self.shed_pos):
+                cuts.append(cuts[-1] + queue.size - len(shed))
+            spans = list(zip(cuts, cuts[1:]))
+
+            def sums(values: np.ndarray) -> list[float]:
+                return [float(values[a:b].sum()) for a, b in spans]
+
+            now = self._batches(self.b_now, np.float64)[batch]
+            fin = np.repeat(self._batches(self.b_finish, np.float64)[batch], lens)
+            lat = fin - arr
+            self.lat_t = [lat[a:b] for a, b in spans]
+            self.arr_sum = sums(arr)
+            disp = np.repeat(now, lens)
+            serv = sums(np.subtract(fin, disp, out=fin))
+            del fin  # the formation waits below can reuse its memory
+            self.disp_sum = sums(disp)
+            wait = np.subtract(disp, arr, out=disp)
+            idle = np.repeat(now - self._batches(self.b_idle, np.float64)[batch], lens)
+            form = sums(np.minimum(wait, idle, out=wait))
             self.form_sum = self.serv_sum = 0.0
-            end = 0
-            for t, shed in enumerate(self.shed_pos):
-                start, end = end, end + self.arr_t[t].size - len(shed)
-                self.arr_sum[t] = float(arr[start:end].sum())
-                self.disp_sum[t] = float(disp[start:end].sum())
-                self.form_sum += float(form[start:end].sum())
-                self.serv_sum += float(serv[start:end].sum())
-                self.lat_t.append(lat[start:end])
+            for f, s in zip(form, serv):
+                self.form_sum += f
+                self.serv_sum += s
             return
         for t, arr in enumerate(self.arr_t):
             sizes = np.array(self.b_size[t], dtype=np.intp)
@@ -1293,48 +1330,71 @@ class _FleetEngine:
             lat = np.repeat(np.array(self.b_finish[t]), sizes)
             self.lat_t.append(np.subtract(lat, arr, out=lat))
 
+    def _batches(self, lists: list[list], dtype) -> np.ndarray:
+        """One batch-record field of every tenant, in tenant order."""
+        return np.fromiter(itertools.chain.from_iterable(lists), dtype=dtype,
+                           count=sum(map(len, lists)))
+
+    def _runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The completed requests as runs of consecutive tenant-grouped
+        stream positions that one batch served, sorted by position: each
+        run's first position, its length, and its batch (an index into
+        :meth:`_batches`' arrays).
+
+        Without faults each batch is one run, and the runs tile the
+        grouped stream in batch order. With faults a completed batch is
+        one run for its fresh slice plus one per retried request, and an
+        aborted batch is none; sorted, the runs tile each tenant's
+        completed requests in arrival order.
+        """
+        sizes = self._batches(self.b_size, np.intp)
+        if self.faults is None:
+            return np.cumsum(sizes) - sizes, sizes, np.arange(sizes.size)
+        retried = list(itertools.chain.from_iterable(self.b_retried))
+        # Queue positions become grouped positions past the tenant's bound.
+        first = np.repeat(self.bounds[:-1], [len(s) for s in self.b_size])
+        live = np.flatnonzero([r is not None for r in retried])
+        took = [b for b, r in enumerate(retried) if r]
+        counts = np.array([len(retried[b]) for b in took], dtype=np.intp)
+        fresh = sizes.copy()
+        fresh[took] -= counts
+        starts = np.concatenate((
+            (self._batches(self.b_head, np.intp) + first)[live],
+            np.fromiter(itertools.chain.from_iterable(retried[b] for b in took),
+                        dtype=np.intp, count=int(counts.sum()))
+            + np.repeat(first[took], counts)))
+        lens = np.concatenate((fresh[live], np.ones(int(counts.sum()), np.intp)))
+        batch = np.concatenate((live, np.repeat(np.array(took, dtype=np.intp),
+                                                counts)))
+        order = np.argsort(starts, kind="stable")
+        return starts[order], lens[order], batch[order]
+
     def request_table(self) -> RequestTable:
         """Every request's outcome in stream order, built once per run.
 
-        All tenants' batch records are concatenated once, tenant by
-        tenant, and each column is one ``np.repeat`` of a record field
-        over the batch sizes, scattered to stream positions through the
-        stable tenant order. Without faults the records tile the
-        tenant-grouped stream in order; with faults only the batches that
-        completed count, each landing on its members, and a shed request
-        keeps NaN times, slot and replica -1, batch size 0 and formation 0.
+        Each column is one ``np.repeat`` of a batch-record field over the
+        sorted runs of :meth:`_runs`, scattered to stream positions
+        through the stable tenant order. Only the batches that completed
+        count, and a shed request keeps NaN times, slot and replica -1,
+        batch size 0 and formation 0.
         """
         if self._table is not None:
             return self._table
         n, order, bounds = self.n, self._tenant_order(), self.bounds
-        chain = itertools.chain.from_iterable
-        n_batches = [len(sizes) for sizes in self.b_size]
-        count = sum(n_batches)
+        starts, lens, batch = self._runs()
 
-        def record(lists, dtype):
-            return np.fromiter(chain(lists), dtype=dtype, count=count)
+        def per_request(lists, dtype=np.float64):
+            return np.repeat(self._batches(lists, dtype)[batch], lens)
 
-        sizes = record(self.b_size, np.intp)
-        now, finish = record(self.b_now, np.float64), record(self.b_finish, np.float64)
-        idle, group = record(self.b_idle, np.float64), record(self.b_group, np.intp)
-        replica = record(self.b_replica, np.intp)
+        # A run covers its first position and the ones after it.
+        dest = order[np.repeat(starts - (np.cumsum(lens) - lens), lens)
+                     + np.arange(int(lens.sum()))]
         retries = np.zeros(n, dtype=np.intp)
         shed = np.zeros(n, dtype=bool)
         if self.faults is None:
-            dest, degraded = order, np.zeros(count, dtype=bool)
+            degraded = np.zeros(dest.size, dtype=bool)
         else:
-            live = np.fromiter((m is not None for m in chain(self.b_members)),
-                               dtype=bool, count=count)
-            sizes, now, finish = sizes[live], now[live], finish[live]
-            idle, group, replica = idle[live], group[live], replica[live]
-            degraded = record(self.b_degraded, bool)[live]
-            # Members are positions in their tenant's queue; the tenant's
-            # bound turns them into tenant-grouped positions.
-            first = np.repeat(bounds[:-1], n_batches)[live]
-            pos = np.fromiter(chain(m for m in chain(self.b_members)
-                                    if m is not None),
-                              dtype=np.intp, count=int(sizes.sum()))
-            dest = order[pos + np.repeat(first, sizes)]
+            degraded = per_request(self.b_degraded, bool)
             for t, tries in enumerate(self.tries):
                 ids = order[bounds[t]:bounds[t + 1]]
                 retries[ids[list(tries)]] = list(tries.values())
@@ -1345,10 +1405,9 @@ class _FleetEngine:
             column[dest] = values
             return column
 
-        dispatch = np.repeat(now, sizes)
+        dispatch = per_request(self.b_now)
         formation = np.minimum(dispatch - self.arr_all[dest],
-                               dispatch - np.repeat(idle, sizes))
-        self.done_order = order if self.faults is None else order[~shed[order]]
+                               dispatch - per_request(self.b_idle))
         self._table = RequestTable(
             index=(np.arange(n, dtype=np.int64) if self.index is None
                    else np.asarray(self.index, dtype=np.int64)),
@@ -1356,15 +1415,15 @@ class _FleetEngine:
             tenant=self.codes,
             tenants=tuple(spec.name for spec in self.tenants),
             dispatch=spread(dispatch, np.nan),
-            finish=spread(np.repeat(finish, sizes), np.nan),
-            slot=spread(np.repeat(group, sizes), -1, np.intp),
+            finish=spread(per_request(self.b_finish), np.nan),
+            slot=spread(per_request(self.b_group, np.intp), -1, np.intp),
             slots=tuple(self.glabel),
-            replica=spread(np.repeat(replica, sizes), -1, np.intp),
-            batch_size=spread(np.repeat(sizes, sizes), 0, np.intp),
+            replica=spread(per_request(self.b_replica, np.intp), -1, np.intp),
+            batch_size=spread(per_request(self.b_size, np.intp), 0, np.intp),
             formation=spread(formation, 0.0),
             retries=retries,
             shed=shed,
-            degraded=spread(np.repeat(degraded, sizes), False, bool),
+            degraded=spread(degraded, False, bool),
         )
         return self._table
 
@@ -1372,9 +1431,9 @@ class _FleetEngine:
         """Per group, completed batches by size (sorted by size)."""
         histograms: list[dict[int, int]] = [{} for _ in self.groups]
         for t, sizes in enumerate(self.b_size):
-            members = self.b_members[t] if self.faults is not None else None
+            retried = self.b_retried[t] if self.faults is not None else None
             for k, (g, size) in enumerate(zip(self.b_group[t], sizes)):
-                if members is None or members[k] is not None:
+                if retried is None or retried[k] is not None:
                     histograms[g][size] = histograms[g].get(size, 0) + 1
         return [dict(sorted(h.items())) for h in histograms]
 
@@ -1384,16 +1443,19 @@ class _FleetEngine:
         if self.faults is None:
             return None
         histogram: dict[int, int] = {}
+        for tries in self.tries:
+            for count in tries.values():
+                histogram[count] = histogram.get(count, 0) + 1
         degraded: dict[str, np.ndarray] = {}
-        # Degraded flags of the completed requests, aligned with lat_t.
-        flags = self.request_table().degraded[self.done_order]
-        end = 0
-        for t, spec in enumerate(self.tenants):
-            for tries in self.tries[t].values():
-                histogram[tries] = histogram.get(tries, 0) + 1
-            start, end = end, end + self.lat_t[t].size
-            if any(self.b_degraded[t]):
-                degraded[spec.name] = self.lat_t[t][flags[start:end]]
+        if any(map(any, self.b_degraded)):
+            # Degraded flags of the completed requests, aligned with lat_t.
+            _starts, lens, batch = self._runs()
+            flags = np.repeat(self._batches(self.b_degraded, bool)[batch], lens)
+            end = 0
+            for t, spec in enumerate(self.tenants):
+                start, end = end, end + self.lat_t[t].size
+                if any(self.b_degraded[t]):
+                    degraded[spec.name] = self.lat_t[t][flags[start:end]]
         return self.faults.build_stats(
             self.makespan, self.n,
             {spec.name: (spec.degraded, spec.slo) for spec in self.tenants},

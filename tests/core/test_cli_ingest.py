@@ -3,14 +3,55 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.core.cli import main
 from repro.core.suite import BenchmarkSuite
+from repro.profiling.profiler import price_batches
+from repro.profiling.report import format_seconds
+from repro.trace.store import default_store
 
 FIXTURES = Path(__file__).parent.parent / "fixtures" / "execution_graphs"
+
+# `ingest cnn_forward.json --report` at the graph's own batch (1).
+CNN_FORWARD_REPORT = """\
+== MMBench profile: cnn_forward on rtx2080ti (batch=1) ==
+
+[algorithm]
+  parameters           758
+  parameter_bytes      3032
+  flops                1.69e+04
+  flops_per_sample     1.69e+04
+  num_modalities       1
+
+[system]
+  total_time           38.9 us
+  gpu_time             8.8 us
+  cpu_runtime_time     30.0 us
+  launch_time          20.0 us
+  transfer_time        10.0 us
+  data_prep_time       0.0 us
+  sync_time            0.0 us
+  cpu_runtime_share    77.3%
+  peak_memory          7.0 KB
+  memory_model         3.0 KB
+  memory_dataset       768.0 B
+  memory_intermediate  3.2 KB
+
+[architecture]
+  stage times:
+    encoder    22.5 us
+    head       6.3 us
+  kernel categories (time share):
+    Gemm       26.4%
+    Conv       21.4%
+    BNorm      17.6%
+    Pooling    17.5%
+    Relu       17.1%
+"""
 
 
 @pytest.fixture
@@ -96,6 +137,36 @@ class TestIngest:
         # Second run is a disk hit yet still surfaces the unknown bucket.
         assert out.count("unknown ops: 2/4 kernels (50.0%)") == 2
         assert "1 hits (1 disk)" in out
+
+
+class TestIngestReportBatch:
+    """``ingest --report --batch-size B`` prices the graph at batch B."""
+
+    @staticmethod
+    def profile(capsys, *flags) -> str:
+        assert main(["ingest", str(FIXTURES / "cnn_forward.json"), "--report",
+                     *flags]) == 0
+        out = capsys.readouterr().out
+        return out[out.index("== MMBench profile"):out.index("trace store")]
+
+    @pytest.mark.parametrize("flags", [(), ("--batch-size", "1")])
+    def test_native_batch_report_is_unchanged(self, capsys, flags):
+        assert self.profile(capsys, *flags) == CNN_FORWARD_REPORT
+
+    def test_report_prints_the_sweep_latency(self, capsys):
+        report = self.profile(capsys, "--batch-size", "64")
+        assert main(["ingest", str(FIXTURES / "cnn_forward.json"),
+                     "--sweep", "64", "--devices", "2080ti"]) == 0
+        sweep = capsys.readouterr().out
+        assert "(batch=64)" in report
+        assert "  total_time           42.5 us\n" in report
+        assert "  flops_per_sample     1.69e+04\n" in report
+        assert re.search(r"^64 +\| 2080ti \| 0\.042 ms \|", sweep, re.M)
+        # Both print the one batch-scaled price.
+        stored = default_store().get_or_ingest(FIXTURES / "cnn_forward.json")
+        [[priced]] = price_batches(stored, 1, [64], ["2080ti"])
+        assert f"  total_time           {format_seconds(priced.total_time)}\n" in report
+        assert f"| {priced.total_time * 1e3:.3f} ms |" in sweep
 
 
 class TestIngestErrors:

@@ -8,7 +8,7 @@ subcommands and covers the new ``--backend`` / ``--cache-dir`` flags.
 import pytest
 
 from repro.core.cli import build_parser, main
-from repro.trace.store import default_store, set_default_store
+from repro.trace.store import set_default_store
 
 
 @pytest.fixture(autouse=True)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.nn import functional as F
 from repro.nn.tensor import Tensor, as_tensor, is_grad_enabled, no_grad
 
 

@@ -1,6 +1,5 @@
 """The three-level profiling pipeline."""
 
-import numpy as np
 import pytest
 
 from repro.data.synthetic import random_batch

@@ -10,6 +10,8 @@ Three properties anchor the fault subsystem:
 2. **Requests are never lost**: under any valid fault plan,
    ``completed + shed == issued`` and every non-shed request has finite,
    fully-decomposed timings.
+   The engine's per-request fill under any such plan equals the
+   table-based fill of :mod:`tests.serving.fill_oracle`, bit for bit.
 3. **Attainment adds up over tenants**: with every tenant on one SLO,
    the tenants' attainments weighted by their issued requests sum to
    the report's attainment over all issued requests, sheds included.
@@ -38,6 +40,7 @@ from repro.serving import (
     simulate_mixed,
     validate_fault_plan,
 )
+from tests.serving.fill_oracle import assert_fill_matches, capture_engines
 
 DEVICES = ("a", "b")
 
@@ -142,7 +145,8 @@ class TestEmptyPlanBitIdentity:
 
 class TestConservation:
     @pytest.mark.parametrize("seed", range(8))
-    def test_random_plans_never_lose_requests(self, seed):
+    def test_random_plans_never_lose_requests(self, seed, monkeypatch):
+        engines = capture_engines(monkeypatch)
         rng = np.random.default_rng(seed)
         plan = random_plan(rng)
         validate_fault_plan(plan, DEVICES)
@@ -159,9 +163,11 @@ class TestConservation:
                 continue
             assert math.isfinite(r.latency) and r.latency >= 0
             assert math.isfinite(r.finish) and r.finish >= r.dispatch >= r.arrival
+        assert_fill_matches(engines[-1])
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_random_plans_with_deadline(self, seed):
+    def test_random_plans_with_deadline(self, seed, monkeypatch):
+        engines = capture_engines(monkeypatch)
         rng = np.random.default_rng(100 + seed)
         plan = random_plan(rng)
         report = simulate(fast, FixedBatchPolicy(8), devices=DEVICES,
@@ -170,6 +176,7 @@ class TestConservation:
                           retry=RetryPolicy(deadline=float(rng.uniform(2e-3, 2e-2))))
         fs = report.fault_stats
         assert fs.completed + fs.shed == fs.issued == 700
+        assert_fill_matches(engines[-1])
 
     @pytest.mark.parametrize("name", ["single-failure", "rolling-restart",
                                       "thermal-brownout", "flaky-device"])
@@ -187,7 +194,8 @@ class TestTenantAttainment:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("entry", ["mixed", "fleet"])
     def test_tenant_attainments_weighted_by_issued_sum_to_report(self, entry,
-                                                                  seed):
+                                                                  seed, monkeypatch):
+        engines = capture_engines(monkeypatch)
         rng = np.random.default_rng(200 + seed)
         events, t = [], 0.0
         for _ in range(rng.integers(1, 4)):  # disjoint down windows on 'a'
@@ -213,3 +221,4 @@ class TestTenantAttainment:
                   for stats, n in zip(report.tenant_stats.values(), issued))
         assert met == pytest.approx(report.slo_attainment(slo) * report.n_requests,
                                     rel=0, abs=1e-9)
+        assert_fill_matches(engines[-1])

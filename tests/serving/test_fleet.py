@@ -25,6 +25,7 @@ from repro.serving import (
     FixedBatchPolicy,
     FleetConfigError,
     PROFILE_STATS,
+    RetryPolicy,
     TenantSpec,
     TimeoutBatchPolicy,
     chaos_plan,
@@ -405,35 +406,47 @@ def test_fleet_summary_renders():
 # -- engine memory ---------------------------------------------------------------------------------
 
 
-def test_engine_holds_no_per_request_objects():
-    """The engine's peak memory is a few numpy columns per request, and
-    fresh cost models get the warm dense latency tables and price
-    nothing."""
-    n = 200_000
+def memory_tenants():
+    return make_tenants(list_workloads(),
+                        policy_factory=lambda _w: FixedBatchPolicy(64), slo=50e-3)
+
+
+@pytest.fixture(scope="module")
+def memory_stream():
+    """Warm tenants, their groups and a 200k-request stream."""
     groups = parse_groups("2080ti:8,orin:4,nano:2")
-
-    def tenants():
-        return make_tenants(list_workloads(),
-                            policy_factory=lambda _w: FixedBatchPolicy(64), slo=50e-3)
-
-    warm = tenants()
+    warm = memory_tenants()
     # Fills the anchor curves and the dense tables outside the measurement.
     simulate_fleet(warm, groups, n_requests=2_000, arrival_rate=1e6,
                    scenario="heavy-head")
-    columns = scenario_columns("heavy-head", warm, n, arrival_rate=1e6)
+    return warm, groups, scenario_columns("heavy-head", warm, 200_000,
+                                          arrival_rate=1e6)
 
+
+def engine_peak_per_request(tenants, groups, columns, faults=None,
+                            retry=None) -> float:
+    """Peak traced bytes per request of one engine run."""
     tracemalloc.start()
     try:
-        fleet._FleetEngine(warm, groups, columns, None, None, 0.0,
-                           EarliestFinishRouter()).run()
+        fleet._FleetEngine(tenants, groups, columns, None, faults, 0.0,
+                           EarliestFinishRouter(), retry).run()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak / len(columns)
+
+
+def test_engine_holds_no_per_request_objects(memory_stream):
+    """The engine's peak memory is a few numpy columns per request, and
+    fresh cost models get the warm dense latency tables and price
+    nothing."""
+    warm, groups, columns = memory_stream
+    peak = engine_peak_per_request(warm, groups, columns)
     # Arrivals grouped by tenant plus latencies are 16 B/request; the
     # post-loop pass adds two temporaries of the largest tenant's size.
-    assert peak / n <= 32.0, f"{peak / n:.1f} B/request"
+    assert peak <= 32.0, f"{peak:.1f} B/request"
 
-    fresh = tenants()
+    fresh = memory_tenants()
     for warm_spec, fresh_spec in zip(warm, fresh):
         for group in groups:
             assert (fresh_spec.cost.curve(group.device)
@@ -442,3 +455,17 @@ def test_engine_holds_no_per_request_objects():
     simulate_fleet(fresh, groups, n_requests=2_000, arrival_rate=1e6,
                    scenario="heavy-head", seed=1)
     assert PROFILE_STATS["pricings"] == pricings
+
+
+@pytest.mark.parametrize("chaos", ["single-failure", "thermal-brownout"])
+def test_faulted_engine_holds_no_per_request_objects(memory_stream, chaos):
+    """Under faults a batch records its fresh slice and the retried
+    requests it took, not its members, and the fill expands sorted runs
+    of them: the peak stays a few numpy columns per request."""
+    warm, groups, columns = memory_stream
+    plan = chaos_plan(chaos, [g.device for g in groups], len(columns) / 1e6)
+    peak = engine_peak_per_request(warm, groups, columns, plan, RetryPolicy())
+    # Grouped arrivals, the tenant order (request ids for the retry
+    # jitter) and latencies are 24 B/request; the fill adds at most four
+    # request-sized temporaries at once.
+    assert peak <= 64.0, f"{peak:.1f} B/request"

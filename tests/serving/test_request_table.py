@@ -98,6 +98,44 @@ def test_fault_free_fleet_run_builds_no_table(monkeypatch):
     assert report.completed == 200
 
 
+def test_faulted_runs_build_no_table_until_read(monkeypatch):
+    """A faulted run fills its latencies and wait sums from its batch
+    records, so neither entry point builds the table unless ``table`` is
+    read; read afterwards, it is whole and lints clean."""
+    build = fleet._FleetEngine.request_table
+    read = []  # set once the test itself reads ``table``
+
+    def refuse_until_read(self):
+        if not read:
+            raise AssertionError("request table built")
+        return build(self)
+
+    monkeypatch.setattr(fleet._FleetEngine, "request_table", refuse_until_read)
+    tenants = [TenantSpec("x", affine, FixedBatchPolicy(8), slo=20e-3, weight=2.0),
+               TenantSpec("y", slow, FixedBatchPolicy(8), slo=30e-3)]
+    horizon = N / RATE
+    reports = [
+        simulate_mixed(tenants, devices=DEVICES, n_requests=N, arrival_rate=RATE,
+                       faults=chaos_plan("single-failure", DEVICES, horizon, seed=1),
+                       retry=RetryPolicy(), seed=2),
+        simulate_fleet(tenants, "a:2,b:1", n_requests=N, arrival_rate=RATE,
+                       faults=chaos_plan("single-failure", ("a", "b"), horizon, seed=1),
+                       retry=RetryPolicy(), seed=2),
+    ]
+    for report in reports:
+        assert report.fault_stats.retries > 0
+        report.slo_attainment(0.05)
+        mixed_serving_summary(report)
+        format_tenant_breakdown(report)
+        format_fault_stats(report)
+
+    read.append(True)
+    for report in reports:
+        table = report.table
+        assert len(table) == N and int(table.retries.sum()) == report.fault_stats.retries
+        assert lint_serving_report(report).diagnostics == []
+
+
 def test_attainment_from_columns_matches_per_object_definition():
     report = shedding_run()
     assert report.fault_stats.shed > 0

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.trace.columns import HOST_COLUMN_SPEC, KERNEL_COLUMN_SPEC, TABLE_NAMES, TraceColumns
 from repro.trace.events import HostOpKind, KernelCategory
