@@ -21,7 +21,6 @@ cache, shared across runs); each prints a trace-store cache-stats line.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -570,7 +569,8 @@ def _check_ingest(args):
 def _cmd_ingest(args, checked) -> int:
     """Price an external execution-graph JSON end-to-end."""
     from repro.lint import LintFailure
-    from repro.profiling.profiler import MMBenchProfiler, price_batches
+    from repro.profiling.profiler import (MMBenchProfiler, price_batches,
+                                          profile_stored_at)
     from repro.trace.ingest import IngestError, IngestReport
 
     devices, sweep_batches, registry = checked
@@ -590,22 +590,13 @@ def _cmd_ingest(args, checked) -> int:
         print(line)
 
     batch_size = args.batch_size or base_batch
-    profiler = MMBenchProfiler(args.device)
 
     if args.report or not (args.sweep or args.serve):
         from repro.profiling.report import profile_summary
 
-        result = profiler.profile_stored(stored, base_batch)
-        if batch_size != base_batch:
-            # The stored trace ran at the graph's batch; the sweep's pricer
-            # scales it to the one asked for.
-            [[priced]] = price_batches(stored, base_batch, [batch_size],
-                                       [profiler.device])
-            result = dataclasses.replace(
-                result, batch_size=batch_size, report=priced,
-                flops=result.flops * (batch_size / base_batch))
+        profiler = MMBenchProfiler(args.device)
         print()
-        print(profile_summary(result))
+        print(profile_summary(profile_stored_at(profiler, stored, batch_size)))
 
     if sweep_batches is not None:
         rows = []

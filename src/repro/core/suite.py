@@ -15,7 +15,7 @@ import numpy as np
 from repro.core.train import loss_fn_for, train_model
 from repro.data.generators import LatentMultimodalDataset
 from repro.data.synthetic import random_batch, random_targets
-from repro.profiling.profiler import MMBenchProfiler, ProfileResult
+from repro.profiling.profiler import MMBenchProfiler, ProfileResult, profile_stored_at
 from repro.profiling.report import profile_summary
 from repro.workloads.base import unimodal_shapes
 from repro.workloads.registry import WorkloadInfo, get_workload, list_workloads
@@ -134,16 +134,15 @@ class BenchmarkSuite:
         (:meth:`~repro.trace.store.TraceStore.get_or_ingest`, keyed on the
         file's content digest), so re-profiling the same file is a warm
         hit. ``batch_size`` defaults to the batch size recorded in the
-        graph itself.
+        graph itself; any other batch size is priced by batch-scaling the
+        graph, as ``mmbench ingest --report --batch-size`` does
+        (:func:`~repro.profiling.profiler.profile_stored_at`).
         """
         from repro.trace.store import default_store
 
         store = store if store is not None else default_store()
         stored = store.get_or_ingest(path, registry=registry)
-        if batch_size is None:
-            batch_size = int(stored.extra.get("batch_size", 1))
-        profiler = MMBenchProfiler(self.device)
-        return profiler.profile_stored(stored, batch_size)
+        return profile_stored_at(MMBenchProfiler(self.device), stored, batch_size)
 
     # -- static analysis ----------------------------------------------------------
 

@@ -22,11 +22,13 @@ trace from the shared store once and pricing it on every device in a
 single broadcasted :meth:`~repro.hw.engine.ExecutionEngine.run_sweep`
 pass. The batch-size / edge / heterogeneity / stage analyses and the
 serving cost model all fill their grids through it; :func:`price_batches`
-batch-scales one stored trace (an ingested graph) instead.
+batch-scales one stored trace (an ingested graph) instead, and
+:func:`profile_stored_at` profiles one at any batch size through it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -316,3 +318,23 @@ def price_batches(stored: StoredTrace, base_batch_size: int, batches: Sequence[i
             trace, specs, model_bytes=stored.parameter_bytes,
             input_bytes=stored.input_bytes * factor))
     return out
+
+
+def profile_stored_at(profiler: MMBenchProfiler, stored: StoredTrace,
+                      batch_size: int | None = None) -> ProfileResult:
+    """Profile a stored trace at ``batch_size`` (default: the batch it was
+    recorded at, ``stored.extra["batch_size"]``).
+
+    At the recorded batch this is :meth:`MMBenchProfiler.profile_stored`.
+    At any other batch the price comes from :func:`price_batches` (the
+    pricer ``mmbench ingest --sweep`` prints) and the FLOPs scale by
+    ``batch_size / recorded batch``; the rest of the profile is the
+    recorded one.
+    """
+    base = int(stored.extra.get("batch_size", 1))
+    result = profiler.profile_stored(stored, base)
+    if batch_size is None or batch_size == base:
+        return result
+    [[priced]] = price_batches(stored, base, [batch_size], [profiler.device])
+    return dataclasses.replace(result, batch_size=batch_size, report=priced,
+                               flops=result.flops * (batch_size / base))

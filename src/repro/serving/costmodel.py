@@ -7,7 +7,8 @@ anchor batch sizes and interpolates, exactly the way the paper's
 batch-size case study turns a handful of measurements into a scheduling
 decision. It and :class:`TraceCostModel` share one curve per device
 (:class:`AnchoredCostModel`): the anchor times plus a dense table over
-batch sizes 1..last anchor, built by :func:`interpolate`.
+batch sizes 1..last anchor, built by :func:`interpolate`, and whether
+that table is non-decreasing (checked once, when the curve is built).
 
 Traces come from the shared :class:`~repro.trace.store.TraceStore`
 (content-addressed by workload / fusion / batch / backend / code
@@ -33,7 +34,7 @@ DEFAULT_ANCHORS: tuple[int, ...] = (1, 8, 32, 128, 512)
 # Device-dependent quantities stay module-level (the trace store is
 # device-independent by design):
 #   _CURVES[(workload, fusion, seed, backend, anchors, device)]
-#       -> (anchor times, dense table)
+#       -> (anchor times, dense table, table is non-decreasing)
 _CURVES: dict = {}
 
 # Observable work counters, for tests and for cache diagnostics.
@@ -80,6 +81,12 @@ def interpolate(ks: np.ndarray, anchors: np.ndarray,
             out[lo] = np.maximum(times[0] - slope * (anchors[0] - ks[lo]),
                                  times[0] * ks[lo] / anchors[0])
     return out
+
+
+def is_non_decreasing(table: np.ndarray) -> bool:
+    """Whether each entry of ``table`` is ``>=`` the one before it (a NaN
+    fails the comparison)."""
+    return bool(np.all(table[1:] >= table[:-1]))
 
 
 def throughput_optimal_batch(cost, device: str, max_batch: int = 512) -> int:
@@ -132,20 +139,22 @@ class AnchoredCostModel:
             raise ValueError(f"anchors must be increasing positive ints, got {anchors}")
         self.anchors = anchors
         self._anchor_arr = np.array(anchors, dtype=np.float64)
-        # canonical device -> (anchor times, dense table)
-        self._curves: dict[str, tuple[np.ndarray, tuple[float, ...]]] = {}
+        # canonical device -> (anchor times, dense table, non-decreasing)
+        self._curves: dict[str, tuple[np.ndarray, tuple[float, ...], bool]] = {}
 
     def _price_anchors(self, device: str) -> np.ndarray:
         """Seconds per batch at each anchor on one canonical device."""
         raise NotImplementedError
 
-    def _build(self, device: str) -> tuple[np.ndarray, tuple[float, ...]]:
-        """Price one device's anchors and interpolate its dense table."""
+    def _build(self, device: str) -> tuple[np.ndarray, tuple[float, ...], bool]:
+        """Price one device's anchors, interpolate its dense table and
+        check once whether the table is non-decreasing."""
         times = self._price_anchors(device)
         ks = np.arange(1, self.anchors[-1] + 1, dtype=np.float64)
-        return times, tuple(interpolate(ks, self._anchor_arr, times).tolist())
+        dense = interpolate(ks, self._anchor_arr, times)
+        return times, tuple(dense.tolist()), is_non_decreasing(dense)
 
-    def _curve(self, device: str) -> tuple[np.ndarray, tuple[float, ...]]:
+    def _curve(self, device: str) -> tuple[np.ndarray, tuple[float, ...], bool]:
         canonical = get_device(device).name
         curve = self._curves.get(canonical)
         if curve is None:
@@ -161,11 +170,16 @@ class AnchoredCostModel:
         ``k - 1``, as Python floats."""
         return self._curve(device)[1]
 
+    def monotone(self, device: str) -> bool:
+        """Whether ``curve(device)`` is non-decreasing, so that a bisection
+        over it finds what a search over ``latency`` would."""
+        return self._curve(device)[2]
+
     def latency(self, device: str, batch_size: int) -> float:
         """Seconds to serve one batch of ``batch_size`` on ``device``."""
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        times, table = self._curve(device)
+        times, table, _ = self._curve(device)
         if batch_size <= len(table) and batch_size == int(batch_size):
             return table[int(batch_size) - 1]
         ks = np.array([batch_size], dtype=np.float64)
@@ -199,7 +213,7 @@ class ProfiledCostModel(AnchoredCostModel):
         self.seed = seed
         self.backend = validate_backend(backend)
 
-    def _build(self, device: str) -> tuple[np.ndarray, tuple[float, ...]]:
+    def _build(self, device: str) -> tuple[np.ndarray, tuple[float, ...], bool]:
         key = (self.workload, self.fusion, self.seed, self.backend,
                self.anchors, device)
         if key in _CURVES:

@@ -34,7 +34,9 @@ structure of a fleet:
 * batch latencies come from each anchored cost model's dense table per
   (tenant, device) (:meth:`~repro.serving.costmodel.AnchoredCostModel.curve`;
   profiled curves are one module-level cache shared across runs), so
-  the hot loop never re-enters the interpolator.
+  the hot loop never re-enters the interpolator; an adaptive policy's
+  largest batch within budget is one bisection of that table when the
+  curve is non-decreasing (flagged once, when it is built).
 
 Routing goes through the caller's :class:`~repro.serving.router.Router`
 and ranks *groups*, not replicas: every replica of a group shares one
@@ -491,11 +493,16 @@ class _GroupCost:
     slowdown background fine-tuning jobs impose; folded into the cached
     values, which is the same single multiplication) and the group's live
     throttle factor from the shared ``throttle`` dict. Both are uniform in
-    the batch size, so the drain memo stays valid under them.
+    the batch size, so the drain memo stays valid under them, and both
+    are positive, so a non-decreasing table stays non-decreasing under
+    them and :meth:`largest_within` can bisect it.
     """
 
-    __slots__ = ("underlying", "_devices", "_tables", "_memo", "_throttle",
-                 "_scale")
+    __slots__ = ("underlying", "_devices", "_tables", "_sorted", "_memo",
+                 "_throttle", "_scale")
+
+    # The degraded mode's latency factor; only _DegradableCost changes it.
+    extra = 1.0
 
     def __init__(self, cost, devices: dict[str, str] | None = None,
                  throttle: dict[str, float] | None = None, scale: float = 1.0):
@@ -503,18 +510,29 @@ class _GroupCost:
         self._devices = devices or {}
         # label -> dense table; () when the cost model has none.
         self._tables: dict[str, tuple[float, ...]] = {}
+        # Labels whose dense table the cost model found non-decreasing.
+        self._sorted: set[str] = set()
         self._memo: dict[tuple[str, int], float] = {}
         self._throttle = throttle if throttle is not None else {}
         self._scale = scale
 
+    def _load(self, label: str) -> tuple[float, ...]:
+        """Fetch (and scale) the dense table behind ``label``."""
+        table: tuple[float, ...] = ()
+        if isinstance(self.underlying, AnchoredCostModel):
+            device = self.device_name(label)
+            table = self.underlying.curve(device)
+            if self.underlying.monotone(device):
+                self._sorted.add(label)
+            if self._scale != 1.0:
+                table = tuple(t * self._scale for t in table)
+        self._tables[label] = table
+        return table
+
     def latency(self, label: str, batch_size: int) -> float:
         table = self._tables.get(label)
         if table is None:
-            table = (self.underlying.curve(self.device_name(label))
-                     if isinstance(self.underlying, AnchoredCostModel) else ())
-            if self._scale != 1.0:
-                table = tuple(t * self._scale for t in table)
-            self._tables[label] = table
+            table = self._load(label)
         if 1 <= batch_size <= len(table):
             base = table[batch_size - 1]
         else:
@@ -531,6 +549,28 @@ class _GroupCost:
             if factor is not None:
                 base *= factor
         return base
+
+    def largest_within(self, label: str, hi: int, budget: float) -> int | None:
+        """The largest ``k <= hi`` with ``latency(label, k) <= budget`` (1
+        when there is none), by one bisection of the dense table.
+
+        ``None`` when the table is not non-decreasing or ends before
+        ``hi``: only a monotone search over ``latency`` is defined there.
+        The bisection key multiplies by the live throttle factor, then
+        by ``extra``, as :meth:`latency` does, so the answer is the one
+        a binary search over ``latency`` finds.
+        """
+        table = self._tables.get(label)
+        if table is None:
+            table = self._load(label)
+        if hi > len(table) or label not in self._sorted:
+            return None
+        factor = self._throttle.get(label, 1.0) if self._throttle else 1.0
+        extra = self.extra
+        if factor == 1.0 and extra == 1.0:
+            return bisect.bisect_right(table, budget, 0, hi) or 1
+        return bisect.bisect_right(table, budget, 0, hi,
+                                   key=lambda t: t * factor * extra) or 1
 
     def device_name(self, label: str) -> str:
         """Device model name behind a group label."""

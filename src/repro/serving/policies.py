@@ -97,12 +97,18 @@ class AdaptiveSLOPolicy(BatchingPolicy):
     """Largest batch whose predicted compute keeps the oldest request in SLO.
 
     With headroom ``safety * slo - oldest_wait`` remaining for the oldest
-    queued request, binary-search the largest ``k <= max_batch`` with
+    queued request, find the largest ``k <= max_batch`` with
     ``cost.latency(device, k) <= headroom`` (latency is monotone in batch
-    size). When the offered device cannot serve even a single request
-    within the remaining headroom, the oldest request is *held* — a faster
-    device in the pool may still land it — until its budget is actually
-    spent; from then on the policy stops protecting it and dispatches the
+    size). A cost adapter with ``largest_within`` (the serving engine's)
+    answers that with one bisection of its dense table; otherwise — a
+    callable cost model, a curve that is not non-decreasing, or a cap past
+    the last anchor — a binary search probes ``latency``. On a
+    non-decreasing curve both find the same ``k``.
+
+    When the offered device cannot serve even a single request within the
+    remaining headroom, the oldest request is *held* — a faster device in
+    the pool may still land it — until its budget is actually spent; from
+    then on the policy stops protecting it and dispatches the
     throughput-optimal batch size, which drains the backlog fastest and
     restores headroom for the requests behind it.
     """
@@ -144,6 +150,11 @@ class AdaptiveSLOPolicy(BatchingPolicy):
 
     def _largest_within(self, device: str, cost, budget: float) -> int:
         """Largest k in [1, max_batch] with latency(k) <= budget."""
+        search = getattr(cost, "largest_within", None)
+        if search is not None:
+            k = search(device, self.max_batch, budget)
+            if k is not None:
+                return k
         lo, hi = 1, self.max_batch
         while lo < hi:
             mid = (lo + hi + 1) // 2

@@ -256,9 +256,61 @@ _HEADER_TYPES: dict[str, type | tuple[type, ...]] = {
     "tables": dict, "meta": dict, "host_meta": dict, "key": (dict, type(None)),
 }
 
+#: The dtype each column's directory entry must name.
+_COLUMN_DTYPES = dict(KERNEL_COLUMN_SPEC + HOST_COLUMN_SPEC)
+_NP_DTYPES = {name: np.dtype(dtype) for name, dtype in _COLUMN_DTYPES.items()}
+#: Interned string ids are 63-bit (see string_id).
+_ID_LIMIT = 1 << 63
 
-def _parse_header(buf) -> tuple[dict, int]:
-    """Validated header dict + absolute data-section offset."""
+
+def _check_directory(header: dict, data_size: int) -> None:
+    """Every column block and string id is in range before anything maps
+    or looks it up: a block is a known column of its schema dtype, with
+    an int count and a non-negative 64-byte-aligned int offset, inside the
+    ``data_size``-byte data section; a string id is an int in
+    ``[0, 2**63)``. ``type(x) is int`` rejects JSON ``true``/``false``
+    (bool is an int subclass) as well as floats."""
+    for entry in header["columns"]:
+        if type(entry) is not dict:
+            raise TraceFormatError(f"column entry is a JSON "
+                                   f"{type(entry).__name__}, not an object")
+        name, count, offset = entry.get("name"), entry.get("count"), entry.get("offset")
+        if type(name) is not str or name not in _COLUMN_DTYPES:
+            raise TraceFormatError(f"unknown column {name!r}")
+        if entry.get("dtype") != _COLUMN_DTYPES[name]:
+            raise TraceFormatError(f"column {name!r} has dtype "
+                                   f"{entry.get('dtype')!r}, not "
+                                   f"{_COLUMN_DTYPES[name]!r}")
+        if type(count) is not int or count < 0:
+            raise TraceFormatError(f"column {name!r} count must be a "
+                                   f"non-negative int, got {count!r}")
+        if type(offset) is not int or offset < 0 or offset % ALIGN:
+            raise TraceFormatError(f"column {name!r} offset must be a "
+                                   f"non-negative multiple of {ALIGN}, "
+                                   f"got {offset!r}")
+        if count and offset + count * _NP_DTYPES[name].itemsize > data_size:
+            raise TraceFormatError(
+                f"column {name!r} extends past end of file")
+    for name in TABLE_NAMES:
+        spec = header["tables"].get(name)
+        if type(spec) is dict and "strings" in spec:
+            strings = spec["strings"]
+            if (type(strings) is not list
+                    or not all(type(s) is str for s in strings)):
+                raise TraceFormatError(f"table {name!r} strings must be a "
+                                       f"list of strings")
+        elif type(spec) is dict and type(spec.get("ids")) is list:
+            for i in spec["ids"]:
+                if type(i) is not int or not 0 <= i < _ID_LIMIT:
+                    raise TraceFormatError(f"table {name!r} string id must "
+                                           f"be an int in [0, 2**63), got {i!r}")
+        else:
+            raise TraceFormatError(f"table {name!r} has neither strings nor ids")
+
+
+def _parse_header(buf, file_size: int) -> tuple[dict, int]:
+    """Validated header dict + absolute data-section offset, for a file of
+    ``file_size`` bytes whose first bytes are ``buf``."""
     if len(buf) < 16:
         raise TraceFormatError(f"file too short for a v5 header ({len(buf)} bytes)")
     if bytes(buf[:8]) != MAGIC:
@@ -285,7 +337,9 @@ def _parse_header(buf) -> tuple[dict, int]:
             raise TraceFormatError(
                 f"header field {name!r} has the wrong type "
                 f"({type(value).__name__})")
-    return header, _align_up(16 + header_len)
+    data_start = _align_up(16 + header_len)
+    _check_directory(header, file_size - data_start)
+    return header, data_start
 
 
 def read_header(path: str | os.PathLike) -> dict:
@@ -296,7 +350,8 @@ def read_header(path: str | os.PathLike) -> dict:
             raise TraceFormatError(f"{path}: not a v5 trace file")
         header_len = int.from_bytes(prefix[12:16], "little")
         blob = prefix + fh.read(header_len)
-    header, _ = _parse_header(blob)
+        file_size = os.fstat(fh.fileno()).st_size
+    header, _ = _parse_header(blob, file_size)
     return header
 
 
@@ -304,12 +359,10 @@ def _resolve_table(spec: dict, interner: StringInterner | None,
                    name: str) -> tuple[str, ...]:
     if "strings" in spec:
         return tuple(spec["strings"])
-    if "ids" in spec:
-        if interner is None:
-            raise TraceFormatError(
-                f"table {name!r} uses interned ids but no sidecar is available")
-        return interner.resolve(spec["ids"])
-    raise TraceFormatError(f"table {name!r} has neither strings nor ids")
+    if interner is None:
+        raise TraceFormatError(
+            f"table {name!r} uses interned ids but no sidecar is available")
+    return interner.resolve(spec["ids"])
 
 
 def read_entry(path: str | os.PathLike,
@@ -325,24 +378,19 @@ def read_entry(path: str | os.PathLike,
 
     with open(path, "rb") as fh:
         mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    header, data_start = _parse_header(mm)
+    header, data_start = _parse_header(mm, len(mm))
 
     tables = {name: _resolve_table(header["tables"][name], interner, name)
               for name in TABLE_NAMES}
 
     arrays: dict[str, np.ndarray] = {}
     for entry in header["columns"]:
-        dtype = np.dtype(entry["dtype"])
-        count = int(entry["count"])
-        if count == 0:
-            arrays[entry["name"]] = np.empty(0, dtype=dtype)
-            continue
-        offset = data_start + int(entry["offset"])
-        if offset + count * dtype.itemsize > len(mm):
-            raise TraceFormatError(
-                f"column {entry['name']!r} extends past end of file")
-        arrays[entry["name"]] = np.frombuffer(mm, dtype=dtype, count=count,
-                                              offset=offset)
+        dtype = _NP_DTYPES[entry["name"]]
+        count = entry["count"]
+        arrays[entry["name"]] = (
+            np.frombuffer(mm, dtype=dtype, count=count,
+                          offset=data_start + entry["offset"])
+            if count else np.empty(0, dtype=dtype))
 
     columns = TraceColumns.from_buffers(
         n=int(header["n"]), host_n=int(header["host_n"]),

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.cli import main
 from repro.core.suite import BenchmarkSuite
-from repro.profiling.profiler import price_batches
+from repro.profiling.profiler import MMBenchProfiler, price_batches
 from repro.profiling.report import format_seconds
 from repro.trace.store import default_store
 
@@ -202,6 +202,26 @@ class TestSuiteIngest:
         assert result.batch_size == 1  # the graph's own batch size
 
     def test_suite_ingest_batch_override(self):
+        """A batch override reprices the graph at that batch (the price
+        ``ingest --report --batch-size`` prints), not just relabels it."""
         suite = BenchmarkSuite("2080ti")
-        result = suite.ingest(str(FIXTURES / "cnn_forward.json"), batch_size=4)
-        assert result.batch_size == 4
+        native = suite.ingest(str(FIXTURES / "cnn_forward.json"))
+        stored = default_store().get_or_ingest(FIXTURES / "cnn_forward.json")
+        for batch_size in (4, 64):
+            result = suite.ingest(str(FIXTURES / "cnn_forward.json"),
+                                  batch_size=batch_size)
+            [[priced]] = price_batches(stored, 1, [batch_size], ["2080ti"])
+            assert result.batch_size == batch_size
+            assert result.total_time == priced.total_time > native.total_time
+            assert result.flops == 16896 * batch_size
+
+    def test_suite_ingest_native_batch_is_profile_stored(self):
+        suite = BenchmarkSuite("2080ti")
+        stored = default_store().get_or_ingest(FIXTURES / "cnn_forward.json")
+        expected = MMBenchProfiler("2080ti").profile_stored(stored, 1)
+        for batch_size in (None, 1):
+            result = suite.ingest(str(FIXTURES / "cnn_forward.json"),
+                                  batch_size=batch_size)
+            assert result.batch_size == 1
+            assert result.total_time == expected.total_time
+            assert result.flops == expected.flops == 16896

@@ -1,11 +1,13 @@
-"""Seeded fuzzing of the serve front end's untrusted text.
+"""Seeded fuzzing of the program's untrusted inputs.
 
-Three kinds of input reach the program from outside: the ``--groups``,
-``--autoscale`` and ``--devices`` specs, fault-plan JSON, and
-execution-graph JSON. Each is mutated here from valid seeds and fed to
-its parser; the only exception allowed to escape is the module's own
-structured error. Everything is derandomized (fixed seeds, fixed
-counts), so a failure names a reproducible case:
+Four kinds of input reach the program from outside: the ``--groups``,
+``--autoscale`` and ``--devices`` specs, fault-plan JSON,
+execution-graph JSON and the trace store's ``.mmt`` files. Each is
+mutated here from valid seeds and fed to its parser (a ``.mmt`` file to
+every store read and to ``mmbench store ls|lint``); the only exception
+allowed to escape is the module's own structured error. Everything is
+derandomized (fixed seeds, fixed counts), so a failure names a
+reproducible case:
 
     python -m pytest tests/property/test_untrusted_inputs_fuzz.py
 
@@ -15,7 +17,9 @@ other ``random.Random`` seeds.
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
 import json
 import math
 import random
@@ -23,12 +27,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.cli import _parse_devices
+from repro.core.cli import _parse_devices, main
 from repro.lint import LintReport, lint_fault_plan, lint_graph, lint_trace
 from repro.serving import FaultPlan, parse_autoscale, parse_groups, validate_fault_plan
 from repro.serving.faults import FaultPlanError
 from repro.serving.fleet import FleetConfigError
+from repro.trace import binfmt
 from repro.trace.ingest import IngestError, ingest_graph
+from repro.trace.store import TraceKey, TraceStore
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "execution_graphs"
 
@@ -158,3 +164,95 @@ def test_graphs_raise_only_ingest_errors_and_lint_to_diagnostics():
         except IngestError:
             continue
         assert isinstance(lint_trace(ingested), LintReport)
+
+
+MMT_KEYS = ("columns", "tables", "name", "dtype", "count", "offset", "ids",
+            "strings", "n", "host_n", "meta", "host_meta", "key", "extra",
+            "modalities", "model_name", "parameters", "parameter_bytes",
+            "input_bytes", "schema")
+
+
+def _split_mmt(blob: bytes) -> tuple[dict, bytes]:
+    """A ``.mmt`` file's header JSON and its data section."""
+    header_len = int.from_bytes(blob[12:16], "little")
+    return (json.loads(blob[16:16 + header_len]),
+            blob[binfmt._align_up(16 + header_len):])
+
+
+def _join_mmt(blob: bytes, header: dict, data: bytes) -> bytes:
+    """``blob``'s file with its header replaced and ``data`` after it."""
+    new = json.dumps(header).encode()
+    pad = binfmt._align_up(16 + len(new)) - 16 - len(new)
+    return blob[:12] + len(new).to_bytes(4, "little") + new + b"\0" * pad + data
+
+
+def _mutate_mmt(rng: random.Random, blob: bytes) -> bytes:
+    """Header-field edits (``_mutate_json``, mostly on the column directory
+    and the string tables, whose values index into the file and the
+    sidecar), one to four raw byte edits, or a truncation."""
+    op = rng.randrange(4)
+    if op < 2:
+        header, data = _split_mmt(blob)
+        part = rng.choice(("columns", "tables", None))
+        if part is None:
+            header = _mutate_json(rng, header, MMT_KEYS)
+        else:
+            header[part] = _mutate_json(rng, header[part], MMT_KEYS)
+        return _join_mmt(blob, header, data)
+    if op == 2:
+        return blob[:rng.randrange(len(blob))]
+    out = bytearray(blob)
+    header_end = 16 + int.from_bytes(blob[12:16], "little")
+    for _ in range(rng.randint(1, 4)):
+        # Half the edits land in the prefix or the header, the rest anywhere.
+        pos = rng.randrange(header_end if rng.random() < 0.5 else len(out))
+        out[pos] = rng.randrange(256)
+    return bytes(out)
+
+
+def _quiet_main(argv: list[str]) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+def test_trace_store_files_fail_only_as_corrupt_entries(tmp_path):
+    """A mutated ``.mmt`` entry is read by every store path and the store
+    CLI; it either loads or is a corrupt entry, never a raw exception."""
+    seed_dir = tmp_path / "seed"
+    store = TraceStore(seed_dir)
+    store.get_or_capture("avmnist", batch_size=2, backend="meta")
+    store.get_or_ingest(FIXTURES / "cnn_forward.json")
+    seeds = [p.read_bytes() for p in sorted(seed_dir.glob("*.mmt"))]
+    assert len(seeds) == 2
+    sidecar = (seed_dir / TraceStore.INTERNING_SIDECAR).read_bytes()
+
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / TraceStore.INTERNING_SIDECAR).write_bytes(sidecar)
+    rng = random.Random(23)
+    for _ in range(150):
+        seed = rng.choice(seeds)
+        key = TraceKey(**_split_mmt(seed)[0]["key"])
+        path = cache / f"{key.digest()}.mmt"
+        blob = _mutate_mmt(rng, seed)
+        for stale in cache.glob("*.mmt*"):
+            stale.unlink()
+
+        path.write_bytes(blob)
+        [info] = TraceStore(cache).entries()
+        assert info["status"] in ("ok", "corrupt")
+        assert _quiet_main(["store", "ls", "--cache-dir", str(cache)]) == 0
+        assert _quiet_main(["store", "lint", "--cache-dir", str(cache)]) in (0, 1)
+
+        path.write_bytes(blob)
+        try:
+            TraceStore(cache).load_digest(key.digest()[:12])
+        except KeyError:
+            pass
+
+        path.write_bytes(blob)
+        cold = TraceStore(cache)
+        if cold.get(key) is None:
+            assert cold.stats["misses"] == cold.stats["corrupt"] == 1
+            assert not path.exists()

@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import gzip
 import json
+import math
 import multiprocessing
 
 import numpy as np
@@ -227,10 +228,46 @@ class TestDiskRoundTrip:
             engine_total(captured), rel=1e-9)
 
 
-#: Headers of the wrong JSON shape (or of another schema): each must count
-#: as a corrupt file, never escape the store as a raw AttributeError or
-#: KeyError.
+def set_column(field, value):
+    """A header mutation: the first column's directory ``field`` := ``value``."""
+    return lambda header: {**header, "columns": [
+        {**header["columns"][0], field: value}, *header["columns"][1:]]}
+
+
+def set_string_id(value):
+    """A header mutation: the first interned kernel-name id := ``value``."""
+    def mutate(header):
+        table = header["tables"]["name_table"]
+        ids = [value, *table["ids"][1:]]
+        return {**header, "tables": {**header["tables"],
+                                     "name_table": {**table, "ids": ids}}}
+    return mutate
+
+
+#: Headers of the wrong JSON shape (or of another schema), and column
+#: directories or string ids out of range: each must count as a corrupt
+#: file, never escape the store as a raw AttributeError, KeyError or
+#: OverflowError, nor map a block from outside the data section. The
+#: infinite ids, counts and offsets are crashes the ``.mmt`` fuzz target
+#: in tests/property/test_untrusted_inputs_fuzz.py found.
 MALFORMED_HEADERS = {
+    "string-id-is-infinity": set_string_id(math.inf),
+    "string-id-is-a-float": set_string_id(1.0),
+    "string-id-past-63-bits": set_string_id(1 << 63),
+    "string-ids-is-a-number": lambda header: {**header, "tables": {
+        **header["tables"], "name_table": {"ids": 5}}},
+    "strings-are-numbers": lambda header: {**header, "tables": {
+        **header["tables"], "name_table": {"strings": [1, 2]}}},
+    "column-count-is-infinity": set_column("count", math.inf),
+    "column-count-is-a-float": set_column("count", 32.0),
+    "column-offset-is-infinity": set_column("offset", math.inf),
+    "column-offset-is-negative": set_column("offset", -64),
+    "column-offset-is-unaligned": set_column("offset", 8),
+    "column-past-data-section": set_column("offset", 1 << 20),
+    "column-dtype-is-float32": set_column("dtype", "<f4"),
+    "column-name-is-unknown": set_column("name", "flopz"),
+    "column-entry-is-a-list": lambda header: {**header, "columns": [
+        [1], *header["columns"][1:]]},
     "header-is-a-list": lambda header: [5],
     "meta-is-a-list": lambda header: {**header, "meta": [1]},
     "n-missing": lambda header: {k: v for k, v in header.items() if k != "n"},
