@@ -746,15 +746,13 @@ def _cmd_store(args, _checked) -> int:
     # "lint": the last of the four actions argparse allows
     from repro.lint import LintReport, lint_trace
 
+    # Entries are read in place, never quarantined; an unreadable one is
+    # skipped and fails the command, since nothing vouched for it.
     merged = LintReport()
     skipped = 0
     for info in store.entries():
-        if info["status"] != "ok":
-            skipped += 1
-            continue
-        try:
-            entry = store.load_digest(info["digest"])
-        except KeyError:
+        entry = store.peek(info["path"]) if info["status"] == "ok" else None
+        if entry is None:
             skipped += 1
             continue
         key = info["key"] or {}
@@ -765,7 +763,8 @@ def _cmd_store(args, _checked) -> int:
     if skipped:
         print(f"lint [{cache_dir}]: skipped {skipped} unreadable "
               f"entr{'y' if skipped == 1 else 'ies'}", file=sys.stderr)
-    return _finish_lint(merged, args)
+    status = _finish_lint(merged, args)
+    return 1 if skipped else status
 
 
 def _add_lint_options(sub_parser) -> None:
@@ -981,7 +980,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("ls", "list every disk entry (key, size, status)"),
         ("stats", "aggregate corpus statistics"),
         ("gc", "remove stale, quarantined and torn-write files"),
-        ("lint", "lint every readable entry in the store"),
+        ("lint", "lint every entry in the store (an unreadable one fails)"),
     ):
         action_p = store_sub.add_parser(action, help=help_text)
         action_p.add_argument("--cache-dir", default=None, metavar="DIR",

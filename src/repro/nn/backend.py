@@ -108,6 +108,8 @@ def _broadcast(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         return a
     if not a:
         return b
+    if len(a) > len(b) and a[len(a) - len(b):] == b:  # a bias against a batch
+        return a
     n = max(len(a), len(b))
     out = []
     for x, y in zip((1,) * (n - len(a)) + a, (1,) * (n - len(b)) + b):
@@ -121,31 +123,48 @@ def _broadcast(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 _BOOL = np.dtype(bool)
-
-
-def _dtype_key(x):
-    """One operand's part of a result-dtype memo key.
-
-    Arrays and numpy scalars key by dtype. Python scalars key by type:
-    under NEP 50 an ``int``/``float``/``complex`` promotes weakly, by kind
-    and never by value, and a ``bool`` promotes like numpy's bool.
-    """
-    if isinstance(x, (MetaArray, np.ndarray, np.generic)):
-        return x.dtype
-    return _BOOL if type(x) is bool else type(x)
-
+_PYTHON_SCALARS = frozenset((bool, int, float, complex))
 
 #: (ufunc, *operand keys) -> the result dtype numpy resolves for them.
 _UFUNC_DTYPES: dict[tuple, np.dtype] = {}
 
 
-def _ufunc_dtype(ufunc, inputs) -> np.dtype:
-    key = (ufunc, *[_dtype_key(x) for x in inputs])
+def _ufunc_meta(ufunc, inputs) -> "MetaArray":
+    """The shape-only result of ``ufunc(*inputs)``: the one rule behind
+    ``__array_ufunc__`` and the operator dunders.
+
+    Each operand gives its shape and its part of a result-dtype memo key.
+    Arrays (meta or real) and numpy scalars key by dtype. Python scalars
+    are shapeless and key by type: under NEP 50 an ``int``/``float``/
+    ``complex`` promotes weakly, by kind and never by value, and a
+    ``bool`` promotes like numpy's bool. Shapes broadcast in pure Python
+    (``np.matmul`` contracts instead); the dtype is numpy's own
+    resolution, asked once per key and memoized.
+    """
+    key = [ufunc]
+    shape = None
+    for x in inputs:
+        cls = type(x)
+        if cls is MetaArray or cls is np.ndarray or (
+                cls not in _PYTHON_SCALARS
+                and isinstance(x, (np.ndarray, np.generic))):
+            key.append(x.dtype)
+            s = x.shape
+        else:
+            key.append(_BOOL if cls is bool else cls)
+            s = ()
+        if shape is None:
+            shape = s
+        elif ufunc is np.matmul:
+            shape = _matmul_shape(shape, s)
+        elif shape != s:
+            shape = _broadcast(shape, s)
+    key = tuple(key)
     dtype = _UFUNC_DTYPES.get(key)
     if dtype is None:
         resolved = ufunc.resolve_dtypes(key[1:] + (None,) * ufunc.nout)
         dtype = _UFUNC_DTYPES[key] = resolved[ufunc.nin]
-    return dtype
+    return _meta(shape, dtype)
 
 
 #: Bounded memo of view shapes: (op, shape, dtype, args) -> (shape, dtype).
@@ -174,8 +193,9 @@ def _basic_index_key(index):
     for item in index if type(index) is tuple else (index,):
         if type(item) is slice:
             bounds = (item.start, item.stop, item.step)
-            if any(b is not None and type(b) is not int for b in bounds):
-                return None
+            for b in bounds:
+                if b is not None and type(b) is not int:
+                    return None
             key.append(bounds)
         elif type(item) is int or item is None or item is Ellipsis:
             key.append(item)
@@ -246,7 +266,7 @@ class MetaArray:
     __slots__ = ("shape", "dtype", "size")
 
     def __init__(self, shape, dtype=np.float32):
-        shape = tuple(int(d) for d in shape)
+        shape = tuple(map(int, shape))
         _SET_SHAPE(self, shape)
         _SET_DTYPE(self, np.dtype(dtype))
         _SET_SIZE(self, math.prod(shape))
@@ -306,22 +326,15 @@ class MetaArray:
     def reshape(self, *shape) -> "MetaArray":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        shape = tuple(int(d) for d in shape)
-        negatives = [i for i, d in enumerate(shape) if d < 0]
-        if len(negatives) > 1:
-            raise ValueError("can only specify one unknown dimension")
-        if negatives:
-            known = 1
-            for d in shape:
-                if d >= 0:
-                    known *= d
+        shape = tuple(map(int, shape))
+        if shape and min(shape) < 0:
+            if sum(d < 0 for d in shape) > 1:
+                raise ValueError("can only specify one unknown dimension")
+            known = math.prod(d for d in shape if d >= 0)
             if known == 0 or self.size % known:
                 raise ValueError(f"cannot reshape array of size {self.size} into shape {shape}")
             shape = tuple(self.size // known if d < 0 else d for d in shape)
-        new_size = 1
-        for d in shape:
-            new_size *= d
-        if new_size != self.size:
+        if math.prod(shape) != self.size:
             raise ValueError(f"cannot reshape array of size {self.size} into shape {shape}")
         return _meta(shape, self.dtype)
 
@@ -385,14 +398,7 @@ class MetaArray:
     def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
         if method != "__call__" or out is not None:
             return NotImplemented
-        if ufunc is np.matmul:
-            a, b = inputs
-            shape = _matmul_shape(_shape_of(a), _shape_of(b))
-        else:
-            shape = _shape_of(inputs[0])
-            for x in inputs[1:]:
-                shape = _broadcast(shape, _shape_of(x))
-        return _meta(shape, _ufunc_dtype(ufunc, inputs))
+        return _ufunc_meta(ufunc, inputs)
 
     def __array_function__(self, func, types, args, kwargs):
         impl = _HANDLED_FUNCTIONS.get(func)
@@ -400,58 +406,55 @@ class MetaArray:
             return NotImplemented
         return impl(*args, **kwargs)
 
-    # -- operator dunders (route through __array_ufunc__) ---------------------------
-
-    def _binop(self, ufunc, a, b):
-        return self.__array_ufunc__(ufunc, "__call__", a, b)
+    # -- operator dunders (the same rule as __array_ufunc__) ------------------------
 
     def __add__(self, other):
-        return self._binop(np.add, self, other)
+        return _ufunc_meta(np.add, (self, other))
 
     def __radd__(self, other):
-        return self._binop(np.add, other, self)
+        return _ufunc_meta(np.add, (other, self))
 
     def __sub__(self, other):
-        return self._binop(np.subtract, self, other)
+        return _ufunc_meta(np.subtract, (self, other))
 
     def __rsub__(self, other):
-        return self._binop(np.subtract, other, self)
+        return _ufunc_meta(np.subtract, (other, self))
 
     def __mul__(self, other):
-        return self._binop(np.multiply, self, other)
+        return _ufunc_meta(np.multiply, (self, other))
 
     def __rmul__(self, other):
-        return self._binop(np.multiply, other, self)
+        return _ufunc_meta(np.multiply, (other, self))
 
     def __truediv__(self, other):
-        return self._binop(np.true_divide, self, other)
+        return _ufunc_meta(np.true_divide, (self, other))
 
     def __rtruediv__(self, other):
-        return self._binop(np.true_divide, other, self)
+        return _ufunc_meta(np.true_divide, (other, self))
 
     def __pow__(self, other):
-        return self._binop(np.power, self, other)
+        return _ufunc_meta(np.power, (self, other))
 
     def __matmul__(self, other):
-        return self._binop(np.matmul, self, other)
+        return _ufunc_meta(np.matmul, (self, other))
 
     def __rmatmul__(self, other):
-        return self._binop(np.matmul, other, self)
+        return _ufunc_meta(np.matmul, (other, self))
 
     def __neg__(self):
         return _meta(self.shape, self.dtype)
 
     def __gt__(self, other):
-        return self._binop(np.greater, self, other)
+        return _ufunc_meta(np.greater, (self, other))
 
     def __ge__(self, other):
-        return self._binop(np.greater_equal, self, other)
+        return _ufunc_meta(np.greater_equal, (self, other))
 
     def __lt__(self, other):
-        return self._binop(np.less, self, other)
+        return _ufunc_meta(np.less, (self, other))
 
     def __le__(self, other):
-        return self._binop(np.less_equal, self, other)
+        return _ufunc_meta(np.less_equal, (self, other))
 
 
 _NEW = object.__new__

@@ -24,14 +24,28 @@ extended to full training steps.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.nn.backend import MetaArray, _meta, is_meta, meta_array, meta_like
 from repro.nn.tensor import DEFAULT_DTYPE, Tensor, as_tensor, is_grad_enabled
+from repro.trace import tracer as _tracer
 from repro.trace.events import KernelCategory, PASS_BACKWARD
-from repro.trace.tracer import UNSET, active_tracer, emit_kernel
+from repro.trace.tracer import UNSET, emit_kernel
 
 _ITEMSIZE = np.dtype(DEFAULT_DTYPE).itemsize
+
+# Kernel categories as module constants: every op reads one per launch,
+# and an enum member read costs more than a global one.
+_CONV = KernelCategory.CONV
+_BNORM = KernelCategory.BNORM
+_ELEWISE = KernelCategory.ELEWISE
+_POOLING = KernelCategory.POOLING
+_RELU = KernelCategory.RELU
+_GEMM = KernelCategory.GEMM
+_REDUCE = KernelCategory.REDUCE
+_OTHER = KernelCategory.OTHER
 
 
 def _contig(x):
@@ -45,26 +59,22 @@ def _contig(x):
 
 def _make(data, parents, backward, name="") -> Tensor:
     """Build an output tensor, wiring the graph only when grad is enabled."""
-    requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=requires, name=name)
-    if requires:
-        out._parents = tuple(parents)
-        out._backward = backward
+    out = Tensor(data, name=name)
+    if is_grad_enabled():
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = tuple(parents)
+                out._backward = backward
+                break
     return out
 
 
 def _emit(name, category, flops, inputs_bytes, out_bytes, threads, coalesced=1.0, reuse=1.0, **meta):
-    emit_kernel(
-        name,
-        category,
-        flops=flops,
-        bytes_read=inputs_bytes,
-        bytes_written=out_bytes,
-        threads=threads,
-        coalesced_fraction=coalesced,
-        reuse_factor=reuse,
-        **meta,
-    )
+    """Emit one forward kernel in the tracer's current context."""
+    if _tracer._ACTIVE is not None:
+        emit_kernel(name, category, flops, inputs_bytes, out_bytes, threads,
+                    coalesced, reuse, None, UNSET, None, **meta)
 
 
 # ---------------------------------------------------------------------------
@@ -80,31 +90,20 @@ def _emit(name, category, flops, inputs_bytes, out_bytes, threads, coalesced=1.0
 
 
 def _ctx():
-    """Snapshot (stage, modality) for this op's backward emissions."""
-    tracer = active_tracer()
-    if tracer is None:
-        return None
-    return (tracer.current_stage, tracer.current_modality)
+    """Snapshot the tracer's (stage, modality, pass) context for this op's
+    backward emissions (None when no tracer is active)."""
+    tracer = _tracer._ACTIVE
+    return None if tracer is None else tracer.context
 
 
 def _emit_bwd(ctx, name, category, flops, inputs_bytes, out_bytes, threads,
               coalesced=1.0, reuse=1.0, **meta):
     """Emit one backward kernel carrying the forward op's context."""
-    stage, modality = ctx if ctx is not None else (None, UNSET)
-    emit_kernel(
-        name,
-        category,
-        flops=flops,
-        bytes_read=inputs_bytes,
-        bytes_written=out_bytes,
-        threads=threads,
-        coalesced_fraction=coalesced,
-        reuse_factor=reuse,
-        stage=stage,
-        modality=modality,
-        pass_=PASS_BACKWARD,
-        **meta,
-    )
+    if _tracer._ACTIVE is None:
+        return
+    stage, modality = (None, UNSET) if ctx is None else ctx[:2]
+    emit_kernel(name, category, flops, inputs_bytes, out_bytes, threads,
+                coalesced, reuse, stage, modality, PASS_BACKWARD, **meta)
 
 
 _GRAD_DTYPE = np.dtype(DEFAULT_DTYPE)
@@ -154,7 +153,7 @@ def _binary_elementwise(a: Tensor, b: Tensor, fwd, bwd_a, bwd_b, opname: str,
     def backward(grad):
         active = int(a.requires_grad) + int(b.requires_grad)
         _emit_bwd(
-            ctx, f"{opname}_bwd", KernelCategory.ELEWISE,
+            ctx, f"{opname}_bwd", _ELEWISE,
             flops=bwd_flops_per_out * data.size * active,
             inputs_bytes=float(out_bytes + a.nbytes + b.nbytes),
             out_bytes=float((a.nbytes if a.requires_grad else 0)
@@ -170,7 +169,7 @@ def _binary_elementwise(a: Tensor, b: Tensor, fwd, bwd_a, bwd_b, opname: str,
 
     _emit(
         opname,
-        KernelCategory.ELEWISE,
+        _ELEWISE,
         flops=data.size,
         inputs_bytes=a.nbytes + b.nbytes,
         out_bytes=out_bytes,
@@ -218,11 +217,11 @@ def neg(a: Tensor) -> Tensor:
     ctx = _ctx()
 
     def backward(grad):
-        if _unary_bwd(ctx, a, grad, "neg_bwd", KernelCategory.ELEWISE, a.size):
+        if _unary_bwd(ctx, a, grad, "neg_bwd", _ELEWISE, a.size):
             return
         a.accumulate_grad(-grad)
 
-    _emit("neg", KernelCategory.ELEWISE, data.size, a.nbytes, data.nbytes, data.size)
+    _emit("neg", _ELEWISE, data.size, a.nbytes, data.nbytes, data.size)
     return _make(data, (a,), backward, name="neg")
 
 
@@ -231,12 +230,12 @@ def pow_(a: Tensor, exponent: float) -> Tensor:
     ctx = _ctx()
 
     def backward(grad):
-        if _unary_bwd(ctx, a, grad, "pow_bwd", KernelCategory.ELEWISE,
+        if _unary_bwd(ctx, a, grad, "pow_bwd", _ELEWISE,
                       3 * a.size, extra_read=a.nbytes):
             return
         a.accumulate_grad(grad * exponent * a.data ** (exponent - 1))
 
-    _emit("pow", KernelCategory.ELEWISE, 2 * data.size, a.nbytes, data.nbytes, data.size)
+    _emit("pow", _ELEWISE, 2 * data.size, a.nbytes, data.nbytes, data.size)
     return _make(data, (a,), backward, name="pow")
 
 
@@ -245,12 +244,12 @@ def exp(a: Tensor) -> Tensor:
     ctx = _ctx()
 
     def backward(grad):
-        if _unary_bwd(ctx, a, grad, "exp_bwd", KernelCategory.ELEWISE,
+        if _unary_bwd(ctx, a, grad, "exp_bwd", _ELEWISE,
                       a.size, extra_read=data.nbytes):
             return
         a.accumulate_grad(grad * data)
 
-    _emit("exp", KernelCategory.ELEWISE, 4 * data.size, a.nbytes, data.nbytes, data.size)
+    _emit("exp", _ELEWISE, 4 * data.size, a.nbytes, data.nbytes, data.size)
     return _make(data, (a,), backward, name="exp")
 
 
@@ -259,12 +258,12 @@ def log(a: Tensor) -> Tensor:
     ctx = _ctx()
 
     def backward(grad):
-        if _unary_bwd(ctx, a, grad, "log_bwd", KernelCategory.ELEWISE,
+        if _unary_bwd(ctx, a, grad, "log_bwd", _ELEWISE,
                       a.size, extra_read=a.nbytes):
             return
         a.accumulate_grad(grad / a.data)
 
-    _emit("log", KernelCategory.ELEWISE, 4 * data.size, a.nbytes, data.nbytes, data.size)
+    _emit("log", _ELEWISE, 4 * data.size, a.nbytes, data.nbytes, data.size)
     return _make(data, (a,), backward, name="log")
 
 
@@ -273,12 +272,12 @@ def sqrt(a: Tensor) -> Tensor:
     ctx = _ctx()
 
     def backward(grad):
-        if _unary_bwd(ctx, a, grad, "sqrt_bwd", KernelCategory.ELEWISE,
+        if _unary_bwd(ctx, a, grad, "sqrt_bwd", _ELEWISE,
                       2 * a.size, extra_read=data.nbytes):
             return
         a.accumulate_grad(grad * 0.5 / np.maximum(data, 1e-12))
 
-    _emit("sqrt", KernelCategory.ELEWISE, 2 * data.size, a.nbytes, data.nbytes, data.size)
+    _emit("sqrt", _ELEWISE, 2 * data.size, a.nbytes, data.nbytes, data.size)
     return _make(data, (a,), backward, name="sqrt")
 
 
@@ -292,12 +291,12 @@ def relu(a: Tensor) -> Tensor:
     ctx = _ctx()
 
     def backward(grad):
-        if _unary_bwd(ctx, a, grad, "relu_bwd", KernelCategory.RELU,
+        if _unary_bwd(ctx, a, grad, "relu_bwd", _RELU,
                       a.size, extra_read=a.nbytes):
             return
         a.accumulate_grad(grad * (a.data > 0))
 
-    _emit("relu", KernelCategory.RELU, data.size, a.nbytes, data.nbytes, data.size)
+    _emit("relu", _RELU, data.size, a.nbytes, data.nbytes, data.size)
     return _make(data, (a,), backward, name="relu")
 
 
@@ -306,12 +305,12 @@ def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
     ctx = _ctx()
 
     def backward(grad):
-        if _unary_bwd(ctx, a, grad, "leaky_relu_bwd", KernelCategory.RELU,
+        if _unary_bwd(ctx, a, grad, "leaky_relu_bwd", _RELU,
                       2 * a.size, extra_read=a.nbytes):
             return
         a.accumulate_grad(grad * np.where(a.data > 0, 1.0, slope).astype(DEFAULT_DTYPE))
 
-    _emit("leaky_relu", KernelCategory.RELU, 2 * data.size, a.nbytes, data.nbytes, data.size)
+    _emit("leaky_relu", _RELU, 2 * data.size, a.nbytes, data.nbytes, data.size)
     return _make(data, (a,), backward, name="leaky_relu")
 
 
@@ -320,12 +319,12 @@ def sigmoid(a: Tensor) -> Tensor:
     ctx = _ctx()
 
     def backward(grad):
-        if _unary_bwd(ctx, a, grad, "sigmoid_bwd", KernelCategory.ELEWISE,
+        if _unary_bwd(ctx, a, grad, "sigmoid_bwd", _ELEWISE,
                       3 * a.size, extra_read=data.nbytes):
             return
         a.accumulate_grad(grad * data * (1.0 - data))
 
-    _emit("sigmoid", KernelCategory.ELEWISE, 5 * data.size, a.nbytes, data.nbytes, data.size)
+    _emit("sigmoid", _ELEWISE, 5 * data.size, a.nbytes, data.nbytes, data.size)
     return _make(data, (a,), backward, name="sigmoid")
 
 
@@ -334,12 +333,12 @@ def tanh(a: Tensor) -> Tensor:
     ctx = _ctx()
 
     def backward(grad):
-        if _unary_bwd(ctx, a, grad, "tanh_bwd", KernelCategory.ELEWISE,
+        if _unary_bwd(ctx, a, grad, "tanh_bwd", _ELEWISE,
                       3 * a.size, extra_read=data.nbytes):
             return
         a.accumulate_grad(grad * (1.0 - data * data))
 
-    _emit("tanh", KernelCategory.ELEWISE, 6 * data.size, a.nbytes, data.nbytes, data.size)
+    _emit("tanh", _ELEWISE, 6 * data.size, a.nbytes, data.nbytes, data.size)
     return _make(data, (a,), backward, name="tanh")
 
 
@@ -352,13 +351,13 @@ def gelu(a: Tensor) -> Tensor:
     ctx = _ctx()
 
     def backward(grad):
-        if _unary_bwd(ctx, a, grad, "gelu_bwd", KernelCategory.ELEWISE,
+        if _unary_bwd(ctx, a, grad, "gelu_bwd", _ELEWISE,
                       10 * a.size, extra_read=a.nbytes + t.nbytes):
             return
         dt = (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * a.data**2)
         a.accumulate_grad(grad * (0.5 * (1.0 + t) + 0.5 * a.data * dt))
 
-    _emit("gelu", KernelCategory.ELEWISE, 12 * data.size, a.nbytes, data.nbytes, data.size)
+    _emit("gelu", _ELEWISE, 12 * data.size, a.nbytes, data.nbytes, data.size)
     return _make(data.astype(DEFAULT_DTYPE), (a,), backward, name="gelu")
 
 
@@ -374,7 +373,7 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
     def backward(grad):
         # Broadcast of the (small) output gradient back over the input.
-        _emit_bwd(ctx, "reduce_sum_bwd", KernelCategory.ELEWISE,
+        _emit_bwd(ctx, "reduce_sum_bwd", _ELEWISE,
                   flops=float(a.size), inputs_bytes=float(out_nbytes),
                   out_bytes=float(a.nbytes), threads=a.size, coalesced=0.85)
         if _meta_accumulate(grad, a):
@@ -386,7 +385,7 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
     _emit(
         "reduce_sum",
-        KernelCategory.REDUCE,
+        _REDUCE,
         a.size,
         a.nbytes,
         int(data.nbytes),
@@ -416,7 +415,7 @@ def max_(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
 
     def backward(grad):
         # Scatter of the output gradient into the argmax positions.
-        _emit_bwd(ctx, "reduce_max_bwd", KernelCategory.ELEWISE,
+        _emit_bwd(ctx, "reduce_max_bwd", _ELEWISE,
                   flops=float(a.size), inputs_bytes=float(out_nbytes + arg.nbytes),
                   out_bytes=float(a.nbytes), threads=a.size, coalesced=0.85)
         if _meta_accumulate(grad, a):
@@ -430,7 +429,7 @@ def max_(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
 
     _emit(
         "reduce_max",
-        KernelCategory.REDUCE,
+        _REDUCE,
         a.size,
         a.nbytes,
         int(data.nbytes),
@@ -449,11 +448,11 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     def backward(grad):
         # The Jacobian-vector product: a dot-reduce along the softmax axis
         # plus an elementwise combine, mirroring the forward's two kernels.
-        _emit_bwd(ctx, "softmax_bwd_reduce", KernelCategory.REDUCE,
+        _emit_bwd(ctx, "softmax_bwd_reduce", _REDUCE,
                   flops=2.0 * a.size, inputs_bytes=float(2 * a.nbytes),
                   out_bytes=float(a.nbytes // max(a.shape[axis], 1)),
                   threads=a.size, coalesced=0.85)
-        _emit_bwd(ctx, "softmax_bwd_elewise", KernelCategory.ELEWISE,
+        _emit_bwd(ctx, "softmax_bwd_elewise", _ELEWISE,
                   flops=2.0 * a.size, inputs_bytes=float(2 * a.nbytes),
                   out_bytes=float(a.nbytes), threads=a.size)
         if _meta_accumulate(grad, a):
@@ -463,8 +462,8 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
     # A softmax launches a max-reduce, an exp, a sum-reduce and a divide;
     # attribute the reduction work to Reduce and the rest to Elewise.
-    _emit("softmax_reduce", KernelCategory.REDUCE, 2 * a.size, a.nbytes, a.nbytes // max(a.shape[axis], 1), a.size, coalesced=0.85)
-    _emit("softmax_elewise", KernelCategory.ELEWISE, 6 * a.size, a.nbytes, data.nbytes, a.size)
+    _emit("softmax_reduce", _REDUCE, 2 * a.size, a.nbytes, a.nbytes // max(a.shape[axis], 1), a.size, coalesced=0.85)
+    _emit("softmax_elewise", _ELEWISE, 6 * a.size, a.nbytes, data.nbytes, a.size)
     return _make(data.astype(DEFAULT_DTYPE), (a,), backward, name="softmax")
 
 
@@ -475,11 +474,11 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     ctx = _ctx()
 
     def backward(grad):
-        _emit_bwd(ctx, "log_softmax_bwd_reduce", KernelCategory.REDUCE,
+        _emit_bwd(ctx, "log_softmax_bwd_reduce", _REDUCE,
                   flops=float(a.size), inputs_bytes=float(a.nbytes),
                   out_bytes=float(a.nbytes // max(a.shape[axis], 1)),
                   threads=a.size, coalesced=0.85)
-        _emit_bwd(ctx, "log_softmax_bwd_elewise", KernelCategory.ELEWISE,
+        _emit_bwd(ctx, "log_softmax_bwd_elewise", _ELEWISE,
                   flops=3.0 * a.size, inputs_bytes=float(2 * a.nbytes),
                   out_bytes=float(a.nbytes), threads=a.size)
         if _meta_accumulate(grad, a):
@@ -487,8 +486,8 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
         softmax_vals = np.exp(data)
         a.accumulate_grad(grad - softmax_vals * grad.sum(axis=axis, keepdims=True))
 
-    _emit("log_softmax_reduce", KernelCategory.REDUCE, 2 * a.size, a.nbytes, a.nbytes // max(a.shape[axis], 1), a.size, coalesced=0.85)
-    _emit("log_softmax_elewise", KernelCategory.ELEWISE, 5 * a.size, a.nbytes, data.nbytes, a.size)
+    _emit("log_softmax_reduce", _REDUCE, 2 * a.size, a.nbytes, a.nbytes // max(a.shape[axis], 1), a.size, coalesced=0.85)
+    _emit("log_softmax_elewise", _ELEWISE, 5 * a.size, a.nbytes, data.nbytes, a.size)
     return _make(data.astype(DEFAULT_DTYPE), (a,), backward, name="log_softmax")
 
 
@@ -504,19 +503,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     m = a.data.shape[-2] if a.data.ndim >= 2 else 1
     k = a.data.shape[-1]
     n = b.data.shape[-1] if b.data.ndim >= 2 else 1
-    batch = int(np.prod(data.shape[:-2])) if data.ndim > 2 else 1
+    batch = math.prod(data.shape[:-2])
     gemm_flops = 2.0 * batch * m * k * n
 
     def backward(grad):
         # dA = dOut @ B^T and dB = A^T @ dOut: each a GEMM with the same
         # FLOP volume as the forward product.
         if a.requires_grad:
-            _emit_bwd(ctx, "gemm_bwd_da", KernelCategory.GEMM,
+            _emit_bwd(ctx, "gemm_bwd_da", _GEMM,
                       flops=gemm_flops, inputs_bytes=float(data.nbytes + b.nbytes),
                       out_bytes=float(a.nbytes), threads=max(int(a.size), 1),
                       reuse=min(float(n), 64.0))
         if b.requires_grad:
-            _emit_bwd(ctx, "gemm_bwd_db", KernelCategory.GEMM,
+            _emit_bwd(ctx, "gemm_bwd_db", _GEMM,
                       flops=gemm_flops, inputs_bytes=float(data.nbytes + a.nbytes),
                       out_bytes=float(b.nbytes), threads=max(int(b.size), 1),
                       reuse=min(float(m), 64.0))
@@ -531,7 +530,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     _emit(
         "gemm",
-        KernelCategory.GEMM,
+        _GEMM,
         flops=gemm_flops,
         inputs_bytes=a.nbytes + b.nbytes,
         out_bytes=data.nbytes,
@@ -562,11 +561,11 @@ def outer_product(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(grad):
         if a.requires_grad:
-            _emit_bwd(ctx, "outer_product_bwd_a", KernelCategory.GEMM,
+            _emit_bwd(ctx, "outer_product_bwd_a", _GEMM,
                       flops=2.0 * data.size, inputs_bytes=float(data.nbytes + b.nbytes),
                       out_bytes=float(a.nbytes), threads=max(int(a.size), 1), reuse=2.0)
         if b.requires_grad:
-            _emit_bwd(ctx, "outer_product_bwd_b", KernelCategory.GEMM,
+            _emit_bwd(ctx, "outer_product_bwd_b", _GEMM,
                       flops=2.0 * data.size, inputs_bytes=float(data.nbytes + a.nbytes),
                       out_bytes=float(b.nbytes), threads=max(int(b.size), 1), reuse=2.0)
         if _meta_accumulate(grad, a, b):
@@ -578,7 +577,7 @@ def outer_product(a: Tensor, b: Tensor) -> Tensor:
 
     _emit(
         "outer_product",
-        KernelCategory.GEMM,
+        _GEMM,
         flops=float(data.size),
         inputs_bytes=a.nbytes + b.nbytes,
         out_bytes=data.nbytes,
@@ -607,18 +606,18 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     if axes is None:
         axes = tuple(reversed(range(a.ndim)))
     data = np.transpose(a.data, axes)
-    inverse = np.argsort(axes)
+    inverse = sorted(range(len(axes)), key=axes.__getitem__)
     ctx = _ctx()
 
     def backward(grad):
-        _emit_bwd(ctx, "transpose_bwd", KernelCategory.OTHER, flops=0.0,
+        _emit_bwd(ctx, "transpose_bwd", _OTHER, flops=0.0,
                   inputs_bytes=float(a.nbytes), out_bytes=float(a.nbytes),
                   threads=a.size, coalesced=0.5)
         if _meta_accumulate(grad, a):
             return
         a.accumulate_grad(np.transpose(grad, inverse))
 
-    _emit("transpose", KernelCategory.OTHER, 0.0, a.nbytes, data.nbytes, a.size, coalesced=0.5)
+    _emit("transpose", _OTHER, 0.0, a.nbytes, data.nbytes, a.size, coalesced=0.5)
     return _make(data, (a,), backward, name="transpose")
 
 
@@ -631,7 +630,7 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
 
     def backward(grad):
         active_bytes = float(sum(t.nbytes for t in tensors if t.requires_grad))
-        _emit_bwd(ctx, "concat_bwd", KernelCategory.OTHER, flops=0.0,
+        _emit_bwd(ctx, "concat_bwd", _OTHER, flops=0.0,
                   inputs_bytes=float(data.nbytes), out_bytes=active_bytes,
                   threads=int(data.size), coalesced=0.9)
         if _meta_accumulate(grad, *tensors):
@@ -644,7 +643,7 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
 
     _emit(
         "concat",
-        KernelCategory.OTHER,
+        _OTHER,
         0.0,
         sum(t.nbytes for t in tensors),
         data.nbytes,
@@ -661,7 +660,7 @@ def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
     def backward(grad):
         active_bytes = float(sum(t.nbytes for t in tensors if t.requires_grad))
-        _emit_bwd(ctx, "stack_bwd", KernelCategory.OTHER, flops=0.0,
+        _emit_bwd(ctx, "stack_bwd", _OTHER, flops=0.0,
                   inputs_bytes=float(data.nbytes), out_bytes=active_bytes,
                   threads=int(data.size), coalesced=0.9)
         if _meta_accumulate(grad, *tensors):
@@ -673,7 +672,7 @@ def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
     _emit(
         "stack",
-        KernelCategory.OTHER,
+        _OTHER,
         0.0,
         sum(t.nbytes for t in tensors),
         data.nbytes,
@@ -707,14 +706,14 @@ def pad2d(a: Tensor, padding: int) -> Tensor:
     ctx = _ctx()
 
     def backward(grad):
-        _emit_bwd(ctx, "pad_bwd", KernelCategory.OTHER, flops=0.0,
+        _emit_bwd(ctx, "pad_bwd", _OTHER, flops=0.0,
                   inputs_bytes=float(data.nbytes), out_bytes=float(a.nbytes),
                   threads=a.size)
         if _meta_accumulate(grad, a):
             return
         a.accumulate_grad(grad[:, :, p:-p, p:-p])
 
-    _emit("pad", KernelCategory.OTHER, 0.0, a.nbytes, data.nbytes, int(data.size))
+    _emit("pad", _OTHER, 0.0, a.nbytes, data.nbytes, int(data.size))
     return _make(data, (a,), backward, name="pad2d")
 
 
@@ -734,14 +733,14 @@ def dropout(a: Tensor, p: float, training: bool, rng: np.random.Generator) -> Te
     ctx = _ctx()
 
     def backward(grad):
-        _emit_bwd(ctx, "dropout_bwd", KernelCategory.ELEWISE, flops=float(a.size),
+        _emit_bwd(ctx, "dropout_bwd", _ELEWISE, flops=float(a.size),
                   inputs_bytes=float(2 * a.nbytes), out_bytes=float(a.nbytes),
                   threads=a.size)
         if _meta_accumulate(grad, a) or mask is None:
             return
         a.accumulate_grad(grad * mask)
 
-    _emit("dropout", KernelCategory.ELEWISE, data.size, a.nbytes, data.nbytes, data.size)
+    _emit("dropout", _ELEWISE, data.size, a.nbytes, data.nbytes, data.size)
     return _make(data, (a,), backward, name="dropout")
 
 
@@ -757,7 +756,7 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
 
     def backward(grad):
         # Scatter-add of row gradients back into the embedding table.
-        _emit_bwd(ctx, "embedding_scatter_bwd", KernelCategory.OTHER, flops=0.0,
+        _emit_bwd(ctx, "embedding_scatter_bwd", _OTHER, flops=0.0,
                   inputs_bytes=float(data.nbytes), out_bytes=float(weight.nbytes),
                   threads=int(data.size), coalesced=0.35)
         if _meta_accumulate(grad, weight) or is_meta(idx):
@@ -768,7 +767,7 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
 
     _emit(
         "embedding_gather",
-        KernelCategory.OTHER,
+        _OTHER,
         0.0,
         float(idx.size * weight.shape[1] * _ITEMSIZE),
         data.nbytes,
@@ -819,17 +818,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padd
         # wgrad and dgrad are each implicit GEMMs with the forward's FLOP
         # volume; the bias gradient is a reduce over batch and space.
         if bias is not None and bias.requires_grad:
-            _emit_bwd(ctx, "conv2d_bwd_b", KernelCategory.REDUCE,
+            _emit_bwd(ctx, "conv2d_bwd_b", _REDUCE,
                       flops=float(n * oh * ow * o), inputs_bytes=float(data.nbytes),
                       out_bytes=float(bias.nbytes), threads=max(int(o), 1),
                       coalesced=0.85)
         if weight.requires_grad:
-            _emit_bwd(ctx, "conv2d_bwd_w", KernelCategory.CONV, flops=flops,
+            _emit_bwd(ctx, "conv2d_bwd_w", _CONV, flops=flops,
                       inputs_bytes=float(data.nbytes) + cols_bytes,
                       out_bytes=float(weight.nbytes), threads=int(weight.size),
                       reuse=min(float(n * oh * ow), 96.0), kh=kh, kw=kw, stride=stride)
         if x.requires_grad:
-            _emit_bwd(ctx, "conv2d_bwd_x", KernelCategory.CONV, flops=flops,
+            _emit_bwd(ctx, "conv2d_bwd_x", _CONV, flops=flops,
                       inputs_bytes=float(data.nbytes + weight.nbytes),
                       out_bytes=float(x.nbytes), threads=int(x.size),
                       reuse=min(float(o * kh * kw), 96.0), kh=kh, kw=kw, stride=stride)
@@ -854,7 +853,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padd
             x.accumulate_grad(gx)
     _emit(
         "conv2d",
-        KernelCategory.CONV,
+        _CONV,
         flops=flops,
         inputs_bytes=x.nbytes + weight.nbytes + (bias.nbytes if bias is not None else 0),
         out_bytes=data.nbytes,
@@ -893,17 +892,17 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padd
 
     def backward(grad):
         if bias is not None and bias.requires_grad:
-            _emit_bwd(ctx, "conv1d_bwd_b", KernelCategory.REDUCE,
+            _emit_bwd(ctx, "conv1d_bwd_b", _REDUCE,
                       flops=float(n * ot * o), inputs_bytes=float(data.nbytes),
                       out_bytes=float(bias.nbytes), threads=max(int(o), 1),
                       coalesced=0.85)
         if weight.requires_grad:
-            _emit_bwd(ctx, "conv1d_bwd_w", KernelCategory.CONV, flops=flops,
+            _emit_bwd(ctx, "conv1d_bwd_w", _CONV, flops=flops,
                       inputs_bytes=float(data.nbytes) + cols_bytes,
                       out_bytes=float(weight.nbytes), threads=int(weight.size),
                       reuse=min(float(n * ot), 64.0), kh=1, kw=kw, stride=stride)
         if x.requires_grad:
-            _emit_bwd(ctx, "conv1d_bwd_x", KernelCategory.CONV, flops=flops,
+            _emit_bwd(ctx, "conv1d_bwd_x", _CONV, flops=flops,
                       inputs_bytes=float(data.nbytes + weight.nbytes),
                       out_bytes=float(x.nbytes), threads=int(x.size),
                       reuse=min(float(o * kw), 64.0), kh=1, kw=kw, stride=stride)
@@ -924,7 +923,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padd
             x.accumulate_grad(gx)
     _emit(
         "conv1d",
-        KernelCategory.CONV,
+        _CONV,
         flops=flops,
         inputs_bytes=x.nbytes + weight.nbytes + (bias.nbytes if bias is not None else 0),
         out_bytes=data.nbytes,
@@ -960,7 +959,7 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
     ctx = _ctx()
 
     def backward(grad):
-        _emit_bwd(ctx, "max_pool2d_bwd", KernelCategory.POOLING,
+        _emit_bwd(ctx, "max_pool2d_bwd", _POOLING,
                   flops=float(data.size), inputs_bytes=float(data.nbytes + arg.nbytes),
                   out_bytes=float(x.nbytes), threads=int(data.size), coalesced=0.9)
         if _meta_accumulate(grad, x):
@@ -974,7 +973,7 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
 
     _emit(
         "max_pool2d",
-        KernelCategory.POOLING,
+        _POOLING,
         flops=float(windows.size),
         inputs_bytes=x.nbytes,
         out_bytes=data.nbytes,
@@ -991,7 +990,7 @@ def avg_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
     ctx = _ctx()
 
     def backward(grad):
-        _emit_bwd(ctx, "avg_pool2d_bwd", KernelCategory.POOLING,
+        _emit_bwd(ctx, "avg_pool2d_bwd", _POOLING,
                   flops=float(kernel * kernel * data.size),
                   inputs_bytes=float(data.nbytes), out_bytes=float(x.nbytes),
                   threads=int(data.size), coalesced=0.9)
@@ -1006,7 +1005,7 @@ def avg_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
 
     _emit(
         "avg_pool2d",
-        KernelCategory.POOLING,
+        _POOLING,
         flops=float(windows.size),
         inputs_bytes=x.nbytes,
         out_bytes=data.nbytes,
@@ -1022,7 +1021,7 @@ def upsample_nearest2d(x: Tensor, scale: int = 2) -> Tensor:
     ctx = _ctx()
 
     def backward(grad):
-        _emit_bwd(ctx, "upsample_nearest_bwd", KernelCategory.OTHER,
+        _emit_bwd(ctx, "upsample_nearest_bwd", _OTHER,
                   flops=float(data.size), inputs_bytes=float(data.nbytes),
                   out_bytes=float(x.nbytes), threads=int(data.size), coalesced=0.8)
         if _meta_accumulate(grad, x):
@@ -1033,7 +1032,7 @@ def upsample_nearest2d(x: Tensor, scale: int = 2) -> Tensor:
 
     _emit(
         "upsample_nearest",
-        KernelCategory.OTHER,
+        _OTHER,
         0.0,
         x.nbytes,
         data.nbytes,
@@ -1087,7 +1086,7 @@ def batch_norm(
     def backward(grad):
         # dgamma/dbeta reduces plus the normalized input gradient — the
         # fused cuDNN bnorm-backward kernel.
-        _emit_bwd(ctx, "batch_norm_bwd", KernelCategory.BNORM,
+        _emit_bwd(ctx, "batch_norm_bwd", _BNORM,
                   flops=16.0 * x.size, inputs_bytes=float(2 * x.nbytes + gamma.nbytes),
                   out_bytes=float(x.nbytes + gamma.nbytes + beta.nbytes),
                   threads=x.size, coalesced=0.95)
@@ -1109,7 +1108,7 @@ def batch_norm(
 
     _emit(
         "batch_norm",
-        KernelCategory.BNORM,
+        _BNORM,
         flops=8.0 * x.size,
         inputs_bytes=x.nbytes + gamma.nbytes + beta.nbytes,
         out_bytes=data.nbytes,
@@ -1130,7 +1129,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     ctx = _ctx()
 
     def backward(grad):
-        _emit_bwd(ctx, "layer_norm_bwd", KernelCategory.BNORM,
+        _emit_bwd(ctx, "layer_norm_bwd", _BNORM,
                   flops=16.0 * x.size, inputs_bytes=float(2 * x.nbytes + gamma.nbytes),
                   out_bytes=float(x.nbytes + gamma.nbytes + beta.nbytes),
                   threads=x.size, coalesced=0.95)
@@ -1148,7 +1147,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
     _emit(
         "layer_norm",
-        KernelCategory.BNORM,
+        _BNORM,
         flops=8.0 * x.size,
         inputs_bytes=x.nbytes + gamma.nbytes + beta.nbytes,
         out_bytes=data.nbytes,

@@ -48,10 +48,17 @@ class Module:
     # -- traversal -----------------------------------------------------------
 
     def named_parameters(self, prefix: str = ""):
-        for name, p in self._parameters.items():
-            yield (f"{prefix}{name}", p)
-        for name, child in self._modules.items():
-            yield from child.named_parameters(prefix=f"{prefix}{name}.")
+        # Pre-order over the module tree (a module's own parameters, then
+        # each child's subtree in order), walked with an explicit stack:
+        # nested generators would hand every parameter up through each
+        # level, and a capture walks the tree two to four times.
+        stack = [(prefix, self)]
+        while stack:
+            prefix, module = stack.pop()
+            for name, p in module._parameters.items():
+                yield (f"{prefix}{name}", p)
+            stack.extend((f"{prefix}{name}.", child)
+                         for name, child in reversed(module._modules.items()))
 
     def parameters(self):
         for _, p in self.named_parameters():

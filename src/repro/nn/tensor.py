@@ -49,12 +49,18 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def _as_array(value, dtype=DEFAULT_DTYPE) -> np.ndarray:
+_FLOAT = np.dtype(DEFAULT_DTYPE)
+
+
+def _as_array(value) -> np.ndarray:
+    """``value`` as an array: floating arrays become float32, other arrays
+    pass through, anything else converts to a float32 array."""
     if isinstance(value, (np.ndarray, MetaArray)):
-        if value.dtype != dtype and np.issubdtype(value.dtype, np.floating):
-            return value.astype(dtype)
+        dtype = value.dtype
+        if dtype is not _FLOAT and dtype != _FLOAT and np.issubdtype(dtype, np.floating):
+            return value.astype(DEFAULT_DTYPE)
         return value
-    return np.asarray(value, dtype=dtype)
+    return np.asarray(value, dtype=DEFAULT_DTYPE)
 
 
 class Tensor:
@@ -82,7 +88,7 @@ class Tensor:
 
     @property
     def size(self) -> int:
-        return int(self.data.size)
+        return self.data.size
 
     @property
     def dtype(self):
@@ -90,7 +96,7 @@ class Tensor:
 
     @property
     def nbytes(self) -> int:
-        return int(self.data.nbytes)
+        return self.data.nbytes
 
     @property
     def is_meta(self) -> bool:
@@ -156,21 +162,23 @@ class Tensor:
             grad = np.ones_like(self.data)
         self.accumulate_grad(grad)
 
+        # Iterative post-order DFS; tensors hash by identity.
         order: list[Tensor] = []
-        visited: set[int] = set()
+        visited: set[Tensor] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
+        pop, push = stack.pop, stack.append
         while stack:
-            node, processed = stack.pop()
+            node, processed = pop()
             if processed:
                 order.append(node)
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
-            stack.append((node, True))
+            visited.add(node)
+            push((node, True))
             for parent in node._parents:
-                if id(parent) not in visited:
-                    stack.append((parent, False))
+                if parent not in visited:
+                    push((parent, False))
 
         # Backward closures emit their own kernel events (tagged with the
         # snapshotted forward stage/modality); the pass scope covers any

@@ -513,37 +513,47 @@ def _label(node, key, node_id, source, default=None, nullable=False):
 # -- graph loading ---------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _GraphFile:
+    """A graph file read once: its bytes and their sha256.
+
+    :meth:`TraceStore.get_or_ingest` keys its entry on ``digest`` and, on
+    a miss, hands this to :func:`ingest_graph`, so the key and the parsed
+    graph come from one read of the file and one hash of its bytes.
+    """
+
+    name: str  # the path as the caller spelled it
+    raw: bytes
+    digest: str
+
+    @classmethod
+    def read(cls, source) -> "_GraphFile":
+        try:
+            raw = Path(source).read_bytes()
+        except OSError as exc:
+            raise IngestError(f"cannot read graph file: {exc}",
+                              source=str(Path(source))) from exc
+        return cls(str(source), raw, hashlib.sha256(raw).hexdigest())
+
+    def parse(self) -> dict:
+        where = str(Path(self.name))
+        try:
+            graph = json.loads(self.raw.decode("utf-8"))
+        except ValueError as exc:  # also bad UTF-8 or an int past Python's digit limit
+            raise IngestError(f"invalid JSON: {exc}", source=where) from exc
+        if not isinstance(graph, dict):
+            raise IngestError(f"graph root must be a JSON object, got "
+                              f"{type(graph).__name__}", source=where)
+        return graph
+
+
 def source_digest(source) -> str:
     """Content digest of a graph source (file bytes, or canonical JSON)."""
     if isinstance(source, dict):
         payload = json.dumps(source, sort_keys=True, separators=(",", ":"),
                              default=str)
         return hashlib.sha256(payload.encode()).hexdigest()
-    try:
-        raw = Path(source).read_bytes()
-    except OSError as exc:
-        raise IngestError(f"cannot read graph file: {exc}",
-                          source=str(source)) from exc
-    return hashlib.sha256(raw).hexdigest()
-
-
-def load_graph(source) -> dict:
-    """Parse a graph JSON file (or pass a pre-parsed dict through)."""
-    if isinstance(source, dict):
-        return source
-    path = Path(source)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IngestError(f"cannot read graph file: {exc}", source=str(path)) from exc
-    try:
-        graph = json.loads(raw)
-    except ValueError as exc:  # also an int past Python's digit limit
-        raise IngestError(f"invalid JSON: {exc}", source=str(path)) from exc
-    if not isinstance(graph, dict):
-        raise IngestError(f"graph root must be a JSON object, got "
-                          f"{type(graph).__name__}", source=str(path))
-    return graph
+    return _GraphFile.read(source).digest
 
 
 def _node_field(node: dict, *aliases, default=None):
@@ -689,15 +699,19 @@ def ingest_graph(source, registry: OpMappingRegistry | None = None,
                  name: str | None = None) -> IngestedGraph:
     """Parse one execution-graph JSON into a native :class:`Trace`.
 
-    ``source`` is a file path or an already-parsed dict. ``registry``
+    ``source`` is a file path or an already-parsed dict (the trace store
+    passes the file it already read to key the entry). ``registry``
     overrides the default op-mapping rules. Raises :class:`IngestError`
     on any malformed input, naming the offending node.
     """
-    origin = name or (str(source) if not isinstance(source, dict)
-                      else "<dict>")
+    if isinstance(source, dict):
+        graph, digest, origin = source, source_digest(source), "<dict>"
+    else:
+        if not isinstance(source, _GraphFile):
+            source = _GraphFile.read(source)
+        graph, digest, origin = source.parse(), source.digest, source.name
+    origin = name or origin
     label = Path(origin).name if origin != "<dict>" else origin
-    graph = load_graph(source)
-    digest = source_digest(source)
     registry = registry if registry is not None else default_registry()
 
     raw_nodes = graph.get("nodes")

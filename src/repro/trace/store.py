@@ -263,6 +263,20 @@ class TraceStore:
             return None
         return entry
 
+    def peek(self, path: Path) -> StoredTrace | None:
+        """Decode one disk entry (a path :meth:`entries` lists), or None
+        when it is unreadable.
+
+        Unlike a lookup, a corrupt file is left where it is, neither
+        quarantined nor counted: inspection commands (``mmbench store
+        lint``) leave the corpus as they found it, and ``mmbench store
+        gc`` is the command that removes files.
+        """
+        try:
+            return binfmt.read_entry(path, interner=self._interner)[1]
+        except _CORRUPT_ERRORS:
+            return None
+
     def get(self, key: TraceKey) -> StoredTrace | None:
         """Cached entry for ``key``, or None (counts a hit or a miss)."""
         digest = key.digest()
@@ -519,14 +533,12 @@ class TraceStore:
         """
         from pathlib import Path as _Path
 
-        from repro.trace.ingest import (
-            default_registry,
-            ingest_graph,
-            source_digest,
-        )
+        from repro.trace.ingest import _GraphFile, default_registry, ingest_graph
 
         registry = registry if registry is not None else default_registry()
-        src_digest = source_digest(path)
+        # One read and one hash of the file: they give the key and, on a
+        # miss, the graph that is parsed.
+        source = _GraphFile.read(path)
         key = TraceKey(
             workload=f"graph:{_Path(str(path)).stem}",
             fusion=None,
@@ -535,13 +547,13 @@ class TraceStore:
             seed=0,
             backend="ingest",
             code_version=code_fingerprint(),
-            mode=f"ingest:{src_digest}:{registry.digest()}",
+            mode=f"ingest:{source.digest}:{registry.digest()}",
         )
         entry = self.get(key)
         if entry is not None:
             return entry
 
-        ingested = ingest_graph(path, registry=registry)
+        ingested = ingest_graph(source, registry=registry)
         if lint:
             from repro.lint import check, lint_trace
 

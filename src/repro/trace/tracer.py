@@ -69,12 +69,13 @@ def emit_kernel(
         return
     seq = tracer._seq
     tracer._seq = seq + 1
+    context_stage, context_modality, context_pass = tracer.context
     tracer._kernel_rows.append((
         name, category, float(flops), float(bytes_read), float(bytes_written),
         int(threads), coalesced_fraction, reuse_factor,
-        tracer.current_stage if stage is None else stage,
-        tracer.current_modality if modality is UNSET else modality,
-        tracer.current_pass if pass_ is None else pass_,
+        context_stage if stage is None else stage,
+        context_modality if modality is UNSET else modality,
+        context_pass if pass_ is None else pass_,
         seq, meta,
     ))
 
@@ -86,10 +87,7 @@ def emit_host(kind: HostOpKind, bytes: float = 0.0, name: str = "", **meta) -> N
         return
     seq = tracer._seq
     tracer._seq = seq + 1
-    tracer._host_rows.append((
-        kind, float(bytes), name, tracer.current_stage,
-        tracer.current_modality, tracer.current_pass, seq, meta,
-    ))
+    tracer._host_rows.append((kind, float(bytes), name, *tracer.context, seq, meta))
 
 
 @contextlib.contextmanager
@@ -225,15 +223,22 @@ class Trace:
         return [kernels[i] for i in self.columns().kernel_indices_for_pass(pass_)]
 
 
+#: The (stage, modality, pass) context outside every scope.
+DEFAULT_CONTEXT = (STAGE_ENCODER, None, PASS_FORWARD)
+
+
 class Tracer:
     """Collects kernel and host events with stage/modality context."""
 
     def __init__(self) -> None:
         self._kernel_rows: list[tuple] = []
         self._host_rows: list[tuple] = []
-        self._stage_stack: list[str] = []
-        self._modality_stack: list[str] = []
-        self._pass_stack: list[str] = []
+        # One label stack per context field, in DEFAULT_CONTEXT order.
+        self._stacks: tuple[list, list, list] = ([], [], [])
+        #: The innermost (stage, modality, pass) labels: what every event
+        #: emitted now is tagged with. Rebuilt whenever a scope opens or
+        #: closes, so emission reads one attribute per event.
+        self.context: tuple = DEFAULT_CONTEXT
         self._seq = 0
 
     # -- context management -------------------------------------------------
@@ -251,44 +256,32 @@ class Tracer:
             _ACTIVE = None
 
     @contextlib.contextmanager
+    def _scope(self, field: int, name):
+        stack = self._stacks[field]
+        stack.append(name)
+        self._rebuild_context()
+        try:
+            yield
+        finally:
+            stack.pop()
+            self._rebuild_context()
+
+    def _rebuild_context(self) -> None:
+        self.context = tuple(stack[-1] if stack else default for stack, default
+                             in zip(self._stacks, DEFAULT_CONTEXT))
+
     def stage(self, name: str):
         """Set the stage label for events emitted inside the block."""
-        self._stage_stack.append(name)
-        try:
-            yield
-        finally:
-            self._stage_stack.pop()
+        return self._scope(0, name)
 
-    @contextlib.contextmanager
     def modality(self, name: str):
         """Set the modality label for events emitted inside the block."""
-        self._modality_stack.append(name)
-        try:
-            yield
-        finally:
-            self._modality_stack.pop()
+        return self._scope(1, name)
 
-    @contextlib.contextmanager
     def pass_(self, name: str):
         """Set the pass label (forward/loss/backward/optimizer) for events
         emitted inside the block."""
-        self._pass_stack.append(name)
-        try:
-            yield
-        finally:
-            self._pass_stack.pop()
-
-    @property
-    def current_stage(self) -> str:
-        return self._stage_stack[-1] if self._stage_stack else STAGE_ENCODER
-
-    @property
-    def current_modality(self) -> str | None:
-        return self._modality_stack[-1] if self._modality_stack else None
-
-    @property
-    def current_pass(self) -> str:
-        return self._pass_stack[-1] if self._pass_stack else PASS_FORWARD
+        return self._scope(2, name)
 
     # -- results ---------------------------------------------------------------
 

@@ -11,6 +11,7 @@ import pytest
 from repro.core.cli import main
 from repro.workloads.registry import list_workloads
 from repro.lint import lint_trace
+from repro.trace import binfmt
 from repro.trace.store import TraceStore, set_default_store
 
 FIXTURES = Path(__file__).parent.parent / "fixtures" / "execution_graphs"
@@ -176,6 +177,48 @@ class TestStoreLint:
 
     def test_store_lint_requires_cache_dir(self, capsys):
         assert main(["store", "lint"]) == 2
+
+    @staticmethod
+    def _one_entry(cache: Path) -> Path:
+        TraceStore(cache).get_or_capture("avmnist", batch_size=2, backend="meta")
+        [path] = cache.glob(f"*{binfmt.SUFFIX}")
+        return path
+
+    def _assert_fails_in_place(self, cache: Path, path: Path, capsys) -> None:
+        before = sorted(p.name for p in cache.iterdir())
+        assert main(["store", "lint", "--cache-dir", str(cache)]) == 1
+        out, err = capsys.readouterr()
+        assert "skipped 1 unreadable entry" in err
+        assert "0 artifact(s)" in out
+        assert sorted(p.name for p in cache.iterdir()) == before
+        assert path.exists()
+
+    def test_entry_with_bad_codes_fails_and_keeps_its_name(self, tmp_path, capsys):
+        # The header parses, so `entries()` lists it; its first kernel's
+        # category code (99) is out of range, so it cannot be read.
+        path = self._one_entry(tmp_path)
+        blob = bytearray(path.read_bytes())
+        header = binfmt.read_header(path)
+        [column] = [c for c in header["columns"] if c["name"] == "category_codes"]
+        at = (binfmt._align_up(16 + int.from_bytes(blob[12:16], "little"))
+              + column["offset"])
+        blob[at:at + 8] = (99).to_bytes(8, "little")
+        path.write_bytes(bytes(blob))
+        self._assert_fails_in_place(tmp_path, path, capsys)
+
+    def test_entry_with_bad_header_fails_and_keeps_its_name(self, tmp_path, capsys):
+        path = self._one_entry(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[:8] = b"NOTTRACE"
+        path.write_bytes(bytes(blob))
+        self._assert_fails_in_place(tmp_path, path, capsys)
+
+    def test_clean_store_passes_with_no_skip_line(self, tmp_path, capsys):
+        self._one_entry(tmp_path)
+        assert main(["store", "lint", "--cache-dir", str(tmp_path),
+                     "--strict"]) == 0
+        out, err = capsys.readouterr()
+        assert "1 artifact(s)" in out and "skipped" not in err
 
 
 class TestCleanCorpus:

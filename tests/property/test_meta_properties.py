@@ -5,10 +5,13 @@ only sees the shapes the nine workloads produce. These properties draw
 shapes, operand kinds and basic indices at random and require the
 shape-only :class:`MetaArray` to give numpy's own answer on ``np.zeros``
 operands: a ufunc's broadcast shape and result dtype (or numpy's
-``ValueError`` when the shapes do not broadcast), and the shape of a
-basic-indexing view, on a first call and again on a repeat, which the
-view memo answers.
+``ValueError`` when the shapes do not broadcast), called directly and
+through the operator dunders, and the shape of a basic-indexing view.
+Each is asked twice: the first call fills a memo (the ufunc result
+dtypes, the view shapes) and the repeat is answered from it.
 """
+
+import operator
 
 import numpy as np
 import pytest
@@ -18,6 +21,10 @@ from repro.nn import backend
 from repro.nn.backend import MetaArray, meta_array
 
 UFUNCS = (np.add, np.multiply, np.true_divide, np.greater, np.maximum, np.exp)
+#: The operator spelling of each ufunc that has one (``x > m`` with a
+#: scalar ``x`` reaches the meta operand reflected, as ``m < x``).
+OPERATORS = {np.add: operator.add, np.multiply: operator.mul,
+             np.true_divide: operator.truediv, np.greater: operator.gt}
 DTYPES = ("float32", "float64", "int64", "bool")
 SCALARS = st.one_of(st.integers(-3, 3), st.floats(-2.0, 2.0), st.booleans())
 
@@ -43,6 +50,9 @@ def operands(draw, shape, kind):
         value = draw(SCALARS)
         return value, value
     dtype = draw(st.sampled_from(DTYPES))
+    if kind == "numpy scalar":
+        value = np.array(draw(SCALARS)).astype(dtype)[()]
+        return value, value
     real = np.zeros(shape, dtype)
     return (meta_array(shape, dtype) if kind == "meta" else real), real
 
@@ -56,7 +66,9 @@ def test_ufunc_shape_and_dtype_match_numpy(data):
     else:
         kinds = data.draw(st.sampled_from(
             [("meta", "meta"), ("meta", "array"), ("array", "meta"),
-             ("meta", "scalar"), ("scalar", "meta")]), label="kinds")
+             ("meta", "scalar"), ("scalar", "meta"),
+             ("meta", "numpy scalar"), ("numpy scalar", "meta")]),
+            label="kinds")
         pair = data.draw(shape_pairs(), label="shapes")
         pairs = [data.draw(operands(s, k)) for s, k in zip(pair, kinds)]
     meta_args = [m for m, _ in pairs]
@@ -66,14 +78,21 @@ def test_ufunc_shape_and_dtype_match_numpy(data):
         try:
             expected = ufunc(*real_args)
         except ValueError:
-            with pytest.raises(ValueError):
-                ufunc(*meta_args)
-            return
-    got = ufunc(*meta_args)
-    assert isinstance(got, MetaArray)
-    assert got.shape == np.shape(expected)
-    assert got.dtype == expected.dtype
-    assert got.size == np.size(expected)
+            expected = None
+    calls = [ufunc] + ([OPERATORS[ufunc]] if ufunc in OPERATORS else [])
+    for call in calls:
+        backend._UFUNC_DTYPES.clear()
+        for _ in ("fill", "memo hit"):
+            if expected is None:
+                with pytest.raises(ValueError):
+                    call(*meta_args)
+                continue
+            got = call(*meta_args)
+            assert isinstance(got, MetaArray)
+            assert got.shape == np.shape(expected)
+            assert got.dtype == expected.dtype
+            assert got.size == np.size(expected)
+            assert len(backend._UFUNC_DTYPES) == 1
 
 
 @st.composite

@@ -9,7 +9,11 @@ round-trip coverage live in ``test_ingest_golden.py`` and
 
 from __future__ import annotations
 
+import builtins
+import hashlib
+import io
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -33,6 +37,7 @@ from repro.trace.ingest import (
     ingest_graph,
     source_digest,
 )
+from repro.trace.store import TraceStore
 
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "execution_graphs"
@@ -456,6 +461,76 @@ class TestIngestErrors:
         deep["nodes"][0]["parents"] = [5000]  # one giant cycle
         with pytest.raises(IngestError):
             ingest_graph(deep)
+
+
+class _FileCounter:
+    """Counts opens of one file and sha256 calls over its bytes."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.raw = path.read_bytes()
+        self.reads = self.hashes = 0
+
+    def open(self, real):
+        def counting(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file) == self.path:
+                self.reads += 1
+            return real(file, *args, **kwargs)
+        return counting
+
+    def sha256(self, real):
+        def counting(data=b"", **kwargs):
+            if data == self.raw:
+                self.hashes += 1
+            return real(data, **kwargs)
+        return counting
+
+
+class TestOneRead:
+    """One ingest or store lookup reads the graph file once and hashes its
+    bytes once; the key, the report and the parsed graph share that read."""
+
+    @pytest.fixture
+    def counter(self, tmp_path, monkeypatch):
+        path = tmp_path / "cnn_forward.json"
+        path.write_bytes((FIXTURES / "cnn_forward.json").read_bytes())
+        counter = _FileCounter(path)
+        monkeypatch.setattr(io, "open", counter.open(io.open))
+        monkeypatch.setattr(builtins, "open", counter.open(builtins.open))
+        monkeypatch.setattr(hashlib, "sha256", counter.sha256(hashlib.sha256))
+        return counter
+
+    def test_ingest_graph_reads_the_file_once(self, counter):
+        ingested = ingest_graph(counter.path)
+        assert (counter.reads, counter.hashes) == (1, 1)
+        assert ingested.report.digest == hashlib.sha256(counter.raw).hexdigest()
+
+    def test_cold_lookup_keys_and_parses_one_read(self, counter):
+        store = TraceStore()
+        keys = []
+        lookup = store.get
+        store.get = lambda key: keys.append(key) or lookup(key)
+        stored = store.get_or_ingest(counter.path)
+        assert (counter.reads, counter.hashes) == (1, 1)
+        assert store.stats["captures"] == 1
+        digest = hashlib.sha256(counter.raw).hexdigest()
+        [key] = keys
+        assert key.mode.split(":")[1] == digest
+        assert stored.extra["ingest"]["digest"] == digest
+
+    def test_warm_hit_reads_and_hashes_once(self, counter):
+        store = TraceStore()
+        store.get_or_ingest(counter.path)
+        counter.reads = counter.hashes = 0
+        store.get_or_ingest(counter.path)
+        assert (counter.reads, counter.hashes) == (1, 1)
+        assert store.stats["captures"] == 1 and store.stats["hits"] == 1
+
+    def test_undecodable_bytes_are_an_ingest_error(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "caf\xe9", "nodes": []}')
+        with pytest.raises(IngestError, match="invalid JSON"):
+            ingest_graph(path)
 
 
 @pytest.mark.parametrize("policy", ["adaptive", "fixed"])

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import nn
+from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.trace.columns import HOST_COLUMN_SPEC, KERNEL_COLUMN_SPEC, TABLE_NAMES, TraceColumns
-from repro.trace.events import HostOpKind, KernelCategory
+from repro.trace.events import PASSES, HostOpKind, KernelCategory
 from repro.trace.tracer import (
+    DEFAULT_CONTEXT,
     Tracer,
     active_tracer,
     emit_host,
@@ -164,3 +167,109 @@ class TestRowCapture:
             assert getattr(cols, name) == getattr(ref, name), name
         assert cols.meta == ref.meta == {0: {"m": 2}}
         assert cols.host_meta == ref.host_meta == {0: {"note": "x"}}
+
+
+# -- the context tuple ------------------------------------------------------------
+
+#: Scope kind -> (the Tracer method that opens it, labels to draw from).
+SCOPES = {
+    "stage": ("stage", ("preprocess", "fusion", "head")),
+    "modality": ("modality", ("image", "text", "audio")),
+    "pass": ("pass_", PASSES),
+}
+FIELDS = tuple(SCOPES)
+
+
+@st.composite
+def scope_steps(draw, body):
+    kind = draw(st.sampled_from(FIELDS))
+    label = draw(st.sampled_from(SCOPES[kind][1]))
+    # raises: the body ends in an exception; caught: this scope's caller
+    # catches it (if not, it unwinds the enclosing scopes too).
+    return (kind, label, draw(body), draw(st.booleans()), draw(st.booleans()))
+
+
+#: A program is a list of steps: emit a kernel, emit a host event, or
+#: open a scope around a nested program.
+programs = st.recursive(
+    st.lists(st.sampled_from(["kernel", "host"]), max_size=3),
+    lambda body: st.lists(st.one_of(st.sampled_from(["kernel", "host"]),
+                                    scope_steps(body)), max_size=4),
+    max_leaves=30,
+)
+
+
+class _Unwind(Exception):
+    pass
+
+
+def _run(tracer, program, stacks, expected):
+    """Run ``program`` and record, per emitted event, the innermost label
+    of each stack (the default where a stack is empty)."""
+    for step in program:
+        if step in ("kernel", "host"):
+            if step == "kernel":
+                emit_kernel("k", KernelCategory.GEMM, 1, 1, 1, 1)
+            else:
+                emit_host(HostOpKind.SYNC)
+            expected.append((step, tuple(
+                stack[-1] if stack else default
+                for stack, default in zip(stacks, DEFAULT_CONTEXT))))
+            continue
+        kind, label, body, raises, caught = step
+        stack = stacks[FIELDS.index(kind)]
+        stack.append(label)
+        try:
+            with getattr(tracer, SCOPES[kind][0])(label):
+                _run(tracer, body, stacks, expected)
+                if raises:
+                    raise _Unwind
+        except _Unwind:
+            if not caught:
+                raise
+        finally:
+            stack.pop()
+
+
+class TestContextTuple:
+    @settings(max_examples=150, deadline=None)
+    @given(programs)
+    def test_rows_carry_the_innermost_labels(self, program):
+        tracer = Tracer()
+        expected = []
+        with tracer.activate():
+            try:
+                _run(tracer, program, ([], [], []), expected)
+            except _Unwind:
+                pass
+        assert tracer.context == DEFAULT_CONTEXT
+        trace = tracer.finish()
+        got = sorted([(k.seq, "kernel", (k.stage, k.modality, k.pass_))
+                      for k in trace.kernels]
+                     + [(h.seq, "host", (h.stage, h.modality, h.pass_))
+                        for h in trace.host_events])
+        assert [(kind, labels) for _, kind, labels in got] == expected
+
+    def test_exception_exit_restores_the_outer_context(self):
+        tracer = Tracer()
+        with tracer.stage("fusion"):
+            with pytest.raises(RuntimeError):
+                with tracer.modality("image"), tracer.pass_("loss"):
+                    assert tracer.context == ("fusion", "image", "loss")
+                    raise RuntimeError
+            assert tracer.context == ("fusion", None, "forward")
+        assert tracer.context == DEFAULT_CONTEXT
+
+
+class TestOpEmission:
+    def test_emit_helpers_are_noops_without_a_tracer(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(F, "emit_kernel", lambda *a, **k: calls.append(a))
+        idle = Tracer()  # never activated
+        assert active_tracer() is None
+        F._emit("k", KernelCategory.GEMM, 1.0, 2.0, 3.0, 4, m=1, n=2, k=3)
+        F._emit_bwd(None, "k_bwd", KernelCategory.GEMM, 1.0, 2.0, 3.0, 4)
+        F._emit_bwd(("fusion", "image", "forward"), "k_bwd",
+                    KernelCategory.ELEWISE, 1.0, 2.0, 3.0, 4, coalesced=0.5)
+        assert calls == []
+        assert idle._kernel_rows == [] and idle._host_rows == []
