@@ -1,9 +1,9 @@
-"""Benchmark: binary columnar (v5) trace-store warm loads vs cold re-ingest.
+"""Benchmark: binary columnar (v6) trace-store warm loads vs cold re-ingest.
 
 Builds the same ~50k-node synthetic execution graph the ingest benchmark
 uses and times the two ways a store can serve it: a cold
 ``get_or_ingest`` into an empty store (parse, map, lint, write — the path
-any entry the store cannot read takes) and a warm *disk* load of the v5
+any entry the store cannot read takes) and a warm *disk* load of the v6
 binary columnar file that ingest wrote. Then seeds a small corpus (all
 nine workloads, batch 8, meta backend) and measures per-trace binary load
 latency plus a whole-corpus ``prefetch``.
@@ -96,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
 
         print(f"50k-node ingest trace ({mmt_path.stat().st_size / 1e6:.1f} MB "
               f"binary)")
-        print(f"  cold re-ingest {cold_s:.2f} s, warm v5 binary disk load "
+        print(f"  cold re-ingest {cold_s:.2f} s, warm v6 binary disk load "
               f"{binary_s * 1e6:.0f} us -> {speedup:,.0f}x")
 
         # -- small-trace corpus: the nine workloads ---------------------------

@@ -749,11 +749,11 @@ def _cmd_store(args, _checked) -> int:
     # Entries are read in place, never quarantined; an unreadable one is
     # skipped and fails the command, since nothing vouched for it.
     merged = LintReport()
-    skipped = 0
+    skipped = []
     for info in store.entries():
         entry = store.peek(info["path"]) if info["status"] == "ok" else None
         if entry is None:
-            skipped += 1
+            skipped.append(info["digest"][:12])
             continue
         key = info["key"] or {}
         merged.extend(lint_trace(
@@ -761,8 +761,9 @@ def _cmd_store(args, _checked) -> int:
             source=f"store:{info['digest'][:12]} "
                    f"({key.get('workload', '?')})"))
     if skipped:
-        print(f"lint [{cache_dir}]: skipped {skipped} unreadable "
-              f"entr{'y' if skipped == 1 else 'ies'}", file=sys.stderr)
+        print(f"lint [{cache_dir}]: skipped {len(skipped)} unreadable "
+              f"entr{'y' if len(skipped) == 1 else 'ies'}: {', '.join(skipped)}",
+              file=sys.stderr)
     status = _finish_lint(merged, args)
     return 1 if skipped else status
 
@@ -977,7 +978,8 @@ def build_parser() -> argparse.ArgumentParser:
                       "(ls / stats / gc / lint)")
     store_sub = store_p.add_subparsers(dest="action", required=True)
     for action, help_text in (
-        ("ls", "list every disk entry (key, size, status)"),
+        ("ls", "list every disk entry (key, size, status; reads headers "
+               "only, so a changed data byte still lists ok)"),
         ("stats", "aggregate corpus statistics"),
         ("gc", "remove stale, quarantined and torn-write files"),
         ("lint", "lint every entry in the store (an unreadable one fails)"),

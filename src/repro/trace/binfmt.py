@@ -1,28 +1,36 @@
-"""Binary columnar trace files (store schema v5) + shared string interning.
+"""Binary columnar trace files (store format v6) + shared string interning.
 
-The trace store's disk tier used to be gzipped JSON: compact, but a warm
-load paid a full JSON parse and re-columnarization even though every
-consumer has priced straight from :class:`~repro.trace.columns.TraceColumns`
-since the columnar engine landed. Schema v5 stores the columns *as bytes*:
+The trace store's disk tier stores a trace's columns *as bytes*, in one
+fixed layout that a load checks and maps in a single pass:
 
 ```
 offset 0   magic  b"MMBTRACE"
-offset 8   u32 LE format version (5)
+offset 8   u32 LE format version (6)
 offset 12  u32 LE header length H
-offset 16  header JSON (H bytes, UTF-8)
+offset 16  u32 LE crc32 of every byte after this 20-byte prefix
+offset 20  header JSON (H bytes, UTF-8)
            zero padding to the next 64-byte boundary
-           raw little-endian column blocks, each 64-byte aligned,
-           in the fixed KERNEL_COLUMN_SPEC + HOST_COLUMN_SPEC order
+           four row-major column blocks, each 64-byte aligned (BLOCKS):
+             kernel float64 (5, n)       KERNEL_COLUMN_SPEC's <f8 columns
+             kernel int64   (8, n)       its <i8 columns + the meta codes
+             host   float64 (1, host_n)  HOST_COLUMN_SPEC's <f8 column
+             host   int64   (6, host_n)  its <i8 columns
+           the file ends where the last block ends
 ```
 
-The header carries everything that is small (the cache key, model scalars,
-``extra`` provenance, sparse per-event ``meta`` dicts, and the column
-directory: name -> dtype/offset/count relative to the data section). The
-column blocks carry everything that is big, and a load memory-maps them
-directly into read-only numpy views — no parse, no copy, no per-event
-objects. The mmap stays alive as the arrays' ``base``, so an in-flight
-view survives even if the file is concurrently replaced (``os.replace``
-re-points the directory entry; the mapped inode is untouched).
+The header carries everything that is small: the cache key, the model
+scalars, ``extra`` provenance, ``n``/``host_n``, the string tables, the
+sparse ``host_meta`` dicts and the kernel meta table (the distinct
+per-kernel meta dicts; a kernel's meta code indexes it, -1 for none). The
+column blocks carry everything that is big, and their offsets follow from
+the header length, ``n`` and ``host_n`` alone, so the file holds no column
+directory. A load checks the crc before it parses anything, then the
+header, the file length and every code row's range, and hands
+:class:`~repro.trace.columns.TraceColumns` read-only row views of the
+mmap — no copy, no per-event objects. The mmap stays alive as the arrays'
+``base``, so an in-flight view survives even if the file is concurrently
+replaced (``os.replace`` re-points the directory entry; the mapped inode
+is untouched).
 
 String tables (stage / modality / kernel-name / host-name) are interned
 *across* traces: a corpus-wide append-only sidecar (``interning.jsonl``)
@@ -40,28 +48,50 @@ import json
 import mmap
 import os
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
 
 from repro.trace.columns import (
+    CATEGORY_ORDER,
     HOST_COLUMN_SPEC,
+    HOST_KIND_ORDER,
     KERNEL_COLUMN_SPEC,
+    NO_MODALITY,
+    PASS_ORDER,
     TABLE_NAMES,
     TraceColumns,
 )
 
 MAGIC = b"MMBTRACE"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
+#: Magic, version, header length and crc32.
+PREFIX_LEN = 20
 #: Column blocks start on 64-byte boundaries (cache-line / SIMD friendly).
 ALIGN = 64
 
-#: Canonical file suffix for v5 binary trace files.
+#: Canonical file suffix for binary trace files.
 SUFFIX = ".mmt"
 
 
+def _rows(spec, dtype: str) -> tuple[str, ...]:
+    return tuple(name for name, dt in spec if dt == dtype)
+
+
+#: The column blocks in file order: (row names, dtype, length field). Rows
+#: keep their KERNEL_COLUMN_SPEC / HOST_COLUMN_SPEC order; ``meta_codes``
+#: indexes the header's kernel meta table (-1: the kernel has no meta).
+BLOCKS: tuple[tuple[tuple[str, ...], str, str], ...] = (
+    (_rows(KERNEL_COLUMN_SPEC, "<f8"), "<f8", "n"),
+    (_rows(KERNEL_COLUMN_SPEC, "<i8") + ("meta_codes",), "<i8", "n"),
+    (_rows(HOST_COLUMN_SPEC, "<f8"), "<f8", "host_n"),
+    (_rows(HOST_COLUMN_SPEC, "<i8"), "<i8", "host_n"),
+)
+
+
 class TraceFormatError(ValueError):
-    """A v5 trace file (or its interning sidecar) cannot be decoded."""
+    """A trace file (or its interning sidecar) cannot be decoded."""
 
 
 def _align_up(offset: int) -> int:
@@ -101,9 +131,16 @@ class StringInterner:
             raw = self.path.read_bytes()
         except OSError:
             return
-        for line in raw.splitlines():
-            if not line.strip():
-                continue
+        lines = [line for line in raw.splitlines() if line.strip()]
+        try:
+            # One parse for the whole sidecar; a torn line fails it.
+            records = json.loads(b"[" + b",".join(lines) + b"]")
+            if len(records) == len(lines):
+                self._by_id.update((int(rec["id"]), rec["s"]) for rec in records)
+                return
+        except (ValueError, KeyError, TypeError):
+            pass
+        for line in lines:
             try:
                 rec = json.loads(line)
                 self._by_id[int(rec["id"])] = rec["s"]
@@ -146,39 +183,72 @@ class StringInterner:
 
     def resolve(self, ids) -> tuple[str, ...]:
         """Strings for ``ids`` (re-reads the sidecar on unknown ids)."""
-        if any(int(i) not in self._by_id for i in ids):
+        try:
+            return tuple(map(self._by_id.__getitem__, ids))
+        except KeyError:
             self._refresh()
         try:
-            return tuple(self._by_id[int(i)] for i in ids)
+            return tuple(map(self._by_id.__getitem__, ids))
         except KeyError as exc:
             raise TraceFormatError(
                 f"interning sidecar {self.path} is missing string id {exc}"
             ) from None
 
 
+# -- layout ------------------------------------------------------------------
+
+
+def _layout(header_len: int, n: int, host_n: int) -> tuple[list[int], int]:
+    """Absolute offset of each of :data:`BLOCKS` and the file length, for a
+    file whose header is ``header_len`` bytes long."""
+    offsets = []
+    end = PREFIX_LEN + header_len
+    for rows, _, length in BLOCKS:
+        end = _align_up(end)
+        offsets.append(end)
+        end += len(rows) * 8 * (n if length == "n" else host_n)
+    return offsets, end
+
+
+def _block_views(buf, offsets: list[int], n: int, host_n: int) -> list[np.ndarray]:
+    """The ``(rows, length)`` array of each block, viewing ``buf``."""
+    return [np.ndarray((len(rows), n if length == "n" else host_n), dtype,
+                       buffer=buf, offset=offset)
+            for (rows, dtype, length), offset in zip(BLOCKS, offsets)]
+
+
 # -- encoding ------------------------------------------------------------------
 
 
-def _column_arrays(columns: TraceColumns) -> list[tuple[str, str, np.ndarray]]:
-    out = []
-    for name, dtype in KERNEL_COLUMN_SPEC + HOST_COLUMN_SPEC:
-        arr = np.ascontiguousarray(getattr(columns, name), dtype=np.dtype(dtype))
-        out.append((name, dtype, arr))
-    return out
+def _meta_table(meta: dict[int, dict], n: int) -> tuple[np.ndarray, list[dict]]:
+    """Per-kernel meta codes and the distinct meta dicts they index.
+
+    Dicts intern by their items and the values' types, so each keeps its
+    key order and ``1``, ``1.0`` and ``true`` stay apart; a dict with an
+    unhashable value (a list, from an ingested graph's attrs) interns by
+    its JSON text.
+    """
+    index: dict = {}
+    table: list[dict] = []
+    picked = []
+    for m in meta.values():
+        try:
+            code = index.setdefault((*m.items(), *map(type, m.values())), len(index))
+        except TypeError:
+            code = index.setdefault(json.dumps(m), len(index))
+        if code == len(table):
+            table.append(m)
+        picked.append(code)
+    codes = np.full(n, -1, dtype=np.int64)
+    codes[list(meta)] = picked
+    return codes, table
 
 
 def encode_entry(key_dict: dict | None, stored, interner: StringInterner | None) -> bytes:
-    """Serialize a :class:`~repro.trace.store.StoredTrace` to v5 bytes."""
+    """Serialize a :class:`~repro.trace.store.StoredTrace` to v6 bytes."""
     columns = stored.trace.columns()
-    arrays = _column_arrays(columns)
-
-    directory = []
-    offset = 0  # relative to the (64-aligned) data section start
-    for name, dtype, arr in arrays:
-        offset = _align_up(offset)
-        directory.append({"name": name, "dtype": dtype,
-                          "count": int(arr.size), "offset": offset})
-        offset += arr.nbytes
+    n, host_n = columns.n, columns.host_n
+    meta_codes, meta_table = _meta_table(columns.meta, n)
 
     tables: dict[str, dict] = {}
     for tname in TABLE_NAMES:
@@ -189,7 +259,6 @@ def encode_entry(key_dict: dict | None, stored, interner: StringInterner | None)
             tables[tname] = {"strings": strings}
 
     header = {
-        "schema": FORMAT_VERSION,
         "key": key_dict,
         "model_name": stored.model_name,
         "parameters": stored.parameters,
@@ -197,34 +266,30 @@ def encode_entry(key_dict: dict | None, stored, interner: StringInterner | None)
         "input_bytes": stored.input_bytes,
         "modalities": list(stored.modalities),
         "extra": stored.extra,
-        "n": columns.n,
-        "host_n": columns.host_n,
-        "columns": directory,
+        "n": n,
+        "host_n": host_n,
         "tables": tables,
-        "meta": {str(i): m for i, m in columns.meta.items()},
+        "meta": meta_table,
         "host_meta": {str(i): m for i, m in columns.host_meta.items()},
     }
     header_bytes = json.dumps(header, separators=(",", ":")).encode()
+    offsets, end = _layout(len(header_bytes), n, host_n)
 
-    data_start = _align_up(16 + len(header_bytes))
-    parts = [MAGIC,
-             (FORMAT_VERSION).to_bytes(4, "little"),
-             len(header_bytes).to_bytes(4, "little"),
-             header_bytes,
-             b"\x00" * (data_start - 16 - len(header_bytes))]
-    pos = 0
-    for entry, (_, _, arr) in zip(directory, arrays):
-        pad = entry["offset"] - pos
-        if pad:
-            parts.append(b"\x00" * pad)
-        parts.append(arr.tobytes())
-        pos = entry["offset"] + arr.nbytes
-    return b"".join(parts)
+    buf = bytearray(end)
+    buf[:8] = MAGIC
+    buf[8:12] = FORMAT_VERSION.to_bytes(4, "little")
+    buf[12:16] = len(header_bytes).to_bytes(4, "little")
+    buf[PREFIX_LEN:PREFIX_LEN + len(header_bytes)] = header_bytes
+    for (rows, _, _), block in zip(BLOCKS, _block_views(buf, offsets, n, host_n)):
+        for row, name in zip(block, rows):
+            row[:] = meta_codes if name == "meta_codes" else getattr(columns, name)
+    buf[16:20] = zlib.crc32(memoryview(buf)[PREFIX_LEN:]).to_bytes(4, "little")
+    return bytes(buf)
 
 
 def write_entry(path: str | os.PathLike, key_dict: dict | None, stored,
                 interner: StringInterner | None = None) -> Path:
-    """Atomically publish ``stored`` as a v5 file at ``path``.
+    """Atomically publish ``stored`` as a v6 file at ``path``.
 
     Writes to a sibling temp file and ``os.replace``s it into place, so a
     concurrent reader either sees the old complete file or the new one —
@@ -250,47 +315,42 @@ def write_entry(path: str | os.PathLike, key_dict: dict | None, stored,
 
 # -- decoding ------------------------------------------------------------------
 
-#: JSON types of the header fields ``read_entry`` and store listings read.
-_HEADER_TYPES: dict[str, type | tuple[type, ...]] = {
-    "n": int, "host_n": int, "columns": list, "modalities": list,
-    "tables": dict, "meta": dict, "host_meta": dict, "key": (dict, type(None)),
+#: JSON types of the header fields. ``type(x) in types`` (not isinstance)
+#: rejects JSON ``true``/``false``, which decode to bool, an int subclass.
+_HEADER_TYPES: dict[str, tuple[type, ...]] = {
+    "key": (dict, type(None)), "model_name": (str,), "parameters": (int,),
+    "parameter_bytes": (int,), "input_bytes": (int,), "modalities": (list,),
+    "extra": (dict,), "n": (int,), "host_n": (int,), "tables": (dict,),
+    "meta": (list,), "host_meta": (dict,),
 }
-
-#: The dtype each column's directory entry must name.
-_COLUMN_DTYPES = dict(KERNEL_COLUMN_SPEC + HOST_COLUMN_SPEC)
-_NP_DTYPES = {name: np.dtype(dtype) for name, dtype in _COLUMN_DTYPES.items()}
 #: Interned string ids are 63-bit (see string_id).
 _ID_LIMIT = 1 << 63
 
 
-def _check_directory(header: dict, data_size: int) -> None:
-    """Every column block and string id is in range before anything maps
-    or looks it up: a block is a known column of its schema dtype, with
-    an int count and a non-negative 64-byte-aligned int offset, inside the
-    ``data_size``-byte data section; a string id is an int in
-    ``[0, 2**63)``. ``type(x) is int`` rejects JSON ``true``/``false``
-    (bool is an int subclass) as well as floats."""
-    for entry in header["columns"]:
-        if type(entry) is not dict:
-            raise TraceFormatError(f"column entry is a JSON "
-                                   f"{type(entry).__name__}, not an object")
-        name, count, offset = entry.get("name"), entry.get("count"), entry.get("offset")
-        if type(name) is not str or name not in _COLUMN_DTYPES:
-            raise TraceFormatError(f"unknown column {name!r}")
-        if entry.get("dtype") != _COLUMN_DTYPES[name]:
-            raise TraceFormatError(f"column {name!r} has dtype "
-                                   f"{entry.get('dtype')!r}, not "
-                                   f"{_COLUMN_DTYPES[name]!r}")
-        if type(count) is not int or count < 0:
-            raise TraceFormatError(f"column {name!r} count must be a "
-                                   f"non-negative int, got {count!r}")
-        if type(offset) is not int or offset < 0 or offset % ALIGN:
-            raise TraceFormatError(f"column {name!r} offset must be a "
-                                   f"non-negative multiple of {ALIGN}, "
-                                   f"got {offset!r}")
-        if count and offset + count * _NP_DTYPES[name].itemsize > data_size:
+def _is_ints_in(values, lo: int, hi: int) -> bool:
+    """Whether ``values`` is a list of ints (not bools) in ``[lo, hi)``."""
+    return (type(values) is list and set(map(type, values)) <= {int}
+            and (not values or (min(values) >= lo and max(values) < hi)))
+
+
+def _check_header(header, header_len: int, file_size: int) -> list[int]:
+    """Check that ``header``'s fields have their types, its tables and meta
+    are well formed, and the file is exactly as long as its layout; return
+    the layout's block offsets."""
+    if type(header) is not dict:
+        raise TraceFormatError(
+            f"header is a JSON {type(header).__name__}, not an object")
+    for name, types in _HEADER_TYPES.items():
+        value = header.get(name)
+        if type(value) not in types:
             raise TraceFormatError(
-                f"column {name!r} extends past end of file")
+                f"header field {name!r} has the wrong type "
+                f"({type(value).__name__})")
+    n, host_n = header["n"], header["host_n"]
+    if n < 0 or host_n < 0:
+        raise TraceFormatError(f"negative length (n={n}, host_n={host_n})")
+    if not all(type(m) is str for m in header["modalities"]):
+        raise TraceFormatError("modalities must be a list of strings")
     for name in TABLE_NAMES:
         spec = header["tables"].get(name)
         if type(spec) is dict and "strings" in spec:
@@ -300,59 +360,60 @@ def _check_directory(header: dict, data_size: int) -> None:
                 raise TraceFormatError(f"table {name!r} strings must be a "
                                        f"list of strings")
         elif type(spec) is dict and type(spec.get("ids")) is list:
-            for i in spec["ids"]:
-                if type(i) is not int or not 0 <= i < _ID_LIMIT:
-                    raise TraceFormatError(f"table {name!r} string id must "
-                                           f"be an int in [0, 2**63), got {i!r}")
+            if not _is_ints_in(spec["ids"], 0, _ID_LIMIT):
+                raise TraceFormatError(f"table {name!r} string ids must be "
+                                       f"ints in [0, 2**63)")
         else:
             raise TraceFormatError(f"table {name!r} has neither strings nor ids")
+    if not all(type(m) is dict for m in header["meta"]):
+        raise TraceFormatError("meta table must be a list of objects")
+    for i, m in header["host_meta"].items():
+        # The length test keeps int() off digit strings past its limit.
+        if not (type(m) is dict and i.isdecimal()
+                and len(i) <= len(str(host_n)) and int(i) < host_n):
+            raise TraceFormatError(f"host_meta entry {i!r} is not an object "
+                                   f"keyed by a host event index")
+    offsets, end = _layout(header_len, n, host_n)
+    if file_size != end:
+        raise TraceFormatError(f"file is {file_size} bytes, its layout "
+                               f"{end} (n={n}, host_n={host_n})")
+    return offsets
 
 
-def _parse_header(buf, file_size: int) -> tuple[dict, int]:
-    """Validated header dict + absolute data-section offset, for a file of
-    ``file_size`` bytes whose first bytes are ``buf``."""
-    if len(buf) < 16:
-        raise TraceFormatError(f"file too short for a v5 header ({len(buf)} bytes)")
+def _parse_prefix(buf) -> int:
+    """The header length, once the prefix names a v6 file."""
+    if len(buf) < PREFIX_LEN:
+        raise TraceFormatError(
+            f"file too short for a v6 prefix ({len(buf)} bytes)")
     if bytes(buf[:8]) != MAGIC:
         raise TraceFormatError(f"bad magic {bytes(buf[:8])!r}")
     version = int.from_bytes(buf[8:12], "little")
     if version != FORMAT_VERSION:
         raise TraceFormatError(f"unsupported binary trace version {version}")
-    header_len = int.from_bytes(buf[12:16], "little")
-    if 16 + header_len > len(buf):
+    return int.from_bytes(buf[12:16], "little")
+
+
+def _parse_header(buf, header_len: int, file_size: int) -> tuple[dict, list[int]]:
+    """The checked header JSON held by ``buf[PREFIX_LEN:][:header_len]``
+    and the block offsets of its layout."""
+    if PREFIX_LEN + header_len > len(buf):
         raise TraceFormatError("truncated header")
     try:
-        header = json.loads(bytes(buf[16:16 + header_len]).decode())
+        header = json.loads(buf[PREFIX_LEN:PREFIX_LEN + header_len].decode())
     except (ValueError, UnicodeDecodeError) as exc:
         raise TraceFormatError(f"undecodable header: {exc}") from None
-    if not isinstance(header, dict):
-        raise TraceFormatError(
-            f"header is a JSON {type(header).__name__}, not an object")
-    if header.get("schema") != FORMAT_VERSION:
-        raise TraceFormatError(f"unsupported schema {header.get('schema')!r}")
-    for name, types in _HEADER_TYPES.items():
-        value = header.get(name)
-        # JSON true/false decode to bool, an int subclass; never a count.
-        if not isinstance(value, types) or isinstance(value, bool):
-            raise TraceFormatError(
-                f"header field {name!r} has the wrong type "
-                f"({type(value).__name__})")
-    data_start = _align_up(16 + header_len)
-    _check_directory(header, file_size - data_start)
-    return header, data_start
+    return header, _check_header(header, header_len, file_size)
 
 
 def read_header(path: str | os.PathLike) -> dict:
-    """Header dict only (cheap corpus listing — no column mapping)."""
+    """Header dict only (cheap corpus listing: no column mapping, and no
+    crc check, which needs every byte of the file)."""
     with open(path, "rb") as fh:
-        prefix = fh.read(16)
-        if len(prefix) < 16 or prefix[:8] != MAGIC:
-            raise TraceFormatError(f"{path}: not a v5 trace file")
-        header_len = int.from_bytes(prefix[12:16], "little")
+        prefix = fh.read(PREFIX_LEN)
+        header_len = _parse_prefix(prefix)
         blob = prefix + fh.read(header_len)
         file_size = os.fstat(fh.fileno()).st_size
-    header, _ = _parse_header(blob, file_size)
-    return header
+    return _parse_header(blob, header_len, file_size)[0]
 
 
 def _resolve_table(spec: dict, interner: StringInterner | None,
@@ -365,38 +426,70 @@ def _resolve_table(spec: dict, interner: StringInterner | None,
     return interner.resolve(spec["ids"])
 
 
+def _code_ranges(tables: dict, meta_len: int) -> dict[str, tuple[int, int]]:
+    """``[lo, hi)`` of every code row, by row name."""
+    return {
+        "category_codes": (0, len(CATEGORY_ORDER)),
+        "stage_codes": (0, len(tables["stage_table"])),
+        "modality_codes": (NO_MODALITY, len(tables["modality_table"])),
+        "pass_codes": (0, len(PASS_ORDER)),
+        "name_codes": (0, len(tables["name_table"])),
+        "meta_codes": (-1, meta_len),
+        "host_kind_codes": (0, len(HOST_KIND_ORDER)),
+        "host_stage_codes": (0, len(tables["stage_table"])),
+        "host_modality_codes": (NO_MODALITY, len(tables["modality_table"])),
+        "host_pass_codes": (0, len(PASS_ORDER)),
+        "host_name_codes": (0, len(tables["host_name_table"])),
+    }
+
+
 def read_entry(path: str | os.PathLike,
                interner: StringInterner | None = None):
-    """Load a v5 file into ``(header, StoredTrace)`` with zero-copy columns.
+    """Load a v6 file into ``(header, StoredTrace)`` with zero-copy columns.
 
-    Column arrays are read-only ``np.frombuffer`` views over a private
-    read-only mmap of the file; the mmap is kept alive by the arrays'
-    ``base`` chain, so no explicit lifetime management is needed.
+    Checks the crc before it parses anything; then the header, the file
+    length and every code row's range (one ``min`` and one ``max`` per
+    block). Column arrays are read-only row views over a read-only mmap of
+    the file, kept alive by the arrays' ``base`` chain, so no explicit
+    lifetime management is needed.
     """
     from repro.trace.store import StoredTrace
     from repro.trace.tracer import Trace
 
-    with open(path, "rb") as fh:
-        mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    header, data_start = _parse_header(mm, len(mm))
-
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        mm = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+    finally:
+        os.close(fd)
+    header_len = _parse_prefix(mm)
+    if zlib.crc32(memoryview(mm)[PREFIX_LEN:]) != int.from_bytes(mm[16:20], "little"):
+        raise TraceFormatError("crc32 mismatch: the file's bytes changed "
+                               "after it was written")
+    header, offsets = _parse_header(mm, header_len, len(mm))
     tables = {name: _resolve_table(header["tables"][name], interner, name)
               for name in TABLE_NAMES}
+    ranges = _code_ranges(tables, len(header["meta"]))
 
-    arrays: dict[str, np.ndarray] = {}
-    for entry in header["columns"]:
-        dtype = _NP_DTYPES[entry["name"]]
-        count = entry["count"]
-        arrays[entry["name"]] = (
-            np.frombuffer(mm, dtype=dtype, count=count,
-                          offset=data_start + entry["offset"])
-            if count else np.empty(0, dtype=dtype))
+    n, host_n = header["n"], header["host_n"]
+    views: dict[str, np.ndarray] = {}
+    for (rows, dtype, _), block in zip(BLOCKS, _block_views(mm, offsets, n, host_n)):
+        if dtype == "<i8" and block.size:
+            for name, lo, hi in zip(rows, block.min(axis=1).tolist(),
+                                    block.max(axis=1).tolist()):
+                bounds = ranges.get(name)
+                if bounds is not None and not bounds[0] <= lo <= hi < bounds[1]:
+                    raise TraceFormatError(f"column {name!r} has codes outside "
+                                           f"[{bounds[0]}, {bounds[1]})")
+        views.update(zip(rows, block))
 
-    columns = TraceColumns.from_buffers(
-        n=int(header["n"]), host_n=int(header["host_n"]),
-        arrays=arrays, tables=tables,
-        meta={int(i): dict(m) for i, m in header["meta"].items()},
-        host_meta={int(i): dict(m) for i, m in header["host_meta"].items()},
+    meta_codes, meta = views.pop("meta_codes"), {}
+    if header["meta"]:
+        present = np.flatnonzero(meta_codes >= 0)
+        meta = dict(zip(present.tolist(), map(header["meta"].__getitem__,
+                                              meta_codes[present].tolist())))
+    columns = TraceColumns(
+        n=n, host_n=host_n, **views, **tables, meta=meta,
+        host_meta={int(i): m for i, m in header["host_meta"].items()},
     )
     stored = StoredTrace(
         trace=Trace.from_columns(columns),
@@ -404,7 +497,7 @@ def read_entry(path: str | os.PathLike,
         parameters=header["parameters"],
         parameter_bytes=header["parameter_bytes"],
         input_bytes=header["input_bytes"],
-        modalities=list(header["modalities"]),
-        extra=dict(header.get("extra") or {}),
+        modalities=header["modalities"],
+        extra=header["extra"],
     )
     return header, stored

@@ -39,10 +39,10 @@ PASS_CODES: dict[str, int] = {p: i for i, p in enumerate(PASS_ORDER)}
 #: Modality code for "no modality" (``KernelEvent.modality is None``).
 NO_MODALITY = -1
 
-#: The stable on-disk column schema (name, little-endian dtype), in file
-#: order. The binary store (:mod:`repro.trace.binfmt`) writes exactly these
-#: blocks and :meth:`TraceColumns.from_buffers` validates against them, so
-#: adding/reordering a column is a schema change, not a silent drift.
+#: The stable on-disk column schema (name, little-endian dtype). The binary
+#: store (:mod:`repro.trace.binfmt`) lays its column blocks out from these
+#: specs, so adding/reordering a column is a format change, not a silent
+#: drift.
 KERNEL_COLUMN_SPEC: tuple[tuple[str, str], ...] = (
     ("flops", "<f8"), ("bytes_read", "<f8"), ("bytes_written", "<f8"),
     ("threads", "<i8"), ("coalesced_fraction", "<f8"), ("reuse_factor", "<f8"),
@@ -93,6 +93,7 @@ class TraceColumns:
     name_table: tuple[str, ...]
     host_name_table: tuple[str, ...]
     # -- sparse metadata: index -> non-empty meta dict --------------------------
+    # Kernels of a trace loaded from the store may share one dict: read-only.
     meta: dict[int, dict] = field(default_factory=dict)
     host_meta: dict[int, dict] = field(default_factory=dict)
 
@@ -189,73 +190,6 @@ class TraceColumns:
               k.modality, k.pass_, k.seq, k.meta) for k in kernels],
             [(h.kind, h.bytes, h.name, h.stage, h.modality, h.pass_, h.seq,
               h.meta) for h in host_events],
-        )
-
-    @classmethod
-    def from_buffers(
-        cls,
-        n: int,
-        host_n: int,
-        arrays: dict,
-        tables: dict,
-        meta: dict | None = None,
-        host_meta: dict | None = None,
-    ) -> "TraceColumns":
-        """Wrap pre-built (possibly memory-mapped, read-only) column arrays.
-
-        This is the zero-copy entry point the binary store loads through:
-        arrays are adopted as-is, never copied. Dtypes, lengths and code
-        ranges are validated against the column schema so a truncated or
-        bit-rotted file fails loudly here instead of producing garbage
-        prices downstream.
-        """
-        def _check(spec, length, kind):
-            for name, dtype in spec:
-                arr = arrays.get(name)
-                if arr is None:
-                    raise ValueError(f"missing {kind} column {name!r}")
-                if arr.ndim != 1 or arr.dtype != np.dtype(dtype):
-                    raise ValueError(
-                        f"{kind} column {name!r}: expected 1-d {dtype}, got "
-                        f"{arr.ndim}-d {arr.dtype.str}")
-                if arr.size != length:
-                    raise ValueError(
-                        f"{kind} column {name!r}: expected {length} entries, "
-                        f"got {arr.size}")
-
-        _check(KERNEL_COLUMN_SPEC, n, "kernel")
-        _check(HOST_COLUMN_SPEC, host_n, "host")
-        for tname in TABLE_NAMES:
-            if not isinstance(tables.get(tname), tuple):
-                raise ValueError(f"missing interned table {tname!r}")
-
-        def _bounds(name, lo, hi):
-            arr = arrays[name]
-            if arr.size and (int(arr.min()) < lo or int(arr.max()) >= hi):
-                raise ValueError(
-                    f"column {name!r} has codes outside [{lo}, {hi})")
-
-        _bounds("category_codes", 0, len(CATEGORY_ORDER))
-        _bounds("pass_codes", 0, len(PASS_ORDER))
-        _bounds("stage_codes", 0, max(1, len(tables["stage_table"])))
-        _bounds("modality_codes", NO_MODALITY,
-                max(1, len(tables["modality_table"])))
-        _bounds("name_codes", 0, max(1, len(tables["name_table"])))
-        _bounds("host_kind_codes", 0, len(HOST_KIND_ORDER))
-        _bounds("host_pass_codes", 0, len(PASS_ORDER))
-        _bounds("host_stage_codes", 0, max(1, len(tables["stage_table"])))
-        _bounds("host_modality_codes", NO_MODALITY,
-                max(1, len(tables["modality_table"])))
-        _bounds("host_name_codes", 0, max(1, len(tables["host_name_table"])))
-
-        return cls(
-            n=n,
-            host_n=host_n,
-            **{name: arrays[name]
-               for name, _ in KERNEL_COLUMN_SPEC + HOST_COLUMN_SPEC},
-            **{tname: tables[tname] for tname in TABLE_NAMES},
-            meta=dict(meta or {}),
-            host_meta=dict(host_meta or {}),
         )
 
     # -- materialization (API-compatibility escape hatch) ----------------------

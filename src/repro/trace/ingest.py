@@ -37,6 +37,7 @@ dependencies regardless of serialization order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -242,6 +243,7 @@ class OpMappingRegistry:
         self._rules: list[OpRule] = list(rules)
         self._exact: dict[str, OpRule] = {}
         self._memo: dict[str, OpRule | None] = {}
+        self._digest: str | None = None
 
     def register(self, pattern: str, category: KernelCategory | str,
                  pass_: str | None = None, stage: str | None = None,
@@ -263,6 +265,7 @@ class OpMappingRegistry:
         else:
             self._rules.insert(0, rule)
         self._memo.clear()
+        self._digest = None
 
     def resolve(self, name: str) -> OpRule | None:
         """First matching rule for ``name``, or None (-> unknown bucket)."""
@@ -293,17 +296,21 @@ class OpMappingRegistry:
     def copy(self) -> "OpMappingRegistry":
         dup = OpMappingRegistry(self._rules)
         dup._exact = dict(self._exact)
+        dup._digest = self._digest
         return dup
 
     def digest(self) -> str:
-        """Content hash of the rule set — part of ingest cache keys."""
-        payload = json.dumps(
-            [[r.pattern, r.category.value, r.pass_, r.stage] for r in self._rules]
-            + [["=" + k, r.category.value, r.pass_, r.stage]
-               for k, r in sorted(self._exact.items())],
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:12]
+        """Content hash of the rule set — part of ingest cache keys
+        (computed once per rule set: :meth:`register` clears it)."""
+        if self._digest is None:
+            payload = json.dumps(
+                [[r.pattern, r.category.value, r.pass_, r.stage] for r in self._rules]
+                + [["=" + k, r.category.value, r.pass_, r.stage]
+                   for k, r in sorted(self._exact.items())],
+                separators=(",", ":"),
+            )
+            self._digest = hashlib.sha256(payload.encode()).hexdigest()[:12]
+        return self._digest
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str],
@@ -320,9 +327,17 @@ class OpMappingRegistry:
 _UNRESOLVED = object()
 
 
+@functools.cache
+def _default_digest() -> str:
+    return OpMappingRegistry(DEFAULT_OP_RULES).digest()
+
+
 def default_registry() -> OpMappingRegistry:
-    """A fresh registry with the default rules (safe to mutate)."""
-    return OpMappingRegistry(DEFAULT_OP_RULES)
+    """A fresh registry with the default rules (safe to mutate); the
+    default rules are hashed once per process."""
+    registry = OpMappingRegistry(DEFAULT_OP_RULES)
+    registry._digest = _default_digest()
+    return registry
 
 
 # -- pass / stage / modality heuristics -----------------------------------------

@@ -35,7 +35,7 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.trace import binfmt
@@ -44,9 +44,9 @@ from repro.trace.tracer import Trace, Tracer
 logger = logging.getLogger(__name__)
 
 #: The disk schema: binary columnar ``.mmt`` files (repro.trace.binfmt) —
-#: raw little-endian column blocks that memory-map zero-copy into
+#: crc32-checked little-endian column blocks that memory-map zero-copy into
 #: TraceColumns, with string tables interned corpus-wide in an
-#: ``interning.jsonl`` sidecar. Files of any other schema are quarantined.
+#: ``interning.jsonl`` sidecar. Files of any other version are quarantined.
 SCHEMA_VERSION = binfmt.FORMAT_VERSION
 
 #: Errors that mean "this cache file is corrupt", as opposed to missing.
@@ -125,8 +125,15 @@ class TraceKey:
     code_version: str
     mode: str = "inference"
 
+    def as_dict(self) -> dict:
+        """The fields by name (``dataclasses.asdict`` without its deep copy)."""
+        return {"workload": self.workload, "fusion": self.fusion,
+                "unimodal": self.unimodal, "batch_size": self.batch_size,
+                "seed": self.seed, "backend": self.backend,
+                "code_version": self.code_version, "mode": self.mode}
+
     def canonical(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical().encode()).hexdigest()
@@ -302,7 +309,7 @@ class TraceStore:
         # binfmt.write_entry publishes via temp file + atomic rename:
         # concurrent sweeps may race on the same key, but each writes its
         # own file and the final rename is all-or-nothing.
-        binfmt.write_entry(self._binary_path(digest), asdict(key), stored,
+        binfmt.write_entry(self._binary_path(digest), key.as_dict(), stored,
                            interner=self._interner)
 
     # -- corpus operations ------------------------------------------------------

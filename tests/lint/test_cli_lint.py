@@ -13,6 +13,7 @@ from repro.workloads.registry import list_workloads
 from repro.lint import lint_trace
 from repro.trace import binfmt
 from repro.trace.store import TraceStore, set_default_store
+from tests.trace.mmt_files import reseal, row_offset
 
 FIXTURES = Path(__file__).parent.parent / "fixtures" / "execution_graphs"
 
@@ -188,22 +189,33 @@ class TestStoreLint:
         before = sorted(p.name for p in cache.iterdir())
         assert main(["store", "lint", "--cache-dir", str(cache)]) == 1
         out, err = capsys.readouterr()
-        assert "skipped 1 unreadable entry" in err
+        assert f"skipped 1 unreadable entry: {path.name[:12]}" in err
         assert "0 artifact(s)" in out
         assert sorted(p.name for p in cache.iterdir()) == before
         assert path.exists()
 
     def test_entry_with_bad_codes_fails_and_keeps_its_name(self, tmp_path, capsys):
         # The header parses, so `entries()` lists it; its first kernel's
-        # category code (99) is out of range, so it cannot be read.
+        # category code (99) is out of range under a valid crc, so it
+        # cannot be read.
         path = self._one_entry(tmp_path)
         blob = bytearray(path.read_bytes())
-        header = binfmt.read_header(path)
-        [column] = [c for c in header["columns"] if c["name"] == "category_codes"]
-        at = (binfmt._align_up(16 + int.from_bytes(blob[12:16], "little"))
-              + column["offset"])
+        at = row_offset(blob, "category_codes")
         blob[at:at + 8] = (99).to_bytes(8, "little")
+        path.write_bytes(reseal(blob))
+        self._assert_fails_in_place(tmp_path, path, capsys)
+
+    def test_entry_with_a_flipped_data_byte_fails_and_keeps_its_name(
+            self, tmp_path, capsys):
+        # `store ls` reads headers only, so it still lists the entry ok;
+        # `store lint` reads it whole and the crc fails.
+        path = self._one_entry(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[row_offset(blob, "flops") + 7] ^= 1 << 6
         path.write_bytes(bytes(blob))
+        assert main(["store", "ls", "--cache-dir", str(tmp_path)]) == 0
+        listed = capsys.readouterr().out
+        assert path.name[:12] in listed and " ok " in listed
         self._assert_fails_in_place(tmp_path, path, capsys)
 
     def test_entry_with_bad_header_fails_and_keeps_its_name(self, tmp_path, capsys):

@@ -28,13 +28,15 @@ from pathlib import Path
 import pytest
 
 from repro.core.cli import _parse_devices, main
+from repro.hw.device import get_device
+from repro.hw.engine import ExecutionEngine
 from repro.lint import LintReport, lint_fault_plan, lint_graph, lint_trace
 from repro.serving import FaultPlan, parse_autoscale, parse_groups, validate_fault_plan
 from repro.serving.faults import FaultPlanError
 from repro.serving.fleet import FleetConfigError
-from repro.trace import binfmt
 from repro.trace.ingest import IngestError, ingest_graph
 from repro.trace.store import TraceKey, TraceStore
+from tests.trace.mmt_files import join, reseal, split
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "execution_graphs"
 
@@ -166,48 +168,47 @@ def test_graphs_raise_only_ingest_errors_and_lint_to_diagnostics():
         assert isinstance(lint_trace(ingested), LintReport)
 
 
-MMT_KEYS = ("columns", "tables", "name", "dtype", "count", "offset", "ids",
-            "strings", "n", "host_n", "meta", "host_meta", "key", "extra",
-            "modalities", "model_name", "parameters", "parameter_bytes",
-            "input_bytes", "schema")
+MMT_KEYS = ("tables", "ids", "strings", "n", "host_n", "meta", "host_meta",
+            "key", "extra", "modalities", "model_name", "parameters",
+            "parameter_bytes", "input_bytes", "m", "k", "stride")
 
 
-def _split_mmt(blob: bytes) -> tuple[dict, bytes]:
-    """A ``.mmt`` file's header JSON and its data section."""
-    header_len = int.from_bytes(blob[12:16], "little")
-    return (json.loads(blob[16:16 + header_len]),
-            blob[binfmt._align_up(16 + header_len):])
+def _mutate_mmt(rng: random.Random, blob: bytes) -> tuple[bytes, bool]:
+    """A mutated ``.mmt`` file and whether its crc was recomputed.
 
-
-def _join_mmt(blob: bytes, header: dict, data: bytes) -> bytes:
-    """``blob``'s file with its header replaced and ``data`` after it."""
-    new = json.dumps(header).encode()
-    pad = binfmt._align_up(16 + len(new)) - 16 - len(new)
-    return blob[:12] + len(new).to_bytes(4, "little") + new + b"\0" * pad + data
-
-
-def _mutate_mmt(rng: random.Random, blob: bytes) -> bytes:
-    """Header-field edits (``_mutate_json``, mostly on the column directory
-    and the string tables, whose values index into the file and the
-    sidecar), one to four raw byte edits, or a truncation."""
-    op = rng.randrange(4)
+    Sealed (crafted) edits reach the checks behind the crc: header-field
+    edits (``_mutate_json``, mostly on the string tables, whose ids index
+    the sidecar, and on the meta table, which the meta codes index) and
+    one to four byte edits in the data section. Unsealed edits are bit
+    rot: one to four raw byte edits or a truncation.
+    """
+    op = rng.randrange(5)
     if op < 2:
-        header, data = _split_mmt(blob)
-        part = rng.choice(("columns", "tables", None))
+        header, data = split(blob)
+        part = rng.choice(("tables", "meta", None))
         if part is None:
             header = _mutate_json(rng, header, MMT_KEYS)
         else:
             header[part] = _mutate_json(rng, header[part], MMT_KEYS)
-        return _join_mmt(blob, header, data)
-    if op == 2:
-        return blob[:rng.randrange(len(blob))]
+        return join(header, data), True
+    if op == 3:
+        return blob[:rng.randrange(len(blob))], False
     out = bytearray(blob)
-    header_end = 16 + int.from_bytes(blob[12:16], "little")
+    data_start = len(blob) - len(split(blob)[1])
     for _ in range(rng.randint(1, 4)):
-        # Half the edits land in the prefix or the header, the rest anywhere.
-        pos = rng.randrange(header_end if rng.random() < 0.5 else len(out))
+        if op == 2:
+            pos = rng.randrange(data_start, len(out))
+        else:
+            # Half the edits land before the column blocks, the rest anywhere.
+            pos = rng.randrange(data_start if rng.random() < 0.5 else len(out))
         out[pos] = rng.randrange(256)
-    return bytes(out)
+    return (reseal(out), True) if op == 2 else (bytes(out), False)
+
+
+def _price(stored) -> float:
+    return ExecutionEngine(get_device("2080ti")).run(
+        stored.trace, model_bytes=stored.parameter_bytes,
+        input_bytes=stored.input_bytes).total_time
 
 
 def _quiet_main(argv: list[str]) -> int:
@@ -218,24 +219,30 @@ def _quiet_main(argv: list[str]) -> int:
 
 def test_trace_store_files_fail_only_as_corrupt_entries(tmp_path):
     """A mutated ``.mmt`` entry is read by every store path and the store
-    CLI; it either loads or is a corrupt entry, never a raw exception."""
+    CLI; it either loads or is a corrupt entry, never a raw exception. An
+    entry with unsealed edits (bit rot) that loads prices bit-identically
+    to its seed."""
     seed_dir = tmp_path / "seed"
     store = TraceStore(seed_dir)
     store.get_or_capture("avmnist", batch_size=2, backend="meta")
     store.get_or_ingest(FIXTURES / "cnn_forward.json")
     seeds = [p.read_bytes() for p in sorted(seed_dir.glob("*.mmt"))]
     assert len(seeds) == 2
+    prices = [_price(store.peek(p)) for p in sorted(seed_dir.glob("*.mmt"))]
     sidecar = (seed_dir / TraceStore.INTERNING_SIDECAR).read_bytes()
 
     cache = tmp_path / "cache"
     cache.mkdir()
     (cache / TraceStore.INTERNING_SIDECAR).write_bytes(sidecar)
     rng = random.Random(23)
+    outcomes = {(sealed, loaded): 0 for sealed in (True, False)
+                for loaded in (True, False)}
     for _ in range(150):
-        seed = rng.choice(seeds)
-        key = TraceKey(**_split_mmt(seed)[0]["key"])
+        which = rng.randrange(len(seeds))
+        seed = seeds[which]
+        key = TraceKey(**split(seed)[0]["key"])
         path = cache / f"{key.digest()}.mmt"
-        blob = _mutate_mmt(rng, seed)
+        blob, sealed = _mutate_mmt(rng, seed)
         for stale in cache.glob("*.mmt*"):
             stale.unlink()
 
@@ -253,6 +260,14 @@ def test_trace_store_files_fail_only_as_corrupt_entries(tmp_path):
 
         path.write_bytes(blob)
         cold = TraceStore(cache)
-        if cold.get(key) is None:
+        loaded = cold.get(key)
+        outcomes[sealed, loaded is not None] += 1
+        if loaded is None:
             assert cold.stats["misses"] == cold.stats["corrupt"] == 1
             assert not path.exists()
+        elif not sealed:
+            assert _price(loaded) == prices[which]
+    # The campaign reaches both outcomes of crafted entries, and bit rot
+    # reaches the corrupt path.
+    assert outcomes[True, True] and outcomes[True, False]
+    assert outcomes[False, False]

@@ -120,6 +120,27 @@ class TestRegistry:
         b.register("magic", KernelCategory.GEMM)
         assert a.digest() != b.digest()
 
+    def test_digest_is_cached_and_equals_a_fresh_hash(self, monkeypatch):
+        import repro.trace.ingest as ingest_mod
+
+        def fresh(reg):  # the same rules, hashed by a registry never asked
+            dup = OpMappingRegistry(reg.rule_list)
+            dup._exact = dict(reg._exact)
+            return dup.digest()
+
+        default_registry().digest()
+        hashes = []
+        sha256 = ingest_mod.hashlib.sha256
+        monkeypatch.setattr(ingest_mod.hashlib, "sha256",
+                            lambda *a: hashes.append(1) or sha256(*a))
+        reg = default_registry()
+        assert reg.digest() == reg.digest() and hashes == []
+        reg.register("magic", KernelCategory.GEMM)
+        reg.register("Exact", KernelCategory.GEMM, exact=True)
+        assert reg.digest() == reg.digest() and len(hashes) == 1
+        assert reg.digest() == fresh(reg) != default_registry().digest()
+        assert reg.copy().digest() == reg.digest()
+
     def test_copy_is_independent(self):
         a = default_registry()
         b = a.copy()

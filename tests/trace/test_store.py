@@ -1,9 +1,15 @@
 """The content-addressed trace store: keys, tiers, stats, persistence."""
 
+import dataclasses
+import json
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.serving import PROFILE_STATS, ProfiledCostModel, clear_cost_cache
 from repro.trace.store import (
+    TraceKey,
     TraceStore,
     code_fingerprint,
     default_store,
@@ -46,6 +52,18 @@ class TestKeys:
         store = TraceStore()
         assert store.make_key("avmnist", unimodal="image") != \
                store.make_key("avmnist", fusion="slfs")
+
+
+    @given(st.builds(
+        TraceKey, workload=st.text(), fusion=st.none() | st.text(),
+        unimodal=st.none() | st.text(), batch_size=st.integers(),
+        seed=st.integers(), backend=st.text(), code_version=st.text(),
+        mode=st.text()))
+    def test_canonical_equals_the_asdict_spelling(self, key):
+        # Digests of stored entries hash these bytes: they must not move.
+        assert key.as_dict() == dataclasses.asdict(key)
+        assert key.canonical() == json.dumps(
+            dataclasses.asdict(key), sort_keys=True, separators=(",", ":"))
 
 
 class TestCaptureAndHits:
@@ -190,7 +208,7 @@ class TestDiskTier:
         store.get_or_capture("avmnist", batch_size=2, backend="meta")
         path = next(tmp_path.glob("*.mmt"))
         header = read_header(path)
-        assert header["schema"] == 5
+        assert path.read_bytes()[8:12] == (6).to_bytes(4, "little")
         assert header["key"]["workload"] == "avmnist"
         assert header["key"]["code_version"] == code_fingerprint()
 

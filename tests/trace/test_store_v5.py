@@ -1,6 +1,6 @@
-"""The binary columnar (schema v5) disk tier: zero-copy loads, round
-trips, malformed headers, stray files, interning, corpus ops, concurrent
-writers."""
+"""The binary columnar (format v6) disk tier: zero-copy loads, round
+trips, malformed headers and data, stray files, interning, corpus ops,
+concurrent writers."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import gzip
 import json
 import math
 import multiprocessing
+import random
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from repro.trace.events import (
 from repro.trace.store import StoredTrace, TraceStore, set_default_store
 from repro.trace.tracer import Trace
 from repro.workloads.registry import list_workloads
+from tests.trace.mmt_files import join, reseal, row_offset, split
 
 ALL_COLUMNS = [name for name, _ in KERNEL_COLUMN_SPEC + HOST_COLUMN_SPEC]
 
@@ -108,15 +110,10 @@ def engine_total(stored: StoredTrace, device: str = "2080ti") -> float:
 
 def rewrite_header(path, mutate) -> None:
     """Re-publish a ``.mmt`` file with its header JSON set to
-    ``mutate(header)``; the column blocks are carried over unchanged."""
-    blob = path.read_bytes()
-    header_len = int.from_bytes(blob[12:16], "little")
-    header = json.loads(blob[16:16 + header_len])
-    data = blob[binfmt._align_up(16 + header_len):]
-    new = json.dumps(mutate(header)).encode()
-    pad = binfmt._align_up(16 + len(new)) - 16 - len(new)
-    path.write_bytes(blob[:12] + len(new).to_bytes(4, "little") + new
-                     + b"\x00" * pad + data)
+    ``mutate(header)`` and its crc recomputed; the column blocks are
+    carried over unchanged."""
+    header, data = split(path.read_bytes())
+    path.write_bytes(join(mutate(header), data))
 
 
 def stale_key(store: TraceStore, **kwargs):
@@ -154,6 +151,23 @@ class TestRoundTripProperties:
             _, loaded = binfmt.read_entry(path)
             t0, t1 = engine_total(stored), engine_total(loaded)
             assert t1 == pytest.approx(t0, rel=1e-9)
+
+    def test_meta_table_keeps_key_order_and_value_types(self, tmp_path):
+        metas = [{"m": 1, "n": 2}, {"n": 2, "m": 1}, {"m": 1.0, "n": 2},
+                 {"m": True, "n": 2}, {"shape": [1, 2]}, {"m": 1, "n": 2},
+                 {}, {"shape": [1, 2]}]
+        base = random_stored_trace(np.random.default_rng(3), n=len(metas))
+        kernels = [dataclasses.replace(k, meta=m)
+                   for k, m in zip(base.trace.kernels, metas)]
+        stored = dataclasses.replace(base, trace=Trace(kernels, []))
+        path = tmp_path / "meta.mmt"
+        binfmt.write_entry(path, None, stored)
+        header, loaded = binfmt.read_entry(path)
+        assert len(header["meta"]) == 5  # distinct by items, order and type
+        got = loaded.trace.columns().meta
+        assert sorted(got) == [i for i, m in enumerate(metas) if m]
+        for i, m in got.items():
+            assert json.dumps(m) == json.dumps(metas[i])
 
     def test_empty_trace_round_trips(self, tmp_path):
         stored = StoredTrace(trace=Trace([], []), model_name="empty",
@@ -228,12 +242,6 @@ class TestDiskRoundTrip:
             engine_total(captured), rel=1e-9)
 
 
-def set_column(field, value):
-    """A header mutation: the first column's directory ``field`` := ``value``."""
-    return lambda header: {**header, "columns": [
-        {**header["columns"][0], field: value}, *header["columns"][1:]]}
-
-
 def set_string_id(value):
     """A header mutation: the first interned kernel-name id := ``value``."""
     def mutate(header):
@@ -244,12 +252,13 @@ def set_string_id(value):
     return mutate
 
 
-#: Headers of the wrong JSON shape (or of another schema), and column
-#: directories or string ids out of range: each must count as a corrupt
-#: file, never escape the store as a raw AttributeError, KeyError or
-#: OverflowError, nor map a block from outside the data section. The
-#: infinite ids, counts and offsets are crashes the ``.mmt`` fuzz target
-#: in tests/property/test_untrusted_inputs_fuzz.py found.
+#: Headers of the wrong JSON shape, string ids out of range, and lengths
+#: the file does not hold: each must count as a corrupt file (``mmbench
+#: store ls`` lists it so: the checks need only the header and the file
+#: size), never escape the store as a raw AttributeError, KeyError or
+#: OverflowError, nor map a block from outside the file. The infinite ids
+#: are crashes the ``.mmt`` fuzz target in
+#: tests/property/test_untrusted_inputs_fuzz.py found.
 MALFORMED_HEADERS = {
     "string-id-is-infinity": set_string_id(math.inf),
     "string-id-is-a-float": set_string_id(1.0),
@@ -258,28 +267,55 @@ MALFORMED_HEADERS = {
         **header["tables"], "name_table": {"ids": 5}}},
     "strings-are-numbers": lambda header: {**header, "tables": {
         **header["tables"], "name_table": {"strings": [1, 2]}}},
-    "column-count-is-infinity": set_column("count", math.inf),
-    "column-count-is-a-float": set_column("count", 32.0),
-    "column-offset-is-infinity": set_column("offset", math.inf),
-    "column-offset-is-negative": set_column("offset", -64),
-    "column-offset-is-unaligned": set_column("offset", 8),
-    "column-past-data-section": set_column("offset", 1 << 20),
-    "column-dtype-is-float32": set_column("dtype", "<f4"),
-    "column-name-is-unknown": set_column("name", "flopz"),
-    "column-entry-is-a-list": lambda header: {**header, "columns": [
-        [1], *header["columns"][1:]]},
     "header-is-a-list": lambda header: [5],
-    "meta-is-a-list": lambda header: {**header, "meta": [1]},
+    "meta-is-an-object": lambda header: {**header, "meta": {}},
+    "meta-entry-is-a-number": lambda header: {**header, "meta": [1]},
     "n-missing": lambda header: {k: v for k, v in header.items() if k != "n"},
     "key-is-a-list": lambda header: {**header, "key": [1]},
     "n-is-a-bool": lambda header: {**header, "n": True},
+    "n-is-negative": lambda header: {**header, "n": -1},
+    "n-past-end-of-file": lambda header: {**header, "n": header["n"] + 1},
+    "host_n-past-end-of-file": lambda header: {**header,
+                                               "host_n": header["host_n"] + 8},
     "host_n-is-a-string": lambda header: {**header, "host_n": "7"},
-    "columns-is-an-object": lambda header: {**header, "columns": {}},
     "modalities-is-a-string": lambda header: {**header, "modalities": "image"},
     "tables-is-a-list": lambda header: {**header, "tables": []},
     "host_meta-is-a-list": lambda header: {**header, "host_meta": []},
+    "host_meta-key-past-host_n": lambda header: {
+        **header, "host_meta": {str(header["host_n"]): {"x": 1}}},
     "key-is-a-string": lambda header: {**header, "key": "avmnist"},
-    "schema-is-4": lambda header: {**header, "schema": 4},
+    "parameters-is-a-float": lambda header: {**header, "parameters": 1.5},
+    "extra-is-a-list": lambda header: {**header, "extra": []},
+}
+
+
+def set_code(name, value):
+    """A sealed data edit: the first value of column row ``name`` := ``value``."""
+    def edit(blob):
+        out = bytearray(blob)
+        at = row_offset(blob, name)
+        out[at:at + 8] = value(split(blob)[0]).to_bytes(8, "little", signed=True)
+        return reseal(out)
+    return edit
+
+
+def flip_crc(blob):
+    out = bytearray(blob)
+    out[16] ^= 1
+    return bytes(out)
+
+
+#: Whole-file edits, and whether ``mmbench store ls`` (headers only) still
+#: lists the entry ``ok``. A crc mismatch and an out-of-range code are found
+#: only by a full read, which quarantines the entry.
+MALFORMED_FILES = {
+    "version-is-5": (lambda blob: join(*split(blob), version=5), "corrupt"),
+    "bytes-after-layout": (lambda blob: reseal(blob + bytes(64)), "corrupt"),
+    "crc-is-wrong": (flip_crc, "ok"),
+    "meta-code-past-meta-table": (
+        set_code("meta_codes", lambda header: len(header["meta"])), "ok"),
+    "category-code-past-categories": (
+        set_code("category_codes", lambda header: len(KernelCategory)), "ok"),
 }
 
 
@@ -298,17 +334,11 @@ class TestMalformedHeaders:
         cold = TraceStore(tmp_path)
         assert cold.get(key) is not None and cold.stats["disk_hits"] == 1
 
-    @pytest.mark.parametrize("mutate", list(MALFORMED_HEADERS.values()),
-                             ids=list(MALFORMED_HEADERS))
-    def test_malformed_header_is_quarantined(self, tmp_path, mutate):
-        key, path = self.seed(tmp_path)
-        rewrite_header(path, mutate)
+    def assert_quarantined(self, tmp_path, key, path, listed: str) -> None:
         bad = path.read_bytes()
-        with pytest.raises(binfmt.TraceFormatError):
-            binfmt.read_header(path)
-
         [info] = TraceStore(tmp_path).entries()
-        assert info["status"] == "corrupt" and info["key"] is None
+        assert info["status"] == listed
+        assert (info["key"] is None) == (listed == "corrupt")
 
         with pytest.raises(KeyError, match="unreadable"):
             TraceStore(tmp_path).load_digest(key.digest()[:12])
@@ -319,6 +349,65 @@ class TestMalformedHeaders:
         assert cold.stats["misses"] == 1 and cold.stats["corrupt"] == 1
         assert not path.exists()
         assert path.with_name(path.name + ".corrupt").exists()
+
+    @pytest.mark.parametrize("mutate", list(MALFORMED_HEADERS.values()),
+                             ids=list(MALFORMED_HEADERS))
+    def test_malformed_header_is_quarantined(self, tmp_path, mutate):
+        key, path = self.seed(tmp_path)
+        rewrite_header(path, mutate)
+        with pytest.raises(binfmt.TraceFormatError):
+            binfmt.read_header(path)
+        self.assert_quarantined(tmp_path, key, path, "corrupt")
+
+    @pytest.mark.parametrize("edit, listed", list(MALFORMED_FILES.values()),
+                             ids=list(MALFORMED_FILES))
+    def test_malformed_file_is_quarantined(self, tmp_path, edit, listed):
+        key, path = self.seed(tmp_path)
+        path.write_bytes(edit(path.read_bytes()))
+        interner = binfmt.StringInterner(tmp_path / TraceStore.INTERNING_SIDECAR)
+        with pytest.raises(binfmt.TraceFormatError):
+            binfmt.read_entry(path, interner)
+        self.assert_quarantined(tmp_path, key, path, listed)
+
+
+class TestChecksum:
+    """A flipped bit anywhere after the prefix fails the crc: the entry is
+    quarantined and recaptured, never priced from the changed bytes."""
+
+    def test_flipped_flops_bit_recaptures_the_original_price(self, tmp_path):
+        store = TraceStore(tmp_path)
+        original = store.get_or_capture("avmnist", batch_size=2, backend="meta")
+        price = engine_total(original)
+        assert price == pytest.approx(2.82977e-4, rel=1e-5)
+        key = store.make_key("avmnist", batch_size=2, backend="meta")
+        path = tmp_path / f"{key.digest()}.mmt"
+        blob = bytearray(path.read_bytes())
+        blob[row_offset(blob, "flops") + 7] ^= 1 << 6  # the first flops' top byte
+        path.write_bytes(bytes(blob))
+
+        cold = TraceStore(tmp_path)
+        again = cold.get_or_capture("avmnist", batch_size=2, backend="meta")
+        assert cold.stats["corrupt"] == 1 and cold.stats["misses"] == 1
+        assert cold.stats["captures"] == 1
+        assert path.with_name(path.name + ".corrupt").exists()
+        assert engine_total(again) == price
+        fresh = TraceStore(tmp_path)
+        assert engine_total(fresh.get_or_capture(
+            "avmnist", batch_size=2, backend="meta")) == price
+        assert fresh.stats["disk_hits"] == 1
+
+    def test_any_flipped_bit_after_the_prefix_fails(self, tmp_path):
+        stored = random_stored_trace(np.random.default_rng(5), n=24, host_n=5)
+        path = tmp_path / "t.mmt"
+        binfmt.write_entry(path, None, stored)
+        blob = path.read_bytes()
+        rng = random.Random(5)
+        for pos in rng.sample(range(binfmt.PREFIX_LEN, len(blob)), 40):
+            bad = bytearray(blob)
+            bad[pos] ^= 1 << rng.randrange(8)
+            path.write_bytes(bytes(bad))
+            with pytest.raises(binfmt.TraceFormatError, match="crc32"):
+                binfmt.read_entry(path)
 
 
 class TestStrayLegacyFile:
@@ -369,6 +458,17 @@ class TestInterning:
         loaded = cold.get_or_capture("avmnist", batch_size=2, backend="meta")
         assert cold.stats["disk_hits"] == 1
         assert loaded.trace.total_flops > 0
+
+    @pytest.mark.parametrize("bad_line", [
+        b'{"id": 123, "s": "trun', b'{"id": 7, "s": "a"}, {"id": 8, "s": "b"}',
+        b'{"s": "no id"}', b"[1, 2]", b"]"])
+    def test_sidecar_reads_like_one_parse_per_line(self, tmp_path, bad_line):
+        lines = [b'{"id":%d,"s":"op_%d"}' % (i, i) for i in range(5)]
+        sidecar = tmp_path / TraceStore.INTERNING_SIDECAR
+        sidecar.write_bytes(b"\n".join(lines[:3] + [bad_line] + lines[3:]) + b"\n")
+        interner = binfmt.StringInterner(sidecar)
+        assert interner.resolve(range(5)) == tuple(f"op_{i}" for i in range(5))
+        assert len(interner) == 5
 
     def test_append_after_torn_tail_starts_a_new_line(self, tmp_path):
         # A writer that glued its first record onto a torn line would lose
