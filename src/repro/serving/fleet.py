@@ -668,8 +668,12 @@ class _FleetEngine:
         self.form_sum = 0.0        # global formation-wait sum
         self.serv_sum = 0.0        # global service-time sum
         self.head = [0] * K
-        self.tail = [0] * K
         self.front: list[deque] = [deque() for _ in range(K)]
+        # Arrivals at or before ``absorbed`` (the last step's instant) are
+        # queued: tenant t's fresh queue is [head[t], arr_t[t].searchsorted(
+        # absorbed, "right")), read (_queued) only for the tenants a step
+        # examines.
+        self.absorbed = -math.inf
         # Arrival of each tenant's queue head, as a Python float.
         self.head_arr = [float(a[0]) if a.size else math.inf
                          for a in self.arr_t]
@@ -846,15 +850,12 @@ class _FleetEngine:
             _when, g, ridx = heapq.heappop(instants)
             if g >= 0:  # a stall ended
                 self._release(g, ridx, now)
+        self.absorbed = now
         if self.next_arr < self.n:
             old = self.next_arr
             new_total = int(self.arr_all.searchsorted(now, side="right"))
             if new_total > old:
                 self.next_arr = new_total
-                counts = np.bincount(self.codes[old:new_total],
-                                     minlength=len(self.tenants))
-                for t, c in enumerate(counts.tolist()):
-                    self.tail[t] += c
                 if faulted:
                     self.faults.queued += new_total - old
         if self.autoscale is not None:
@@ -946,14 +947,15 @@ class _FleetEngine:
         (tenant, group) pair whose policy dispatches restarts the scan.
         """
         K = len(self.tenants)
-        head, tail, front, head_arr = self.head, self.tail, self.front, self.head_arr
+        front, head_arr = self.front, self.head_arr
         router = self.router
         degrade = self._update_degraded if self.faults is not None else None
         while True:
             idle = [label for label, free in zip(self.glabel, self.idle) if free]
             if not idle:
                 return
-            active = [t for t in range(K) if head[t] < tail[t] or front[t]]
+            # A fresh head is queued iff it arrived by now (== absorbed).
+            active = [t for t in range(K) if front[t] or head_arr[t] <= now]
             if not active:
                 return
             if len(active) > 1:
@@ -962,7 +964,7 @@ class _FleetEngine:
             for t in active:
                 if degrade is not None:
                     degrade(t, now)
-                qlen = tail[t] - head[t] + len(front[t])
+                qlen = self._queued(t)
                 cost = self.tcost[t]
                 # Ranking a single idle group is a no-op; skipping it also
                 # keeps legacy callable cost models (defined only up to
@@ -980,7 +982,13 @@ class _FleetEngine:
             if size is None:
                 self._hold(now, active)
                 return
-            self._dispatch(chosen_t, self._gindex[chosen], size, now)
+            self._dispatch(chosen_t, self._gindex[chosen], size, qlen, now)
+
+    def _queued(self, t: int) -> int:
+        """Tenant ``t``'s queue length: its retried requests plus its fresh
+        arrivals at or before ``absorbed`` that no batch has taken."""
+        return (int(self.arr_t[t].searchsorted(self.absorbed, "right"))
+                - self.head[t] + len(self.front[t]))
 
     def _set_head(self, t: int) -> None:
         """Cache the arrival of tenant ``t``'s queue head (or of its next
@@ -1003,10 +1011,10 @@ class _FleetEngine:
             names = ",".join(self.policies[t].name for t in active)
             raise RuntimeError(f"policy {names!r} held with no pending events")
 
-    def _dispatch(self, t: int, g: int, size: int, now: float) -> None:
+    def _dispatch(self, t: int, g: int, size: int, qlen: int, now: float) -> None:
         head = self.head[t]
         front = self.front[t]
-        size = max(1, min(int(size), self.tail[t] - head + len(front)))
+        size = max(1, min(int(size), qlen))
         label = self.glabel[g]
         duration = self.tcost[t].latency(label, size)
         if duration <= 0:
@@ -1225,14 +1233,17 @@ class _FleetEngine:
         if deadline is not None and now - arrival >= deadline:
             self._shed(t, pos)
             return
-        front, head, tail = self.front[t], self.head[t], self.tail[t]
-        if not (front or head < tail) or arrival <= self.head_arr[t]:
+        # The request arrived no later than the step that dispatched it,
+        # so no later than ``absorbed``: every fresh request that arrived
+        # no later than it is already queued, and an empty queue's next
+        # arrival comes after it.
+        front, head = self.front[t], self.head[t]
+        if arrival <= self.head_arr[t]:
             front.appendleft(pos)
-        elif head < tail and arr[head] <= arrival:
+        elif head < arr.size and arr[head] <= arrival:
             # It belongs among the fresh requests: the ones that arrived
             # no later move into the front deque ahead of it.
-            split = head + int(np.searchsorted(arr[head:tail], arrival,
-                                               side="right"))
+            split = int(arr.searchsorted(arrival, side="right"))
             front.extend(range(head, split))
             front.append(pos)
             self.head[t] = split
@@ -1248,7 +1259,7 @@ class _FleetEngine:
         if deadline is None:
             return
         for t, front in enumerate(self.front):
-            while ((front or self.head[t] < self.tail[t])
+            while ((front or self.head_arr[t] <= now)
                    and now - self.head_arr[t] >= deadline):
                 if front:
                     pos = front.popleft()

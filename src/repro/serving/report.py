@@ -6,6 +6,20 @@ from repro.profiling.report import format_seconds, format_table
 from repro.serving.fleet import ServingReport
 
 
+def _arrivals(report: ServingReport, open_loop: str = "~{:g} req/s aggregate") -> str:
+    """The arrival clause of a summary's first line; ``open_loop`` formats
+    the arrival rate."""
+    if report.arrival_rate is None:
+        return "closed batch (all at t=0)"
+    return open_loop.format(report.arrival_rate)
+
+
+def _served(report: ServingReport) -> str:
+    """The makespan / served-rate line of a mixed or fleet summary."""
+    return (f"makespan {format_seconds(report.makespan)}, "
+            f"{report.throughput:,.0f} req/s served")
+
+
 def _batch_sizes_summary(report: ServingReport) -> str:
     parts = []
     for slot, sizes in sorted(report.batch_sizes_used().items()):
@@ -141,13 +155,11 @@ def format_fault_stats(report: ServingReport) -> str:
 
 def mixed_serving_summary(report: ServingReport) -> str:
     """Full ``mmbench serve --mix`` report: tenant + device breakdowns."""
-    rate = ("closed batch (all at t=0)" if report.arrival_rate is None
-            else f"~{report.arrival_rate:g} req/s aggregate")
     lines = [
         f"mixed serving: {report.n_requests} requests over "
-        f"{len(report.tenant_stats)} tenants, {rate}, router={report.router}",
-        f"makespan {format_seconds(report.makespan)}, "
-        f"{report.throughput:,.0f} req/s served",
+        f"{len(report.tenant_stats)} tenants, {_arrivals(report)}, "
+        f"router={report.router}",
+        _served(report),
         "",
         format_tenant_breakdown(report),
         "",
@@ -180,19 +192,15 @@ def fleet_summary(report: ServingReport) -> str:
     The tenant and fault tables are the classic mixed report's; the group
     table adds each group's replicas and hops.
     """
-    rate = ("closed batch (all at t=0)" if report.arrival_rate is None
-            else f"~{report.arrival_rate:g} req/s aggregate")
     total_replicas = sum(s.peak_replicas for s in report.group_stats.values())
     shed = (f" + {report.fault_stats.shed:,} shed"
             if report.fault_stats is not None else "")
     lines = [
         f"fleet serving: {report.n_requests:,} requests over "
-        f"{len(report.tenant_stats)} tenants, {rate}, "
+        f"{len(report.tenant_stats)} tenants, {_arrivals(report)}, "
         f"{len(report.group_stats)} groups / {total_replicas} replicas (peak)",
-        f"makespan {format_seconds(report.makespan)}, "
-        f"{report.throughput:,.0f} req/s served; "
-        f"{report.completed:,} completed{shed} = {report.n_requests:,} "
-        f"issued (conserved)",
+        f"{_served(report)}; {report.completed:,} completed{shed} = "
+        f"{report.n_requests:,} issued (conserved)",
         "",
         format_tenant_breakdown(report),
         "",
@@ -247,11 +255,9 @@ def format_device_breakdown(reports: dict[str, ServingReport]) -> str:
 def serving_summary(reports: dict[str, ServingReport], slo: float | None = None) -> str:
     """Full ``mmbench serve`` report: comparison table + device breakdown."""
     first = next(iter(reports.values()))
-    rate = ("closed batch (all at t=0)" if first.arrival_rate is None
-            else f"Poisson {first.arrival_rate:g} req/s")
     lines = [
-        f"open-loop serving: {first.n_requests} requests, {rate}, "
-        f"router={first.router}",
+        f"open-loop serving: {first.n_requests} requests, "
+        f"{_arrivals(first, 'Poisson {:g} req/s')}, router={first.router}",
         "",
         format_policy_comparison(reports, slo=slo),
         "",

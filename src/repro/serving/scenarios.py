@@ -73,6 +73,11 @@ _DIURNAL_CYCLES = 2.0  # full day-night cycles per simulated run
 _BURST_FACTOR = 8.0  # in-burst rate relative to the mean rate
 _MEAN_BURST = 64.0  # mean requests per burst
 
+# Diurnal thinning tests candidates in prefixes of this many times the
+# expected remaining need, plus a pad; any sizes give the same stream.
+_PREFIX_SLACK = 1.1
+_PREFIX_PAD = 64
+
 
 def _weight_probs(tenants: Sequence[TenantSpec]) -> np.ndarray:
     weights = np.array([spec.weight for spec in tenants], dtype=np.float64)
@@ -85,10 +90,60 @@ def _zipf_probs(tenants: Sequence[TenantSpec]) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _tenant_codes(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``rng.choice(len(probs), size=n, p=probs)``, draw for draw: the
+    inverse CDF that ``choice`` finds with a ``searchsorted``, here as one
+    comparison per tenant boundary (``u < 1 == cdf[-1]`` never passes
+    the last), O(n * K) and cheaper for the few tenants of a mix.
+    ``probs`` are positive and finite (``TenantSpec`` checks the
+    weights), so only their sum needs ``choice``'s check: finite weights
+    can still sum past the float range."""
+    cdf = probs.cumsum()
+    if not abs(cdf[-1] - 1.0) <= 2.0 ** -26:  # choice's tolerance, sqrt(eps)
+        raise ValueError("probabilities do not sum to 1")
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    codes = np.zeros(n, dtype=np.min_scalar_type(cdf.size - 1))
+    for bound in cdf[:-1].tolist():
+        codes += u >= bound
+    return codes.astype(np.int64)
+
+
 def _poisson(n: int, rate: float | None, rng: np.random.Generator) -> np.ndarray:
     if rate is None:
         return np.zeros(n)
     return np.cumsum(rng.exponential(1.0 / rate, size=n))
+
+
+def _thin(candidates: np.ndarray, draws: np.ndarray, rate: float,
+          peak: float, period: float) -> np.ndarray:
+    """Which ascending candidates the diurnal thinning keeps: exactly
+    ``draws * peak < rate * (1 - amp * cos(2 pi candidates / period))``,
+    the float64 expression, for every element.
+
+    Most candidates are decided by a float32 cosine. Its argument is
+    within ``|x| * 2**-24`` of the float64 one and numpy's float32 cosine
+    within 1.5 ulp (< ``2**-23``) of the true value, so it lies within
+    ``margin`` of the float64 cosine (the largest ``|x|`` of an ascending
+    segment is at one of its ends; both terms carry 2x to 8x headroom,
+    which also covers the float64 expression's own rounding). A
+    candidate whose keep threshold, in cosine terms, lies within
+    ``margin`` of the float32 cosine (or that has no float32 cosine) is
+    decided again by the float64 expression.
+    """
+    x = 2.0 * np.pi * candidates
+    x /= period
+    margin = max(-float(x[0]), float(x[-1])) * 2.0 ** -23 + 2.0 ** -20
+    # Keep iff the cosine lies below 1/amp - draws * peak / (rate * amp).
+    gap = draws * (-peak / (rate * _DIURNAL_AMPLITUDE))
+    gap += 1.0 / _DIURNAL_AMPLITUDE
+    gap -= np.cos(x.astype(np.float32))
+    keep = gap > margin
+    close = np.flatnonzero(~(np.abs(gap, out=gap) > margin))
+    if close.size:
+        keep[close] = draws[close] * peak < rate * (
+            1.0 - _DIURNAL_AMPLITUDE * np.cos(x[close]))
+    return keep
 
 
 def _diurnal(n: int, rate: float | None, rng: np.random.Generator) -> np.ndarray:
@@ -98,6 +153,13 @@ def _diurnal(n: int, rate: float | None, rng: np.random.Generator) -> np.ndarray
     ``(1 - amp)`` and ``(1 + amp)`` times that over ``_DIURNAL_CYCLES``
     cycles of the run's expected span, starting at the trough (ramp up,
     peak, ramp down — a day of traffic in miniature).
+
+    Candidates come in chunks of ~1.5x the expected need, but only the
+    chunk's prefix up to the last acceptance the stream keeps is summed
+    and tested, ~1.1x the remaining need at a time (the first prefix
+    almost always suffices). Each prefix's cumulative sum carries on
+    from the previous prefix's last sum, so every candidate and decision
+    is the one a whole-chunk pass computes.
     """
     period = (n / rate) / _DIURNAL_CYCLES
     peak = rate * (1.0 + _DIURNAL_AMPLITUDE)
@@ -106,14 +168,23 @@ def _diurnal(n: int, rate: float | None, rng: np.random.Generator) -> np.ndarray
     t = 0.0
     while accepted < n:
         chunk = max(int(1.5 * (n - accepted) * (peak / rate)), 64)
-        candidates = t + np.cumsum(rng.exponential(1.0 / peak, size=chunk))
-        instantaneous = rate * (
-            1.0 - _DIURNAL_AMPLITUDE * np.cos(2.0 * np.pi * candidates / period)
-        )
-        kept = candidates[rng.random(chunk) * peak < instantaneous]
-        take = min(kept.size, n - accepted)
-        out[accepted:accepted + take] = kept[:take]
-        accepted += take
+        sums = rng.exponential(1.0 / peak, size=chunk)
+        draws = rng.random(chunk)
+        start = 0
+        while start < chunk and accepted < n:
+            stop = min(chunk, start + _PREFIX_PAD
+                       + int(_PREFIX_SLACK * (n - accepted) * (peak / rate)))
+            prefix = sums[start:stop]
+            if start:
+                prefix[0] += sums[start - 1]
+            np.cumsum(prefix, out=prefix)
+            candidates = t + prefix
+            kept = candidates.compress(
+                _thin(candidates, draws[start:stop], rate, peak, period))
+            take = min(kept.size, n - accepted)
+            out[accepted:accepted + take] = kept[:take]
+            accepted += take
+            start = stop
         t = float(candidates[-1])
     return out
 
@@ -210,7 +281,7 @@ def scenario_columns(
     if n_requests == 0:
         return RequestColumns(np.empty(0), np.empty(0, dtype=np.int64), tuple(names))
     rng = np.random.default_rng(seed)
-    codes = rng.choice(len(tenants), size=n_requests, p=spec.tenant_probs(tenants))
+    codes = _tenant_codes(spec.tenant_probs(tenants), n_requests, rng)
     arrivals = spec.arrivals(n_requests, arrival_rate, rng)
     return sort_request_columns(arrivals, codes, names)
 

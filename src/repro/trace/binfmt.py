@@ -117,12 +117,15 @@ class StringInterner:
     trusts its own table plus its own appends: a string another process
     appended meanwhile is appended again, as a harmless duplicate. A
     reader (:meth:`resolve`) re-reads on unknown ids, since it needs other
-    writers' strings.
+    writers' strings. Each string is hashed at most once per interner:
+    ``_ids``, the inverse of ``_by_id``, answers every string already read
+    from the sidecar or interned.
     """
 
     def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
         self._by_id: dict[int, str] = {}
+        self._ids: dict[str, int] = {}
         self._loaded = False
 
     def _refresh(self) -> None:
@@ -136,14 +139,18 @@ class StringInterner:
             # One parse for the whole sidecar; a torn line fails it.
             records = json.loads(b"[" + b",".join(lines) + b"]")
             if len(records) == len(lines):
-                self._by_id.update((int(rec["id"]), rec["s"]) for rec in records)
+                pairs = [(int(rec["id"]), rec["s"]) for rec in records]
+                self._by_id.update(pairs)
+                self._ids.update((s, i) for i, s in pairs)
                 return
         except (ValueError, KeyError, TypeError):
             pass
         for line in lines:
             try:
                 rec = json.loads(line)
-                self._by_id[int(rec["id"])] = rec["s"]
+                i, s = int(rec["id"]), rec["s"]
+                self._by_id[i] = s
+                self._ids[s] = i
             except (ValueError, KeyError, TypeError):
                 # Torn tail from an in-flight append; the payload it was
                 # carrying is re-appended by whoever needed it.
@@ -155,9 +162,10 @@ class StringInterner:
 
     def intern(self, strings) -> list[int]:
         """Ids for ``strings``, appending any the sidecar lacks."""
-        ids = [string_id(s) for s in strings]
         if not self._loaded:
             self._refresh()
+        known = self._ids
+        ids = [known[s] if s in known else string_id(s) for s in strings]
         new = [(i, s) for i, s in zip(ids, strings) if self._by_id.get(i) != s]
         for i, s in new:
             if i in self._by_id:  # astronomically unlikely hash collision
@@ -179,6 +187,7 @@ class StringInterner:
                 os.close(fd)
             for i, s in new:
                 self._by_id[i] = s
+                known[s] = i
         return ids
 
     def resolve(self, ids) -> tuple[str, ...]:

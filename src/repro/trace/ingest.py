@@ -366,6 +366,12 @@ _MODALITY_TOKENS = (
 )
 
 
+# A graph repeats a few op names over many nodes: each heuristic runs once
+# per distinct name, as OpMappingRegistry.resolve does for rules.
+_NAME_CACHE = 4096
+
+
+@functools.lru_cache(maxsize=_NAME_CACHE)
 def detect_pass(name: str) -> str:
     """Name-based pass detection (backward > optimizer > loss > forward)."""
     canonical = _canonical_name(name)
@@ -379,6 +385,7 @@ def detect_pass(name: str) -> str:
     return PASS_FORWARD
 
 
+@functools.lru_cache(maxsize=_NAME_CACHE)
 def _detect_stage(name: str) -> str | None:
     canonical = _canonical_name(name)
     tokens = set(canonical.split("_"))
@@ -388,6 +395,7 @@ def _detect_stage(name: str) -> str | None:
     return None
 
 
+@functools.lru_cache(maxsize=_NAME_CACHE)
 def _detect_modality(name: str) -> str | None:
     canonical = _canonical_name(name)
     tokens = set(canonical.split("_"))

@@ -15,6 +15,10 @@ Three properties anchor the fault subsystem:
 3. **Attainment adds up over tenants**: with every tenant on one SLO,
    the tenants' attainments weighted by their issued requests sum to
    the report's attainment over all issued requests, sheds included.
+4. **Queues end at the absorbed instant**: the engine counts no arrivals
+   per step; a tenant's queue length, read lazily, always equals its
+   arrivals at or before the last step's instant that no batch took,
+   and the tenants' lengths sum to the fault runtime's queued count.
 """
 
 import math
@@ -22,6 +26,7 @@ import math
 import numpy as np
 import pytest
 
+import repro.serving.fleet as fleet
 from repro.serving import (
     AdaptiveSLOPolicy,
     DeviceDown,
@@ -222,3 +227,60 @@ class TestTenantAttainment:
         assert met == pytest.approx(report.slo_attainment(slo) * report.n_requests,
                                     rel=0, abs=1e-9)
         assert_fill_matches(engines[-1])
+
+
+def busy_plan(rng, horizon: float) -> FaultPlan:
+    """Disjoint down windows on 'a' and a stall on 'b', all inside the
+    run, so batches abort and their requests come back as retries."""
+    events, t = [], 0.0
+    for _ in range(rng.integers(1, 4)):
+        t += float(rng.uniform(0.0, horizon / 4))
+        end = t + float(rng.uniform(horizon / 50, horizon / 10))
+        events += [DeviceDown("a", t), DeviceRecover("a", end)]
+        t = end
+    events.append(TransientStall("b", float(rng.uniform(0.0, horizon)),
+                                 duration=float(rng.uniform(1e-4, 1e-3))))
+    return FaultPlan(tuple(events))
+
+
+class TestLazyQueue:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_queue_lengths_count_absorbed_arrivals(self, seed, monkeypatch):
+        rng = np.random.default_rng(300 + seed)
+        plan = busy_plan(rng, 700 / 40_000.0)
+        retry = RetryPolicy(max_retries=int(rng.integers(1, 4)),
+                            deadline=(float(rng.uniform(2e-3, 2e-2))
+                                      if seed % 3 == 2 else None))
+        offers, requeues = [], []
+        offer, requeue = fleet._FleetEngine._offer, fleet._FleetEngine._requeue
+
+        def checked_offer(engine, now):
+            assert engine.absorbed == now
+            arrived = np.bincount(engine.codes[engine.arr_all <= now],
+                                  minlength=len(engine.tenants))
+            queued = [engine._queued(t) for t in range(len(engine.tenants))]
+            assert queued == [count - engine.head[t] + len(engine.front[t])
+                              for t, count in enumerate(arrived.tolist())]
+            assert sum(queued) == engine.faults.queued
+            offers.append(now)
+            return offer(engine, now)
+
+        def checked_requeue(engine, now):
+            # _requeue reads no tail: a retried request arrived no later
+            # than the step that dispatched it.
+            _when, _seq, t, pos = engine.retry_heap[0]
+            assert engine.arr_t[t][pos] <= engine.absorbed <= now
+            requeues.append(now)
+            return requeue(engine, now)
+
+        monkeypatch.setattr(fleet._FleetEngine, "_offer", checked_offer)
+        monkeypatch.setattr(fleet._FleetEngine, "_requeue", checked_requeue)
+        kwargs = dict(n_requests=700, arrival_rate=40_000.0, seed=seed,
+                      faults=plan, retry=retry)
+        if seed % 2:
+            report = simulate_fleet(
+                tenants(), (DeviceGroup("a", 2), DeviceGroup("b", 1)), **kwargs)
+        else:
+            report = simulate_mixed(tenants(), devices=DEVICES, **kwargs)
+        assert report.fault_stats.completed + report.fault_stats.shed == 700
+        assert offers and requeues

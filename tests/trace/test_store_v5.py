@@ -501,6 +501,23 @@ class TestInterning:
             store.get_or_capture(workload, batch_size=2, backend="meta")
         assert store.stats["captures"] == 3 and len(reads) == 1
 
+    def test_repeat_put_hashes_no_string(self, tmp_path, monkeypatch):
+        # The writer's table already holds every string of a trace it
+        # wrote: a second put hashes nothing and writes the same bytes.
+        store = TraceStore(tmp_path)
+        key = store.make_key("avmnist", batch_size=2, backend="meta")
+        stored = store.get_or_capture("avmnist", batch_size=2, backend="meta")
+        path = store._binary_path(key.digest())
+        sidecar = tmp_path / TraceStore.INTERNING_SIDECAR
+        entry, strings = path.read_bytes(), sidecar.read_bytes()
+        hashed = []
+        string_id = binfmt.string_id
+        monkeypatch.setattr(binfmt, "string_id",
+                            lambda s: hashed.append(s) or string_id(s))
+        store.put(key, stored)
+        assert hashed == []
+        assert path.read_bytes() == entry and sidecar.read_bytes() == strings
+
     def test_missing_sidecar_quarantines_instead_of_crashing(self, tmp_path):
         store = TraceStore(tmp_path)
         store.get_or_capture("avmnist", batch_size=2, backend="meta")
