@@ -6,7 +6,7 @@ tenants of three homogeneous device groups — 64x 2080ti, 32x orin,
 16x nano — under a saturating open stream. The group-level event loop
 (bulk arrival absorption, per-group replica free times with a heap of
 idle replicas, dense latency tables, a completion heap, and per-request
-timing filled in one vectorized pass per tenant after the loop) is what
+timing filled in one vectorized pass over the batch log after the loop) is what
 makes this tractable. The gate here is
 >= 10x the classic simulator's original recorded rate: 253,987 simulated
 req/s, ``BENCH_serving_mix.json`` as first recorded. That floor is a

@@ -7,6 +7,12 @@ heterogeneous devices, traffic drawn from a named scenario
 Because batch compute comes from memoized profiled cost models, the
 simulated fleet chews through a million requests in seconds of wall time.
 
+``generate_s`` times :func:`~repro.serving.scenarios.scenario_columns`,
+the columnar stream the engine consumes. ``wall_s`` times
+``simulate_mixed(scenario=..., n_requests=..., seed=...)``, the path
+``mmbench serve --mix`` takes, which generates the same stream again
+inside it.
+
 Run from the repo root::
 
     python benchmarks/bench_serving_mix.py [--n-requests 1000000] [-o FILE]
@@ -34,7 +40,7 @@ import json
 import time
 from pathlib import Path
 
-from repro.serving import AdaptiveSLOPolicy, make_tenants, scenario_requests, simulate_mixed
+from repro.serving import AdaptiveSLOPolicy, make_tenants, scenario_columns, simulate_mixed
 from repro.workloads.registry import list_workloads
 
 DEVICES = ("2080ti", "2080ti", "orin", "nano")
@@ -65,13 +71,14 @@ def main(argv: list[str] | None = None) -> int:
             spec.cost.latency(device, 1)
 
     t0 = time.perf_counter()
-    requests = scenario_requests(args.scenario, tenants, args.n_requests,
-                                 arrival_rate=args.arrival_rate, seed=args.seed)
+    scenario_columns(args.scenario, tenants, args.n_requests,
+                     arrival_rate=args.arrival_rate, seed=args.seed)
     generate_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    report = simulate_mixed(tenants, devices=DEVICES, requests=requests,
-                            arrival_rate=args.arrival_rate, seed=args.seed)
+    report = simulate_mixed(tenants, devices=DEVICES, n_requests=args.n_requests,
+                            arrival_rate=args.arrival_rate,
+                            scenario=args.scenario, seed=args.seed)
     wall_s = time.perf_counter() - t0
 
     print(f"{args.scenario}: {report.n_requests:,} requests over "

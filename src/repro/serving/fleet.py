@@ -27,10 +27,10 @@ structure of a fleet:
   Python scalars: on the 1-64 element arrays a batch touches, numpy's
   call overhead costs more than the arithmetic;
 * per-request timing (latencies, queue and formation waits) is filled
-  after the loop from the batch records, in vectorized passes;
+  after the loop from the batch log, in one vectorized pass;
   a report's ``table``, every request's outcome as one
-  :class:`~repro.serving.request.RequestTable`, is built from all
-  tenants' records at once, and only when first read;
+  :class:`~repro.serving.request.RequestTable`, is built from the same
+  log, and only when first read;
 * batch latencies come from each anchored cost model's dense table per
   (tenant, device) (:meth:`~repro.serving.costmodel.AnchoredCostModel.curve`;
   profiled curves are one module-level cache shared across runs), so
@@ -62,12 +62,11 @@ calls. On top of the core loop:
   curves for its window. Deadline shedding and tenants'
   :class:`~repro.serving.faults.DegradedMode` run in the same loop.
 
-A run with no fault plan, no retry policy and no degraded tenant keeps
-no per-request state: batches are contiguous slices of a tenant's
-queue, recorded once each. A faulted run's only per-request state is
-its retried requests: a batch records the retried requests it took and
-its fresh slice, and is expanded into its members only on demand (by an
-abort, the p99 autoscale window or the request table).
+The batch log records each dispatched batch once, in dispatch order: a
+batch is the retried requests it took (none without faults) and its
+fresh slice of its tenant's queue, so a run keeps no per-request state
+but its retried requests. Every reader of the completed requests
+expands the log through one pass, ``_FleetEngine._runs``.
 """
 
 from __future__ import annotations
@@ -603,6 +602,13 @@ class _DegradableCost(_GroupCost):
 _FIRST, _EDGE, _RETRY, _PLAIN = range(4)
 
 
+def _covered(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The positions runs cover, run by run: a run covers its first
+    position and the ones after it."""
+    return (np.repeat(starts - (np.cumsum(lens) - lens), lens)
+            + np.arange(int(lens.sum())))
+
+
 class _FleetEngine:
     """Event loop over device groups.
 
@@ -615,8 +621,8 @@ class _FleetEngine:
     Per-batch work runs on Python scalars, lists and heaps: the batches
     are few (thousands per 10k requests) and numpy's call overhead on
     1-64 element arrays costs more than their arithmetic. Each batch
-    appends one record to its tenant's lists; the per-request columns
-    are filled from those records after the loop. A tenant's queue is
+    appends one entry to the batch log; the per-request columns are
+    filled from the log after the loop. A tenant's queue is
     the next slice of its arrival stream, behind an explicit ``front``
     deque that only retried requests ever enter; without faults the
     front stays empty and a batch is always a contiguous slice, so no
@@ -646,10 +652,7 @@ class _FleetEngine:
         self.codes = columns.codes
 
         # Per-tenant views of the stream, in tenant order (see
-        # _tenant_order). Without faults a batch is always the next slice
-        # of one tenant's queue, so a tenant's batch records (finish,
-        # size, dispatch instant, replica idle time) are enough to rebuild
-        # every request's timing after the loop; see request_table.
+        # _tenant_order).
         K = len(self.tenants)
         order = self._tenant_order()
         bounds = np.zeros(K + 1, dtype=np.int64)
@@ -678,12 +681,21 @@ class _FleetEngine:
         self.head_arr = [float(a[0]) if a.size else math.inf
                          for a in self.arr_t]
         self.last_group: list[int | None] = [None] * K
-        self.b_finish: list[list[float]] = [[] for _ in range(K)]
-        self.b_size: list[list[int]] = [[] for _ in range(K)]
-        self.b_now: list[list[float]] = [[] for _ in range(K)]
-        self.b_idle: list[list[float]] = [[] for _ in range(K)]
-        self.b_group: list[list[int]] = [[] for _ in range(K)]
-        self.b_replica: list[list[int]] = [[] for _ in range(K)]
+        # The batch log: one entry per dispatched batch, in dispatch order,
+        # one list per field; a batch is named by its index. Its members
+        # are the retried requests it took from its tenant's front deque
+        # (the shared empty tuple when none) and then its fresh queue slice
+        # [head, head + size - len(retried)); an aborted batch's retried
+        # entry becomes None. See _members and _runs.
+        self.b_tenant: list[int] = []
+        self.b_finish: list[float] = []  # moved by a stall
+        self.b_size: list[int] = []
+        self.b_now: list[float] = []  # dispatch instant
+        self.b_idle: list[float] = []  # when the replica became free
+        self.b_group: list[int] = []
+        self.b_replica: list[int] = []
+        self.b_head: list[int] = []
+        self.b_retried: list[tuple[int, ...] | None] = []
 
         # Per-group replica state: free times over the full provisioned
         # pool; ``act`` bounds the autoscaler-active prefix.
@@ -719,10 +731,9 @@ class _FleetEngine:
         self.first: float | None = None  # the first arrival, until visited
         self.pending_wakeup: float | None = None
         self.tick_count = 0
-        # Where each tenant's batch records stood at the last autoscale
-        # tick: (batches, requests). The p99 metric reads the batches
-        # recorded since.
-        self.tick_mark = [(0, 0)] * K
+        # The batches logged by the last autoscale tick; the p99 metric
+        # reads the batches logged since.
+        self.tick_mark = 0
 
         # Busy-replica bookkeeping. The free-time lists are the ground
         # truth, but scanning them per step is O(replicas x steps); the
@@ -782,18 +793,11 @@ class _FleetEngine:
         self.rdown = [[False] * c for c in caps]
         self.ndown = [0] * len(caps)
         self.stalled = [[0.0] * c for c in caps]
-        # (tenant, batch record) running on each replica.
-        self.inflight: list[list[tuple[int, int] | None]] = [[None] * c
-                                                             for c in caps]
+        # The batch running on each replica.
+        self.inflight: list[list[int | None]] = [[None] * c for c in caps]
         K = len(self.tenants)
         self.ids_t = [ids[self.bounds[t]:self.bounds[t + 1]] for t in range(K)]
-        # A batch's members are the retried requests it took from the
-        # front deque (usually none: the shared empty tuple) and then its
-        # fresh queue slice [head, head + size - len(retried)); an aborted
-        # batch's retried entry becomes None. See _members and _runs.
-        self.b_head: list[list[int]] = [[] for _ in range(K)]
-        self.b_retried: list[list[tuple[int, ...] | None]] = [[] for _ in range(K)]
-        self.b_degraded: list[list[bool]] = [[] for _ in range(K)]
+        self.b_degraded: list[bool] = []  # the batch log's degraded flags
         self.tries: list[dict[int, int]] = [{} for _ in range(K)]
         self.aborted_at: list[dict[int, float]] = [{} for _ in range(K)]
         self.shed_pos: list[list[int]] = [[] for _ in range(K)]
@@ -884,22 +888,14 @@ class _FleetEngine:
 
     def _window_p99(self) -> float:
         """p99 latency of the batches dispatched since the last tick."""
-        window = []
-        for t, arr in enumerate(self.arr_t):
-            b0, r0 = self.tick_mark[t]
-            b1, r1 = len(self.b_finish[t]), self.head[t]
-            if b1 > b0 and self.faults is None:
-                lat = np.repeat(self.b_finish[t][b0:b1], self.b_size[t][b0:b1])
-                window.append(np.subtract(lat, arr[r0:r1], out=lat))
-            elif b1 > b0:
-                for k in range(b0, b1):
-                    if self.b_retried[t][k] is not None:
-                        window.append(self.b_finish[t][k]
-                                      - arr[self._members(t, k)])
-            self.tick_mark[t] = (b1, r1)
-        if not window:
+        lo = self.tick_mark
+        self.tick_mark = len(self.b_size)
+        starts, lens, batch = self._runs(lo)
+        if not lens.any():
             return 0.0
-        return float(np.percentile(np.concatenate(window), 99))
+        finish = np.repeat(np.array(self.b_finish[lo:])[batch - lo], lens)
+        lat = finish - self.arr_grouped[_covered(starts, lens)]
+        return float(np.percentile(lat, 99))
 
     def _tick(self, when: float) -> None:
         scale = self.autoscale
@@ -1049,16 +1045,19 @@ class _FleetEngine:
         arr = self.arr_t[t]  # _set_head, inlined on the per-batch path
         self.head_arr[t] = (float(arr[front[0]]) if front
                             else float(arr[end]) if end < arr.size else math.inf)
-        self.b_finish[t].append(finish)
-        self.b_size[t].append(size)
-        self.b_now[t].append(now)
-        self.b_idle[t].append(idle_since)
-        self.b_group[t].append(g)
-        self.b_replica[t].append(ridx)
+        self.b_tenant.append(t)
+        self.b_finish.append(finish)
+        self.b_size.append(size)
+        self.b_now.append(now)
+        self.b_idle.append(idle_since)
+        self.b_group.append(g)
+        self.b_replica.append(ridx)
+        self.b_head.append(head)
+        self.b_retried.append(retried)
         self.disp_sum[t] += now * size
         self.serv_sum += (finish - now) * size
         if self.faults is not None:
-            self._note_dispatch(t, g, ridx, size, head, retried)
+            self._note_dispatch(t, g, ridx, size)
         free[ridx] = finish
         heapq.heappush(self.busy_heap, (finish, g, ridx))
         self.batches[g] += 1
@@ -1087,39 +1086,35 @@ class _FleetEngine:
             self.idle[g].remove(ridx)
             heapq.heapify(self.idle[g])
 
-    def _note_dispatch(self, t: int, g: int, ridx: int, size: int, head: int,
-                       retried: tuple[int, ...]) -> None:
+    def _note_dispatch(self, t: int, g: int, ridx: int, size: int) -> None:
         rt = self.faults
-        self.b_head[t].append(head)
-        self.b_retried[t].append(retried)
-        self.b_degraded[t].append(self.degraded[t])
-        self.inflight[g][ridx] = (t, len(self.b_head[t]) - 1)
+        self.b_degraded.append(self.degraded[t])
+        self.inflight[g][ridx] = len(self.b_size) - 1
         rt.queued -= size
         rt.on_device += size
         if self.degraded[t]:
             name = self.tenants[t].name
             rt.degraded_requests[name] = rt.degraded_requests.get(name, 0) + size
 
-    def _members(self, t: int, k: int) -> list[int]:
-        """Tenant ``t``'s batch ``k`` as queue positions: its retried
+    def _members(self, k: int) -> list[int]:
+        """Batch ``k`` as positions in its tenant's queue: its retried
         requests, then its fresh slice."""
-        retried, head = self.b_retried[t][k], self.b_head[t][k]
-        return [*retried, *range(head, head + self.b_size[t][k] - len(retried))]
+        retried, head = self.b_retried[k], self.b_head[k]
+        return [*retried, *range(head, head + self.b_size[k] - len(retried))]
 
     def _complete(self, finish: float, g: int, ridx: int) -> bool:
         """A completion entry drained; finish its batch unless it is stale
         (the batch was aborted, or a stall moved its finish)."""
-        record = self.inflight[g][ridx]
-        if record is None or self.free[g][ridx] != finish:
+        k = self.inflight[g][ridx]
+        if k is None or self.free[g][ridx] != finish:
             return False
         self.inflight[g][ridx] = None
-        t, k = record
-        size = self.b_size[t][k]
+        size = self.b_size[k]
         rt = self.faults
         rt.on_device -= size
         rt.completed += size
         # Only a retried request can have been aborted before.
-        retried, aborted_at = self.b_retried[t][k], self.aborted_at[t]
+        retried, aborted_at = self.b_retried[k], self.aborted_at[self.b_tenant[k]]
         if retried and aborted_at:
             for pos in retried:
                 at = aborted_at.pop(pos, None)
@@ -1167,10 +1162,9 @@ class _FleetEngine:
                 self.throttle.pop(label, None)
         elif not self.rdown[g][ridx]:  # a stall; a down replica cannot stall
             rt.stall_time[label] = rt.stall_time.get(label, 0.0) + arg
-            record = self.inflight[g][ridx]
-            if record is not None:
-                t, k = record
-                finish = self.b_finish[t][k] = self.b_finish[t][k] + arg
+            k = self.inflight[g][ridx]
+            if k is not None:
+                finish = self.b_finish[k] = self.b_finish[k] + arg
                 self.free[g][ridx] = finish
                 heapq.heappush(self.busy_heap, (finish, g, ridx))
                 self.makespan = max(self.makespan, finish)
@@ -1181,13 +1175,14 @@ class _FleetEngine:
 
     def _abort(self, g: int, ridx: int, now: float) -> None:
         """Abort the batch on a failing replica; retry or shed its requests."""
-        t, k = self.inflight[g][ridx]
+        k = self.inflight[g][ridx]
         self.inflight[g][ridx] = None
-        members = self._members(t, k)
-        self.b_retried[t][k] = None
+        t = self.b_tenant[k]
+        members = self._members(k)
+        self.b_retried[k] = None
         size = len(members)
         self.free[g][ridx] = now
-        self.busy[g] -= self.b_finish[t][k] - now  # only the executed part counts
+        self.busy[g] -= self.b_finish[k] - now  # only the executed part counts
         self.batches[g] -= 1
         self.requests[g] -= size
         self.dispatched -= size
@@ -1321,7 +1316,9 @@ class _FleetEngine:
     # -- per-request results -------------------------------------------------------
 
     def _fill_requests(self) -> None:
-        """Per-request timing from the batch records.
+        """Per-request timing from the batch log, in one pass over every
+        tenant's completed requests: the sorted runs of :meth:`_runs`
+        expand to them in tenant-grouped stream order.
 
         Latency is ``finish - arrival``; the queue wait sums as dispatch
         instants minus arrivals; and the formation wait is
@@ -1329,101 +1326,83 @@ class _FleetEngine:
         requests arrived at or before ``now``, the replica freed at or
         before it — is a min of two non-negative terms. Only the
         latencies of completed requests are kept per request; the waits
-        only ever surface as means. Without faults the records tile each
-        tenant's queue, one pass per tenant, and at most two tenant-sized
-        temporaries are alive at once. With faults one pass over every
-        tenant's completed requests at once expands the sorted runs of
-        :meth:`_runs`, and the sums are taken tenant by tenant.
+        only ever surface as means, summed tenant by tenant from two
+        request-sized temporaries that are freed before the latencies
+        are built. The dispatch and service sums were accumulated at
+        dispatch; a faulted run takes them again per request, because an
+        abort takes a batch back and a stall moves its finish.
         """
-        if self.faults is not None:
-            # The completed requests: the tenant-grouped stream without
-            # its sheds, in the order the sorted runs expand to.
-            _starts, lens, batch = self._runs()
-            arr = self.arr_grouped
-            if self.faults.shed:
-                arr = np.delete(arr, np.concatenate(
-                    [np.asarray(pos, dtype=np.intp) + self.bounds[t]
-                     for t, pos in enumerate(self.shed_pos)]))
-            cuts = [0]
-            for queue, shed in zip(self.arr_t, self.shed_pos):
-                cuts.append(cuts[-1] + queue.size - len(shed))
-            spans = list(zip(cuts, cuts[1:]))
+        _starts, lens, batch = self._runs()
+        rt = self.faults
+        arr, cuts = self.arr_grouped, self.bounds
+        if rt is not None and rt.shed:
+            # The completed requests: the grouped stream without its sheds.
+            arr = np.delete(arr, np.concatenate(
+                [np.asarray(pos, dtype=np.intp) + self.bounds[t]
+                 for t, pos in enumerate(self.shed_pos)]))
+            cuts = cuts - np.cumsum([0, *map(len, self.shed_pos)])
+        spans = list(itertools.pairwise(cuts.tolist()))
 
-            def sums(values: np.ndarray) -> list[float]:
-                return [float(values[a:b].sum()) for a, b in spans]
+        def sums(values: np.ndarray) -> list[float]:
+            return [float(values[a:b].sum()) for a, b in spans]
 
-            now = self._batches(self.b_now, np.float64)[batch]
-            fin = np.repeat(self._batches(self.b_finish, np.float64)[batch], lens)
-            lat = fin - arr
-            self.lat_t = [lat[a:b] for a, b in spans]
-            self.arr_sum = sums(arr)
-            disp = np.repeat(now, lens)
-            serv = sums(np.subtract(fin, disp, out=fin))
-            del fin  # the formation waits below can reuse its memory
+        now = np.array(self.b_now)[batch]
+        finish = np.array(self.b_finish)[batch]
+        disp = np.repeat(now, lens)
+        if rt is not None:
             self.disp_sum = sums(disp)
-            wait = np.subtract(disp, arr, out=disp)
-            idle = np.repeat(now - self._batches(self.b_idle, np.float64)[batch], lens)
-            form = sums(np.minimum(wait, idle, out=wait))
-            self.form_sum = self.serv_sum = 0.0
-            for f, s in zip(form, serv):
-                self.form_sum += f
+            fin = np.repeat(finish, lens)
+            serv = sums(np.subtract(fin, disp, out=fin))
+            del fin
+            self.serv_sum = 0.0
+            for s in serv:
                 self.serv_sum += s
-            return
-        for t, arr in enumerate(self.arr_t):
-            sizes = np.array(self.b_size[t], dtype=np.intp)
-            self.arr_sum[t] = float(arr.sum())
-            now = np.array(self.b_now[t])
-            wait = np.repeat(now, sizes)
-            np.subtract(wait, arr, out=wait)
-            idle = np.repeat(now - np.array(self.b_idle[t]), sizes)
-            self.form_sum += float(np.minimum(wait, idle, out=wait).sum())
-            del wait, idle  # the latencies below can reuse their memory
-            lat = np.repeat(np.array(self.b_finish[t]), sizes)
-            self.lat_t.append(np.subtract(lat, arr, out=lat))
+        self.arr_sum = sums(arr)
+        wait = np.subtract(disp, arr, out=disp)
+        idle = np.repeat(now - np.array(self.b_idle)[batch], lens)
+        form = sums(np.minimum(wait, idle, out=wait))
+        del disp, wait, idle  # the latencies below can reuse their memory
+        for f in form:
+            self.form_sum += f
+        lat = np.repeat(finish, lens)
+        np.subtract(lat, arr, out=lat)
+        self.lat_t = [lat[a:b] for a, b in spans]
 
-    def _batches(self, lists: list[list], dtype) -> np.ndarray:
-        """One batch-record field of every tenant, in tenant order."""
-        return np.fromiter(itertools.chain.from_iterable(lists), dtype=dtype,
-                           count=sum(map(len, lists)))
+    def _runs(self, lo: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The completed requests of batches ``lo..`` as runs of
+        consecutive tenant-grouped stream positions that one batch served,
+        sorted by position: each run's first position, its length, and
+        its batch (an index into the log).
 
-    def _runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The completed requests as runs of consecutive tenant-grouped
-        stream positions that one batch served, sorted by position: each
-        run's first position, its length, and its batch (an index into
-        :meth:`_batches`' arrays).
-
-        Without faults each batch is one run, and the runs tile the
-        grouped stream in batch order. With faults a completed batch is
-        one run for its fresh slice plus one per retried request, and an
-        aborted batch is none; sorted, the runs tile each tenant's
-        completed requests in arrival order.
+        A batch is one run for its fresh slice, of length zero when the
+        batch aborted, plus one run per retried request it took. Sorted,
+        the runs of the whole log tile each tenant's completed requests
+        in arrival order.
         """
-        sizes = self._batches(self.b_size, np.intp)
-        if self.faults is None:
-            return np.cumsum(sizes) - sizes, sizes, np.arange(sizes.size)
-        retried = list(itertools.chain.from_iterable(self.b_retried))
-        # Queue positions become grouped positions past the tenant's bound.
-        first = np.repeat(self.bounds[:-1], [len(s) for s in self.b_size])
-        live = np.flatnonzero([r is not None for r in retried])
+        retried = self.b_retried[lo:]
+        # A queue position becomes a grouped position past its tenant's bound.
+        first = self.bounds[self.b_tenant[lo:]]
         took = [b for b, r in enumerate(retried) if r]
         counts = np.array([len(retried[b]) for b in took], dtype=np.intp)
-        fresh = sizes.copy()
+        fresh = np.array(self.b_size[lo:], dtype=np.intp)
         fresh[took] -= counts
+        fresh[[b for b, r in enumerate(retried) if r is None]] = 0
+        n_taken = int(counts.sum())
         starts = np.concatenate((
-            (self._batches(self.b_head, np.intp) + first)[live],
+            np.array(self.b_head[lo:], dtype=np.intp) + first,
             np.fromiter(itertools.chain.from_iterable(retried[b] for b in took),
-                        dtype=np.intp, count=int(counts.sum()))
+                        dtype=np.intp, count=n_taken)
             + np.repeat(first[took], counts)))
-        lens = np.concatenate((fresh[live], np.ones(int(counts.sum()), np.intp)))
-        batch = np.concatenate((live, np.repeat(np.array(took, dtype=np.intp),
-                                                counts)))
+        lens = np.concatenate((fresh, np.ones(n_taken, np.intp)))
+        batch = np.concatenate((np.arange(lo, lo + len(retried)),
+                                np.repeat(np.array(took, np.intp) + lo, counts)))
         order = np.argsort(starts, kind="stable")
         return starts[order], lens[order], batch[order]
 
     def request_table(self) -> RequestTable:
         """Every request's outcome in stream order, built once per run.
 
-        Each column is one ``np.repeat`` of a batch-record field over the
+        Each column is one ``np.repeat`` of a batch-log field over the
         sorted runs of :meth:`_runs`, scattered to stream positions
         through the stable tenant order. Only the batches that completed
         count, and a shed request keeps NaN times, slot and replica -1,
@@ -1434,12 +1413,10 @@ class _FleetEngine:
         n, order, bounds = self.n, self._tenant_order(), self.bounds
         starts, lens, batch = self._runs()
 
-        def per_request(lists, dtype=np.float64):
-            return np.repeat(self._batches(lists, dtype)[batch], lens)
+        def per_request(values: list, dtype=np.float64):
+            return np.repeat(np.array(values, dtype=dtype)[batch], lens)
 
-        # A run covers its first position and the ones after it.
-        dest = order[np.repeat(starts - (np.cumsum(lens) - lens), lens)
-                     + np.arange(int(lens.sum()))]
+        dest = order[_covered(starts, lens)]
         retries = np.zeros(n, dtype=np.intp)
         shed = np.zeros(n, dtype=bool)
         if self.faults is None:
@@ -1481,11 +1458,9 @@ class _FleetEngine:
     def batch_histograms(self) -> list[dict[int, int]]:
         """Per group, completed batches by size (sorted by size)."""
         histograms: list[dict[int, int]] = [{} for _ in self.groups]
-        for t, sizes in enumerate(self.b_size):
-            retried = self.b_retried[t] if self.faults is not None else None
-            for k, (g, size) in enumerate(zip(self.b_group[t], sizes)):
-                if retried is None or retried[k] is not None:
-                    histograms[g][size] = histograms[g].get(size, 0) + 1
+        for g, size, retried in zip(self.b_group, self.b_size, self.b_retried):
+            if retried is not None:
+                histograms[g][size] = histograms[g].get(size, 0) + 1
         return [dict(sorted(h.items())) for h in histograms]
 
     def fault_stats(self) -> FaultStats | None:
@@ -1498,15 +1473,14 @@ class _FleetEngine:
             for count in tries.values():
                 histogram[count] = histogram.get(count, 0) + 1
         degraded: dict[str, np.ndarray] = {}
-        if any(map(any, self.b_degraded)):
+        if any(self.b_degraded):
             # Degraded flags of the completed requests, aligned with lat_t.
             _starts, lens, batch = self._runs()
-            flags = np.repeat(self._batches(self.b_degraded, bool)[batch], lens)
+            flags = np.repeat(np.array(self.b_degraded)[batch], lens)
             end = 0
-            for t, spec in enumerate(self.tenants):
-                start, end = end, end + self.lat_t[t].size
-                if any(self.b_degraded[t]):
-                    degraded[spec.name] = self.lat_t[t][flags[start:end]]
+            for spec, lat in zip(self.tenants, self.lat_t):
+                start, end = end, end + lat.size
+                degraded[spec.name] = lat[flags[start:end]]
         return self.faults.build_stats(
             self.makespan, self.n,
             {spec.name: (spec.degraded, spec.slo) for spec in self.tenants},

@@ -49,8 +49,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.serving.faults import CHAOS_SCENARIO_NAMES, CHAOS_SCENARIOS, chaos_plan
-from repro.serving.request import (Request, RequestColumns, is_finite_number,
-                                   sort_request_columns)
+from repro.serving.request import Request, RequestColumns, is_finite_number
 from repro.serving.simulator import TenantSpec
 
 __all__ = [
@@ -259,9 +258,10 @@ def scenario_columns(
     """Generate a scenario's request stream as columnar arrays.
 
     This is the fast path: the serving engine consumes the columns
-    directly, and the sort is a no-op for the generators that already
-    emit non-decreasing arrivals (everything but ``bursty``'s ties is a
-    cumulative sum). :func:`scenario_requests` materializes the same
+    directly. Every generator emits cumulative sums of non-negative gaps
+    (diurnal keeps an ascending subset), so the stream is never sorted;
+    ``sort_request_columns`` is for streams a caller builds.
+    :func:`scenario_requests` materializes the same
     stream as ``Request`` objects, e.g. to replay through
     ``simulate_mixed(requests=...)``.
     """
@@ -283,7 +283,7 @@ def scenario_columns(
     rng = np.random.default_rng(seed)
     codes = _tenant_codes(spec.tenant_probs(tenants), n_requests, rng)
     arrivals = spec.arrivals(n_requests, arrival_rate, rng)
-    return sort_request_columns(arrivals, codes, names)
+    return RequestColumns(arrivals, codes, names)
 
 
 def scenario_requests(

@@ -1,6 +1,6 @@
 """Fault-injection invariants: empty-plan bit-identity and conservation.
 
-Three properties anchor the fault subsystem:
+Five properties anchor the fault subsystem:
 
 1. An **empty fault plan is a no-op**: threading ``faults=FaultPlan()``
    (and a retry policy with no deadline) through the event loop must
@@ -19,6 +19,10 @@ Three properties anchor the fault subsystem:
    per step; a tenant's queue length, read lazily, always equals its
    arrivals at or before the last step's instant that no batch took,
    and the tenants' lengths sum to the fault runtime's queued count.
+5. **The batch log expands to what was served**: the runs of the whole
+   log cover every completed request once, and each p99 autoscale tick
+   reads exactly the batches logged since the previous tick, as a
+   brute-force expansion of their members finds them.
 """
 
 import math
@@ -29,6 +33,7 @@ import pytest
 import repro.serving.fleet as fleet
 from repro.serving import (
     AdaptiveSLOPolicy,
+    AutoscalePolicy,
     DeviceDown,
     DeviceGroup,
     DeviceRecover,
@@ -284,3 +289,71 @@ class TestLazyQueue:
             report = simulate_mixed(tenants(), devices=DEVICES, **kwargs)
         assert report.fault_stats.completed + report.fault_stats.shed == 700
         assert offers and requeues
+
+
+class TestBatchLog:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_runs_cover_completed_positions_once(self, seed, monkeypatch):
+        engines = capture_engines(monkeypatch)
+        rng = np.random.default_rng(400 + seed)
+        plan = busy_plan(rng, 700 / 40_000.0)
+        retry = RetryPolicy(max_retries=int(rng.integers(1, 3)),
+                            deadline=(float(rng.uniform(1e-4, 1e-3))
+                                      if seed >= 2 else None))
+        kwargs = dict(n_requests=700, arrival_rate=40_000.0, seed=seed,
+                      faults=None if seed == 0 else plan,
+                      retry=None if seed == 0 else retry)
+        if seed % 2:
+            report = simulate_fleet(
+                tenants(), (DeviceGroup("a", 2), DeviceGroup("b", 1)), **kwargs)
+        else:
+            report = simulate_mixed(tenants(), devices=DEVICES, **kwargs)
+        engine = engines[-1]
+        starts, lens, _batch = engine._runs()
+        covered = [p for start, length in zip(starts.tolist(), lens.tolist())
+                   for p in range(start, start + length)]
+        shed = set()
+        if engine.faults is not None:
+            shed = {int(engine.bounds[t]) + p
+                    for t, positions in enumerate(engine.shed_pos)
+                    for p in positions}
+        assert covered == [p for p in range(engine.n) if p not in shed]
+        assert len(shed) == (0 if seed == 0 else report.fault_stats.shed)
+        # Every faulted case aborts batches; without a deadline retried
+        # requests complete, with one they shed.
+        assert seed == 0 or None in engine.b_retried
+        assert seed != 1 or any(engine.b_retried)
+        assert (len(shed) > 0) == (seed >= 2)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_p99_window_reads_the_batches_since_the_last_tick(self, seed,
+                                                              monkeypatch):
+        rng = np.random.default_rng(500 + seed)
+        plan = busy_plan(rng, 700 / 40_000.0)
+        window = fleet._FleetEngine._window_p99
+        ticked = []  # batches logged by each tick, tracked here, not read
+        aborted = []  # whether each tick's window holds an aborted batch
+
+        def checked(engine):
+            lo = ticked[-1] if ticked else 0
+            ticked.append(len(engine.b_size))
+            since = range(lo, ticked[-1])
+            lat = [engine.b_finish[k]
+                   - engine.arr_t[engine.b_tenant[k]][engine._members(k)]
+                   for k in since if engine.b_retried[k] is not None]
+            want = float(np.percentile(np.concatenate(lat), 99)) if lat else 0.0
+            got = window(engine)
+            assert got == want
+            aborted.append(any(engine.b_retried[k] is None for k in since))
+            return got
+
+        monkeypatch.setattr(fleet._FleetEngine, "_window_p99", checked)
+        report = simulate_fleet(
+            tenants(), (DeviceGroup("a", 2, pool=3), DeviceGroup("b", 1, pool=2)),
+            n_requests=700, arrival_rate=40_000.0, seed=seed, faults=plan,
+            retry=RetryPolicy(max_retries=int(rng.integers(1, 4))),
+            autoscale=AutoscalePolicy(metric="p99", threshold=2e-3,
+                                      interval=1e-3, cooldown=2e-3),
+            lint=False)
+        assert report.fault_stats.retries > 0 and report.scaling_events
+        assert len(ticked) > 10 and any(aborted)

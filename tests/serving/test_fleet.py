@@ -442,8 +442,10 @@ def test_engine_holds_no_per_request_objects(memory_stream):
     nothing."""
     warm, groups, columns = memory_stream
     peak = engine_peak_per_request(warm, groups, columns)
-    # Arrivals grouped by tenant plus latencies are 16 B/request; the
-    # post-loop pass adds two temporaries of the largest tenant's size.
+    # Arrivals grouped by tenant are 8 B/request. The post-loop pass
+    # holds two request-sized float64 temporaries for the waits (dispatch
+    # instants, then formation waits; replica idle times) and frees them
+    # before it builds the latencies: 24 B/request.
     assert peak <= 32.0, f"{peak:.1f} B/request"
 
     fresh = memory_tenants()
@@ -465,7 +467,9 @@ def test_faulted_engine_holds_no_per_request_objects(memory_stream, chaos):
     warm, groups, columns = memory_stream
     plan = chaos_plan(chaos, [g.device for g in groups], len(columns) / 1e6)
     peak = engine_peak_per_request(warm, groups, columns, plan, RetryPolicy())
-    # Grouped arrivals, the tenant order (request ids for the retry
-    # jitter) and latencies are 24 B/request; the fill adds at most four
-    # request-sized temporaries at once.
-    assert peak <= 64.0, f"{peak:.1f} B/request"
+    # Grouped arrivals and the tenant order (request ids for the retry
+    # jitter) are 16 B/request. The post-loop pass holds the same two
+    # request-sized temporaries as a fault-free run (the second one
+    # first holds finish instants for the service sum) and frees them
+    # before it builds the latencies: 32 B/request.
+    assert peak <= 48.0, f"{peak:.1f} B/request"

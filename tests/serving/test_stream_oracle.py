@@ -28,6 +28,8 @@ def tenants(k: int) -> list[TenantSpec]:
 
 def assert_same_stream(scenario, specs, n, rate, seed):
     got = scenarios.scenario_columns(scenario, specs, n, rate, seed)
+    # scenario_columns does not sort: every generator must emit order.
+    assert not np.any(np.diff(got.arrivals) < 0), (scenario, n, rate, seed)
     want = stream_oracle.scenario_columns(scenario, specs, n, rate, seed)
     assert got.codes.dtype == want.codes.dtype
     assert np.array_equal(got.codes, want.codes), (scenario, n, rate, seed)
