@@ -4,48 +4,33 @@ Every op does three things:
 
 1. computes the forward value with numpy,
 2. registers a backward closure on the output tensor (when grad is enabled),
-3. emits a :class:`~repro.trace.events.KernelEvent` describing the device
-   work (FLOPs, bytes, parallelism, access pattern) so a profiling session
-   can attribute the op to a GPU kernel category — the same taxonomy the
-   paper uses in its Figure-8 breakdown (Conv, BNorm, Elewise, Pooling,
-   Relu, Gemm, Reduce, Other).
+3. emits its kernels through :func:`repro.nn.ops.emit`, naming each kernel
+   and the arrays it reads and writes. The kernel table
+   (:data:`repro.nn.ops.KERNELS`) turns those into the work descriptors
+   (FLOPs, bytes, parallelism, access pattern) and the kernel category of
+   the paper's Figure-8 breakdown (Conv, BNorm, Elewise, Pooling, Relu,
+   Gemm, Reduce, Other).
 
 The kernel emission is a no-op unless a tracer is active, so training runs
 pay only a branch per op.
 
 Backward closures are traced execution paths too: each op snapshots its
 (stage, modality) context at graph-build time and its closure emits
-``pass_="backward"`` kernels carrying that context before computing the
-gradients. All backward work descriptors are shape-derived, so the meta
-backend (shape-only gradients, no numeric work) emits an event stream
-identical to eager backward — the forward-path differential invariant,
-extended to full training steps.
+backward kernels carrying that context before computing the gradients.
+All work descriptors are shape-derived, so the meta backend (shape-only
+gradients, no numeric work) emits an event stream identical to eager
+backward — the forward-path differential invariant, extended to full
+training steps.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.nn.backend import MetaArray, _meta, is_meta, meta_array, meta_like
-from repro.nn.tensor import DEFAULT_DTYPE, Tensor, as_tensor, is_grad_enabled
-from repro.trace import tracer as _tracer
-from repro.trace.events import KernelCategory, PASS_BACKWARD
-from repro.trace.tracer import UNSET, emit_kernel
-
-_ITEMSIZE = np.dtype(DEFAULT_DTYPE).itemsize
-
-# Kernel categories as module constants: every op reads one per launch,
-# and an enum member read costs more than a global one.
-_CONV = KernelCategory.CONV
-_BNORM = KernelCategory.BNORM
-_ELEWISE = KernelCategory.ELEWISE
-_POOLING = KernelCategory.POOLING
-_RELU = KernelCategory.RELU
-_GEMM = KernelCategory.GEMM
-_REDUCE = KernelCategory.REDUCE
-_OTHER = KernelCategory.OTHER
+from repro.nn.ops import emit as _emit
+from repro.nn import tensor as _tensor
+from repro.nn.tensor import DEFAULT_DTYPE, Tensor, as_tensor
 
 
 def _contig(x):
@@ -59,8 +44,8 @@ def _contig(x):
 
 def _make(data, parents, backward, name="") -> Tensor:
     """Build an output tensor, wiring the graph only when grad is enabled."""
-    out = Tensor(data, name=name)
-    if is_grad_enabled():
+    out = Tensor(data, False, name)  # positional: a keyword builds a dict per op
+    if _tensor._GRAD_ENABLED:
         for p in parents:
             if p.requires_grad:
                 out.requires_grad = True
@@ -68,42 +53,6 @@ def _make(data, parents, backward, name="") -> Tensor:
                 out._backward = backward
                 break
     return out
-
-
-def _emit(name, category, flops, inputs_bytes, out_bytes, threads, coalesced=1.0, reuse=1.0, **meta):
-    """Emit one forward kernel in the tracer's current context."""
-    if _tracer._ACTIVE is not None:
-        emit_kernel(name, category, flops, inputs_bytes, out_bytes, threads,
-                    coalesced, reuse, None, UNSET, None, **meta)
-
-
-# ---------------------------------------------------------------------------
-# backward-pass tracing helpers
-# ---------------------------------------------------------------------------
-#
-# Every op snapshots the tracer's (stage, modality) context while the
-# forward graph is being built; its backward closure re-applies that
-# context when it emits the backward kernels, long after the forward
-# scopes have unwound. All backward work descriptors are derived from
-# shapes only, so the meta and eager backends emit identical events — the
-# same invariant the forward path already guarantees.
-
-
-def _ctx():
-    """Snapshot the tracer's (stage, modality, pass) context for this op's
-    backward emissions (None when no tracer is active)."""
-    tracer = _tracer._ACTIVE
-    return None if tracer is None else tracer.context
-
-
-def _emit_bwd(ctx, name, category, flops, inputs_bytes, out_bytes, threads,
-              coalesced=1.0, reuse=1.0, **meta):
-    """Emit one backward kernel carrying the forward op's context."""
-    if _tracer._ACTIVE is None:
-        return
-    stage, modality = (None, UNSET) if ctx is None else ctx[:2]
-    emit_kernel(name, category, flops, inputs_bytes, out_bytes, threads,
-                coalesced, reuse, stage, modality, PASS_BACKWARD, **meta)
 
 
 _GRAD_DTYPE = np.dtype(DEFAULT_DTYPE)
@@ -127,158 +76,122 @@ def _meta_accumulate(grad, *tensors) -> bool:
     return True
 
 
-def _unary_bwd(ctx, a, grad, name, category, flops, extra_read=0.0, coalesced=1.0):
-    """Emit a one-input backward kernel; True when the meta path handled it.
-
-    ``extra_read`` is whatever the closure reads besides the incoming
-    gradient (saved inputs/outputs), in bytes.
-    """
-    _emit_bwd(ctx, name, category, flops=flops,
-              inputs_bytes=float(a.nbytes + extra_read),
-              out_bytes=float(a.nbytes), threads=a.size, coalesced=coalesced)
-    return _meta_accumulate(grad, a)
-
-
 # ---------------------------------------------------------------------------
 # element-wise arithmetic
 # ---------------------------------------------------------------------------
 
 
-def _binary_elementwise(a: Tensor, b: Tensor, fwd, bwd_a, bwd_b, opname: str,
-                        bwd_flops_per_out: float = 1.0) -> Tensor:
-    data = fwd(a.data, b.data)
-    out_bytes = data.nbytes
-    ctx = _ctx()
+def _binary(name: str, a: Tensor, b: Tensor, data, grad_a, grad_b) -> Tensor:
+    """Shared by the four binary ops: emit kernel ``name`` and wire a
+    backward that differentiates into each input taking a gradient, with
+    ``grad_a(grad, x, y)`` / ``grad_b(grad, x, y)``."""
 
     def backward(grad):
-        active = int(a.requires_grad) + int(b.requires_grad)
-        _emit_bwd(
-            ctx, f"{opname}_bwd", _ELEWISE,
-            flops=bwd_flops_per_out * data.size * active,
-            inputs_bytes=float(out_bytes + a.nbytes + b.nbytes),
-            out_bytes=float((a.nbytes if a.requires_grad else 0)
-                            + (b.nbytes if b.requires_grad else 0)),
-            threads=data.size,
-        )
+        x, y = a.data, b.data
+        if a.requires_grad:
+            outs = (x, y) if b.requires_grad else (x,)
+        else:
+            outs = (y,)
+        _emit(name + "_bwd", (data, x, y), outs, ctx=ctx)
         if _meta_accumulate(grad, a, b):
             return
         if a.requires_grad:
-            a.accumulate_grad(bwd_a(grad, a.data, b.data, data))
+            a.accumulate_grad(grad_a(grad, x, y))
         if b.requires_grad:
-            b.accumulate_grad(bwd_b(grad, a.data, b.data, data))
+            b.accumulate_grad(grad_b(grad, x, y))
 
-    _emit(
-        opname,
-        _ELEWISE,
-        flops=data.size,
-        inputs_bytes=a.nbytes + b.nbytes,
-        out_bytes=out_bytes,
-        threads=data.size,
-    )
-    return _make(data, (a, b), backward, name=opname)
+    ctx = _emit(name, (a.data, b.data), (data,))
+    return _make(data, (a, b), backward, name=name)
+
+
+# The binary ops' gradients with respect to x and to y, given the incoming
+# gradient g.
+
+
+def _d_plus(g, x, y):
+    return g
+
+
+def _d_minus(g, x, y):
+    return -g
+
+
+def _d_mul_x(g, x, y):
+    return g * y
+
+
+def _d_mul_y(g, x, y):
+    return g * x
+
+
+def _d_div_x(g, x, y):
+    return g / y
+
+
+def _d_div_y(g, x, y):
+    return -g * x / (y * y)
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _binary_elementwise(
-        a, b, lambda x, y: x + y, lambda g, x, y, o: g, lambda g, x, y, o: g, "add"
-    )
+    return _binary("add", a, b, a.data + b.data, _d_plus, _d_plus)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _binary_elementwise(
-        a, b, lambda x, y: x - y, lambda g, x, y, o: g, lambda g, x, y, o: -g, "sub"
-    )
+    return _binary("sub", a, b, a.data - b.data, _d_plus, _d_minus)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _binary_elementwise(
-        a, b, lambda x, y: x * y, lambda g, x, y, o: g * y, lambda g, x, y, o: g * x, "mul"
-    )
+    return _binary("mul", a, b, a.data * b.data, _d_mul_x, _d_mul_y)
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _binary_elementwise(
-        a,
-        b,
-        lambda x, y: x / y,
-        lambda g, x, y, o: g / y,
-        lambda g, x, y, o: -g * x / (y * y),
-        "div",
-        bwd_flops_per_out=2.0,
-    )
+    return _binary("div", a, b, a.data / b.data, _d_div_x, _d_div_y)
+
+
+def _unary(name: str, a: Tensor, data, grad_fn, *saved) -> Tensor:
+    """Shared by the one-input elementwise ops: emit kernel ``name`` and
+    wire a backward whose kernel reads the incoming gradient and ``saved``,
+    from which ``grad_fn(grad, *saved)`` computes the input gradient."""
+
+    def backward(grad):
+        _emit(name + "_bwd", (data, *saved), (a.data,), ctx=ctx)
+        if _meta_accumulate(grad, a):
+            return
+        a.accumulate_grad(grad_fn(grad, *saved))
+
+    ctx = _emit(name, (a.data,), (data,))
+    return _make(data, (a,), backward, name=name)
+
+
+def _times(grad, y):
+    return grad * y
 
 
 def neg(a: Tensor) -> Tensor:
-    data = -a.data
-    ctx = _ctx()
-
-    def backward(grad):
-        if _unary_bwd(ctx, a, grad, "neg_bwd", _ELEWISE, a.size):
-            return
-        a.accumulate_grad(-grad)
-
-    _emit("neg", _ELEWISE, data.size, a.nbytes, data.nbytes, data.size)
-    return _make(data, (a,), backward, name="neg")
+    return _unary("neg", a, -a.data, np.negative)
 
 
 def pow_(a: Tensor, exponent: float) -> Tensor:
-    data = a.data**exponent
-    ctx = _ctx()
-
-    def backward(grad):
-        if _unary_bwd(ctx, a, grad, "pow_bwd", _ELEWISE,
-                      3 * a.size, extra_read=a.nbytes):
-            return
-        a.accumulate_grad(grad * exponent * a.data ** (exponent - 1))
-
-    _emit("pow", _ELEWISE, 2 * data.size, a.nbytes, data.nbytes, data.size)
-    return _make(data, (a,), backward, name="pow")
+    return _unary("pow", a, a.data**exponent,
+                  lambda grad, x: grad * exponent * x ** (exponent - 1), a.data)
 
 
 def exp(a: Tensor) -> Tensor:
     data = np.exp(a.data)
-    ctx = _ctx()
-
-    def backward(grad):
-        if _unary_bwd(ctx, a, grad, "exp_bwd", _ELEWISE,
-                      a.size, extra_read=data.nbytes):
-            return
-        a.accumulate_grad(grad * data)
-
-    _emit("exp", _ELEWISE, 4 * data.size, a.nbytes, data.nbytes, data.size)
-    return _make(data, (a,), backward, name="exp")
+    return _unary("exp", a, data, _times, data)
 
 
 def log(a: Tensor) -> Tensor:
-    data = np.log(a.data)
-    ctx = _ctx()
-
-    def backward(grad):
-        if _unary_bwd(ctx, a, grad, "log_bwd", _ELEWISE,
-                      a.size, extra_read=a.nbytes):
-            return
-        a.accumulate_grad(grad / a.data)
-
-    _emit("log", _ELEWISE, 4 * data.size, a.nbytes, data.nbytes, data.size)
-    return _make(data, (a,), backward, name="log")
+    return _unary("log", a, np.log(a.data), lambda grad, x: grad / x, a.data)
 
 
 def sqrt(a: Tensor) -> Tensor:
     data = np.sqrt(a.data)
-    ctx = _ctx()
-
-    def backward(grad):
-        if _unary_bwd(ctx, a, grad, "sqrt_bwd", _ELEWISE,
-                      2 * a.size, extra_read=data.nbytes):
-            return
-        a.accumulate_grad(grad * 0.5 / np.maximum(data, 1e-12))
-
-    _emit("sqrt", _ELEWISE, 2 * data.size, a.nbytes, data.nbytes, data.size)
-    return _make(data, (a,), backward, name="sqrt")
+    return _unary("sqrt", a, data, lambda grad, y: grad * 0.5 / np.maximum(y, 1e-12), data)
 
 
 # ---------------------------------------------------------------------------
@@ -286,79 +199,51 @@ def sqrt(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _relu_grad(grad, x):
+    return grad * (x > 0)
+
+
 def relu(a: Tensor) -> Tensor:
-    data = np.maximum(a.data, 0)
-    ctx = _ctx()
-
-    def backward(grad):
-        if _unary_bwd(ctx, a, grad, "relu_bwd", _RELU,
-                      a.size, extra_read=a.nbytes):
-            return
-        a.accumulate_grad(grad * (a.data > 0))
-
-    _emit("relu", _RELU, data.size, a.nbytes, data.nbytes, data.size)
-    return _make(data, (a,), backward, name="relu")
+    return _unary("relu", a, np.maximum(a.data, 0), _relu_grad, a.data)
 
 
 def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
-    data = np.where(a.data > 0, a.data, slope * a.data)
-    ctx = _ctx()
+    return _unary("leaky_relu", a, np.where(a.data > 0, a.data, slope * a.data),
+                  lambda grad, x: grad * np.where(x > 0, 1.0, slope).astype(DEFAULT_DTYPE),
+                  a.data)
 
-    def backward(grad):
-        if _unary_bwd(ctx, a, grad, "leaky_relu_bwd", _RELU,
-                      2 * a.size, extra_read=a.nbytes):
-            return
-        a.accumulate_grad(grad * np.where(a.data > 0, 1.0, slope).astype(DEFAULT_DTYPE))
 
-    _emit("leaky_relu", _RELU, 2 * data.size, a.nbytes, data.nbytes, data.size)
-    return _make(data, (a,), backward, name="leaky_relu")
+def _sigmoid_grad(grad, y):
+    return grad * y * (1.0 - y)
 
 
 def sigmoid(a: Tensor) -> Tensor:
     data = 1.0 / (1.0 + np.exp(-a.data))
-    ctx = _ctx()
+    return _unary("sigmoid", a, data, _sigmoid_grad, data)
 
-    def backward(grad):
-        if _unary_bwd(ctx, a, grad, "sigmoid_bwd", _ELEWISE,
-                      3 * a.size, extra_read=data.nbytes):
-            return
-        a.accumulate_grad(grad * data * (1.0 - data))
 
-    _emit("sigmoid", _ELEWISE, 5 * data.size, a.nbytes, data.nbytes, data.size)
-    return _make(data, (a,), backward, name="sigmoid")
+def _tanh_grad(grad, y):
+    return grad * (1.0 - y * y)
 
 
 def tanh(a: Tensor) -> Tensor:
     data = np.tanh(a.data)
-    ctx = _ctx()
+    return _unary("tanh", a, data, _tanh_grad, data)
 
-    def backward(grad):
-        if _unary_bwd(ctx, a, grad, "tanh_bwd", _ELEWISE,
-                      3 * a.size, extra_read=data.nbytes):
-            return
-        a.accumulate_grad(grad * (1.0 - data * data))
 
-    _emit("tanh", _ELEWISE, 6 * data.size, a.nbytes, data.nbytes, data.size)
-    return _make(data, (a,), backward, name="tanh")
+_GELU_C = np.float32(np.sqrt(2.0 / np.pi))
+
+
+def _gelu_grad(grad, x, t):
+    dt = (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+    return grad * (0.5 * (1.0 + t) + 0.5 * x * dt)
 
 
 def gelu(a: Tensor) -> Tensor:
     """GELU with the tanh approximation (as used by BERT/ALBERT)."""
-    c = np.float32(np.sqrt(2.0 / np.pi))
-    inner = c * (a.data + 0.044715 * (a.data * a.data * a.data))
-    t = np.tanh(inner)
-    data = 0.5 * a.data * (1.0 + t)
-    ctx = _ctx()
-
-    def backward(grad):
-        if _unary_bwd(ctx, a, grad, "gelu_bwd", _ELEWISE,
-                      10 * a.size, extra_read=a.nbytes + t.nbytes):
-            return
-        dt = (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * a.data**2)
-        a.accumulate_grad(grad * (0.5 * (1.0 + t) + 0.5 * a.data * dt))
-
-    _emit("gelu", _ELEWISE, 12 * data.size, a.nbytes, data.nbytes, data.size)
-    return _make(data.astype(DEFAULT_DTYPE), (a,), backward, name="gelu")
+    x = a.data
+    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+    return _unary("gelu", a, (0.5 * x * (1.0 + t)).astype(DEFAULT_DTYPE), _gelu_grad, x, t)
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +253,10 @@ def gelu(a: Tensor) -> Tensor:
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
-    ctx = _ctx()
-    out_nbytes = int(data.nbytes)
 
     def backward(grad):
         # Broadcast of the (small) output gradient back over the input.
-        _emit_bwd(ctx, "reduce_sum_bwd", _ELEWISE,
-                  flops=float(a.size), inputs_bytes=float(out_nbytes),
-                  out_bytes=float(a.nbytes), threads=a.size, coalesced=0.85)
+        _emit("reduce_sum_bwd", (data,), (a.data,), ctx=ctx)
         if _meta_accumulate(grad, a):
             return
         g = np.asarray(grad)
@@ -383,15 +264,7 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis=axis)
         a.accumulate_grad(np.broadcast_to(g, a.shape))
 
-    _emit(
-        "reduce_sum",
-        _REDUCE,
-        a.size,
-        a.nbytes,
-        int(data.nbytes),
-        max(int(data.size), 1),
-        coalesced=0.85,
-    )
+    ctx = _emit("reduce_sum", (a.data,), (data,))
     return _make(data, (a,), backward, name="sum")
 
 
@@ -410,14 +283,10 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def max_(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     data = a.data.max(axis=axis, keepdims=keepdims)
     arg = a.data.argmax(axis=axis)
-    ctx = _ctx()
-    out_nbytes = int(data.nbytes)
 
     def backward(grad):
         # Scatter of the output gradient into the argmax positions.
-        _emit_bwd(ctx, "reduce_max_bwd", _ELEWISE,
-                  flops=float(a.size), inputs_bytes=float(out_nbytes + arg.nbytes),
-                  out_bytes=float(a.nbytes), threads=a.size, coalesced=0.85)
+        _emit("reduce_max_bwd", (data, arg), (a.data,), ctx=ctx)
         if _meta_accumulate(grad, a):
             return
         g = np.asarray(grad)
@@ -427,68 +296,43 @@ def max_(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
         np.put_along_axis(mask, np.expand_dims(arg, axis=axis), 1.0, axis=axis)
         a.accumulate_grad(mask * np.broadcast_to(g, a.shape))
 
-    _emit(
-        "reduce_max",
-        _REDUCE,
-        a.size,
-        a.nbytes,
-        int(data.nbytes),
-        max(int(data.size), 1),
-        coalesced=0.85,
-    )
+    ctx = _emit("reduce_max", (a.data,), (data,))
     return _make(data, (a,), backward, name="max")
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
-    ctx = _ctx()
+def _softmax(name: str, a: Tensor, axis: int, log: bool) -> Tensor:
+    """Shared by softmax and log_softmax. Each launches a row reduce and an
+    elementwise pass, and its backward another pair: the reduce is
+    ``sum(grad * y)`` for softmax and ``sum(grad)`` for log_softmax."""
+    row_max = a.data.max(axis=axis, keepdims=True)
+    shifted = a.data - row_max
+    if log:
+        data = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    else:
+        e = np.exp(shifted)
+        data = e / e.sum(axis=axis, keepdims=True)
 
     def backward(grad):
-        # The Jacobian-vector product: a dot-reduce along the softmax axis
-        # plus an elementwise combine, mirroring the forward's two kernels.
-        _emit_bwd(ctx, "softmax_bwd_reduce", _REDUCE,
-                  flops=2.0 * a.size, inputs_bytes=float(2 * a.nbytes),
-                  out_bytes=float(a.nbytes // max(a.shape[axis], 1)),
-                  threads=a.size, coalesced=0.85)
-        _emit_bwd(ctx, "softmax_bwd_elewise", _ELEWISE,
-                  flops=2.0 * a.size, inputs_bytes=float(2 * a.nbytes),
-                  out_bytes=float(a.nbytes), threads=a.size)
+        _emit(name + "_bwd_reduce", (data,) if log else (data, data), (row_max,), ctx=ctx)
+        _emit(name + "_bwd_elewise", (data, data), (a.data,), ctx=ctx)
         if _meta_accumulate(grad, a):
             return
-        dot = (grad * data).sum(axis=axis, keepdims=True)
-        a.accumulate_grad(data * (grad - dot))
+        if log:
+            a.accumulate_grad(grad - np.exp(data) * grad.sum(axis=axis, keepdims=True))
+        else:
+            a.accumulate_grad(data * (grad - (grad * data).sum(axis=axis, keepdims=True)))
 
-    # A softmax launches a max-reduce, an exp, a sum-reduce and a divide;
-    # attribute the reduction work to Reduce and the rest to Elewise.
-    _emit("softmax_reduce", _REDUCE, 2 * a.size, a.nbytes, a.nbytes // max(a.shape[axis], 1), a.size, coalesced=0.85)
-    _emit("softmax_elewise", _ELEWISE, 6 * a.size, a.nbytes, data.nbytes, a.size)
-    return _make(data.astype(DEFAULT_DTYPE), (a,), backward, name="softmax")
+    ctx = _emit(name + "_reduce", (a.data,), (row_max,))
+    _emit(name + "_elewise", (a.data,), (data,))
+    return _make(data.astype(DEFAULT_DTYPE), (a,), backward, name=name)
+
+
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    return _softmax("softmax", a, axis, log=False)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    log_denominator = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    data = shifted - log_denominator
-    ctx = _ctx()
-
-    def backward(grad):
-        _emit_bwd(ctx, "log_softmax_bwd_reduce", _REDUCE,
-                  flops=float(a.size), inputs_bytes=float(a.nbytes),
-                  out_bytes=float(a.nbytes // max(a.shape[axis], 1)),
-                  threads=a.size, coalesced=0.85)
-        _emit_bwd(ctx, "log_softmax_bwd_elewise", _ELEWISE,
-                  flops=3.0 * a.size, inputs_bytes=float(2 * a.nbytes),
-                  out_bytes=float(a.nbytes), threads=a.size)
-        if _meta_accumulate(grad, a):
-            return
-        softmax_vals = np.exp(data)
-        a.accumulate_grad(grad - softmax_vals * grad.sum(axis=axis, keepdims=True))
-
-    _emit("log_softmax_reduce", _REDUCE, 2 * a.size, a.nbytes, a.nbytes // max(a.shape[axis], 1), a.size, coalesced=0.85)
-    _emit("log_softmax_elewise", _ELEWISE, 5 * a.size, a.nbytes, data.nbytes, a.size)
-    return _make(data.astype(DEFAULT_DTYPE), (a,), backward, name="log_softmax")
+    return _softmax("log_softmax", a, axis, log=True)
 
 
 # ---------------------------------------------------------------------------
@@ -498,48 +342,22 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
-    ctx = _ctx()
-
-    m = a.data.shape[-2] if a.data.ndim >= 2 else 1
-    k = a.data.shape[-1]
-    n = b.data.shape[-1] if b.data.ndim >= 2 else 1
-    batch = math.prod(data.shape[:-2])
-    gemm_flops = 2.0 * batch * m * k * n
 
     def backward(grad):
-        # dA = dOut @ B^T and dB = A^T @ dOut: each a GEMM with the same
-        # FLOP volume as the forward product.
+        # dA = dOut @ B^T and dB = A^T @ dOut.
+        x, y = a.data, b.data
         if a.requires_grad:
-            _emit_bwd(ctx, "gemm_bwd_da", _GEMM,
-                      flops=gemm_flops, inputs_bytes=float(data.nbytes + b.nbytes),
-                      out_bytes=float(a.nbytes), threads=max(int(a.size), 1),
-                      reuse=min(float(n), 64.0))
+            _emit("gemm_bwd_da", (data, y), (x,), ctx=ctx)
         if b.requires_grad:
-            _emit_bwd(ctx, "gemm_bwd_db", _GEMM,
-                      flops=gemm_flops, inputs_bytes=float(data.nbytes + a.nbytes),
-                      out_bytes=float(b.nbytes), threads=max(int(b.size), 1),
-                      reuse=min(float(m), 64.0))
+            _emit("gemm_bwd_db", (data, x), (y,), ctx=ctx)
         if _meta_accumulate(grad, a, b):
             return
         if a.requires_grad:
-            ga = grad @ np.swapaxes(b.data, -1, -2)
-            a.accumulate_grad(ga)
+            a.accumulate_grad(grad @ np.swapaxes(y, -1, -2))
         if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ grad
-            b.accumulate_grad(gb)
+            b.accumulate_grad(np.swapaxes(x, -1, -2) @ grad)
 
-    _emit(
-        "gemm",
-        _GEMM,
-        flops=gemm_flops,
-        inputs_bytes=a.nbytes + b.nbytes,
-        out_bytes=data.nbytes,
-        threads=max(int(data.size), 1),
-        reuse=min(float(k), 64.0),
-        m=m,
-        n=n,
-        k=k,
-    )
+    ctx = _emit("gemm", (a.data, b.data), (data,))
     return _make(data, (a, b), backward, name="matmul")
 
 
@@ -557,33 +375,21 @@ def outer_product(a: Tensor, b: Tensor) -> Tensor:
     This is the ``x ⊗ y`` fusion operator of Table 1.
     """
     data = np.einsum("bm,bn->bmn", a.data, b.data)
-    ctx = _ctx()
 
     def backward(grad):
+        x, y = a.data, b.data
         if a.requires_grad:
-            _emit_bwd(ctx, "outer_product_bwd_a", _GEMM,
-                      flops=2.0 * data.size, inputs_bytes=float(data.nbytes + b.nbytes),
-                      out_bytes=float(a.nbytes), threads=max(int(a.size), 1), reuse=2.0)
+            _emit("outer_product_bwd_a", (data, y), (x,), ctx=ctx)
         if b.requires_grad:
-            _emit_bwd(ctx, "outer_product_bwd_b", _GEMM,
-                      flops=2.0 * data.size, inputs_bytes=float(data.nbytes + a.nbytes),
-                      out_bytes=float(b.nbytes), threads=max(int(b.size), 1), reuse=2.0)
+            _emit("outer_product_bwd_b", (data, x), (y,), ctx=ctx)
         if _meta_accumulate(grad, a, b):
             return
         if a.requires_grad:
-            a.accumulate_grad(np.einsum("bmn,bn->bm", grad, b.data))
+            a.accumulate_grad(np.einsum("bmn,bn->bm", grad, y))
         if b.requires_grad:
-            b.accumulate_grad(np.einsum("bmn,bm->bn", grad, a.data))
+            b.accumulate_grad(np.einsum("bmn,bm->bn", grad, x))
 
-    _emit(
-        "outer_product",
-        _GEMM,
-        flops=float(data.size),
-        inputs_bytes=a.nbytes + b.nbytes,
-        out_bytes=data.nbytes,
-        threads=int(data.size),
-        reuse=2.0,
-    )
+    ctx = _emit("outer_product", (a.data, b.data), (data,))
     return _make(data.astype(DEFAULT_DTYPE), (a, b), backward, name="outer_product")
 
 
@@ -607,79 +413,47 @@ def transpose(a: Tensor, axes=None) -> Tensor:
         axes = tuple(reversed(range(a.ndim)))
     data = np.transpose(a.data, axes)
     inverse = sorted(range(len(axes)), key=axes.__getitem__)
-    ctx = _ctx()
 
     def backward(grad):
-        _emit_bwd(ctx, "transpose_bwd", _OTHER, flops=0.0,
-                  inputs_bytes=float(a.nbytes), out_bytes=float(a.nbytes),
-                  threads=a.size, coalesced=0.5)
+        _emit("transpose_bwd", (data,), (a.data,), ctx=ctx)
         if _meta_accumulate(grad, a):
             return
         a.accumulate_grad(np.transpose(grad, inverse))
 
-    _emit("transpose", _OTHER, 0.0, a.nbytes, data.nbytes, a.size, coalesced=0.5)
+    ctx = _emit("transpose", (a.data,), (data,))
     return _make(data, (a,), backward, name="transpose")
+
+
+def _join(name: str, join, tensors: list[Tensor], axis: int, widths: list[int]) -> Tensor:
+    """Shared by concat and stack: ``join`` the inputs along ``axis``, where
+    input i fills ``widths[i]`` positions of the output's ``axis``."""
+    arrays = [t.data for t in tensors]
+    data = join(arrays, axis=axis)
+
+    def backward(grad):
+        _emit(name + "_bwd", (data,), [t.data for t in tensors if t.requires_grad], ctx=ctx)
+        if _meta_accumulate(grad, *tensors):
+            return
+        index = [slice(None)] * grad.ndim
+        start = 0
+        for t, width in zip(tensors, widths):
+            if t.requires_grad:
+                index[axis] = slice(start, start + width)
+                t.accumulate_grad(grad[tuple(index)].reshape(t.shape))
+            start += width
+
+    ctx = _emit(name, arrays, (data,))
+    return _make(data, tensors, backward, name=name)
 
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-    ctx = _ctx()
-
-    def backward(grad):
-        active_bytes = float(sum(t.nbytes for t in tensors if t.requires_grad))
-        _emit_bwd(ctx, "concat_bwd", _OTHER, flops=0.0,
-                  inputs_bytes=float(data.nbytes), out_bytes=active_bytes,
-                  threads=int(data.size), coalesced=0.9)
-        if _meta_accumulate(grad, *tensors):
-            return
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                index = [slice(None)] * grad.ndim
-                index[axis] = slice(int(start), int(stop))
-                t.accumulate_grad(grad[tuple(index)])
-
-    _emit(
-        "concat",
-        _OTHER,
-        0.0,
-        sum(t.nbytes for t in tensors),
-        data.nbytes,
-        int(data.size),
-        coalesced=0.9,
-    )
-    return _make(data, tuple(tensors), backward, name="concat")
+    return _join("concat", np.concatenate, tensors, axis, [t.shape[axis] for t in tensors])
 
 
 def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
-    data = np.stack([t.data for t in tensors], axis=axis)
-    ctx = _ctx()
-
-    def backward(grad):
-        active_bytes = float(sum(t.nbytes for t in tensors if t.requires_grad))
-        _emit_bwd(ctx, "stack_bwd", _OTHER, flops=0.0,
-                  inputs_bytes=float(data.nbytes), out_bytes=active_bytes,
-                  threads=int(data.size), coalesced=0.9)
-        if _meta_accumulate(grad, *tensors):
-            return
-        parts = np.split(grad, len(tensors), axis=axis)
-        for t, g in zip(tensors, parts):
-            if t.requires_grad:
-                t.accumulate_grad(np.squeeze(g, axis=axis))
-
-    _emit(
-        "stack",
-        _OTHER,
-        0.0,
-        sum(t.nbytes for t in tensors),
-        data.nbytes,
-        int(data.size),
-        coalesced=0.9,
-    )
-    return _make(data, tuple(tensors), backward, name="stack")
+    return _join("stack", np.stack, tensors, axis, [1] * len(tensors))
 
 
 def getitem(a: Tensor, index) -> Tensor:
@@ -703,17 +477,14 @@ def pad2d(a: Tensor, padding: int) -> Tensor:
         return a
     p = padding
     data = np.pad(a.data, ((0, 0), (0, 0), (p, p), (p, p)))
-    ctx = _ctx()
 
     def backward(grad):
-        _emit_bwd(ctx, "pad_bwd", _OTHER, flops=0.0,
-                  inputs_bytes=float(data.nbytes), out_bytes=float(a.nbytes),
-                  threads=a.size)
+        _emit("pad_bwd", (data,), (a.data,), ctx=ctx)
         if _meta_accumulate(grad, a):
             return
         a.accumulate_grad(grad[:, :, p:-p, p:-p])
 
-    _emit("pad", _OTHER, 0.0, a.nbytes, data.nbytes, int(data.size))
+    ctx = _emit("pad", (a.data,), (data,))
     return _make(data, (a,), backward, name="pad2d")
 
 
@@ -721,27 +492,15 @@ def dropout(a: Tensor, p: float, training: bool, rng: np.random.Generator) -> Te
     """Inverted dropout; identity at inference time."""
     if not training or p <= 0.0:
         return a
-    keep = 1.0 - p
     if is_meta(a.data):
-        # No mask is sampled on the meta backend: the kernel event below is
-        # shape-derived, and meta tracing never runs backward.
-        mask = None
-        data = meta_like(a.data)
+        # No mask is sampled on the meta backend: the kernels are
+        # shape-derived, and a meta backward does no numeric work.
+        mask = data = meta_like(a.data)
     else:
+        keep = 1.0 - p
         mask = (rng.random(a.shape) < keep).astype(DEFAULT_DTYPE) / keep
         data = a.data * mask
-    ctx = _ctx()
-
-    def backward(grad):
-        _emit_bwd(ctx, "dropout_bwd", _ELEWISE, flops=float(a.size),
-                  inputs_bytes=float(2 * a.nbytes), out_bytes=float(a.nbytes),
-                  threads=a.size)
-        if _meta_accumulate(grad, a) or mask is None:
-            return
-        a.accumulate_grad(grad * mask)
-
-    _emit("dropout", _ELEWISE, data.size, a.nbytes, data.nbytes, data.size)
-    return _make(data, (a,), backward, name="dropout")
+    return _unary("dropout", a, data, _times, mask)
 
 
 def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
@@ -752,28 +511,18 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
     else:
         idx = np.asarray(indices)
         data = weight.data[idx]
-    ctx = _ctx()
 
     def backward(grad):
         # Scatter-add of row gradients back into the embedding table.
-        _emit_bwd(ctx, "embedding_scatter_bwd", _OTHER, flops=0.0,
-                  inputs_bytes=float(data.nbytes), out_bytes=float(weight.nbytes),
-                  threads=int(data.size), coalesced=0.35)
+        _emit("embedding_scatter_bwd", (data,), (weight.data,), ctx=ctx)
         if _meta_accumulate(grad, weight) or is_meta(idx):
             return
         full = np.zeros_like(weight.data)
         np.add.at(full, idx.reshape(-1), grad.reshape(-1, weight.shape[1]))
         weight.accumulate_grad(full)
 
-    _emit(
-        "embedding_gather",
-        _OTHER,
-        0.0,
-        float(idx.size * weight.shape[1] * _ITEMSIZE),
-        data.nbytes,
-        int(data.size),
-        coalesced=0.35,
-    )
+    # The gather reads the rows it writes.
+    ctx = _emit("embedding_gather", (data,), (data,))
     return _make(data, (weight,), backward, name="embedding")
 
 
@@ -793,6 +542,52 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int):
     return _contig(cols), oh, ow
 
 
+def _conv(name: str, x: Tensor, weight: Tensor, bias: Tensor | None, stride: int,
+          padding: int, x_pad, cols, data) -> Tensor:
+    """Shared by conv1d and conv2d: emit kernel ``name`` and wire the
+    backward. ``cols`` is the (N, positions, C*k) im2col matrix of the
+    padded input ``x_pad``, and ``data`` the (N, O, *spatial) output."""
+
+    def backward(grad):
+        # wgrad and dgrad are each implicit GEMMs; the bias gradient is a
+        # reduce over batch and space.
+        if bias is not None and bias.requires_grad:
+            _emit(name + "_bwd_b", (data,), (bias.data,), ctx=ctx)
+        if weight.requires_grad:
+            _emit(name + "_bwd_w", (data, cols), (weight.data,), stride, ctx=ctx)
+        if x.requires_grad:
+            _emit(name + "_bwd_x", (data, weight.data), (x.data,), stride, ctx=ctx)
+        if _meta_accumulate(grad, x, weight, bias):
+            return
+        n, o, *spatial = data.shape
+        gout = grad.reshape(n, o, -1).transpose(0, 2, 1)  # (N, positions, O)
+        if bias is not None and bias.requires_grad:
+            bias.accumulate_grad(gout.sum(axis=(0, 1)))
+        if weight.requires_grad:
+            gw = np.einsum("npo,npk->ok", gout, cols)
+            weight.accumulate_grad(gw.reshape(weight.shape))
+        if x.requires_grad:
+            kernel = weight.shape[2:]
+            gcols = (gout @ weight.data.reshape(o, -1)).reshape(n, *spatial, -1, *kernel)
+            gx_pad = np.zeros_like(x_pad)
+            positions = (slice(None),) * (len(spatial) + 2)
+            for offset in np.ndindex(*kernel):
+                window = tuple(slice(i, i + s * stride, stride) for i, s in zip(offset, spatial))
+                gx_pad[(slice(None), slice(None), *window)] += np.moveaxis(
+                    gcols[positions + offset], -1, 1)
+            p = padding
+            if p:
+                gx_pad = gx_pad[(slice(None), slice(None),
+                                 *(slice(p, p + s) for s in x.shape[2:]))]
+            x.accumulate_grad(gx_pad)
+
+    if bias is None:
+        ctx = _emit(name, (x.data, weight.data), (data,), stride)
+        return _make(data, (x, weight), backward, name=name)
+    ctx = _emit(name, (x.data, weight.data, bias.data), (data,), stride)
+    return _make(data, (x, weight, bias), backward, name=name)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padding: int = 0) -> Tensor:
     """2D convolution via im2col + GEMM (the cuDNN implicit-GEMM analogue).
 
@@ -805,65 +600,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padd
     p = padding
     x_pad = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
     cols, oh, ow = _im2col(x_pad, kh, kw, stride)
-    w_flat = weight.data.reshape(o, -1)
-    out = cols @ w_flat.T  # (N, OH*OW, O)
+    out = cols @ weight.data.reshape(o, -1).T  # (N, OH*OW, O)
     if bias is not None:
         out = out + bias.data
-    data = out.transpose(0, 2, 1).reshape(n, o, oh, ow)
-    ctx = _ctx()
-    flops = 2.0 * n * oh * ow * o * c * kh * kw
-    cols_bytes = float(n * oh * ow * c * kh * kw * _ITEMSIZE)
-
-    def backward(grad):
-        # wgrad and dgrad are each implicit GEMMs with the forward's FLOP
-        # volume; the bias gradient is a reduce over batch and space.
-        if bias is not None and bias.requires_grad:
-            _emit_bwd(ctx, "conv2d_bwd_b", _REDUCE,
-                      flops=float(n * oh * ow * o), inputs_bytes=float(data.nbytes),
-                      out_bytes=float(bias.nbytes), threads=max(int(o), 1),
-                      coalesced=0.85)
-        if weight.requires_grad:
-            _emit_bwd(ctx, "conv2d_bwd_w", _CONV, flops=flops,
-                      inputs_bytes=float(data.nbytes) + cols_bytes,
-                      out_bytes=float(weight.nbytes), threads=int(weight.size),
-                      reuse=min(float(n * oh * ow), 96.0), kh=kh, kw=kw, stride=stride)
-        if x.requires_grad:
-            _emit_bwd(ctx, "conv2d_bwd_x", _CONV, flops=flops,
-                      inputs_bytes=float(data.nbytes + weight.nbytes),
-                      out_bytes=float(x.nbytes), threads=int(x.size),
-                      reuse=min(float(o * kh * kw), 96.0), kh=kh, kw=kw, stride=stride)
-        if _meta_accumulate(grad, x, weight, bias):
-            return
-        gout = grad.reshape(n, o, oh * ow).transpose(0, 2, 1)  # (N, OH*OW, O)
-        if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(gout.sum(axis=(0, 1)))
-        if weight.requires_grad:
-            gw = np.einsum("npo,npk->ok", gout, cols)
-            weight.accumulate_grad(gw.reshape(weight.shape))
-        if x.requires_grad:
-            gcols = gout @ w_flat  # (N, OH*OW, C*kh*kw)
-            gcols = gcols.reshape(n, oh, ow, c, kh, kw)
-            gx_pad = np.zeros_like(x_pad)
-            for i in range(kh):
-                for j in range(kw):
-                    gx_pad[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride] += (
-                        gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-                    )
-            gx = gx_pad[:, :, p : p + h, p : p + w] if p else gx_pad
-            x.accumulate_grad(gx)
-    _emit(
-        "conv2d",
-        _CONV,
-        flops=flops,
-        inputs_bytes=x.nbytes + weight.nbytes + (bias.nbytes if bias is not None else 0),
-        out_bytes=data.nbytes,
-        threads=int(data.size),
-        reuse=min(float(c * kh * kw), 96.0),
-        kh=kh,
-        kw=kw,
-        stride=stride,
-    )
-    return _make(data.astype(DEFAULT_DTYPE), tuple(t for t in (x, weight, bias) if t is not None), backward, name="conv2d")
+    data = out.transpose(0, 2, 1).reshape(n, o, oh, ow).astype(DEFAULT_DTYPE)
+    return _conv("conv2d", x, weight, bias, stride, padding, x_pad, cols, data)
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padding: int = 0) -> Tensor:
@@ -881,64 +622,11 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padd
     windows = windows[:, :, ::stride, :]  # (N, C, OT, k)
     ot = windows.shape[2]
     cols = _contig(windows.transpose(0, 2, 1, 3)).reshape(n, ot, c * kw)
-    w_flat = weight.data.reshape(o, -1)
-    out = cols @ w_flat.T  # (N, OT, O)
+    out = cols @ weight.data.reshape(o, -1).T  # (N, OT, O)
     if bias is not None:
         out = out + bias.data
-    data = out.transpose(0, 2, 1)  # (N, O, OT)
-    ctx = _ctx()
-    flops = 2.0 * n * ot * o * c * kw
-    cols_bytes = float(n * ot * c * kw * _ITEMSIZE)
-
-    def backward(grad):
-        if bias is not None and bias.requires_grad:
-            _emit_bwd(ctx, "conv1d_bwd_b", _REDUCE,
-                      flops=float(n * ot * o), inputs_bytes=float(data.nbytes),
-                      out_bytes=float(bias.nbytes), threads=max(int(o), 1),
-                      coalesced=0.85)
-        if weight.requires_grad:
-            _emit_bwd(ctx, "conv1d_bwd_w", _CONV, flops=flops,
-                      inputs_bytes=float(data.nbytes) + cols_bytes,
-                      out_bytes=float(weight.nbytes), threads=int(weight.size),
-                      reuse=min(float(n * ot), 64.0), kh=1, kw=kw, stride=stride)
-        if x.requires_grad:
-            _emit_bwd(ctx, "conv1d_bwd_x", _CONV, flops=flops,
-                      inputs_bytes=float(data.nbytes + weight.nbytes),
-                      out_bytes=float(x.nbytes), threads=int(x.size),
-                      reuse=min(float(o * kw), 64.0), kh=1, kw=kw, stride=stride)
-        if _meta_accumulate(grad, x, weight, bias):
-            return
-        gout = grad.transpose(0, 2, 1)  # (N, OT, O)
-        if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(gout.sum(axis=(0, 1)))
-        if weight.requires_grad:
-            gw = np.einsum("npo,npk->ok", gout, cols)
-            weight.accumulate_grad(gw.reshape(weight.shape))
-        if x.requires_grad:
-            gcols = (gout @ w_flat).reshape(n, ot, c, kw)
-            gx_pad = np.zeros_like(x_pad)
-            for j in range(kw):
-                gx_pad[:, :, j : j + ot * stride : stride] += gcols[:, :, :, j].transpose(0, 2, 1)
-            gx = gx_pad[:, :, p : p + t] if p else gx_pad
-            x.accumulate_grad(gx)
-    _emit(
-        "conv1d",
-        _CONV,
-        flops=flops,
-        inputs_bytes=x.nbytes + weight.nbytes + (bias.nbytes if bias is not None else 0),
-        out_bytes=data.nbytes,
-        threads=int(data.size),
-        reuse=min(float(c * kw), 64.0),
-        kh=1,
-        kw=kw,
-        stride=stride,
-    )
-    return _make(
-        _contig(data.astype(DEFAULT_DTYPE)),
-        tuple(tt for tt in (x, weight, bias) if tt is not None),
-        backward,
-        name="conv1d",
-    )
+    data = _contig(out.transpose(0, 2, 1).astype(DEFAULT_DTYPE))  # (N, O, OT)
+    return _conv("conv1d", x, weight, bias, stride, padding, x_pad, cols, data)
 
 
 def _pool_windows(x: np.ndarray, kernel: int, stride: int):
@@ -954,14 +642,11 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
     stride = stride or kernel
     windows, oh, ow = _pool_windows(x.data, kernel, stride)
     arg = windows.argmax(axis=-1)
-    data = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
+    data = _contig(np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0])
     n, c = x.shape[0], x.shape[1]
-    ctx = _ctx()
 
     def backward(grad):
-        _emit_bwd(ctx, "max_pool2d_bwd", _POOLING,
-                  flops=float(data.size), inputs_bytes=float(data.nbytes + arg.nbytes),
-                  out_bytes=float(x.nbytes), threads=int(data.size), coalesced=0.9)
+        _emit("max_pool2d_bwd", (data, arg), (x.data,), ctx=ctx)
         if _meta_accumulate(grad, x):
             return
         gx = np.zeros_like(x.data)
@@ -971,29 +656,17 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
         np.add.at(gx, (ni, ci, h_idx, w_idx), grad)
         x.accumulate_grad(gx)
 
-    _emit(
-        "max_pool2d",
-        _POOLING,
-        flops=float(windows.size),
-        inputs_bytes=x.nbytes,
-        out_bytes=data.nbytes,
-        threads=int(data.size),
-        coalesced=0.9,
-    )
-    return _make(_contig(data), (x,), backward, name="max_pool2d")
+    ctx = _emit("max_pool2d", (x.data,), (data,), kernel)
+    return _make(data, (x,), backward, name="max_pool2d")
 
 
 def avg_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
     stride = stride or kernel
     windows, oh, ow = _pool_windows(x.data, kernel, stride)
-    data = windows.mean(axis=-1)
-    ctx = _ctx()
+    data = _contig(windows.mean(axis=-1))
 
     def backward(grad):
-        _emit_bwd(ctx, "avg_pool2d_bwd", _POOLING,
-                  flops=float(kernel * kernel * data.size),
-                  inputs_bytes=float(data.nbytes), out_bytes=float(x.nbytes),
-                  threads=int(data.size), coalesced=0.9)
+        _emit("avg_pool2d_bwd", (data,), (x.data,), kernel, ctx=ctx)
         if _meta_accumulate(grad, x):
             return
         gx = np.zeros_like(x.data)
@@ -1003,48 +676,47 @@ def avg_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
                 gx[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride] += grad * scale
         x.accumulate_grad(gx)
 
-    _emit(
-        "avg_pool2d",
-        _POOLING,
-        flops=float(windows.size),
-        inputs_bytes=x.nbytes,
-        out_bytes=data.nbytes,
-        threads=int(data.size),
-        coalesced=0.9,
-    )
-    return _make(_contig(data), (x,), backward, name="avg_pool2d")
+    ctx = _emit("avg_pool2d", (x.data,), (data,), kernel)
+    return _make(data, (x,), backward, name="avg_pool2d")
 
 
 def upsample_nearest2d(x: Tensor, scale: int = 2) -> Tensor:
     """Nearest-neighbour spatial upsampling (used by the U-Net decoder)."""
     data = x.data.repeat(scale, axis=2).repeat(scale, axis=3)
-    ctx = _ctx()
 
     def backward(grad):
-        _emit_bwd(ctx, "upsample_nearest_bwd", _OTHER,
-                  flops=float(data.size), inputs_bytes=float(data.nbytes),
-                  out_bytes=float(x.nbytes), threads=int(data.size), coalesced=0.8)
+        _emit("upsample_nearest_bwd", (data,), (x.data,), ctx=ctx)
         if _meta_accumulate(grad, x):
             return
         n, c, h, w = x.shape
         g = grad.reshape(n, c, h, scale, w, scale).sum(axis=(3, 5))
         x.accumulate_grad(g)
 
-    _emit(
-        "upsample_nearest",
-        _OTHER,
-        0.0,
-        x.nbytes,
-        data.nbytes,
-        int(data.size),
-        coalesced=0.8,
-    )
+    ctx = _emit("upsample_nearest", (x.data,), (data,))
     return _make(data, (x,), backward, name="upsample_nearest2d")
 
 
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------
+
+
+def _normalize(name: str, x: Tensor, gamma: Tensor, beta: Tensor, data, grads,
+               *saved) -> Tensor:
+    """Shared by batch_norm and layer_norm: emit kernel ``name`` and wire
+    its fused backward, which reads the incoming gradient, ``x`` and
+    ``gamma`` and writes all three gradients through
+    ``grads(grad, x, gamma, beta, *saved)``."""
+
+    def backward(grad):
+        _emit(name + "_bwd", (data, x.data, gamma.data), (x.data, gamma.data, beta.data),
+              ctx=ctx)
+        if _meta_accumulate(grad, x, gamma, beta):
+            return
+        grads(grad, x, gamma, beta, *saved)
+
+    ctx = _emit(name, (x.data, gamma.data, beta.data), (data,))
+    return _make(data.astype(DEFAULT_DTYPE), (x, gamma, beta), backward, name=name)
 
 
 def batch_norm(
@@ -1076,46 +748,27 @@ def batch_norm(
     else:
         mean_val = running_mean
         var_val = running_var
-    inv_std = 1.0 / np.sqrt(var_val + eps)
-    x_hat = (x.data - mean_val.reshape(shape)) * inv_std.reshape(shape)
+    inv_std = (1.0 / np.sqrt(var_val + eps)).reshape(shape)
+    x_hat = (x.data - mean_val.reshape(shape)) * inv_std
     data = gamma.data.reshape(shape) * x_hat + beta.data.reshape(shape)
+    return _normalize("batch_norm", x, gamma, beta, data, _batch_norm_grads,
+                      x_hat, inv_std, axes, training)
 
-    count = x.size / x.shape[1]
-    ctx = _ctx()
 
-    def backward(grad):
-        # dgamma/dbeta reduces plus the normalized input gradient — the
-        # fused cuDNN bnorm-backward kernel.
-        _emit_bwd(ctx, "batch_norm_bwd", _BNORM,
-                  flops=16.0 * x.size, inputs_bytes=float(2 * x.nbytes + gamma.nbytes),
-                  out_bytes=float(x.nbytes + gamma.nbytes + beta.nbytes),
-                  threads=x.size, coalesced=0.95)
-        if _meta_accumulate(grad, x, gamma, beta):
-            return
-        if beta.requires_grad:
-            beta.accumulate_grad(grad.sum(axis=axes))
-        if gamma.requires_grad:
-            gamma.accumulate_grad((grad * x_hat).sum(axis=axes))
-        if x.requires_grad:
-            g = grad * gamma.data.reshape(shape)
-            if training:
-                gsum = g.sum(axis=axes, keepdims=True)
-                gdot = (g * x_hat).sum(axis=axes, keepdims=True)
-                gx = (g - gsum / count - x_hat * gdot / count) * inv_std.reshape(shape)
-            else:
-                gx = g * inv_std.reshape(shape)
-            x.accumulate_grad(gx)
-
-    _emit(
-        "batch_norm",
-        _BNORM,
-        flops=8.0 * x.size,
-        inputs_bytes=x.nbytes + gamma.nbytes + beta.nbytes,
-        out_bytes=data.nbytes,
-        threads=x.size,
-        coalesced=0.95,
-    )
-    return _make(data.astype(DEFAULT_DTYPE), (x, gamma, beta), backward, name="batch_norm")
+def _batch_norm_grads(grad, x, gamma, beta, x_hat, inv_std, axes, training):
+    if beta.requires_grad:
+        beta.accumulate_grad(grad.sum(axis=axes))
+    if gamma.requires_grad:
+        gamma.accumulate_grad((grad * x_hat).sum(axis=axes))
+    if x.requires_grad:
+        g = grad * gamma.data.reshape(inv_std.shape)
+        if training:
+            count = x.size / x.shape[1]
+            gsum = g.sum(axis=axes, keepdims=True)
+            gdot = (g * x_hat).sum(axis=axes, keepdims=True)
+            x.accumulate_grad((g - gsum / count - x_hat * gdot / count) * inv_std)
+        else:
+            x.accumulate_grad(g * inv_std)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -1125,36 +778,20 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     inv_std = 1.0 / np.sqrt(var_val + eps)
     x_hat = (x.data - mean_val) * inv_std
     data = gamma.data * x_hat + beta.data
+    return _normalize("layer_norm", x, gamma, beta, data, _layer_norm_grads, x_hat, inv_std)
+
+
+def _layer_norm_grads(grad, x, gamma, beta, x_hat, inv_std):
     d = x.shape[-1]
-    ctx = _ctx()
-
-    def backward(grad):
-        _emit_bwd(ctx, "layer_norm_bwd", _BNORM,
-                  flops=16.0 * x.size, inputs_bytes=float(2 * x.nbytes + gamma.nbytes),
-                  out_bytes=float(x.nbytes + gamma.nbytes + beta.nbytes),
-                  threads=x.size, coalesced=0.95)
-        if _meta_accumulate(grad, x, gamma, beta):
-            return
-        if beta.requires_grad:
-            beta.accumulate_grad(grad.reshape(-1, d).sum(axis=0))
-        if gamma.requires_grad:
-            gamma.accumulate_grad((grad * x_hat).reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
-            g = grad * gamma.data
-            gsum = g.sum(axis=-1, keepdims=True)
-            gdot = (g * x_hat).sum(axis=-1, keepdims=True)
-            x.accumulate_grad((g - gsum / d - x_hat * gdot / d) * inv_std)
-
-    _emit(
-        "layer_norm",
-        _BNORM,
-        flops=8.0 * x.size,
-        inputs_bytes=x.nbytes + gamma.nbytes + beta.nbytes,
-        out_bytes=data.nbytes,
-        threads=x.size,
-        coalesced=0.95,
-    )
-    return _make(data.astype(DEFAULT_DTYPE), (x, gamma, beta), backward, name="layer_norm")
+    if beta.requires_grad:
+        beta.accumulate_grad(grad.reshape(-1, d).sum(axis=0))
+    if gamma.requires_grad:
+        gamma.accumulate_grad((grad * x_hat).reshape(-1, d).sum(axis=0))
+    if x.requires_grad:
+        g = grad * gamma.data
+        gsum = g.sum(axis=-1, keepdims=True)
+        gdot = (g * x_hat).sum(axis=-1, keepdims=True)
+        x.accumulate_grad((g - gsum / d - x_hat * gdot / d) * inv_std)
 
 
 def glu(a: Tensor, b: Tensor) -> Tensor:

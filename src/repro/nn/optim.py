@@ -1,9 +1,10 @@
 """Optimizers: SGD with momentum, Adam, and decoupled AdamW.
 
 Optimizer steps are traced execution paths: each per-parameter update
-emits one fused element-wise kernel (``pass_="optimizer"``, its own
-``optimizer`` stage) describing the parameter/gradient/state traffic the
-update performs, so a traced training step accounts the optimizer's share
+emits one fused element-wise kernel from the kernel table
+(:data:`repro.nn.ops.KERNELS`; ``pass_="optimizer"``, its own ``optimizer``
+stage) over the parameter, gradient and state buffers the update reads
+and writes, so a traced training step accounts the optimizer's share
 of the step the same way it accounts forward and backward kernels. Under
 the meta backend gradients are shape-only and the numeric update is
 skipped — the events are shape-derived either way, which keeps the
@@ -18,29 +19,24 @@ import numpy as np
 
 from repro.nn.backend import MetaArray
 from repro.nn.module import Parameter
-from repro.trace.events import KernelCategory, PASS_OPTIMIZER, STAGE_OPTIMIZER
-from repro.trace.tracer import emit_kernel
+from repro.nn.ops import emit
+from repro.trace.events import STAGE_OPTIMIZER
+
+#: The context every optimizer kernel is recorded in: the optimizer
+#: stage, attributed to no modality.
+_CONTEXT = (STAGE_OPTIMIZER, None)
+
+#: The global gradient norm a :func:`clip_grad_norm` reduce writes.
+_NORM = MetaArray((), np.float32)
 
 
-def _emit_update(name: str, p: Parameter, flops_per_elt: float,
-                 reads: float, writes: float) -> None:
-    """One fused update kernel over one parameter tensor.
-
-    ``reads``/``writes`` count parameter-sized arrays moved (param, grad,
-    and optimizer-state buffers).
-    """
-    nbytes = float(p.data.nbytes)
-    emit_kernel(
-        name,
-        KernelCategory.ELEWISE,
-        flops=flops_per_elt * p.data.size,
-        bytes_read=reads * nbytes,
-        bytes_written=writes * nbytes,
-        threads=p.data.size,
-        stage=STAGE_OPTIMIZER,
-        modality=None,
-        pass_=PASS_OPTIMIZER,
-    )
+def _emit_update(name: str, p: Parameter, state: int, *attrs) -> None:
+    """One fused update kernel over one parameter tensor: it reads the
+    parameter, its gradient and ``state`` parameter-sized state buffers
+    (counted as the parameter, since a meta step allocates none) and writes
+    the parameter and the buffers."""
+    data = p.data
+    emit(name, (data, p.grad) + (data,) * state, (data,) * (1 + state), *attrs, ctx=_CONTEXT)
 
 
 class Optimizer:
@@ -70,14 +66,12 @@ class SGD(Optimizer):
         self._velocity: list[np.ndarray | None] = [None] * len(self.params)
 
     def step(self) -> None:
-        # Update traffic: read param+grad (plus velocity with momentum),
-        # write param (plus velocity with momentum).
-        state = 1.0 if self.momentum else 0.0
-        flops = 2.0 + (2.0 if self.momentum else 0.0) + (2.0 if self.weight_decay else 0.0)
+        # With momentum the update also reads and writes the velocity.
+        state = 1 if self.momentum else 0
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
-            _emit_update("sgd_update", p, flops, 2.0 + state, 1.0 + state)
+            _emit_update("sgd_update", p, state, self.momentum, self.weight_decay)
             if isinstance(p.grad, MetaArray):
                 continue
             g = p.grad
@@ -120,12 +114,11 @@ class Adam(Optimizer):
         bc1 = 1.0 - self.beta1**self._t
         bc2 = 1.0 - self.beta2**self._t
         name = "adamw_update" if self.decoupled else "adam_update"
-        flops = 12.0 + (2.0 if self.weight_decay else 0.0)
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
-            # Reads param + grad + both moments; writes param + both moments.
-            _emit_update(name, p, flops, 4.0, 3.0)
+            # The update also reads and writes both moments.
+            _emit_update(name, p, 2, self.weight_decay)
             if isinstance(p.grad, MetaArray):
                 continue
             if self._m[i] is None:
@@ -195,20 +188,7 @@ def clip_grad_norm(params, max_norm: float) -> float:
     params = [p for p in params if p.grad is not None]
     if not params:
         return 0.0
-    total_elems = sum(int(p.grad.size) for p in params)
-    total_bytes = float(sum(p.grad.nbytes for p in params))
-    emit_kernel(
-        "grad_norm",
-        KernelCategory.REDUCE,
-        flops=2.0 * total_elems,
-        bytes_read=total_bytes,
-        bytes_written=4.0,
-        threads=max(total_elems, 1),
-        coalesced_fraction=0.85,
-        stage=STAGE_OPTIMIZER,
-        modality=None,
-        pass_=PASS_OPTIMIZER,
-    )
+    emit("grad_norm", [p.grad for p in params], (_NORM,), ctx=_CONTEXT)
     if any(isinstance(p.grad, MetaArray) for p in params):
         return float("nan")
     total = float(np.sqrt(sum(float((p.grad**2).sum()) for p in params)))

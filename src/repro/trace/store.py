@@ -55,50 +55,54 @@ _CORRUPT_ERRORS = (OSError, EOFError, ValueError, KeyError, TypeError)
 _FINGERPRINT: str | None = None
 
 
-def code_fingerprint() -> str:
-    """Hash of the sources that determine emitted trace events.
+def fingerprint_roots() -> list[Path]:
+    """The source files whose text decides the emitted trace events.
 
-    Covers the op library, the layers built on it, the workload
-    definitions and the event records themselves: a change to any of them
-    can change the event stream, so it must change every cache key.
+    The op library and its kernel table, the layers built on it, the
+    parameter order and counts (``nn/module.py``), the workload definitions
+    and input shapes, the capture recipe (this module: ``eval()``,
+    ``no_grad()`` and the batch draw; the training step's pass scoping and
+    step order) and the event records themselves: a change to any of them
+    can change the event stream. ``nn/init.py`` is left out: it draws
+    weight values only, and events are shape-derived.
     """
+    pkg_dir = Path(__file__).resolve().parents[1]
+    nn_dir = pkg_dir / "nn"
+    return [
+        nn_dir / "functional.py",
+        nn_dir / "ops.py",
+        nn_dir / "backend.py",
+        nn_dir / "tensor.py",
+        nn_dir / "module.py",
+        # Training captures also depend on the optimizer update and loss
+        # kernels these modules emit and on the loss selection.
+        nn_dir / "optim.py",
+        nn_dir / "losses.py",
+        pkg_dir / "profiling" / "training.py",
+        pkg_dir / "core" / "train.py",
+        pkg_dir / "trace" / "store.py",
+        pkg_dir / "trace" / "columns.py",
+        pkg_dir / "trace" / "events.py",
+        # Ingest + graph export determine the event stream of ingested
+        # entries exactly as the op library does for captured ones.
+        pkg_dir / "trace" / "ingest.py",
+        pkg_dir / "export" / "graph.py",
+        pkg_dir / "trace" / "tracer.py",
+        pkg_dir / "data" / "synthetic.py",
+        pkg_dir / "data" / "shapes.py",
+        *sorted((nn_dir / "layers").glob("*.py")),
+        *sorted((pkg_dir / "workloads").glob("*.py")),
+    ]
+
+
+def code_fingerprint() -> str:
+    """Hash of the sources that determine emitted trace events
+    (:func:`fingerprint_roots`): editing any of them changes every cache
+    key, so a stale trace is recaptured instead of silently served."""
     global _FINGERPRINT
     if _FINGERPRINT is None:
-        import repro.data.synthetic
-        import repro.nn.functional
-        import repro.nn.layers
-        import repro.trace.columns
-        import repro.trace.events
-        import repro.trace.ingest
-        import repro.trace.tracer
-        import repro.workloads
-
         digest = hashlib.sha256()
-        nn_dir = Path(repro.nn.functional.__file__).parent
-        pkg_dir = nn_dir.parent
-        roots = [
-            nn_dir / "functional.py",
-            nn_dir / "backend.py",
-            nn_dir / "tensor.py",
-            # Training captures also depend on the optimizer update and
-            # loss kernels these modules emit, on the capture recipe
-            # (pass scoping, step ordering) and on the loss selection.
-            nn_dir / "optim.py",
-            nn_dir / "losses.py",
-            pkg_dir / "profiling" / "training.py",
-            pkg_dir / "core" / "train.py",
-            Path(repro.trace.columns.__file__),
-            Path(repro.trace.events.__file__),
-            # Ingest + graph export determine the event stream of ingested
-            # entries exactly as the op library does for captured ones.
-            Path(repro.trace.ingest.__file__),
-            pkg_dir / "export" / "graph.py",
-            Path(repro.trace.tracer.__file__),
-            Path(repro.data.synthetic.__file__),
-            *sorted(Path(repro.nn.layers.__file__).parent.glob("*.py")),
-            *sorted(Path(repro.workloads.__file__).parent.glob("*.py")),
-        ]
-        for path in roots:
+        for path in fingerprint_roots():
             digest.update(path.name.encode())
             digest.update(path.read_bytes())
         _FINGERPRINT = digest.hexdigest()[:12]

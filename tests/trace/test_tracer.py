@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import nn
 from repro.nn import functional as F
+from repro.nn import ops
 from repro.nn.tensor import Tensor
 from repro.trace.columns import HOST_COLUMN_SPEC, KERNEL_COLUMN_SPEC, TABLE_NAMES, TraceColumns
 from repro.trace.events import PASSES, HostOpKind, KernelCategory
@@ -262,14 +263,15 @@ class TestContextTuple:
 
 
 class TestOpEmission:
-    def test_emit_helpers_are_noops_without_a_tracer(self, monkeypatch):
+    def test_emit_is_a_noop_without_a_tracer(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(F, "emit_kernel", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(ops, "emit_kernel", lambda *a, **k: calls.append(a))
         idle = Tracer()  # never activated
         assert active_tracer() is None
-        F._emit("k", KernelCategory.GEMM, 1.0, 2.0, 3.0, 4, m=1, n=2, k=3)
-        F._emit_bwd(None, "k_bwd", KernelCategory.GEMM, 1.0, 2.0, 3.0, 4)
-        F._emit_bwd(("fusion", "image", "forward"), "k_bwd",
-                    KernelCategory.ELEWISE, 1.0, 2.0, 3.0, 4, coalesced=0.5)
+        a, b, out = np.zeros((2, 3)), np.zeros((3, 4)), np.zeros((2, 4))
+        F._emit("gemm", (a, b), (out,))
+        F._emit("gemm_bwd_da", (out, b), (a,), ctx=None)
+        F._emit("conv2d_bwd_w", (out, a), (b,), 1, ctx=("fusion", "image", "forward"))
+        F._emit("adam_update", (a, a, a, a), (a, a, a), 0.0, ctx=("optimizer", None))
         assert calls == []
         assert idle._kernel_rows == [] and idle._host_rows == []
