@@ -12,7 +12,7 @@ from repro.core.analysis.edge import (
     edge_resource_study,
     edge_stall_study,
 )
-from repro.hw.stalls import STALL_REASONS
+from repro.hw.vectorized import STALL_REASONS
 
 
 def test_fig15ab_stall_breakdowns(benchmark):

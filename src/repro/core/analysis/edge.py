@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.hw.stalls import STALL_REASONS
+from repro.hw.vectorized import STALL_REASONS
 from repro.profiling.profiler import price_grid
 from repro.trace.store import TraceStore, default_store
 

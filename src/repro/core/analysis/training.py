@@ -148,6 +148,8 @@ def training_batch_sweep(
     keys = [d if isinstance(d, str) else d.name for d in devices]
     factor = training_memory_factor(optimizer)
     out: dict[tuple[int, str], TrainingStepBreakdown] = {}
+    if not specs:
+        return out
     for batch_size in batches:
         stored = traced_training_step(
             workload, batch_size=batch_size, seed=seed, backend=backend,

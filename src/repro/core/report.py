@@ -13,7 +13,7 @@ from __future__ import annotations
 import io
 
 from repro.hw.energy import report_energy, stage_energy
-from repro.hw.stalls import STALL_REASONS
+from repro.hw.vectorized import STALL_REASONS
 from repro.profiling.profiler import price_grid
 from repro.profiling.report import format_bytes, format_seconds
 from repro.workloads.registry import get_workload

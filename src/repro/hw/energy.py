@@ -9,9 +9,9 @@ module provides the matching energy accounting for the reproduction.
 
 Per-kernel energy is the sum of a compute term (pJ/FLOP), a memory term
 (pJ/DRAM-byte) and idle leakage over the kernel's duration; host work
-burns host power. The per-device coefficients follow the usual
-technology-node figures (server-class Turing vs 20 nm Maxwell vs
-Ampere-class Orin) with the board-level TDPs from the datasheets.
+burns host power. The coefficients are :class:`~repro.hw.device.DeviceSpec`
+fields (``pj_per_flop``, ``pj_per_dram_byte``, ``idle_watts``,
+``host_watts``), so any spec, renamed or perturbed, prices its energy.
 """
 
 from __future__ import annotations
@@ -20,23 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hw.device import DeviceSpec
 from repro.hw.engine import ExecutionReport
 from repro.trace.columns import NO_MODALITY
-
-# Energy coefficients per device, keyed by DeviceSpec.name.
-#   pj_per_flop: dynamic compute energy
-#   pj_per_dram_byte: DRAM access energy
-#   idle_watts: board idle power while the device is active
-#   host_watts: CPU power during host-side work
-_COEFFICIENTS: dict[str, dict[str, float]] = {
-    "rtx2080ti": dict(pj_per_flop=9.0, pj_per_dram_byte=70.0, idle_watts=55.0,
-                      host_watts=65.0),
-    "jetson_nano": dict(pj_per_flop=21.0, pj_per_dram_byte=120.0, idle_watts=1.5,
-                        host_watts=3.0),
-    "jetson_orin": dict(pj_per_flop=6.0, pj_per_dram_byte=60.0, idle_watts=6.0,
-                        host_watts=10.0),
-}
 
 
 @dataclass(frozen=True)
@@ -66,41 +51,31 @@ class EnergyBreakdown:
         }
 
 
-def coefficients_for(device: DeviceSpec) -> dict[str, float]:
-    try:
-        return _COEFFICIENTS[device.name]
-    except KeyError:
-        raise KeyError(
-            f"no energy coefficients for device {device.name!r}; "
-            f"known: {sorted(_COEFFICIENTS)}"
-        ) from None
-
-
 def report_energy(report: ExecutionReport) -> EnergyBreakdown:
     """Energy of one priced inference run."""
-    coeff = coefficients_for(report.device)
+    device = report.device
     cols = report.columns
-    compute = float(cols.flops.sum()) * coeff["pj_per_flop"] * 1e-12
-    memory = float(report.raw_latency.dram_bytes.sum()) * coeff["pj_per_dram_byte"] * 1e-12
-    idle = report.gpu_time * coeff["idle_watts"]
-    host = report.host_time * coeff["host_watts"]
+    compute = float(cols.flops.sum()) * device.pj_per_flop * 1e-12
+    memory = float(report.raw_latency.dram_bytes.sum()) * device.pj_per_dram_byte * 1e-12
+    idle = report.gpu_time * device.idle_watts
+    host = report.host_time * device.host_watts
     return EnergyBreakdown(compute=compute, memory=memory, idle=idle, host=host)
 
 
-def _per_kernel_joules(report: ExecutionReport, coeff: dict[str, float]):
+def _per_kernel_joules(report: ExecutionReport):
     """Device energy per kernel: compute + DRAM + idle-over-duration."""
+    device = report.device
     return (
-        report.columns.flops * (coeff["pj_per_flop"] * 1e-12)
-        + report.raw_latency.dram_bytes * (coeff["pj_per_dram_byte"] * 1e-12)
-        + report.durations * coeff["idle_watts"]
+        report.columns.flops * (device.pj_per_flop * 1e-12)
+        + report.raw_latency.dram_bytes * (device.pj_per_dram_byte * 1e-12)
+        + report.durations * device.idle_watts
     )
 
 
 def stage_energy(report: ExecutionReport) -> dict[str, float]:
     """Device energy per stage (joules), compute + memory + idle share."""
-    coeff = coefficients_for(report.device)
     cols = report.columns
-    joules = _per_kernel_joules(report, coeff)
+    joules = _per_kernel_joules(report)
     sums = np.bincount(cols.stage_codes, weights=joules, minlength=len(cols.stage_table))
     counts = np.bincount(cols.stage_codes, minlength=len(cols.stage_table))
     return {
@@ -118,10 +93,9 @@ def energy_delay_product(report: ExecutionReport) -> float:
 def modality_energy(report: ExecutionReport) -> dict[str, float]:
     """Device energy per modality — the basis of the encoder-throttling
     tradeoff the paper's Sec. 4.2.3 discusses."""
-    coeff = coefficients_for(report.device)
     cols = report.columns
     mask = cols.modality_codes != NO_MODALITY
-    joules = _per_kernel_joules(report, coeff)[mask]
+    joules = _per_kernel_joules(report)[mask]
     codes = cols.modality_codes[mask]
     sums = np.bincount(codes, weights=joules, minlength=len(cols.modality_table))
     counts = np.bincount(codes, minlength=len(cols.modality_table))

@@ -17,9 +17,10 @@ counter / stall models from :mod:`repro.hw.vectorized` over whole columns
 stalls, the kernel-size histogram) are ``np.bincount`` group-bys over the
 integer code columns. Per-kernel :class:`KernelExecution` records are
 materialized lazily, only when a consumer indexes into ``report.kernels``.
-This is the package's only pricing code: a scalar twin that prices one
-event at a time lives in ``tests/hw/reference.py``, and a golden-equivalence
-test suite pins this engine to it.
+This is the package's only pricing code, and every number it prices with
+lives in :mod:`repro.hw.device`: a scalar twin that prices one event at a
+time from the same numbers lives in ``tests/hw/reference.py``, and a
+golden-equivalence test suite pins this engine to it.
 
 :meth:`ExecutionEngine.run_sweep` prices one trace on *many* devices in a
 single broadcasted pass — the device-model parameters become ``(D, 1)``
@@ -31,7 +32,10 @@ two entry points over one pricing body.
 The timeline model is serialized: GPU kernels execute back-to-back and
 host work (launches, copies, data prep, syncs) adds to wall time. This is
 the conservative single-stream behaviour the paper observes — GPUs "stay
-idle for most of the application time" waiting on host-side work.
+idle for most of the application time" waiting on host-side work. The
+one model of concurrent modalities is :mod:`repro.hw.streams`' stream
+schedule (:meth:`ExecutionReport.stream_schedule`), which the Sec. 4.3.3
+analysis reads.
 """
 
 from __future__ import annotations
@@ -41,24 +45,21 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.hw.counters import KernelCounters
 from repro.hw.device import DeviceSpec, get_device
-from repro.hw.latency import LatencyBreakdown
 from repro.hw.memory import (
     MemoryBreakdown,
     capacity_pressure,
     memory_breakdown_columns,
     thrash_factor,
 )
-from repro.hw.stalls import STALL_REASONS
 from repro.hw.vectorized import (
+    STALL_REASONS,
     CounterColumns,
     DeviceParams,
     LatencyColumns,
     derive_counters_batch,
     device_row,
     kernel_latency_batch,
-    saturated_latency_batch,
     stall_breakdown_batch,
 )
 from repro.trace.columns import (
@@ -82,6 +83,42 @@ _DATA_PREP = HOST_KIND_CODES[HostOpKind.DATA_PREP]
 _PREPROCESS = HOST_KIND_CODES[HostOpKind.PREPROCESS]
 _SYNC = HOST_KIND_CODES[HostOpKind.SYNC]
 _LAUNCH = HOST_KIND_CODES[HostOpKind.LAUNCH]
+
+
+@dataclass(frozen=True)
+class LatencyBreakdown:
+    """Latency components for one kernel on one device."""
+
+    total: float
+    compute_time: float
+    memory_time: float
+    fixed_overhead: float
+    dram_bytes: float
+    compute_utilization: float  # 0..1 fraction of the machine the kernel fills
+    occupancy: float
+
+    @property
+    def bound(self) -> str:
+        return "memory" if self.memory_time >= self.compute_time else "compute"
+
+
+@dataclass(frozen=True)
+class KernelCounters:
+    """Simulated profiler counters for one kernel execution."""
+
+    duration: float  # seconds
+    dram_utilization: float  # 0..1 (nsight reports 0..10; we keep a fraction)
+    achieved_occupancy: float  # 0..1
+    ipc: float  # instructions per cycle per SM scheduler
+    gld_efficiency: float  # 0..1
+    gst_efficiency: float  # 0..1
+    l1_hit_rate: float  # 0..1
+    l2_hit_rate: float  # 0..1
+    l2_read_hit_rate: float
+    l2_write_hit_rate: float
+    fp32_ops: float
+    dram_read_bytes: float
+    read_transactions_per_second: float
 
 
 @dataclass
@@ -418,58 +455,12 @@ class ExecutionReport:
 
 
 class ExecutionEngine:
-    """Prices traces against device models.
+    """Prices traces against device models."""
 
-    ``concurrent_modalities=True`` models one CUDA stream per modality in
-    the encoder stage: on a device with enough SMs, each stream gets a fair
-    share of compute and bandwidth and the encoder's wall time is the
-    straggler stream's time; on a device with fewer SMs than modalities
-    (the Jetson Nano's single SM) the streams time-share and execution
-    degenerates to serial. This is the mechanism behind the paper's
-    observation that the multi/uni time ratio is higher on edge boards —
-    "GPU servers possess more idle resources" to absorb the extra
-    modalities (Sec. 5.2).
-    """
-
-    def __init__(self, device: DeviceSpec, concurrent_modalities: bool = False):
+    def __init__(self, device: DeviceSpec):
         self.device = device
-        self.concurrent_modalities = concurrent_modalities
 
     # -- vectorized sub-models --------------------------------------------------
-
-    @staticmethod
-    def _concurrent_encoder_adjustment(
-        cols: TraceColumns, device: DeviceSpec, totals: np.ndarray,
-        saturated: np.ndarray,
-    ) -> float:
-        """Concurrent-stream encoder makespan minus the serial encoder time.
-
-        Classic makespan bound: the wall time is the larger of (a) the
-        critical stream's time running alone (latency bound) and (b) the
-        device's time to chew the *total* work at full rates (throughput
-        bound); see the class docstring.
-        """
-        enc_code = cols.stage_code("encoder")
-        if enc_code is None:
-            return 0.0
-        enc = cols.stage_codes == enc_code
-        serial = float(totals[enc].sum())
-        mod_codes = cols.modality_codes[enc]
-        attributed = mod_codes != NO_MODALITY
-        stream_counts = np.bincount(mod_codes[attributed],
-                                    minlength=len(cols.modality_table))
-        n_streams = int((stream_counts > 0).sum())
-        if n_streams < 2 or device.sm_count < n_streams:
-            return 0.0  # serial == serial
-
-        enc_totals = totals[enc]
-        per_stream = np.bincount(mod_codes[attributed],
-                                 weights=enc_totals[attributed],
-                                 minlength=len(cols.modality_table))
-        latency_bound = float(per_stream[stream_counts > 0].max())
-        throughput_bound = float(saturated[enc][attributed].sum())
-        tail = float(enc_totals[~attributed].sum())
-        return max(latency_bound, throughput_bound) + tail - serial
 
     @staticmethod
     def _price_host_events(
@@ -539,9 +530,6 @@ class ExecutionEngine:
         row_params = [DeviceParams.from_spec(spec) for spec in specs]
         params = row_params[0] if len(specs) == 1 else DeviceParams.from_specs(specs)
         lat = kernel_latency_batch(cols, params)
-        saturated = (
-            saturated_latency_batch(cols, params) if self.concurrent_modalities else None
-        )
         mem = memory_breakdown_columns(cols, model_bytes=model_bytes, input_bytes=input_bytes)
 
         reports = []
@@ -556,12 +544,6 @@ class ExecutionEngine:
                 fixed_overhead=spec.kernel_fixed_overhead,
             )
 
-            gpu_time = float(lat_d.total.sum())
-            if saturated is not None:
-                gpu_time += self._concurrent_encoder_adjustment(
-                    cols, spec, lat_d.total, device_row(saturated, d)
-                )
-
             extra_launch, transfer_time, data_prep_time, sync_time = (
                 self._price_host_events(cols, spec)
             )
@@ -569,7 +551,7 @@ class ExecutionEngine:
             pressure = capacity_pressure(mem, spec)
             slowdown = thrash_factor(pressure)
             host_time = (launch_time + transfer_time + data_prep_time + sync_time) * slowdown
-            gpu_time *= slowdown
+            gpu_time = float(lat_d.total.sum()) * slowdown
             durations = lat_d.total * slowdown if slowdown != 1.0 else lat_d.total
 
             reports.append(ExecutionReport(

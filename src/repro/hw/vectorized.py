@@ -2,10 +2,9 @@
 
 These functions are the only shipped implementation of the device model.
 They price a whole :class:`~repro.trace.columns.TraceColumns` at once:
-the per-category tables in :mod:`repro.hw.latency`,
-:mod:`repro.hw.counters` and :mod:`repro.hw.stalls` become lookup vectors
-indexed by the category-code column, and device scalars broadcast over the
-kernel axis.
+the per-category table :data:`repro.hw.device.CATEGORY_PARAMS` becomes
+three lookup vectors indexed by the category-code column, and device
+scalars broadcast over the kernel axis.
 
 Shapes: with a single :class:`DeviceParams` (scalar parameters) every
 output array is ``(K,)`` for K kernels. With
@@ -15,11 +14,11 @@ on every device of a sweep. Device-independent columns (e.g. load/store
 efficiency, which depends only on the access pattern) stay ``(K,)``;
 :func:`device_row` slices either form down to one device.
 
-The tables are the model. A scalar twin in ``tests/hw/reference.py``
-spells the same math one kernel event at a time from the same tables, and
-the golden-equivalence suite (``tests/hw/test_vectorized_equivalence.py``)
-pins the two together to 1e-9 relative tolerance on every report field; a
-model change edits both.
+The numbers in :mod:`repro.hw.device` are the model. A scalar twin in
+``tests/hw/reference.py`` spells the same math one kernel event at a time
+from the same table and specs, and the golden-equivalence suite
+(``tests/hw/test_vectorized_equivalence.py``) pins the two together to
+1e-9 relative tolerance on every report field; a model change edits both.
 """
 
 from __future__ import annotations
@@ -29,26 +28,26 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.hw.counters import _ISSUE_EFFICIENCY, _SECTOR_BYTES
-from repro.hw.device import DeviceSpec
-from repro.hw.latency import (
-    _COMPUTE_EFFICIENCY,
+from repro.hw.device import (
     _MAX_CACHE_REUSE,
     _MEM_EFFICIENCY_CEILING,
+    _SECTOR_BYTES,
+    CATEGORY_PARAMS,
+    DeviceSpec,
 )
-from repro.hw.stalls import STALL_REASONS, _SYNC_WEIGHT
 from repro.trace.columns import CATEGORY_ORDER, TraceColumns
 
+#: Warp-stall reasons (Figure 15), the last axis of
+#: :func:`stall_breakdown_batch`: Nsight's reasons bucketed into the
+#: paper's seven groups.
+STALL_REASONS = ("Cache", "Mem", "Exec", "Pipe", "Sync", "Inst", "Else")
 
-def _category_vector(table: dict) -> np.ndarray:
-    """Turn a {KernelCategory: value} table into a code-indexed vector."""
-    return np.array([table[cat] for cat in CATEGORY_ORDER], dtype=np.float64)
-
-
-#: Lookup vectors aligned with :data:`repro.trace.columns.CATEGORY_ORDER`.
-COMPUTE_EFFICIENCY_VEC = _category_vector(_COMPUTE_EFFICIENCY)
-ISSUE_EFFICIENCY_VEC = _category_vector(_ISSUE_EFFICIENCY)
-SYNC_WEIGHT_VEC = _category_vector(_SYNC_WEIGHT)
+#: The columns of :data:`~repro.hw.device.CATEGORY_PARAMS` as lookup
+#: vectors aligned with :data:`repro.trace.columns.CATEGORY_ORDER`.
+COMPUTE_CEILING_VEC, ISSUE_CEILING_VEC, SYNC_WEIGHT_VEC = (
+    np.array(column, dtype=np.float64)
+    for column in zip(*(CATEGORY_PARAMS[cat] for cat in CATEGORY_ORDER))
+)
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,6 @@ class DeviceParams:
     issue_width: object
     exec_dep_pressure: object
     inst_fetch_pressure: object
-    sm_count: object
 
     @classmethod
     def from_spec(cls, device: DeviceSpec) -> "DeviceParams":
@@ -94,7 +92,7 @@ def device_row(arr: np.ndarray, d: int) -> np.ndarray:
 
 @dataclass
 class LatencyColumns:
-    """Batch analogue of :class:`~repro.hw.latency.LatencyBreakdown`."""
+    """Batch analogue of :class:`~repro.hw.engine.LatencyBreakdown`."""
 
     total: np.ndarray
     compute_time: np.ndarray
@@ -107,7 +105,7 @@ class LatencyColumns:
 
 @dataclass
 class CounterColumns:
-    """Batch analogue of :class:`~repro.hw.counters.KernelCounters`."""
+    """Batch analogue of :class:`~repro.hw.engine.KernelCounters`."""
 
     duration: np.ndarray  # pre-thrash latency, like the scalar model
     dram_utilization: np.ndarray
@@ -140,16 +138,19 @@ def dram_traffic_batch(cols: TraceColumns, params: DeviceParams) -> np.ndarray:
 def kernel_latency_batch(cols: TraceColumns, params: DeviceParams) -> LatencyColumns:
     """Per-kernel latency on the device(s).
 
-    The machine fill is a saturating ramp in the kernel's threads, at half
-    saturation for one full wave of resident threads: small kernels on big
-    devices fill little of the machine, and the same kernel on a Jetson
-    Nano fills all of it.
+    A kernel's device time is ``max(compute time, memory time)`` plus a
+    small fixed ramp, both components derated by how much of the machine
+    the kernel fills. The fill is a saturating ramp in the kernel's
+    threads, at half saturation for one full wave of resident threads:
+    small kernels on big devices fill little of the machine, and the same
+    kernel on a Jetson Nano fills all of it. This is the mechanism behind
+    the paper's batch-size case study (Sec. 5.1).
     """
     threads = cols.threads_f
     fill = threads / (threads + params.max_resident_threads)
     occupancy = np.minimum(1.0, threads / params.max_resident_threads)
 
-    ceiling = COMPUTE_EFFICIENCY_VEC[cols.category_codes]
+    ceiling = COMPUTE_CEILING_VEC[cols.category_codes]
     effective_flops = params.peak_fp32_flops * ceiling * np.maximum(fill, 1e-6)
     compute_time = np.where(cols.flops > 0, cols.flops / effective_flops, 0.0)
 
@@ -177,24 +178,16 @@ def kernel_latency_batch(cols: TraceColumns, params: DeviceParams) -> LatencyCol
     )
 
 
-def saturated_latency_batch(cols: TraceColumns, params: DeviceParams) -> np.ndarray:
-    """Kernel time at full machine utilization (throughput bound).
-
-    No fill derating and no per-kernel ramp, just raw work over peak
-    rates: the concurrent-modality makespan model's throughput bound.
-    """
-    ceiling = COMPUTE_EFFICIENCY_VEC[cols.category_codes]
-    compute = cols.flops / (params.peak_fp32_flops * ceiling)
-    memory = dram_traffic_batch(cols, params) / (
-        params.dram_bandwidth * _MEM_EFFICIENCY_CEILING
-    )
-    return np.maximum(compute, memory)
-
-
 def derive_counters_batch(
     cols: TraceColumns, params: DeviceParams, lat: LatencyColumns
 ) -> CounterColumns:
-    """Per-kernel profiler counters from the (pre-thrash) latencies."""
+    """Per-kernel profiler counters from the (pre-thrash) latencies.
+
+    The Nsight Compute metrics the paper traces (Sec. 4.3.1: DRAM
+    utilization, achieved occupancy, IPC, global load/store efficiency)
+    plus its Figure-9 deep-dive counters, each derived from the quantities
+    the real counter measures.
+    """
     duration = lat.total
     positive = duration > 0
     busy = np.where(positive, lat.memory_time / duration, 0.0)
@@ -205,8 +198,8 @@ def derive_counters_batch(
     )
 
     compute_busy = np.where(positive, lat.compute_time / duration, 0.0)
-    issue_efficiency = ISSUE_EFFICIENCY_VEC[cols.category_codes]
-    ipc = params.issue_width * compute_busy * issue_efficiency
+    issue_ceiling = ISSUE_CEILING_VEC[cols.category_codes]
+    ipc = params.issue_width * compute_busy * issue_ceiling
     ipc = np.maximum(
         ipc, 0.08 * params.issue_width * np.minimum(1.0, busy + compute_busy)
     )
@@ -247,7 +240,11 @@ def stall_breakdown_batch(
     """Per-kernel stall-reason shares, normalized over the last axis.
 
     Shape ``(..., K, len(STALL_REASONS))``, the last axis in
-    :data:`~repro.hw.stalls.STALL_REASONS` order.
+    :data:`STALL_REASONS` order. Stall shares follow the kernel's roofline
+    balance on the device (memory-bound time begets Mem/Cache stalls,
+    compute-bound time Exec/Pipe stalls), modulated by the device's
+    front-end and ALU pressure: the mechanism behind the paper's
+    server-to-edge stall shift.
     """
     duration = np.maximum(lat.total, 1e-12)
     mem_frac = lat.memory_time / duration

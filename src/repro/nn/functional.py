@@ -344,7 +344,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def backward(grad):
-        # dA = dOut @ B^T and dB = A^T @ dOut.
+        # dA = dOut @ B^T and dB = A^T @ dOut, reading a 1-D A as a row and
+        # a 1-D B as a column; each gradient then drops that axis again.
         x, y = a.data, b.data
         if a.requires_grad:
             _emit("gemm_bwd_da", (data, y), (x,), ctx=ctx)
@@ -352,10 +353,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _emit("gemm_bwd_db", (data, x), (y,), ctx=ctx)
         if _meta_accumulate(grad, a, b):
             return
+        if y.ndim == 1:
+            y, grad = y[:, None], grad[..., None]
+        if x.ndim == 1:
+            x, grad = x[None], grad[..., None, :]
         if a.requires_grad:
-            a.accumulate_grad(grad @ np.swapaxes(y, -1, -2))
+            da = grad @ np.swapaxes(y, -1, -2)
+            a.accumulate_grad(da[..., 0, :] if a.data.ndim == 1 else da)
         if b.requires_grad:
-            b.accumulate_grad(np.swapaxes(x, -1, -2) @ grad)
+            db = np.swapaxes(x, -1, -2) @ grad
+            b.accumulate_grad(db[..., 0] if b.data.ndim == 1 else db)
 
     ctx = _emit("gemm", (a.data, b.data), (data,))
     return _make(data, (a, b), backward, name="matmul")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import nn
-from repro.trace.tracer import Tracer
+from repro.trace.store import capture_inference
 from repro.workloads.base import MultiModalModel
 
 
@@ -24,13 +24,13 @@ def count_parameters(model: nn.Module) -> dict[str, int]:
 
 def count_flops(model: MultiModalModel, batch: dict[str, np.ndarray]) -> dict[str, float]:
     """Inference FLOPs per stage and total, from a traced forward pass."""
-    tracer = Tracer()
-    with tracer.activate(), nn.no_grad():
-        model(batch)
-    trace = tracer.finish()
+    trace = capture_inference(model, batch)
+    cols = trace.columns()
+    per_stage = np.bincount(cols.stage_codes, weights=cols.flops,
+                            minlength=len(cols.stage_table))
     out: dict[str, float] = {"total": trace.total_flops}
     for stage in trace.stages():
-        out[stage] = sum(k.flops for k in trace.kernels_in_stage(stage))
+        out[stage] = float(per_stage[cols.stage_code(stage)])
     return out
 
 

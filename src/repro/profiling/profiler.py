@@ -34,12 +34,11 @@ from typing import Sequence
 
 import numpy as np
 
-from repro import nn
 from repro.hw.device import DeviceSpec, get_device
 from repro.hw.engine import ExecutionEngine, ExecutionReport
-from repro.trace.store import StoredTrace, TraceStore, default_store
+from repro.trace.store import StoredTrace, TraceStore, capture_inference, default_store
 from repro.trace.timeline import scale_trace
-from repro.trace.tracer import Trace, Tracer
+from repro.trace.tracer import Trace
 from repro.workloads.base import MultiModalModel
 
 
@@ -117,11 +116,7 @@ class MMBenchProfiler:
 
     def capture(self, model: MultiModalModel, batch: dict[str, np.ndarray]) -> Trace:
         """Trace one inference forward pass (device-independent)."""
-        tracer = Tracer()
-        model.eval()
-        with tracer.activate(), nn.no_grad():
-            model(batch)
-        return tracer.finish()
+        return capture_inference(model, batch)
 
     def price(
         self, model: MultiModalModel | None, trace: Trace, batch_size: int,
@@ -259,7 +254,6 @@ def price_grid(
     seed: int = 0,
     backend: str | None = "meta",
     scale: float = 1.0,
-    concurrent_modalities: bool = False,
     store: TraceStore | None = None,
 ) -> dict[tuple[str, int, str], GridCell]:
     """Price a (workload x batch x device) grid in one pass per trace.
@@ -280,6 +274,8 @@ def price_grid(
     specs = [get_device(d) if isinstance(d, str) else d for d in devices]
     keys = [d if isinstance(d, str) else d.name for d in devices]
     out: dict[tuple[str, int, str], GridCell] = {}
+    if not specs:
+        return out
     for workload in workloads:
         for batch_size in batches:
             stored = store.get_or_capture(
@@ -287,7 +283,7 @@ def price_grid(
                 batch_size=batch_size, seed=seed, backend=backend,
             )
             trace = stored.trace if scale == 1.0 else scale_trace(stored.trace, scale)
-            engine = ExecutionEngine(specs[0], concurrent_modalities)
+            engine = ExecutionEngine(specs[0])
             reports = engine.run_sweep(
                 trace, specs,
                 model_bytes=stored.parameter_bytes * scale,
@@ -310,6 +306,8 @@ def price_batches(stored: StoredTrace, base_batch_size: int, batches: Sequence[i
     fixed, which is the batch semantics (``price_grid``'s ``scale`` scales
     both because it models scaling the *model*, not the batch)."""
     specs = [get_device(d) if isinstance(d, str) else d for d in devices]
+    if not specs:
+        return [[] for _ in batches]
     out = []
     for b in batches:
         factor = b / base_batch_size

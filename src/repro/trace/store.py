@@ -109,6 +109,22 @@ def code_fingerprint() -> str:
     return _FINGERPRINT
 
 
+def capture_inference(model, batch) -> Trace:
+    """Trace one inference forward pass of ``model`` over ``batch``.
+
+    The capture recipe: the model in eval mode, its forward under
+    ``no_grad``. Every inference capture (the store's, the profiler's and
+    the FLOP counter's) runs this function.
+    """
+    from repro import nn
+
+    tracer = Tracer()
+    model.eval()
+    with tracer.activate(), nn.no_grad():
+        model(batch)
+    return tracer.finish()
+
+
 @dataclass(frozen=True)
 class TraceKey:
     """The content-addressed identity of one captured trace.
@@ -448,18 +464,13 @@ class TraceStore:
         if entry is not None:
             return entry
 
-        from repro import nn
         from repro.data.synthetic import random_batch
 
         model = self.model(workload, key.fusion, key.unimodal, seed=key.seed)
         batch = random_batch(model.shapes, key.batch_size, seed=key.seed,
                              backend=key.backend)
-        tracer = Tracer()
-        model.eval()
-        with tracer.activate(), nn.no_grad():
-            model(batch)
         entry = StoredTrace(
-            trace=tracer.finish(),
+            trace=capture_inference(model, batch),
             model_name=model.name,
             parameters=model.num_parameters(),
             parameter_bytes=model.parameter_bytes(),

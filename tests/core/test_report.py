@@ -7,7 +7,7 @@ from repro.core.report import characterization_report
 from repro.hw.device import get_device
 from repro.hw.energy import report_energy
 from repro.hw.engine import ExecutionEngine
-from repro.hw.stalls import STALL_REASONS
+from repro.hw.vectorized import STALL_REASONS
 from repro.profiling.report import format_seconds
 from repro.trace.store import TraceStore, set_default_store
 

@@ -3,9 +3,10 @@
 This is the original, pre-columnar pricing path: one :func:`kernel_latency`
 / :func:`derive_counters` / :func:`stall_breakdown` call per kernel event,
 and pure-Python dict loops for every aggregation. It prices with the same
-per-category tables the shipped model uses (imported from ``repro.hw``,
-never copied), so the two spellings differ only in how they evaluate the
-model:
+numbers the shipped model uses (the per-category table and shared scalars
+imported from :mod:`repro.hw.device`, never copied, and the
+:class:`~repro.hw.device.DeviceSpec` fields), so the two spellings differ
+only in how they evaluate the model:
 
 * ``tests/hw/test_vectorized_equivalence.py`` asserts the vectorized
   :class:`~repro.hw.engine.ExecutionEngine` matches this implementation to
@@ -28,18 +29,17 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.core.analysis.concurrency import ConcurrencyAnalysis
-from repro.hw.counters import _ISSUE_EFFICIENCY, _SECTOR_BYTES, KernelCounters
-from repro.hw.device import DeviceSpec
-from repro.hw.engine import KERNEL_SIZE_BINS
-from repro.hw.latency import (
-    _COMPUTE_EFFICIENCY,
+from repro.hw.device import (
     _MAX_CACHE_REUSE,
     _MEM_EFFICIENCY_CEILING,
-    LatencyBreakdown,
+    _SECTOR_BYTES,
+    CATEGORY_PARAMS,
+    DeviceSpec,
 )
+from repro.hw.engine import KERNEL_SIZE_BINS, KernelCounters, LatencyBreakdown
 from repro.hw.memory import MemoryBreakdown, capacity_pressure, thrash_factor
-from repro.hw.stalls import _SYNC_WEIGHT, STALL_REASONS
 from repro.hw.transfer import h2d_time
+from repro.hw.vectorized import STALL_REASONS
 from repro.trace.events import HostEvent, HostOpKind, KernelCategory, KernelEvent
 from repro.trace.tracer import Trace
 
@@ -71,26 +71,12 @@ def machine_fill(kernel: KernelEvent, device: DeviceSpec) -> float:
     return kernel.threads / (kernel.threads + capacity)
 
 
-def saturated_latency(kernel: KernelEvent, device: DeviceSpec) -> float:
-    """Kernel time at full machine utilization (throughput bound).
-
-    The time the device needs to chew the kernel's work when the machine is
-    already saturated by co-running work — no fill derating and no
-    per-kernel ramp, just raw work over peak rates. Used by the
-    concurrent-modality makespan model.
-    """
-    ceiling = _COMPUTE_EFFICIENCY[kernel.category]
-    compute = kernel.flops / (device.peak_fp32_flops * ceiling)
-    memory = dram_traffic(kernel, device) / (device.dram_bandwidth * _MEM_EFFICIENCY_CEILING)
-    return max(compute, memory)
-
-
 def kernel_latency(kernel: KernelEvent, device: DeviceSpec) -> LatencyBreakdown:
     """Latency of one kernel on one device."""
     fill = machine_fill(kernel, device)
     occupancy = min(1.0, kernel.threads / device.max_resident_threads)
 
-    ceiling = _COMPUTE_EFFICIENCY[kernel.category]
+    ceiling = CATEGORY_PARAMS[kernel.category].compute_ceiling
     effective_flops = device.peak_fp32_flops * ceiling * max(fill, 1e-6)
     compute_time = kernel.flops / effective_flops if kernel.flops > 0 else 0.0
 
@@ -137,8 +123,8 @@ def derive_counters(
     # IPC: issue rate scaled by compute-side business. Memory-bound kernels
     # leave the schedulers idle waiting on loads.
     compute_busy = lat.compute_time / duration if duration > 0 else 0.0
-    issue_efficiency = _ISSUE_EFFICIENCY[kernel.category]
-    ipc = device.issue_width * compute_busy * issue_efficiency
+    issue_ceiling = CATEGORY_PARAMS[kernel.category].issue_ceiling
+    ipc = device.issue_width * compute_busy * issue_ceiling
     # Even pure copy kernels retire some instructions.
     ipc = max(ipc, 0.08 * device.issue_width * min(1.0, busy + compute_busy))
 
@@ -226,7 +212,7 @@ def stall_breakdown(
         "Cache": mem_frac * l2_hit * 0.9,
         "Exec": comp_frac * device.exec_dep_pressure * 3.0,
         "Pipe": comp_frac * 0.5,
-        "Sync": _SYNC_WEIGHT[kernel.category],
+        "Sync": CATEGORY_PARAMS[kernel.category].sync_weight,
         "Inst": device.inst_fetch_pressure * (0.4 + 0.6 * comp_frac),
         "Else": 0.08,
     }
@@ -443,36 +429,12 @@ class ScalarExecutionReport:
 class ScalarExecutionEngine:
     """Prices traces one event at a time (reference path).
 
-    Semantics are identical to :class:`~repro.hw.engine.ExecutionEngine`
-    including ``concurrent_modalities``; see that class for the model
-    documentation.
+    Semantics are identical to :class:`~repro.hw.engine.ExecutionEngine`;
+    see that class for the model documentation.
     """
 
-    def __init__(self, device: DeviceSpec, concurrent_modalities: bool = False):
+    def __init__(self, device: DeviceSpec):
         self.device = device
-        self.concurrent_modalities = concurrent_modalities
-
-    def _concurrent_encoder_time(self, encoder_kernels: list[KernelEvent]) -> float:
-        streams: dict[str, list[KernelEvent]] = defaultdict(list)
-        unattributed: list[KernelEvent] = []
-        for ev in encoder_kernels:
-            if ev.modality is None:
-                unattributed.append(ev)
-            else:
-                streams[ev.modality].append(ev)
-        n = len(streams)
-        if n < 2 or self.device.sm_count < n:
-            return sum(kernel_latency(ev, self.device).total for ev in encoder_kernels)
-
-        latency_bound = max(
-            sum(kernel_latency(ev, self.device).total for ev in events)
-            for events in streams.values()
-        )
-        throughput_bound = sum(
-            saturated_latency(ev, self.device) for ev in encoder_kernels if ev.modality
-        )
-        tail = sum(kernel_latency(ev, self.device).total for ev in unattributed)
-        return max(latency_bound, throughput_bound) + tail
 
     def _price_host_event(self, ev: HostEvent) -> tuple[str, float]:
         d = self.device
@@ -503,13 +465,6 @@ class ScalarExecutionEngine:
                 ScalarKernelExecution(event=ev, latency=lat, counters=counters, stalls=stalls)
             )
             gpu_time += lat.total
-
-        if self.concurrent_modalities:
-            encoder_events = [ev for ev in trace.kernels if ev.stage == "encoder"]
-            serial_encoder = sum(
-                kx.latency.total for kx in kernels if kx.event.stage == "encoder"
-            )
-            gpu_time += self._concurrent_encoder_time(encoder_events) - serial_encoder
 
         launch_time = len(kernels) * self.device.kernel_launch_overhead
         transfer_time = 0.0

@@ -1,11 +1,12 @@
 """Energy model."""
 
+import dataclasses
+
 import pytest
 
 from repro.data.synthetic import random_batch
-from repro.hw.device import DeviceSpec
+from repro.hw.device import RTX_2080TI
 from repro.hw.energy import (
-    coefficients_for,
     energy_delay_product,
     modality_energy,
     report_energy,
@@ -26,6 +27,8 @@ def reports():
         "2080ti": profiler.price(model, trace, 32, device="2080ti"),
         "nano": profiler.price(model, trace, 32, device="nano"),
         "orin": profiler.price(model, trace, 32, device="orin"),
+        "renamed": profiler.price(
+            model, trace, 32, device=dataclasses.replace(RTX_2080TI, name="rtx2080ti-copy")),
     }
 
 
@@ -64,12 +67,10 @@ class TestEnergyBreakdown:
         assert set(per_modality) == {"image", "audio"}
         assert per_modality["image"] > per_modality["audio"]
 
-    def test_unknown_device_raises(self, reports):
-        fake = DeviceSpec(
-            name="tpu", peak_fp32_flops=1, sm_count=1, max_threads_per_sm=1,
-            clock_hz=1, issue_width=1, dram_bandwidth=1, dram_capacity=1,
-            l2_bytes=1, pcie_bandwidth=1, unified_memory=False,
-            kernel_launch_overhead=1, kernel_fixed_overhead=1, transfer_latency=1,
-            host_gflops=1, inst_fetch_pressure=0, exec_dep_pressure=0)
-        with pytest.raises(KeyError, match="no energy coefficients"):
-            coefficients_for(fake)
+    def test_renamed_device_prices_like_its_source(self, reports):
+        """Coefficients are spec fields, not a table keyed by device name."""
+        renamed, source = reports["renamed"], reports["2080ti"]
+        assert report_energy(renamed) == report_energy(source)
+        assert stage_energy(renamed) == stage_energy(source)
+        assert modality_energy(renamed) == modality_energy(source)
+        assert energy_delay_product(renamed) == energy_delay_product(source)

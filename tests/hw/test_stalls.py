@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hw.device import JETSON_NANO, RTX_2080TI
-from repro.hw.stalls import STALL_REASONS
+from repro.hw.vectorized import STALL_REASONS
 from repro.trace.events import KernelCategory, KernelEvent
 from tests.hw.reference import aggregate_stalls, stall_breakdown
 

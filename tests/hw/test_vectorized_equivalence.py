@@ -4,16 +4,19 @@ The columnar :class:`~repro.hw.engine.ExecutionEngine`, the package's only
 pricing code, must reproduce the scalar twin in ``tests/hw/reference.py``
 to 1e-9 relative tolerance on *every* ``ExecutionReport`` field — scalars,
 per-stage / per-modality / per-category aggregations, counters, stalls,
-histograms and per-kernel records — across all nine registry workloads
-and the three paper device models. Both read the same per-category tables
-from ``repro.hw``, so a model change edits the vectorized functions and
-the twin together and keeps this suite green.
+histograms and per-kernel records — across all nine registry workloads,
+the three paper device models and one seeded perturbed copy of the 2080Ti
+(the kind of spec a calibration or a perturbation ensemble builds). Both
+read the same numbers from ``repro.hw.device``, so a model change edits
+the vectorized functions and the twin together and keeps this suite green.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.hw.device import DEVICES, get_device
+from repro.hw.device import DEVICES, DeviceSpec, get_device
 from repro.hw.engine import ExecutionEngine
 from tests.hw.reference import ScalarExecutionEngine
 from repro.trace.store import TraceStore
@@ -23,6 +26,24 @@ REL = 1e-9
 WORKLOADS = list_workloads()
 DEVICE_NAMES = ("2080ti", "orin", "nano")
 BATCH_SIZE = 8
+
+
+def _perturbed(spec: DeviceSpec, seed: int) -> DeviceSpec:
+    """A renamed ``spec`` with every numeric field scaled by a seeded
+    factor in [0.5, 2] (integer fields rounded, at least 1)."""
+    rng = np.random.default_rng(seed)
+    changes = {}
+    for f in dataclasses.fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, (bool, str)):
+            continue
+        scaled = value * 2.0 ** rng.uniform(-1.0, 1.0)
+        changes[f.name] = max(1, round(scaled)) if isinstance(value, int) else scaled
+    return dataclasses.replace(spec, name=f"{spec.name}-perturbed", **changes)
+
+
+PERTURBED = _perturbed(get_device("2080ti"), seed=0)
+SPECS = {**{name: get_device(name) for name in DEVICE_NAMES}, "perturbed": PERTURBED}
 
 
 @pytest.fixture(scope="module")
@@ -57,11 +78,11 @@ SCALAR_FIELDS = (
 )
 
 
-@pytest.mark.parametrize("device_name", DEVICE_NAMES)
+@pytest.mark.parametrize("device_name", SPECS)
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_report_fields_match_reference(traces, workload, device_name):
     stored = traces[workload]
-    device = get_device(device_name)
+    device = SPECS[device_name]
     kwargs = dict(model_bytes=stored.parameter_bytes, input_bytes=stored.input_bytes)
     vec = ExecutionEngine(device).run(stored.trace, **kwargs)
     ref = ScalarExecutionEngine(device).run(stored.trace, **kwargs)
@@ -95,10 +116,10 @@ def test_report_fields_match_reference(traces, workload, device_name):
                        f"{workload}/{device_name}.kernel_size_distribution")
 
 
-@pytest.mark.parametrize("device_name", DEVICE_NAMES)
+@pytest.mark.parametrize("device_name", SPECS)
 def test_per_kernel_records_match_reference(traces, device_name):
     stored = traces["avmnist"]
-    device = get_device(device_name)
+    device = SPECS[device_name]
     vec = ExecutionEngine(device).run(stored.trace)
     ref = ScalarExecutionEngine(device).run(stored.trace)
     assert len(vec.kernels) == len(ref.kernels) == len(stored.trace.kernels)
@@ -118,27 +139,16 @@ def test_per_kernel_records_match_reference(traces, device_name):
         _assert_dict_close(kv.stalls, kr.stalls, "kernel.stalls")
 
 
-@pytest.mark.parametrize("device_name", DEVICE_NAMES)
-@pytest.mark.parametrize("workload", ("avmnist", "mujoco_push"))
-def test_concurrent_modalities_match_reference(traces, workload, device_name):
-    stored = traces[workload]
-    device = get_device(device_name)
-    vec = ExecutionEngine(device, concurrent_modalities=True).run(stored.trace)
-    ref = ScalarExecutionEngine(device, concurrent_modalities=True).run(stored.trace)
-    _assert_close(vec.gpu_time, ref.gpu_time, f"{workload}/{device_name}.gpu_time")
-    _assert_close(vec.host_time, ref.host_time, f"{workload}/{device_name}.host_time")
-
-
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_run_sweep_matches_per_device_runs(traces, workload):
     """One broadcasted pass == D independent single-device runs, exactly."""
     stored = traces[workload]
     kwargs = dict(model_bytes=stored.parameter_bytes, input_bytes=stored.input_bytes)
     engine = ExecutionEngine(get_device("2080ti"))
-    sweep = engine.run_sweep(stored.trace, DEVICE_NAMES, **kwargs)
-    assert [r.device.name for r in sweep] == [get_device(d).name for d in DEVICE_NAMES]
-    for report, device_name in zip(sweep, DEVICE_NAMES):
-        single = ExecutionEngine(get_device(device_name)).run(stored.trace, **kwargs)
+    sweep = engine.run_sweep(stored.trace, [*DEVICE_NAMES, PERTURBED], **kwargs)
+    assert [r.device for r in sweep] == list(SPECS.values())
+    for report, spec in zip(sweep, SPECS.values()):
+        single = ExecutionEngine(spec).run(stored.trace, **kwargs)
         assert report.total_time == single.total_time  # bit-exact
         assert np.array_equal(report.durations, single.durations)
         assert report.stage_time() == single.stage_time()

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.nn import functional as F
+from repro.nn.backend import meta_array
 from repro.nn.tensor import Tensor
+from repro.trace.tracer import Tracer
 
 from tests.conftest import numeric_gradient
 
@@ -135,6 +137,41 @@ class TestLinearAlgebraGrads:
         a = Tensor(rng.standard_normal((2, 3, 4)).astype(np.float32), requires_grad=True)
         b = Tensor(rng.standard_normal((2, 4, 2)).astype(np.float32), requires_grad=True)
         check_gradients(lambda: F.matmul(a, b), [a, b])
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((4, 5), (5,)), ((5,), (5, 3)), ((5,), (5,)), ((2, 4, 5), (5,)), ((5,), (2, 5, 3)),
+    ])
+    def test_matmul_of_a_vector_operand(self, rng, a_shape, b_shape):
+        """A 1-D left operand is a row and a 1-D right operand a column."""
+
+        def step(a_data, b_data):
+            a = Tensor(a_data, requires_grad=True)
+            b = Tensor(b_data, requires_grad=True)
+            tracer = Tracer()
+            with tracer.activate():
+                F.matmul(a, b).sum().backward()
+            return a.grad, b.grad, tracer.finish().kernels
+
+        x = rng.standard_normal(a_shape).astype(np.float32)
+        y = rng.standard_normal(b_shape).astype(np.float32)
+        da, db, eager = step(x, y)
+        da2, db2, _ = step(x.reshape(1, -1) if x.ndim == 1 else x,
+                           y.reshape(-1, 1) if y.ndim == 1 else y)
+        np.testing.assert_array_equal(da, da2.reshape(a_shape))
+        np.testing.assert_array_equal(db, db2.reshape(b_shape))
+
+        meta_da, meta_db, meta = step(meta_array(a_shape, np.float32),
+                                      meta_array(b_shape, np.float32))
+        assert meta_da.shape == da.shape == a_shape
+        assert meta_db.shape == db.shape == b_shape
+
+        def row(k):
+            return (k.name, k.flops, k.bytes_read, k.bytes_written, k.threads)
+
+        assert [row(k) for k in eager] == [row(k) for k in meta]
+        bwd = {k.name: k.flops for k in eager if k.name.startswith("gemm_bwd")}
+        assert bwd == dict.fromkeys(("gemm_bwd_da", "gemm_bwd_db"),
+                                    2.0 * np.matmul(x, y).size * a_shape[-1])
 
     def test_linear_matches_manual(self, rng):
         x = Tensor(rng.standard_normal((2, 3)).astype(np.float32))

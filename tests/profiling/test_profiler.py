@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.core.analysis.training import training_batch_sweep
 from repro.data.synthetic import random_batch
 from repro.hw.device import JETSON_NANO, RTX_2080TI
-from repro.profiling.profiler import MMBenchProfiler
+from repro.profiling.profiler import MMBenchProfiler, price_batches, price_grid
+from repro.trace.store import TraceStore
 from repro.workloads.registry import get_workload
 
 
@@ -80,3 +82,12 @@ class TestRepricing:
     def test_device_object_accepted(self):
         profiler = MMBenchProfiler(RTX_2080TI)
         assert profiler.device is RTX_2080TI
+
+
+def test_sweeps_over_no_devices_price_and_capture_nothing():
+    store = TraceStore()
+    assert price_grid(["avmnist"], [2], [], store=store) == {}
+    assert training_batch_sweep("avmnist", batches=(2,), devices=(), store=store) == {}
+    assert store.stats["captures"] == store.stats["misses"] == 0
+    stored = store.get_or_capture("avmnist", batch_size=2, backend="meta")
+    assert price_batches(stored, 2, [4, 8], []) == [[], []]
