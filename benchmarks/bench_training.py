@@ -30,8 +30,7 @@ import time
 from pathlib import Path
 
 from repro.core.analysis.training import training_batch_sweep
-from repro.hw.device import get_device
-from repro.hw.engine import ExecutionEngine
+from repro.profiling.profiler import price_stored
 from repro.profiling.training import (
     trace_training_step,
     traced_training_flops_ratio,
@@ -54,13 +53,8 @@ def bench_workload(store: TraceStore, name: str) -> dict:
     stored = store.get_or_capture_training(name, batch_size=BATCH, backend="meta")
     capture_s = time.perf_counter() - t0
 
-    device = get_device("2080ti")
     t0 = time.perf_counter()
-    report = ExecutionEngine(device).run(
-        stored.trace,
-        model_bytes=stored.parameter_bytes * training_memory_factor("adam"),
-        input_bytes=stored.input_bytes,
-    )
+    [report] = price_stored(stored, ["2080ti"], params=training_memory_factor("adam"))
     pass_time = report.pass_time()
     price_s = time.perf_counter() - t0
 

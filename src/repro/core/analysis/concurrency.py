@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.hw.engine import ExecutionReport
+from repro.profiling.profiler import price_grid
 
 
 @dataclass(frozen=True)
@@ -80,11 +81,5 @@ def concurrency_study(
     seed: int = 0,
 ) -> dict[str, ConcurrencyAnalysis]:
     """Run the idle-resource analysis across workloads."""
-    from repro.profiling.profiler import MMBenchProfiler
-
-    profiler = MMBenchProfiler(device)
-    return {
-        name: analyze_concurrency(
-            profiler.profile_workload(name, batch_size=batch_size, seed=seed).report)
-        for name in workloads
-    }
+    grid = price_grid(workloads, [batch_size], [device], seed=seed)
+    return {cell.workload: analyze_concurrency(cell.report) for cell in grid.values()}

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.profiling.profiler import MMBenchProfiler
+from repro.profiling.profiler import price_grid
 from repro.workloads.registry import get_workload
 
 MODALITY_TIME_WORKLOADS = ("avmnist", "mmimdb", "mujoco_push")
@@ -34,15 +34,13 @@ def modality_time_analysis(
     With ``normalize=True`` each workload's fastest modality is 1.0, which
     is how the paper plots it (Norm. Time).
     """
-    profiler = MMBenchProfiler(device)
     out: dict[str, dict[str, float]] = {}
-    for name in workloads:
-        result = profiler.profile_workload(name, batch_size=batch_size, seed=seed)
-        times = result.report.modality_time()
+    for cell in price_grid(workloads, [batch_size], [device], seed=seed).values():
+        times = cell.report.modality_time()
         if normalize and times:
             floor = min(times.values())
             times = {m: t / floor for m, t in times.items()}
-        out[name] = times
+        out[cell.workload] = times
     return out
 
 
@@ -69,7 +67,6 @@ def sync_share_analysis(
     The uni-modal baseline uses each workload's heaviest (first image-like)
     modality, matching the paper's uni implementations.
     """
-    profiler = MMBenchProfiler(device)
     rows: list[SyncShare] = []
     for name in workloads:
         info = get_workload(name)
@@ -79,13 +76,13 @@ def sync_share_analysis(
             info.modalities[0],
         )
         for variant, unimodal in (("uni", uni_modality), ("multi", None)):
-            result = profiler.profile_workload(name, unimodal=unimodal,
-                                               batch_size=batch_size, seed=seed)
-            share = result.report.cpu_runtime_share
+            [cell] = price_grid([name], [batch_size], [device], unimodal=unimodal,
+                                seed=seed).values()
+            share = cell.report.cpu_runtime_share
             rows.append(SyncShare(
                 workload=name, variant=variant,
                 cpu_runtime_share=share, gpu_share=1.0 - share,
-                cpu_runtime_time=result.report.host_time,
-                gpu_time=result.report.gpu_time,
+                cpu_runtime_time=cell.report.host_time,
+                gpu_time=cell.report.gpu_time,
             ))
     return rows

@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.hw.device import DeviceSpec, get_device
-from repro.hw.engine import ExecutionEngine, ExecutionReport
+from repro.hw.device import DeviceSpec
+from repro.hw.engine import ExecutionReport
+from repro.profiling.profiler import grid_devices, price_stored
 from repro.profiling.training import (
     synthetic_training_trace,
     traced_training_flops_ratio,
-    traced_training_step,
     training_memory_factor,
 )
 from repro.trace.store import TraceStore, default_store
@@ -59,16 +59,6 @@ class TrainingStepBreakdown:
         if total <= 0:
             return {p: 0.0 for p in self.pass_time}
         return {p: t / total for p, t in self.pass_time.items()}
-
-
-def _price_training(stored, device: DeviceSpec, optimizer: str) -> ExecutionReport:
-    """Price a stored training trace (training-resident memory footprint)."""
-    engine = ExecutionEngine(device)
-    return engine.run(
-        stored.trace,
-        model_bytes=stored.parameter_bytes * training_memory_factor(optimizer),
-        input_bytes=stored.input_bytes,
-    )
 
 
 def _breakdown(workload: str, stored, report: ExecutionReport,
@@ -113,16 +103,15 @@ def training_step_analysis(
     footprint.
     """
     workloads = list(workloads) if workloads is not None else list_workloads()
-    spec = get_device(device) if isinstance(device, str) else device
+    params = training_memory_factor(optimizer)
     store = store if store is not None else default_store()
     out: dict[str, TrainingStepBreakdown] = {}
     for workload in workloads:
-        stored = traced_training_step(
-            workload, fusion=fusion, unimodal=unimodal,
-            batch_size=batch_size, seed=seed, backend=backend,
-            optimizer=optimizer, store=store,
+        stored = store.get_or_capture_training(
+            workload, fusion=fusion, unimodal=unimodal, batch_size=batch_size,
+            seed=seed, backend=backend, optimizer=optimizer,
         )
-        report = _price_training(stored, spec, optimizer)
+        [report] = price_stored(stored, [device], params=params)
         out[workload] = _breakdown(workload, stored, report, batch_size, optimizer)
     return out
 
@@ -139,29 +128,23 @@ def training_batch_sweep(
     """Training-step pricing over a (batch x device) grid.
 
     Each batch's training trace is fetched from the store once and priced
-    on *all* devices by a single broadcasted
-    :meth:`~repro.hw.engine.ExecutionEngine.run_sweep` pass — the same
-    one-pass shape the inference grids use.
+    on *all* devices by one :func:`~repro.profiling.profiler.price_stored`
+    pass, keyed like the inference grids
+    (:func:`~repro.profiling.profiler.grid_devices`).
     """
     store = store if store is not None else default_store()
-    specs = [get_device(d) if isinstance(d, str) else d for d in devices]
-    keys = [d if isinstance(d, str) else d.name for d in devices]
-    factor = training_memory_factor(optimizer)
+    keyed = grid_devices(devices)
+    params = training_memory_factor(optimizer)
     out: dict[tuple[int, str], TrainingStepBreakdown] = {}
-    if not specs:
+    if not keyed:
         return out
     for batch_size in batches:
-        stored = traced_training_step(
+        stored = store.get_or_capture_training(
             workload, batch_size=batch_size, seed=seed, backend=backend,
-            optimizer=optimizer, store=store,
+            optimizer=optimizer,
         )
-        engine = ExecutionEngine(specs[0])
-        reports = engine.run_sweep(
-            stored.trace, specs,
-            model_bytes=stored.parameter_bytes * factor,
-            input_bytes=stored.input_bytes,
-        )
-        for key, report in zip(keys, reports):
+        reports = price_stored(stored, list(keyed.values()), params=params)
+        for key, report in zip(keyed, reports):
             out[(int(batch_size), key)] = _breakdown(
                 workload, stored, report, int(batch_size), optimizer)
     return out
@@ -194,10 +177,9 @@ def traced_vs_synthetic(
 ) -> TrainingCrossCheck:
     """Differential between the traced step and the 2x heuristic."""
     store = store if store is not None else default_store()
-    traced = traced_training_step(
+    traced = store.get_or_capture_training(
         workload, batch_size=batch_size, seed=seed, backend=backend,
-        optimizer=optimizer, store=store,
-    )
+        optimizer=optimizer)
     forward = store.get_or_capture(
         workload, batch_size=batch_size, seed=seed, backend=backend)
     synthetic = synthetic_training_trace(

@@ -569,8 +569,7 @@ def _check_ingest(args):
 def _cmd_ingest(args, checked) -> int:
     """Price an external execution-graph JSON end-to-end."""
     from repro.lint import LintFailure
-    from repro.profiling.profiler import (MMBenchProfiler, price_batches,
-                                          profile_stored_at)
+    from repro.profiling.profiler import MMBenchProfiler, price_stored
     from repro.trace.ingest import IngestError, IngestReport
 
     devices, sweep_batches, registry = checked
@@ -594,14 +593,13 @@ def _cmd_ingest(args, checked) -> int:
     if args.report or not (args.sweep or args.serve):
         from repro.profiling.report import profile_summary
 
-        profiler = MMBenchProfiler(args.device)
         print()
-        print(profile_summary(profile_stored_at(profiler, stored, batch_size)))
+        print(profile_summary(MMBenchProfiler(args.device).profile_stored(stored, batch_size)))
 
     if sweep_batches is not None:
         rows = []
-        swept = price_batches(stored, base_batch, sweep_batches, devices)
-        for b, reports in zip(sweep_batches, swept):
+        for b in sweep_batches:
+            reports = price_stored(stored, devices, work=b / base_batch)
             for device, priced in zip(devices, reports):
                 rows.append([b, device, f"{priced.total_time * 1e3:.3f} ms",
                              f"{b / priced.total_time:,.0f}/s",

@@ -15,8 +15,9 @@ import numpy as np
 from repro.core.train import loss_fn_for, train_model
 from repro.data.generators import LatentMultimodalDataset
 from repro.data.synthetic import random_batch, random_targets
-from repro.profiling.profiler import MMBenchProfiler, ProfileResult, profile_stored_at
+from repro.profiling.profiler import MMBenchProfiler, ProfileResult
 from repro.profiling.report import profile_summary
+from repro.trace.store import default_store
 from repro.workloads.base import unimodal_shapes
 from repro.workloads.registry import WorkloadInfo, get_workload, list_workloads
 from repro import nn
@@ -82,14 +83,11 @@ class BenchmarkSuite:
         """
         profiler = MMBenchProfiler(config.device or self.device)
         if config.synthetic_inputs:
-            return profiler.profile_workload(
-                config.workload,
-                fusion=config.fusion,
-                unimodal=config.unimodal,
-                batch_size=config.batch_size,
-                seed=config.seed,
-                backend=config.backend,
+            stored = default_store().get_or_capture(
+                config.workload, fusion=config.fusion, unimodal=config.unimodal,
+                batch_size=config.batch_size, seed=config.seed, backend=config.backend,
             )
+            return profiler.profile_stored(stored, config.batch_size)
         from repro.nn.backend import resolve_backend
 
         if resolve_backend(config.backend) == "meta":
@@ -136,13 +134,11 @@ class BenchmarkSuite:
         hit. ``batch_size`` defaults to the batch size recorded in the
         graph itself; any other batch size is priced by batch-scaling the
         graph, as ``mmbench ingest --report --batch-size`` does
-        (:func:`~repro.profiling.profiler.profile_stored_at`).
+        (:meth:`~repro.profiling.profiler.MMBenchProfiler.profile_stored`).
         """
-        from repro.trace.store import default_store
-
         store = store if store is not None else default_store()
         stored = store.get_or_ingest(path, registry=registry)
-        return profile_stored_at(MMBenchProfiler(self.device), stored, batch_size)
+        return MMBenchProfiler(self.device).profile_stored(stored, batch_size)
 
     # -- static analysis ----------------------------------------------------------
 
@@ -159,8 +155,6 @@ class BenchmarkSuite:
         from repro.lint import lint_artifact, lint_trace
 
         if isinstance(artifact, str) and artifact in set(list_workloads()):
-            from repro.trace.store import default_store
-
             stored = default_store().get_or_capture(artifact)
             return lint_trace(stored, source=source or f"workload:{artifact}",
                               **options)

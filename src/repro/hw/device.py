@@ -183,9 +183,12 @@ DEVICES["nano"] = JETSON_NANO
 DEVICES["orin"] = JETSON_ORIN
 
 
-def get_device(name: str) -> DeviceSpec:
-    """Look up a device model by name (``2080ti``, ``nano``, ``orin``)."""
+def get_device(device: str | DeviceSpec) -> DeviceSpec:
+    """Look up a device model by name (``2080ti``, ``nano``, ``orin``); a
+    :class:`DeviceSpec` is returned as given."""
+    if isinstance(device, DeviceSpec):
+        return device
     try:
-        return DEVICES[name]
+        return DEVICES[device]
     except KeyError:
-        raise KeyError(f"unknown device {name!r}; available: {sorted(DEVICES)}") from None
+        raise KeyError(f"unknown device {device!r}; available: {sorted(DEVICES)}") from None

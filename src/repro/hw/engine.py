@@ -515,7 +515,7 @@ class ExecutionEngine:
         entry of ``devices`` (order preserved); each report is a row view
         of the shared arrays, bit-identical to a :meth:`run` on its device.
         """
-        specs = [get_device(d) if isinstance(d, str) else d for d in devices]
+        specs = [get_device(d) for d in devices]
         return self._price(trace, specs, model_bytes, input_bytes) if specs else []
 
     def _price(self, trace: Trace, specs: list[DeviceSpec], model_bytes: float,

@@ -188,7 +188,7 @@ class StreamScheduler:
     """
 
     def __init__(self, device: str | DeviceSpec):
-        self.device = get_device(device) if isinstance(device, str) else device
+        self.device = get_device(device)
 
     def schedule(self, loads: Sequence[StreamLoad]) -> StreamSchedule:
         """Simulate the timeline of ``loads`` sharing this device."""

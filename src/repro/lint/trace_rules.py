@@ -30,6 +30,7 @@ from repro.trace.events import (
     STAGE_FUSION,
     KernelCategory,
 )
+from repro.trace.ingest import DTYPE_BYTES
 
 STAGE_UNKNOWN = "unknown"  # trace.ingest's bucket for unmapped ops
 
@@ -275,11 +276,6 @@ _NODE_DESCRIPTORS = ("flops", "bytes_read", "bytes_written", "threads",
 #: graph-level model descriptors with the same sign contract
 _MODEL_DESCRIPTORS = ("parameters", "parameter_bytes", "input_bytes")
 
-_DTYPE_BYTES = {
-    "float64": 8, "float32": 4, "float16": 2, "bfloat16": 2,
-    "int64": 8, "int32": 4, "int16": 2, "int8": 1, "uint8": 1, "bool": 1,
-}
-
 
 def _node_id(node: dict, index: int) -> str:
     nid = node.get("id", index)
@@ -432,12 +428,12 @@ def dtype_bytes(payload: dict, ctx: LintContext) -> Iterator[Diagnostic]:
         for shape, dtype in zip(declared, dtypes):
             # A shape or dtype that ingest refuses is ingest's finding.
             if not isinstance(shape, list) or not isinstance(dtype, str) \
-                    or dtype not in _DTYPE_BYTES \
+                    or dtype.lower() not in DTYPE_BYTES \
                     or not all(type(dim) is int and dim >= 0 for dim in shape) \
                     or math.prod(shape) >= 2**63:
                 footprint = None
                 break
-            footprint += math.prod(shape) * _DTYPE_BYTES[dtype]
+            footprint += math.prod(shape) * DTYPE_BYTES[dtype.lower()]
         if footprint is not None and value < footprint:
             bad += 1
             if first is None:

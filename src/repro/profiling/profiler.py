@@ -16,19 +16,19 @@ The profile is captured once (device-independently) and can be re-priced
 on any :class:`~repro.hw.device.DeviceSpec` — the reproduction's version
 of pointing the same scripts at the server or a Jetson board.
 
-:func:`price_grid` is the sweep entry point: one call prices a
-(workloads x batch sizes x devices) grid, fetching each device-independent
-trace from the shared store once and pricing it on every device in a
-single broadcasted :meth:`~repro.hw.engine.ExecutionEngine.run_sweep`
-pass. The batch-size / edge / heterogeneity / stage analyses and the
-serving cost model all fill their grids through it; :func:`price_batches`
-batch-scales one stored trace (an ingested graph) instead, and
-:func:`profile_stored_at` profiles one at any batch size through it.
+:func:`price_stored` is the one pricer of a stored trace: it prices the
+trace on every device in a single broadcasted
+:meth:`~repro.hw.engine.ExecutionEngine.run_sweep` pass, batch- or
+model-scaled first. :func:`price_grid` is the sweep entry point: one call
+prices a (workloads x batch sizes x devices) grid, fetching each
+device-independent trace from the shared store once. Every figure
+analysis and the serving cost model fill their grids through it;
+:meth:`MMBenchProfiler.profile_stored`, the ingest sweep and the training
+analyses call :func:`price_stored` directly.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -112,7 +112,7 @@ class MMBenchProfiler:
     """Profiles staged multi-modal models on analytical device models."""
 
     def __init__(self, device: str | DeviceSpec = "2080ti"):
-        self.device = get_device(device) if isinstance(device, str) else device
+        self.device = get_device(device)
 
     def capture(self, model: MultiModalModel, batch: dict[str, np.ndarray]) -> Trace:
         """Trace one inference forward pass (device-independent)."""
@@ -129,15 +129,11 @@ class MMBenchProfiler:
         ``model_bytes``/``input_bytes`` default to the model's own
         footprint; pass overrides when pricing a scaled trace (see
         :func:`repro.trace.timeline.scale_trace`). ``model`` may be None
-        when both byte counts are given explicitly — the path the trace
-        store uses, where no model object exists at pricing time.
+        when both byte counts are given explicitly.
         """
         if model is None and (model_bytes is None or input_bytes is None):
             raise ValueError("price() needs a model or explicit model/input bytes")
-        dev = self.device if device is None else (
-            get_device(device) if isinstance(device, str) else device
-        )
-        engine = ExecutionEngine(dev)
+        engine = ExecutionEngine(self.device if device is None else get_device(device))
         return engine.run(
             trace,
             model_bytes=model.parameter_bytes() if model_bytes is None else model_bytes,
@@ -161,37 +157,19 @@ class MMBenchProfiler:
             modalities=model.modality_names,
         )
 
-    def profile_workload(
-        self,
-        workload: str,
-        fusion: str | None = None,
-        unimodal: str | None = None,
-        batch_size: int = 8,
-        seed: int = 0,
-        backend: str | None = None,
-        store: TraceStore | None = None,
-    ) -> ProfileResult:
-        """Store-backed :meth:`profile` for a registered workload.
-
-        The trace comes from the shared :class:`~repro.trace.store.TraceStore`
-        (captured with ``backend`` on a cold key, loaded on a warm one), so
-        repeated sweeps over the same configuration never re-trace.
-        """
-        store = store if store is not None else default_store()
-        stored = store.get_or_capture(
-            workload, fusion=fusion, unimodal=unimodal,
-            batch_size=batch_size, seed=seed, backend=backend,
-        )
-        return self.profile_stored(stored, batch_size)
-
-    def profile_stored(self, stored: StoredTrace, batch_size: int,
+    def profile_stored(self, stored: StoredTrace, batch_size: int | None = None,
                        lint: bool = True) -> ProfileResult:
-        """Price a :class:`~repro.trace.store.StoredTrace` on this profiler's
-        device.
+        """Profile a :class:`~repro.trace.store.StoredTrace` at ``batch_size``
+        on this profiler's device.
 
-        The common tail of :meth:`profile_workload` and the ingest path:
-        any stored entry — captured from a built-in workload or ingested
+        Any stored entry — captured from a built-in workload or ingested
         from an external execution graph — prices identically from here.
+        An ingested entry records the batch its graph ran at
+        (``stored.extra["batch_size"]``, also the default ``batch_size``);
+        any other batch prices the trace batch-scaled by ``batch_size /
+        recorded`` (:func:`price_stored`'s ``work``) and scales the FLOPs
+        with it. A captured entry records no batch: it prices as stored,
+        and needs ``batch_size`` for its label.
         The trace is lint-checked first (a few array reductions; raises
         :class:`~repro.lint.core.LintFailure` on errors such as negative
         or NaN work descriptors, which would silently corrupt the priced
@@ -202,10 +180,13 @@ class MMBenchProfiler:
 
             check(lint_trace(stored, source=stored.model_name),
                   what=f"stored trace {stored.model_name!r}")
-        report = self.price(
-            None, stored.trace, batch_size,
-            model_bytes=stored.parameter_bytes, input_bytes=stored.input_bytes,
-        )
+        recorded = stored.extra.get("batch_size", batch_size)
+        if recorded is None:
+            raise ValueError(f"stored trace {stored.model_name!r} records no batch size; "
+                             "pass batch_size")
+        batch_size = recorded if batch_size is None else batch_size
+        work = batch_size / recorded
+        [report] = price_stored(stored, [self.device], work=work)
         return ProfileResult(
             model_name=stored.model_name,
             device=self.device,
@@ -214,7 +195,7 @@ class MMBenchProfiler:
             report=report,
             parameters=stored.parameters,
             parameter_bytes=stored.parameter_bytes,
-            flops=stored.trace.total_flops,
+            flops=stored.trace.total_flops * work,
             modalities=list(stored.modalities),
         )
 
@@ -245,6 +226,44 @@ class GridCell:
         return self.report.total_time
 
 
+def price_stored(stored: StoredTrace, devices: Sequence[str | DeviceSpec],
+                 work: float = 1.0, params: float = 1.0) -> list[ExecutionReport]:
+    """One report per entry of ``devices`` for a stored trace, priced in one
+    broadcasted :meth:`~repro.hw.engine.ExecutionEngine.run_sweep` pass.
+
+    ``work`` scales the batch: the trace's work descriptors
+    (:func:`~repro.trace.timeline.scale_trace`) and the input footprint.
+    ``params`` scales the parameter footprint: a model scale, or a training
+    step's resident parameters, gradients and optimizer state
+    (:func:`~repro.profiling.training.training_memory_factor`).
+    """
+    specs = [get_device(d) for d in devices]
+    if not specs:
+        return []
+    trace = stored.trace if work == 1.0 else scale_trace(stored.trace, work)
+    return ExecutionEngine(specs[0]).run_sweep(
+        trace, specs, model_bytes=stored.parameter_bytes * params,
+        input_bytes=stored.input_bytes * work)
+
+
+def grid_devices(devices: Sequence[str | DeviceSpec]) -> dict[str, DeviceSpec]:
+    """``{key: spec}`` for a grid's ``devices``, in order: the key is a name
+    exactly as passed, or a spec object's ``DeviceSpec.name``.
+
+    A repeated entry keeps one key. Two *different* specs under one key
+    raise ``ValueError``: a grid holds one cell per key, so one of them
+    would be dropped (give each member of a perturbed ensemble its own
+    name).
+    """
+    keyed: dict[str, DeviceSpec] = {}
+    for device in devices:
+        key = device if isinstance(device, str) else device.name
+        spec = get_device(device)
+        if keyed.setdefault(key, spec) != spec:
+            raise ValueError(f"two different device specs share the grid key {key!r}")
+    return keyed
+
+
 def price_grid(
     workloads: Sequence[str],
     batches: Sequence[int],
@@ -261,20 +280,17 @@ def price_grid(
     Each (workload, batch) trace is fetched from the shared
     :class:`~repro.trace.store.TraceStore` once (captured on a cold key,
     loaded columnar on a warm one) and priced across *all* ``devices`` by
-    a single broadcasted :meth:`~repro.hw.engine.ExecutionEngine.run_sweep`
-    call. ``scale`` extrapolates the traced work descriptors (and the
-    model/input byte footprints) before pricing — the edge-migration
-    study's full-scale configurations.
+    :func:`price_stored`. ``scale`` extrapolates the traced work
+    descriptors (and the model/input byte footprints) before pricing — the
+    edge-migration study's full-scale configurations.
 
-    Returns ``{(workload, batch_size, device_key): GridCell}`` where
-    ``device_key`` is the device name exactly as passed in ``devices``
-    (or ``DeviceSpec.name`` for spec objects).
+    Returns ``{(workload, batch_size, device_key): GridCell}`` keyed by
+    :func:`grid_devices`.
     """
     store = store if store is not None else default_store()
-    specs = [get_device(d) if isinstance(d, str) else d for d in devices]
-    keys = [d if isinstance(d, str) else d.name for d in devices]
+    keyed = grid_devices(devices)
     out: dict[tuple[str, int, str], GridCell] = {}
-    if not specs:
+    if not keyed:
         return out
     for workload in workloads:
         for batch_size in batches:
@@ -282,57 +298,11 @@ def price_grid(
                 workload, fusion=fusion, unimodal=unimodal,
                 batch_size=batch_size, seed=seed, backend=backend,
             )
-            trace = stored.trace if scale == 1.0 else scale_trace(stored.trace, scale)
-            engine = ExecutionEngine(specs[0])
-            reports = engine.run_sweep(
-                trace, specs,
-                model_bytes=stored.parameter_bytes * scale,
-                input_bytes=stored.input_bytes * scale,
-            )
-            for key, spec, report in zip(keys, specs, reports):
+            reports = price_stored(stored, list(keyed.values()), work=scale, params=scale)
+            for (key, spec), report in zip(keyed.items(), reports):
                 out[(workload, int(batch_size), key)] = GridCell(
                     workload=workload, fusion=fusion, unimodal=unimodal,
                     batch_size=int(batch_size), device=spec, report=report,
                     stored=stored, scale=scale,
                 )
     return out
-
-
-def price_batches(stored: StoredTrace, base_batch_size: int, batches: Sequence[int],
-                  devices: Sequence[str | DeviceSpec]) -> list[list[ExecutionReport]]:
-    """Per batch size ``b``, one report per device for the stored trace
-    batch-scaled by ``b / base_batch_size``: per-kernel work and the input
-    footprint scale with the batch while the parameter footprint stays
-    fixed, which is the batch semantics (``price_grid``'s ``scale`` scales
-    both because it models scaling the *model*, not the batch)."""
-    specs = [get_device(d) if isinstance(d, str) else d for d in devices]
-    if not specs:
-        return [[] for _ in batches]
-    out = []
-    for b in batches:
-        factor = b / base_batch_size
-        trace = stored.trace if factor == 1.0 else scale_trace(stored.trace, factor)
-        out.append(ExecutionEngine(specs[0]).run_sweep(
-            trace, specs, model_bytes=stored.parameter_bytes,
-            input_bytes=stored.input_bytes * factor))
-    return out
-
-
-def profile_stored_at(profiler: MMBenchProfiler, stored: StoredTrace,
-                      batch_size: int | None = None) -> ProfileResult:
-    """Profile a stored trace at ``batch_size`` (default: the batch it was
-    recorded at, ``stored.extra["batch_size"]``).
-
-    At the recorded batch this is :meth:`MMBenchProfiler.profile_stored`.
-    At any other batch the price comes from :func:`price_batches` (the
-    pricer ``mmbench ingest --sweep`` prints) and the FLOPs scale by
-    ``batch_size / recorded batch``; the rest of the profile is the
-    recorded one.
-    """
-    base = int(stored.extra.get("batch_size", 1))
-    result = profiler.profile_stored(stored, base)
-    if batch_size is None or batch_size == base:
-        return result
-    [[priced]] = price_batches(stored, base, [batch_size], [profiler.device])
-    return dataclasses.replace(result, batch_size=batch_size, report=priced,
-                               flops=result.flops * (batch_size / base))

@@ -112,31 +112,6 @@ def trace_training_step(
     return tracer.finish()
 
 
-def traced_training_step(
-    workload: str,
-    fusion: str | None = None,
-    unimodal: str | None = None,
-    batch_size: int = 8,
-    seed: int = 0,
-    backend: str | None = None,
-    optimizer: str = "adam",
-    store=None,
-):
-    """Store-backed traced training step for a registered workload.
-
-    Returns a :class:`~repro.trace.store.StoredTrace` from the shared
-    trace store (captured on a cold pass-aware key, loaded columnar on a
-    warm one).
-    """
-    from repro.trace.store import default_store
-
-    store = store if store is not None else default_store()
-    return store.get_or_capture_training(
-        workload, fusion=fusion, unimodal=unimodal, batch_size=batch_size,
-        seed=seed, backend=backend, optimizer=optimizer,
-    )
-
-
 def traced_training_flops_ratio(trace: Trace) -> float:
     """Full-step FLOPs over forward-pass FLOPs of one traced training step."""
     cols = trace.columns()

@@ -249,7 +249,7 @@ class TraceCostModel(AnchoredCostModel):
     :class:`~repro.trace.store.StoredTrace` — regardless of whether a
     model object exists for it — can drive a serving run. Anchor latencies
     come from batch-scaling the stored trace
-    (:func:`repro.profiling.profiler.price_batches`, the pricer
+    (:func:`repro.profiling.profiler.price_stored`, the pricer
     ``mmbench ingest --sweep`` prints).
     """
 
@@ -264,10 +264,10 @@ class TraceCostModel(AnchoredCostModel):
         self.name = name or stored.model_name
 
     def _price_anchors(self, device: str) -> np.ndarray:
-        from repro.profiling.profiler import price_batches
+        from repro.profiling.profiler import price_stored
 
-        reports = price_batches(self.stored, self.base_batch_size,
-                                self.anchors, [device])
+        reports = [price_stored(self.stored, [device], work=k / self.base_batch_size)
+                   for k in self.anchors]
         PROFILE_STATS["pricings"] += len(self.anchors)
         # Floor keeps the interpolated curve strictly positive even
         # for degenerate (e.g. empty) traces.

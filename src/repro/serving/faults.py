@@ -409,7 +409,7 @@ def degraded_mode_for(
     :class:`~repro.core.analysis.robustness.RobustnessReport` as
     ``robustness`` to quote the accuracy cost of the drop.
     """
-    from repro.profiling.profiler import MMBenchProfiler
+    from repro.profiling.profiler import price_grid
     from repro.workloads.registry import get_workload
 
     info = get_workload(workload)
@@ -417,15 +417,15 @@ def degraded_mode_for(
         raise ValueError(
             f"{workload!r} has a single modality ({info.modalities[0]!r}); "
             "shedding its only encoder would serve nothing")
-    result = MMBenchProfiler(device).profile_workload(
-        workload, batch_size=batch_size, seed=seed, backend=backend)
-    times = result.report.modality_time()
+    [cell] = price_grid([workload], [batch_size], [device], seed=seed,
+                        backend=backend).values()
+    times = cell.report.modality_time()
     if modality is None:
         modality = max(times, key=times.get)
     elif modality not in info.modalities:
         raise KeyError(f"unknown modality {modality!r} for {workload}; "
                        f"available: {list(info.modalities)}")
-    total = result.report.total_time
+    total = cell.report.total_time
     share = times.get(modality, 0.0) / total if total > 0 else 0.0
     factor = min(1.0, max(0.05, 1.0 - share))
     cost = robustness.degradation(modality) if robustness is not None else None

@@ -4,6 +4,10 @@ that the paper's qualitative findings hold in the reproduction."""
 import pytest
 
 from repro.core import analysis
+from repro.profiling.profiler import price_grid
+from repro.serving.faults import degraded_mode_for
+from repro.trace import store as store_mod
+from repro.trace.store import TraceStore
 
 
 WORKLOADS_FAST = ["avmnist", "mujoco_push", "mmimdb"]
@@ -95,6 +99,21 @@ class TestSynchronization:
             multi = by_key[(workload, "multi")]
             assert multi.cpu_runtime_share > uni.cpu_runtime_share, workload
             assert uni.cpu_runtime_share + uni.gpu_share == pytest.approx(1.0)
+
+    def test_figure_analyses_capture_on_meta(self, monkeypatch):
+        """Figs. 10-11, Sec. 4.3.3 and the degraded serving mode fetch
+        through ``price_grid``: they capture the meta traces every other
+        analysis reads, not eager ones under keys of their own."""
+        store = TraceStore()
+        monkeypatch.setattr(store_mod, "_DEFAULT_STORE", store)
+        analysis.modality_time_analysis(workloads=("avmnist",), batch_size=4)
+        analysis.sync_share_analysis(workloads=("avmnist",), batch_size=4)
+        analysis.concurrency_study(workloads=("avmnist",), batch_size=4)
+        degraded_mode_for("avmnist", enter_wait=0.05, batch_size=4)
+        assert store.stats["captures"] == 2  # avmnist and its image-only variant
+        price_grid(["avmnist"], [4], ["2080ti"])
+        price_grid(["avmnist"], [4], ["2080ti"], unimodal="image")
+        assert store.stats["captures"] == 2
 
 
 class TestBatchSize:

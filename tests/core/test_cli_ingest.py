@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.cli import main
 from repro.core.suite import BenchmarkSuite
-from repro.profiling.profiler import MMBenchProfiler, price_batches
+from repro.profiling.profiler import MMBenchProfiler, price_stored
 from repro.profiling.report import format_seconds
 from repro.trace.store import default_store
 
@@ -164,7 +164,7 @@ class TestIngestReportBatch:
         assert re.search(r"^64 +\| 2080ti \| 0\.042 ms \|", sweep, re.M)
         # Both print the one batch-scaled price.
         stored = default_store().get_or_ingest(FIXTURES / "cnn_forward.json")
-        [[priced]] = price_batches(stored, 1, [64], ["2080ti"])
+        [priced] = price_stored(stored, ["2080ti"], work=64)
         assert f"  total_time           {format_seconds(priced.total_time)}\n" in report
         assert f"| {priced.total_time * 1e3:.3f} ms |" in sweep
 
@@ -210,10 +210,23 @@ class TestSuiteIngest:
         for batch_size in (4, 64):
             result = suite.ingest(str(FIXTURES / "cnn_forward.json"),
                                   batch_size=batch_size)
-            [[priced]] = price_batches(stored, 1, [batch_size], ["2080ti"])
+            [priced] = price_stored(stored, ["2080ti"], work=batch_size)
             assert result.batch_size == batch_size
             assert result.total_time == priced.total_time > native.total_time
             assert result.flops == 16896 * batch_size
+
+    def test_profile_stored_prices_the_batch_it_labels(self):
+        """At a batch other than the recorded one, ``profile_stored`` prices
+        that batch (it once labelled b64 with the b1 price and FLOPs)."""
+        stored = default_store().get_or_ingest(FIXTURES / "cnn_forward.json")
+        profiler = MMBenchProfiler("2080ti")
+        result = profiler.profile_stored(stored, 64)
+        suite = BenchmarkSuite("2080ti").ingest(str(FIXTURES / "cnn_forward.json"),
+                                                batch_size=64)
+        assert result.batch_size == 64
+        assert result.total_time == suite.total_time == pytest.approx(4.247e-5, rel=1e-3)
+        assert profiler.profile_stored(stored).total_time == pytest.approx(3.888e-5, rel=1e-3)
+        assert result.flops == 16896 * 64
 
     def test_suite_ingest_native_batch_is_profile_stored(self):
         suite = BenchmarkSuite("2080ti")

@@ -269,6 +269,21 @@ def test_mmb110_bytes_below_declared_footprint():
     assert "256" in diag.message
 
 
+@pytest.mark.parametrize("dtype,footprint", [
+    ("float32", 4000), ("fp32", 4000), ("FLOAT32", 4000), ("half", 2000), ("float", 4000),
+])
+def test_mmb110_reads_every_dtype_spelling_ingest_accepts(dtype, footprint):
+    """MMB110 sizes a dtype by ingest's own table, case-insensitively, so it
+    sees the footprint ingest would price."""
+    payload = dict(GRAPH, nodes=[
+        {"id": 1, "name": "relu", "parents": [],
+         "output_shapes": [[1000]], "output_dtypes": [dtype], "bytes_written": 10},
+    ])
+    assert f"10 < {footprint} bytes" in only(lint_graph(payload), "MMB110").message
+    payload["nodes"][0]["output_dtypes"] = ["complex7"]  # ingest's finding, not ours
+    assert "MMB110" not in lint_graph(payload).codes()
+
+
 def test_clean_graph_has_no_findings():
     payload = dict(GRAPH, nodes=[
         {"id": 1, "name": "matmul", "parents": [],

@@ -1,11 +1,13 @@
 """The three-level profiling pipeline."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.analysis.training import training_batch_sweep
 from repro.data.synthetic import random_batch
 from repro.hw.device import JETSON_NANO, RTX_2080TI
-from repro.profiling.profiler import MMBenchProfiler, price_batches, price_grid
+from repro.profiling.profiler import MMBenchProfiler, price_grid, price_stored
 from repro.trace.store import TraceStore
 from repro.workloads.registry import get_workload
 
@@ -79,9 +81,38 @@ class TestRepricing:
         MMBenchProfiler("2080ti").capture(model, batch)
         assert not model.training
 
+    def test_captured_entry_prices_as_stored_at_the_batch_it_is_given(self):
+        stored = TraceStore().get_or_capture("avmnist", batch_size=4, backend="meta")
+        profiler = MMBenchProfiler("2080ti")
+        result = profiler.profile_stored(stored, 4)
+        assert result.batch_size == 4
+        assert result.total_time == profiler.price(
+            None, stored.trace, 4, model_bytes=stored.parameter_bytes,
+            input_bytes=stored.input_bytes).total_time
+        with pytest.raises(ValueError, match="records no batch size"):
+            profiler.profile_stored(stored)
+
     def test_device_object_accepted(self):
         profiler = MMBenchProfiler(RTX_2080TI)
         assert profiler.device is RTX_2080TI
+
+
+def test_grids_refuse_two_specs_that_share_a_name():
+    """Cells are keyed by device name: two different specs under one name
+    raise instead of one silently replacing the other."""
+    half = dataclasses.replace(RTX_2080TI, dram_bandwidth=308e9)
+    store = TraceStore()
+    with pytest.raises(ValueError, match="'rtx2080ti'"):
+        price_grid(["avmnist"], [8], [RTX_2080TI, half], store=store)
+    with pytest.raises(ValueError, match="'rtx2080ti'"):
+        training_batch_sweep("avmnist", batches=(2,), devices=[RTX_2080TI, half], store=store)
+    assert store.stats["captures"] == 0
+    # A repeated name keeps its one cell; a renamed spec gets its own.
+    grid = price_grid(["avmnist"], [8], ["2080ti", "2080ti", RTX_2080TI,
+                                         dataclasses.replace(half, name="half-bw")], store=store)
+    assert list(grid) == [("avmnist", 8, "2080ti"), ("avmnist", 8, "rtx2080ti"),
+                          ("avmnist", 8, "half-bw")]
+    assert grid[("avmnist", 8, "half-bw")].total_time > grid[("avmnist", 8, "2080ti")].total_time
 
 
 def test_sweeps_over_no_devices_price_and_capture_nothing():
@@ -90,4 +121,4 @@ def test_sweeps_over_no_devices_price_and_capture_nothing():
     assert training_batch_sweep("avmnist", batches=(2,), devices=(), store=store) == {}
     assert store.stats["captures"] == store.stats["misses"] == 0
     stored = store.get_or_capture("avmnist", batch_size=2, backend="meta")
-    assert price_batches(stored, 2, [4, 8], []) == [[], []]
+    assert price_stored(stored, [], work=2.0) == []

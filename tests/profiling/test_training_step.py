@@ -24,7 +24,6 @@ from repro.profiling.training import (
     synthetic_training_trace,
     trace_training_step,
     traced_training_flops_ratio,
-    traced_training_step,
     training_memory_factor,
 )
 from repro.trace.events import PASSES
@@ -39,8 +38,7 @@ def store():
 
 @pytest.fixture(scope="module")
 def avmnist_step(store):
-    return traced_training_step("avmnist", batch_size=4, backend="meta",
-                                store=store)
+    return store.get_or_capture_training("avmnist", batch_size=4, backend="meta")
 
 
 class TestTracedStep:
@@ -76,13 +74,11 @@ class TestTracedStep:
     def test_ratio_within_accounting_regime(self, workload, store):
         """Acceptance: traced training FLOPs within [2, 4]x of forward on
         all nine workloads."""
-        stored = traced_training_step(workload, batch_size=2, backend="meta",
-                                      store=store)
+        stored = store.get_or_capture_training(workload, batch_size=2, backend="meta")
         assert 2.0 < traced_training_flops_ratio(stored.trace) < 4.0
 
     def test_eager_capture_matches_meta(self, store, avmnist_step):
-        eager = traced_training_step("avmnist", batch_size=4, backend="eager",
-                                     store=store)
+        eager = store.get_or_capture_training("avmnist", batch_size=4, backend="eager")
         cols_e = eager.trace.columns()
         cols_m = avmnist_step.trace.columns()
         assert cols_e.n == cols_m.n
@@ -90,10 +86,10 @@ class TestTracedStep:
         np.testing.assert_allclose(cols_e.flops, cols_m.flops)
 
     def test_optimizer_choice_changes_update_kernels(self, store):
-        adam = traced_training_step("avmnist", batch_size=2, backend="meta",
-                                    optimizer="adam", store=store)
-        sgd = traced_training_step("avmnist", batch_size=2, backend="meta",
-                                   optimizer="sgd", store=store)
+        adam = store.get_or_capture_training("avmnist", batch_size=2, backend="meta",
+                                             optimizer="adam")
+        sgd = store.get_or_capture_training("avmnist", batch_size=2, backend="meta",
+                                            optimizer="sgd")
         adam_opt = sum(k.flops for k in adam.trace.kernels_in_pass("optimizer"))
         sgd_opt = sum(k.flops for k in sgd.trace.kernels_in_pass("optimizer"))
         assert adam_opt > sgd_opt > 0
@@ -112,17 +108,16 @@ class TestStoreKeys:
 
     def test_warm_training_hit_skips_capture(self, store):
         store.reset_stats()
-        traced_training_step("avmnist", batch_size=4, backend="meta", store=store)
+        store.get_or_capture_training("avmnist", batch_size=4, backend="meta")
         captures = store.stats["captures"]
-        traced_training_step("avmnist", batch_size=4, backend="meta", store=store)
+        store.get_or_capture_training("avmnist", batch_size=4, backend="meta")
         assert store.stats["captures"] == captures
         assert store.stats["hits"] >= 1
 
     def test_training_capture_does_not_poison_inference_model(self, store):
         """Training mutates parameters; the memoized inference model must
         keep producing the seed-deterministic trace."""
-        traced_training_step("avmnist", batch_size=3, seed=7, backend="eager",
-                             store=store)
+        store.get_or_capture_training("avmnist", batch_size=3, seed=7, backend="eager")
         first = store.get_or_capture("avmnist", batch_size=3, seed=7,
                                      backend="eager")
         fresh = TraceStore().get_or_capture("avmnist", batch_size=3, seed=7,

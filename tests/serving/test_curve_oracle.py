@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.profiling.profiler import price_batches
+from repro.profiling.profiler import price_stored
 from repro.serving import TraceCostModel
 from repro.serving.costmodel import AnchoredCostModel, interpolate
 from repro.trace.store import TraceStore
@@ -66,6 +66,6 @@ def test_one_curve_equals_the_scalar_oracle(curve):
 def test_trace_cost_model_anchors_are_the_pricer(device):
     stored = TraceStore().get_or_ingest(FIXTURES / "transformer_train.json")
     cost = TraceCostModel(stored, base_batch_size=4)
-    priced = price_batches(stored, 4, cost.anchors, [device])
-    for k, (report,) in zip(cost.anchors, priced):
+    for k in cost.anchors:
+        [report] = price_stored(stored, [device], work=k / 4)
         assert cost.latency(device, k) == max(report.total_time, 1e-12)
