@@ -584,11 +584,10 @@ def _cmd_ingest(args, checked) -> int:
     # Provenance rides in StoredTrace.extra so warm store hits still
     # surface the unknown-op fraction.
     report = IngestReport.from_dict(stored.extra["ingest"])
-    base_batch = int(stored.extra.get("batch_size", 1))
     for line in report.summary_lines():
         print(line)
 
-    batch_size = args.batch_size or base_batch
+    batch_size = args.batch_size or stored.batch_size
 
     if args.report or not (args.sweep or args.serve):
         from repro.profiling.report import profile_summary
@@ -599,7 +598,7 @@ def _cmd_ingest(args, checked) -> int:
     if sweep_batches is not None:
         rows = []
         for b in sweep_batches:
-            reports = price_stored(stored, devices, work=b / base_batch)
+            reports = price_stored(stored, devices, work=b / stored.batch_size)
             for device, priced in zip(devices, reports):
                 rows.append([b, device, f"{priced.total_time * 1e3:.3f} ms",
                              f"{b / priced.total_time:,.0f}/s",
@@ -613,7 +612,7 @@ def _cmd_ingest(args, checked) -> int:
         from repro.serving import TraceCostModel, make_policy, make_router, simulate
         from repro.serving.report import serving_summary
 
-        cost = TraceCostModel(stored, base_batch_size=base_batch)
+        cost = TraceCostModel(stored)
         policy = make_policy(args.policy, batch_size=batch_size, slo=args.slo)
         serve_report = simulate(
             cost, policy, devices=devices, n_requests=args.n_requests,

@@ -87,7 +87,7 @@ class BenchmarkSuite:
                 config.workload, fusion=config.fusion, unimodal=config.unimodal,
                 batch_size=config.batch_size, seed=config.seed, backend=config.backend,
             )
-            return profiler.profile_stored(stored, config.batch_size)
+            return profiler.profile_stored(stored)
         from repro.nn.backend import resolve_backend
 
         if resolve_backend(config.backend) == "meta":

@@ -119,7 +119,7 @@ class MMBenchProfiler:
         return capture_inference(model, batch)
 
     def price(
-        self, model: MultiModalModel | None, trace: Trace, batch_size: int,
+        self, model: MultiModalModel, trace: Trace, batch_size: int,
         device: str | DeviceSpec | None = None,
         model_bytes: float | None = None,
         input_bytes: float | None = None,
@@ -128,11 +128,8 @@ class MMBenchProfiler:
 
         ``model_bytes``/``input_bytes`` default to the model's own
         footprint; pass overrides when pricing a scaled trace (see
-        :func:`repro.trace.timeline.scale_trace`). ``model`` may be None
-        when both byte counts are given explicitly.
+        :func:`repro.trace.timeline.scale_trace`).
         """
-        if model is None and (model_bytes is None or input_bytes is None):
-            raise ValueError("price() needs a model or explicit model/input bytes")
         engine = ExecutionEngine(self.device if device is None else get_device(device))
         return engine.run(
             trace,
@@ -164,12 +161,10 @@ class MMBenchProfiler:
 
         Any stored entry — captured from a built-in workload or ingested
         from an external execution graph — prices identically from here.
-        An ingested entry records the batch its graph ran at
-        (``stored.extra["batch_size"]``, also the default ``batch_size``);
-        any other batch prices the trace batch-scaled by ``batch_size /
-        recorded`` (:func:`price_stored`'s ``work``) and scales the FLOPs
-        with it. A captured entry records no batch: it prices as stored,
-        and needs ``batch_size`` for its label.
+        ``batch_size`` defaults to the batch the entry recorded
+        (``stored.batch_size``); any other batch prices the trace
+        batch-scaled by ``batch_size / stored.batch_size``
+        (:func:`price_stored`'s ``work``) and scales the FLOPs with it.
         The trace is lint-checked first (a few array reductions; raises
         :class:`~repro.lint.core.LintFailure` on errors such as negative
         or NaN work descriptors, which would silently corrupt the priced
@@ -180,12 +175,8 @@ class MMBenchProfiler:
 
             check(lint_trace(stored, source=stored.model_name),
                   what=f"stored trace {stored.model_name!r}")
-        recorded = stored.extra.get("batch_size", batch_size)
-        if recorded is None:
-            raise ValueError(f"stored trace {stored.model_name!r} records no batch size; "
-                             "pass batch_size")
-        batch_size = recorded if batch_size is None else batch_size
-        work = batch_size / recorded
+        batch_size = stored.batch_size if batch_size is None else batch_size
+        work = batch_size / stored.batch_size
         [report] = price_stored(stored, [self.device], work=work)
         return ProfileResult(
             model_name=stored.model_name,

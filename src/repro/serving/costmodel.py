@@ -250,23 +250,19 @@ class TraceCostModel(AnchoredCostModel):
     model object exists for it — can drive a serving run. Anchor latencies
     come from batch-scaling the stored trace
     (:func:`repro.profiling.profiler.price_stored`, the pricer
-    ``mmbench ingest --sweep`` prints).
+    ``mmbench ingest --sweep`` prints) from the batch it recorded.
     """
 
-    def __init__(self, stored, base_batch_size: int = 1,
-                 anchors: tuple[int, ...] = DEFAULT_ANCHORS,
+    def __init__(self, stored, anchors: tuple[int, ...] = DEFAULT_ANCHORS,
                  name: str | None = None):
         super().__init__(anchors)
-        if base_batch_size < 1:
-            raise ValueError(f"base_batch_size must be positive, got {base_batch_size}")
         self.stored = stored
-        self.base_batch_size = int(base_batch_size)
         self.name = name or stored.model_name
 
     def _price_anchors(self, device: str) -> np.ndarray:
         from repro.profiling.profiler import price_stored
 
-        reports = [price_stored(self.stored, [device], work=k / self.base_batch_size)
+        reports = [price_stored(self.stored, [device], work=k / self.stored.batch_size)
                    for k in self.anchors]
         PROFILE_STATS["pricings"] += len(self.anchors)
         # Floor keeps the interpolated curve strictly positive even

@@ -163,11 +163,13 @@ class TraceKey:
 class StoredTrace:
     """A cached trace plus the model scalars pricing needs.
 
-    ``extra`` carries entry provenance that is not needed for pricing but
-    must survive warm cache hits — the ingest path stores its
-    :class:`~repro.trace.ingest.IngestReport` (unknown-op bucket, pass
-    counts) and the graph's native batch size here, so a re-run against a
-    warm store can still surface the unknown-op fraction.
+    ``extra`` carries what must survive warm cache hits beyond the
+    scalars: every entry records the batch its trace ran at
+    (``extra["batch_size"]``, read as :attr:`batch_size`: the key's batch
+    for a capture, the graph's native batch for an ingested entry), and
+    the ingest path stores its :class:`~repro.trace.ingest.IngestReport`
+    (unknown-op bucket, pass counts), so a re-run against a warm store can
+    still surface the unknown-op fraction.
     """
 
     trace: Trace
@@ -177,6 +179,12 @@ class StoredTrace:
     input_bytes: int
     modalities: list[str] = field(default_factory=list)
     extra: dict = field(default_factory=dict)
+
+    @property
+    def batch_size(self) -> int:
+        """The batch the trace ran at; pricing at another batch scales the
+        trace by the ratio (:func:`repro.profiling.profiler.price_stored`)."""
+        return self.extra["batch_size"]
 
 
 # -- the store ----------------------------------------------------------------
@@ -476,6 +484,7 @@ class TraceStore:
             parameter_bytes=model.parameter_bytes(),
             input_bytes=model.input_bytes(key.batch_size),
             modalities=list(model.modality_names),
+            extra={"batch_size": key.batch_size},
         )
         self.stats["captures"] += 1
         self.put(key, entry)
@@ -529,6 +538,7 @@ class TraceStore:
             parameter_bytes=model.parameter_bytes(),
             input_bytes=model.input_bytes(key.batch_size),
             modalities=list(model.modality_names),
+            extra={"batch_size": key.batch_size},
         )
         self.stats["captures"] += 1
         self.put(key, entry)

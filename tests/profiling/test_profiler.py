@@ -81,16 +81,21 @@ class TestRepricing:
         MMBenchProfiler("2080ti").capture(model, batch)
         assert not model.training
 
-    def test_captured_entry_prices_as_stored_at_the_batch_it_is_given(self):
+    def test_captured_entry_prices_the_batch_it_is_given(self):
+        """A capture records its batch: b4 is the default, and b8 prices the
+        b4 trace batch-scaled by 2 (it once labelled b8 with the b4 price)."""
         stored = TraceStore().get_or_capture("avmnist", batch_size=4, backend="meta")
         profiler = MMBenchProfiler("2080ti")
-        result = profiler.profile_stored(stored, 4)
-        assert result.batch_size == 4
-        assert result.total_time == profiler.price(
-            None, stored.trace, 4, model_bytes=stored.parameter_bytes,
-            input_bytes=stored.input_bytes).total_time
-        with pytest.raises(ValueError, match="records no batch size"):
-            profiler.profile_stored(stored)
+        assert stored.batch_size == 4
+        native = profiler.profile_stored(stored)
+        assert native.batch_size == 4
+        assert native.total_time == price_stored(stored, ["2080ti"])[0].total_time
+        assert native.flops == stored.trace.total_flops
+        doubled = profiler.profile_stored(stored, 8)
+        assert doubled.batch_size == 8
+        assert doubled.total_time == price_stored(stored, ["2080ti"], work=2.0)[0].total_time
+        assert doubled.total_time > native.total_time
+        assert doubled.flops == 2 * stored.trace.total_flops
 
     def test_device_object_accepted(self):
         profiler = MMBenchProfiler(RTX_2080TI)

@@ -65,7 +65,8 @@ def test_one_curve_equals_the_scalar_oracle(curve):
 @pytest.mark.parametrize("device", ["2080ti", "nano"])
 def test_trace_cost_model_anchors_are_the_pricer(device):
     stored = TraceStore().get_or_ingest(FIXTURES / "transformer_train.json")
-    cost = TraceCostModel(stored, base_batch_size=4)
+    assert stored.batch_size == 2
+    cost = TraceCostModel(stored)
     for k in cost.anchors:
-        [report] = price_stored(stored, [device], work=k / 4)
+        [report] = price_stored(stored, [device], work=k / 2)
         assert cost.latency(device, k) == max(report.total_time, 1e-12)

@@ -86,19 +86,14 @@ class TestCaptureAndHits:
         assert stored.trace.total_flops > 0
 
     def test_meta_and_eager_entries_price_identically(self):
-        from repro.profiling.profiler import MMBenchProfiler
+        from repro.profiling.profiler import price_stored
 
         store = TraceStore()
         meta = store.get_or_capture("avmnist", batch_size=4, backend="meta")
         eager = store.get_or_capture("avmnist", batch_size=4, backend="eager")
-        profiler = MMBenchProfiler("2080ti")
-        t_meta = profiler.price(None, meta.trace, 4,
-                                model_bytes=meta.parameter_bytes,
-                                input_bytes=meta.input_bytes).total_time
-        t_eager = profiler.price(None, eager.trace, 4,
-                                 model_bytes=eager.parameter_bytes,
-                                 input_bytes=eager.input_bytes).total_time
-        assert t_meta == t_eager
+        [t_meta] = price_stored(meta, ["2080ti"])
+        [t_eager] = price_stored(eager, ["2080ti"])
+        assert t_meta.total_time == t_eager.total_time
 
 
 class TestTrainingModelReuse:
