@@ -13,7 +13,7 @@ loop over (workloads x batch sizes x devices).
 
 Run from the repo root::
 
-    python benchmarks/bench_engine.py [--batch-size 64] [-o FILE]
+    python benchmarks/bench_engine.py [-o FILE]
 
 Emits ``BENCH_engine.json``::
 
@@ -25,17 +25,16 @@ Emits ``BENCH_engine.json``::
     }
 
 Exits non-zero if the single-trace speedup on the largest workload drops
-below ``--floor`` (the CI regression gate against reintroducing per-event
-Python loops on the pricing path).
+below ``FLOOR`` (the CI regression gate against reintroducing per-event
+Python loops on the pricing path; local runs report well above it).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-import time
 from pathlib import Path
+
+from harness import best_of, run
 
 # The scalar twin is a test module: put the repo root (and its sources) on
 # the path so the script runs from a checkout.
@@ -49,22 +48,15 @@ from repro.trace.store import TraceStore  # noqa: E402
 from repro.workloads.registry import list_workloads  # noqa: E402
 from tests.hw.reference import ScalarExecutionEngine  # noqa: E402
 
+BATCH_SIZE = 64
+REPEATS = 5
+FLOOR = 20.0
 GRID_DEVICES = ("2080ti", "orin", "nano")
 GRID_BATCHES = (1, 8, 64)
 
 
-def _best_of(n: int, fn):
-    """Minimum wall time of ``n`` runs (standard noise suppression)."""
-    times = []
-    for _ in range(n):
-        t0 = time.perf_counter()
-        out = fn()
-        times.append(time.perf_counter() - t0)
-    return min(times), out
-
-
-def bench_workload(store: TraceStore, name: str, batch_size: int, repeats: int) -> dict:
-    stored = store.get_or_capture(name, batch_size=batch_size, backend="meta")
+def bench_workload(store: TraceStore, name: str) -> dict:
+    stored = store.get_or_capture(name, batch_size=BATCH_SIZE, backend="meta")
     trace = stored.trace
     device = get_device("2080ti")
     kwargs = dict(model_bytes=stored.parameter_bytes, input_bytes=stored.input_bytes)
@@ -79,9 +71,9 @@ def bench_workload(store: TraceStore, name: str, batch_size: int, repeats: int) 
         report.stall_shares
         return report
 
-    scalar_s, scalar_report = _best_of(
-        repeats, lambda: ScalarExecutionEngine(device).run(trace, **kwargs))
-    vector_s, vector_report = _best_of(repeats, vectorized_full)
+    scalar_s, scalar_report = best_of(
+        REPEATS, lambda: ScalarExecutionEngine(device).run(trace, **kwargs))
+    vector_s, vector_report = best_of(REPEATS, vectorized_full)
 
     rel = abs(vector_report.total_time - scalar_report.total_time)
     rel /= max(abs(scalar_report.total_time), 1e-300)
@@ -92,12 +84,12 @@ def bench_workload(store: TraceStore, name: str, batch_size: int, repeats: int) 
         "scalar_s": round(scalar_s, 6),
         "vectorized_s": round(vector_s, 6),
         "speedup": round(scalar_s / vector_s, 2),
-        "kernels": len(trace.kernels),
+        "kernels": trace.columns().n,
         "total_time_s": scalar_report.total_time,
     }
 
 
-def bench_grid(store: TraceStore, workloads: list[str], repeats: int) -> dict:
+def bench_grid(store: TraceStore, workloads: list[str]) -> dict:
     """One-pass grid sweep vs the equivalent scalar per-cell loop."""
 
     def vectorized():
@@ -118,8 +110,8 @@ def bench_grid(store: TraceStore, workloads: list[str], repeats: int) -> dict:
         return out
 
     vectorized()  # warm the trace store so both paths time pricing only
-    vector_s, grid = _best_of(repeats, vectorized)
-    scalar_s, ref = _best_of(1, scalar)
+    vector_s, grid = best_of(REPEATS, vectorized)
+    scalar_s, ref = best_of(1, scalar)
 
     for key, cell in grid.items():
         rel = abs(cell.total_time - ref[key].total_time)
@@ -137,20 +129,11 @@ def bench_grid(store: TraceStore, workloads: list[str], repeats: int) -> dict:
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--batch-size", type=int, default=64)
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--floor", type=float, default=20.0,
-                        help="minimum acceptable single-trace speedup on the "
-                             "largest workload (CI regression gate)")
-    parser.add_argument("-o", "--output", default="BENCH_engine.json")
-    args = parser.parse_args(argv)
-
+def bench() -> tuple[dict, list]:
     store = TraceStore()
     results: dict[str, dict] = {}
     for name in list_workloads():
-        results[name] = bench_workload(store, name, args.batch_size, args.repeats)
+        results[name] = bench_workload(store, name)
         r = results[name]
         print(f"{name:>14}: scalar {r['scalar_s'] * 1e3:8.2f} ms   "
               f"vectorized {r['vectorized_s'] * 1e3:7.3f} ms   "
@@ -160,28 +143,22 @@ def main(argv: list[str] | None = None) -> int:
     print(f"largest workload by scalar pricing time: {largest} "
           f"({results[largest]['speedup']:.1f}x vectorized speedup)")
 
-    grid = bench_grid(store, list_workloads(), args.repeats)
+    grid = bench_grid(store, list_workloads())
     print(f"grid sweep ({grid['cells']} cells, {len(GRID_DEVICES)} devices): "
           f"scalar {grid['scalar_s'] * 1e3:.1f} ms vs vectorized "
           f"{grid['vectorized_s'] * 1e3:.1f} ms ({grid['speedup']:.1f}x)")
 
     payload = {
-        "bench": "engine",
-        "batch_size": args.batch_size,
-        "repeats": args.repeats,
+        "batch_size": BATCH_SIZE,
+        "repeats": REPEATS,
         "workloads": results,
         "largest_workload": {"name": largest, "speedup": results[largest]["speedup"]},
         "grid": grid,
     }
-    Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.output}")
-
-    if results[largest]["speedup"] < args.floor:
-        print(f"FAIL: vectorized speedup on the largest workload is below "
-              f"{args.floor:.0f}x")
-        return 1
-    return 0
+    gates = [(results[largest]["speedup"] >= FLOOR,
+              f"vectorized speedup on the largest workload is below {FLOOR:.0f}x")]
+    return payload, gates
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run("engine", bench))

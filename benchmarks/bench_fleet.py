@@ -19,7 +19,7 @@ SLO search dynamics are covered by ``bench_serving_mix.py``.
 
 Run from the repo root::
 
-    python benchmarks/bench_fleet.py [--n-requests 10000000] [-o FILE]
+    python benchmarks/bench_fleet.py [-o FILE]
 
 Emits ``BENCH_fleet.json``::
 
@@ -32,75 +32,47 @@ Emits ``BENCH_fleet.json``::
       "tenants": {"avmnist": {"requests": ..., ...}, ...}
     }
 
-Exits non-zero if the simulation exceeds ``--budget`` seconds, falls
-below ``--floor`` simulated requests per second (the CI regression gate
-against reintroducing per-event scans or per-request scatters on the
-hot path), or drops requests (completions must be conserved).
+Exits non-zero if the simulation exceeds ``BUDGET_S`` seconds, falls
+below ``FLOOR`` simulated requests per second (the CI regression gate
+against reintroducing per-event scans or per-request scatters on the hot
+path), or drops requests (completions must be conserved). The floor
+alone bounds the 10M-request simulation to 3.9 s; a 2-vCPU VM lands
+~10-13.5M req/s in ~0.75-0.95 s, after ~0.25-0.4 s generating the stream.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import time
-from pathlib import Path
+from bench_serving_mix import SCENARIO, SEED, SLO, warm_tenants
+from harness import best_of, run
 
-from repro.serving import FixedBatchPolicy, make_tenants, parse_groups, simulate_fleet
+from repro.serving import FixedBatchPolicy, parse_groups, simulate_fleet
 from repro.serving.scenarios import scenario_columns
-from repro.workloads.registry import list_workloads
 
 GROUPS = "2080ti:64,orin:32,nano:16"
-SLO = 50e-3
 BATCH = 512
+N_REQUESTS = 10_000_000
+ARRIVAL_RATE = 10_000_000.0
+BUDGET_S = 9.0
+FLOOR = 2_539_870.0
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n-requests", type=int, default=10_000_000)
-    parser.add_argument("--arrival-rate", type=float, default=10_000_000.0)
-    parser.add_argument("--scenario", default="heavy-head")
-    parser.add_argument("--groups", default=GROUPS)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budget", type=float, default=9.0,
-                        help="maximum acceptable simulation wall time in "
-                             "seconds (CI regression gate)")
-    parser.add_argument("--floor", type=float, default=2_539_870.0,
-                        help="minimum acceptable simulated req/s — 10x the "
-                             "classic simulator's original recorded rate "
-                             "(253,987 req/s)")
-    parser.add_argument("-o", "--output", default="BENCH_fleet.json")
-    args = parser.parse_args(argv)
-
-    groups = parse_groups(args.groups)
-    tenants = make_tenants(
-        list_workloads(),
-        policy_factory=lambda _w: FixedBatchPolicy(BATCH),
-        slo=SLO, seed=args.seed,
-    )
-    # Warm every tenant's anchor curves for every group device so the
-    # timed section measures the event loop, not lazy cost-model fills.
-    for spec in tenants:
-        for group in groups:
-            spec.cost.latency(group.device, 1)
+def bench() -> tuple[dict, list]:
+    groups = parse_groups(GROUPS)
+    tenants = warm_tenants(lambda _w: FixedBatchPolicy(BATCH),
+                           [group.device for group in groups])
     # One small untimed run warms the allocator and the dense latency
     # tables (first-touch page faults otherwise dominate a cold run).
     simulate_fleet(tenants, groups, n_requests=100_000,
-                   arrival_rate=args.arrival_rate, scenario=args.scenario,
-                   seed=args.seed)
+                   arrival_rate=ARRIVAL_RATE, scenario=SCENARIO, seed=SEED)
 
-    t0 = time.perf_counter()
-    columns = scenario_columns(args.scenario, tenants, args.n_requests,
-                               arrival_rate=args.arrival_rate, seed=args.seed)
-    generate_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    report = simulate_fleet(tenants, groups, columns=columns,
-                            arrival_rate=args.arrival_rate, seed=args.seed)
-    wall_s = time.perf_counter() - t0
+    generate_s, columns = best_of(1, lambda: scenario_columns(
+        SCENARIO, tenants, N_REQUESTS, arrival_rate=ARRIVAL_RATE, seed=SEED))
+    wall_s, report = best_of(1, lambda: simulate_fleet(
+        tenants, groups, columns=columns, arrival_rate=ARRIVAL_RATE, seed=SEED))
     rate = report.n_requests / wall_s
 
     replicas = sum(g.replicas for g in groups)
-    print(f"{args.scenario}: {report.n_requests:,} requests over "
+    print(f"{SCENARIO}: {report.n_requests:,} requests over "
           f"{len(tenants)} tenants on {len(groups)} groups / "
           f"{replicas} replicas")
     print(f"arrivals generated in {generate_s:.2f}s, "
@@ -128,11 +100,10 @@ def main(argv: list[str] | None = None) -> int:
     }
 
     payload = {
-        "bench": "fleet",
         "n_requests": report.n_requests,
-        "scenario": args.scenario,
-        "arrival_rate": args.arrival_rate,
-        "groups": args.groups,
+        "scenario": SCENARIO,
+        "arrival_rate": ARRIVAL_RATE,
+        "groups": GROUPS,
         "replicas": replicas,
         "slo_s": SLO,
         "batch": BATCH,
@@ -143,24 +114,18 @@ def main(argv: list[str] | None = None) -> int:
         "groups_detail": groups_detail,
         "tenants": per_tenant,
     }
-    Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.output}")
-
-    if report.completed != args.n_requests:
-        print(f"FAIL: {report.completed:,} of {args.n_requests:,} requests "
-              "completed (conservation broken)")
-        return 1
-    if wall_s > args.budget:
-        print(f"FAIL: 10M-request fleet simulation took {wall_s:.1f}s "
-              f"(budget {args.budget:.0f}s)")
-        return 1
-    if rate < args.floor:
-        print(f"FAIL: {rate:,.0f} simulated req/s is below the "
-              f"{args.floor:,.0f} floor (10x the classic simulator's "
-              "original recorded rate)")
-        return 1
-    return 0
+    gates = [
+        (report.completed == N_REQUESTS,
+         f"{report.completed:,} of {N_REQUESTS:,} requests completed "
+         "(conservation broken)"),
+        (wall_s <= BUDGET_S,
+         f"10M-request fleet simulation took {wall_s:.1f}s (budget {BUDGET_S:.0f}s)"),
+        (rate >= FLOOR,
+         f"{rate:,.0f} simulated req/s is below the {FLOOR:,.0f} floor "
+         "(10x the classic simulator's original recorded rate)"),
+    ]
+    return payload, gates
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run("fleet", bench))

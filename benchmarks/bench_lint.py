@@ -4,18 +4,18 @@ Lint rules are pure array math, so they must stay effectively free next
 to capture/ingest/pricing. This benchmark measures:
 
 * **50k-kernel trace lint** — every trace rule over a synthetic ingested
-  trace (the hot pre-run hook path), gated in low milliseconds;
+  trace (the hot pre-run hook path), gated under ``TRACE_BUDGET_MS`` (50 ms);
 * **full corpus lint** — every execution-graph fixture under
   ``tests/fixtures/execution_graphs/`` plus a captured trace for each of
-  the nine built-in workloads, gated under ``--corpus-budget`` (250 ms
-  default — the CI regression gate).
+  the nine built-in workloads, gated under ``CORPUS_BUDGET_MS`` (250 ms,
+  the CI regression gate).
 
 Captures and ingests happen *outside* the timed regions; only the lint
 itself is on the clock.
 
 Run from the repo root::
 
-    python benchmarks/bench_lint.py [--nodes 50000] [-o FILE]
+    python benchmarks/bench_lint.py [-o FILE]
 
 Emits ``BENCH_lint.json``::
 
@@ -27,13 +27,11 @@ Emits ``BENCH_lint.json``::
 
 from __future__ import annotations
 
-import argparse
-import json
 import tempfile
-import time
 from pathlib import Path
 
 from bench_ingest import synthetic_graph
+from harness import best_of, run
 
 from repro.lint import lint_path, lint_trace
 from repro.trace.ingest import ingest_graph
@@ -42,32 +40,20 @@ from repro.workloads.registry import list_workloads
 
 FIXTURES = Path(__file__).parent.parent / "tests" / "fixtures" / \
     "execution_graphs"
+NODES = 50_000
+TRACE_BUDGET_MS = 50.0
+CORPUS_BUDGET_MS = 250.0
 
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return time.perf_counter() - t0, out
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--nodes", type=int, default=50_000)
-    parser.add_argument("--trace-budget-ms", type=float, default=50.0,
-                        help="budget for linting the 50k-kernel trace (ms)")
-    parser.add_argument("--corpus-budget-ms", type=float, default=250.0,
-                        help="budget for linting the full corpus (ms)")
-    parser.add_argument("-o", "--output", default="BENCH_lint.json")
-    args = parser.parse_args(argv)
-
+def bench() -> tuple[dict, list]:
     # -- 50k-kernel trace: the pre-run hook path ------------------------------
-    graph = synthetic_graph(args.nodes)
+    graph = synthetic_graph(NODES)
     ingested = ingest_graph(graph)
     lint_trace(ingested)  # warm the numpy/jit caches off the clock
-    trace_s, report = _timed(lambda: lint_trace(ingested, source="synthetic"))
+    trace_s, report = best_of(1, lambda: lint_trace(ingested, source="synthetic"))
     trace_ms = trace_s * 1e3
-    print(f"trace lint: {args.nodes:,} kernels in {trace_ms:.2f} ms "
-          f"= {args.nodes / trace_s:,.0f} kernels/s "
+    print(f"trace lint: {NODES:,} kernels in {trace_ms:.2f} ms "
+          f"= {NODES / trace_s:,.0f} kernels/s "
           f"({len(report)} diagnostic(s))")
 
     # -- full corpus: fixtures + the nine workloads ----------------------------
@@ -87,32 +73,26 @@ def main(argv: list[str] | None = None) -> int:
             return n_diags
 
         lint_corpus()  # warm
-        corpus_s, n_diags = _timed(lint_corpus)
+        corpus_s, n_diags = best_of(1, lint_corpus)
     corpus_ms = corpus_s * 1e3
     n_artifacts = len(fixture_paths) + len(captured)
     print(f"corpus lint: {n_artifacts} artifacts in {corpus_ms:.2f} ms "
           f"({n_diags} diagnostic(s))")
 
     payload = {
-        "bench": "lint",
-        "trace": {"kernels": args.nodes, "ms": round(trace_ms, 3),
-                  "kernels_per_s": round(args.nodes / trace_s, 1)},
+        "trace": {"kernels": NODES, "ms": round(trace_ms, 3),
+                  "kernels_per_s": round(NODES / trace_s, 1)},
         "corpus": {"artifacts": n_artifacts, "diagnostics": n_diags,
                    "ms": round(corpus_ms, 3)},
     }
-    Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.output}")
-
-    failed = False
-    if trace_ms > args.trace_budget_ms:
-        print(f"FAIL: 50k-kernel trace lint over "
-              f"{args.trace_budget_ms:.0f} ms budget")
-        failed = True
-    if corpus_ms > args.corpus_budget_ms:
-        print(f"FAIL: corpus lint over {args.corpus_budget_ms:.0f} ms budget")
-        failed = True
-    return 1 if failed else 0
+    gates = [
+        (trace_ms <= TRACE_BUDGET_MS,
+         f"50k-kernel trace lint over {TRACE_BUDGET_MS:.0f} ms budget"),
+        (corpus_ms <= CORPUS_BUDGET_MS,
+         f"corpus lint over {CORPUS_BUDGET_MS:.0f} ms budget"),
+    ]
+    return payload, gates
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run("lint", bench))

@@ -9,7 +9,7 @@ skips tracing entirely.
 
 Run from the repo root::
 
-    python benchmarks/bench_trace_backend.py [--batch-size 64] [-o FILE]
+    python benchmarks/bench_trace_backend.py [-o FILE]
 
 Emits ``BENCH_trace_backend.json``::
 
@@ -19,41 +19,35 @@ Emits ``BENCH_trace_backend.json``::
       "largest_workload": {"name": ..., "speedup": ...},
       "warm_store": {"capture_s": ..., "warm_hit_s": ..., "speedup": ...}
     }
+
+Exits non-zero if the meta speedup on the largest workload drops below
+``FLOOR``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import time
-from pathlib import Path
+from harness import best_of, run
 
 from repro.data.synthetic import random_batch
 from repro.profiling.profiler import MMBenchProfiler
 from repro.trace.store import TraceStore
 from repro.workloads.registry import get_workload, list_workloads
 
-
-def _best_of(n: int, fn):
-    """Minimum wall time of ``n`` runs (standard noise suppression)."""
-    times = []
-    for _ in range(n):
-        t0 = time.perf_counter()
-        out = fn()
-        times.append(time.perf_counter() - t0)
-    return min(times), out
+BATCH_SIZE = 64
+REPEATS = 3
+FLOOR = 10.0
 
 
-def bench_workload(name: str, batch_size: int, repeats: int) -> dict:
+def bench_workload(name: str) -> dict:
     model = get_workload(name).build(seed=0)
     profiler = MMBenchProfiler()
-    eager_batch = random_batch(model.shapes, batch_size, seed=0)
-    meta_batch = random_batch(model.shapes, batch_size, seed=0, backend="meta")
+    eager_batch = random_batch(model.shapes, BATCH_SIZE, seed=0)
+    meta_batch = random_batch(model.shapes, BATCH_SIZE, seed=0, backend="meta")
 
-    eager_s, eager_trace = _best_of(repeats, lambda: profiler.capture(model, eager_batch))
-    meta_s, meta_trace = _best_of(repeats, lambda: profiler.capture(model, meta_batch))
+    eager_s, eager_trace = best_of(REPEATS, lambda: profiler.capture(model, eager_batch))
+    meta_s, meta_trace = best_of(REPEATS, lambda: profiler.capture(model, meta_batch))
 
-    if len(meta_trace.kernels) != len(eager_trace.kernels):
+    if meta_trace.columns().n != eager_trace.columns().n:
         raise AssertionError(f"{name}: event count diverged")
     if meta_trace.total_flops != eager_trace.total_flops:
         raise AssertionError(f"{name}: FLOP totals diverged")
@@ -62,19 +56,19 @@ def bench_workload(name: str, batch_size: int, repeats: int) -> dict:
         "eager_s": round(eager_s, 6),
         "meta_s": round(meta_s, 6),
         "speedup": round(eager_s / meta_s, 2),
-        "kernels": len(eager_trace.kernels),
+        "kernels": eager_trace.columns().n,
         "total_flops": eager_trace.total_flops,
     }
 
 
-def bench_warm_store(workload: str, batch_size: int) -> dict:
+def bench_warm_store(workload: str) -> dict:
     store = TraceStore()
-    t0 = time.perf_counter()
-    store.get_or_capture(workload, batch_size=batch_size, backend="meta")
-    capture_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    store.get_or_capture(workload, batch_size=batch_size, backend="meta")
-    warm_s = time.perf_counter() - t0
+
+    def capture():
+        return store.get_or_capture(workload, batch_size=BATCH_SIZE, backend="meta")
+
+    capture_s, _ = best_of(1, capture)
+    warm_s, _ = best_of(1, capture)
     assert store.stats["captures"] == 1, "warm hit must not re-trace"
     return {
         "capture_s": round(capture_s, 6),
@@ -85,43 +79,32 @@ def bench_warm_store(workload: str, batch_size: int) -> dict:
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--batch-size", type=int, default=64)
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("-o", "--output", default="BENCH_trace_backend.json")
-    args = parser.parse_args(argv)
-
+def bench() -> tuple[dict, list]:
     results: dict[str, dict] = {}
     for name in list_workloads():
-        results[name] = bench_workload(name, args.batch_size, args.repeats)
+        results[name] = bench_workload(name)
         print(f"{name:>14}: eager {results[name]['eager_s'] * 1e3:8.1f} ms   "
               f"meta {results[name]['meta_s'] * 1e3:7.1f} ms   "
               f"{results[name]['speedup']:7.1f}x")
 
     largest = max(results, key=lambda n: results[n]["eager_s"])
-    warm = bench_warm_store(largest, args.batch_size)
+    warm = bench_warm_store(largest)
     print(f"largest workload by trace time: {largest} "
           f"({results[largest]['speedup']:.1f}x meta speedup)")
     print(f"warm trace-store hit on {largest}: {warm['warm_hit_s'] * 1e6:.0f} us "
           f"vs {warm['capture_s'] * 1e3:.1f} ms cold ({warm['speedup']:.0f}x)")
 
     payload = {
-        "bench": "trace_backend",
-        "batch_size": args.batch_size,
-        "repeats": args.repeats,
+        "batch_size": BATCH_SIZE,
+        "repeats": REPEATS,
         "workloads": results,
         "largest_workload": {"name": largest, "speedup": results[largest]["speedup"]},
         "warm_store": warm,
     }
-    Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.output}")
-
-    if results[largest]["speedup"] < 10.0:
-        print("FAIL: meta speedup on the largest workload is below 10x")
-        return 1
-    return 0
+    gates = [(results[largest]["speedup"] >= FLOOR,
+              f"meta speedup on the largest workload is below {FLOOR:.0f}x")]
+    return payload, gates
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run("trace_backend", bench))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.hw.device import DeviceSpec
 from repro.hw.memory import MemoryBreakdown
 from repro.profiling.profiler import GridCell, price_grid
 from repro.trace.store import TraceStore, default_store
@@ -47,7 +48,7 @@ class BatchSizeResult:
 
 def _variant_grid(store: TraceStore, workload: str, variant: str,
                   is_multimodal: bool, batch_sizes: tuple[int, ...],
-                  device: str, seed: int,
+                  device: str | DeviceSpec, seed: int,
                   backend: str | None) -> dict[int, GridCell]:
     """Price one variant's whole batch ladder in a single columnar pass."""
     grid = price_grid(
@@ -56,14 +57,14 @@ def _variant_grid(store: TraceStore, workload: str, variant: str,
         unimodal=None if is_multimodal else variant,
         seed=seed, backend=backend, store=store,
     )
-    return {b: grid[(workload, int(b), device)] for b in batch_sizes}
+    return {cell.batch_size: cell for cell in grid.values()}
 
 
 def batch_size_study(
     workload: str = "avmnist",
     batch_sizes: tuple[int, ...] = (40, 400),
     total_tasks: int = 10_000,
-    device: str = "2080ti",
+    device: str | DeviceSpec = "2080ti",
     seed: int = 0,
     backend: str | None = "meta",
     store: TraceStore | None = None,
@@ -93,7 +94,7 @@ def batch_size_study(
 def peak_memory_study(
     workload: str = "avmnist",
     batch_sizes: tuple[int, ...] = (20, 40, 100, 200, 400),
-    device: str = "2080ti",
+    device: str | DeviceSpec = "2080ti",
     seed: int = 0,
     backend: str | None = "meta",
     store: TraceStore | None = None,

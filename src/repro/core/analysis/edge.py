@@ -34,8 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.hw.device import DeviceSpec
 from repro.hw.vectorized import STALL_REASONS
-from repro.profiling.profiler import price_grid
+from repro.profiling.profiler import grid_devices, price_grid
 from repro.trace.store import TraceStore, default_store
 
 #: Work multiplier from our reduced AV-MNIST to the paper's full-scale one.
@@ -51,7 +52,8 @@ _VARIANTS = (("uni", None, "image"), ("slfs", "slfs", None))  # (label, fusion, 
 
 @dataclass
 class EdgeLatency:
-    """One (device, variant, batch) cell of Figure 14."""
+    """One (device, variant, batch) cell of Figure 14; ``device`` is the
+    grid key (a name as passed, or a spec's ``name``)."""
 
     device: str
     variant: str  # "uni" (image) or "slfs"
@@ -64,7 +66,7 @@ class EdgeLatency:
 def edge_latency_study(
     workload: str = "avmnist",
     batch_sizes: tuple[int, ...] = BATCH_SIZES,
-    devices: tuple[str, ...] = DEVICES,
+    devices: tuple[str | DeviceSpec, ...] = DEVICES,
     total_tasks: int = 10_000,
     scale: float = EDGE_SCALE,
     seed: int = 0,
@@ -80,26 +82,25 @@ def edge_latency_study(
         grid = price_grid([workload], batch_sizes, devices,
                           fusion=fusion, unimodal=unimodal, seed=seed,
                           backend=backend, scale=scale, store=store)
-        for batch_size in batch_sizes:
-            n_batches = max(1, total_tasks // batch_size)
-            for device in devices:
-                report = grid[(workload, int(batch_size), device)].report
-                results.append(EdgeLatency(
-                    device=device,
-                    variant=variant_name,
-                    batch_size=batch_size,
-                    inference_time=report.total_time * n_batches,
-                    memory_pressure=report.memory_pressure,
-                    slowdown=report.slowdown,
-                ))
+        for (_, batch_size, device), cell in grid.items():
+            report = cell.report
+            results.append(EdgeLatency(
+                device=device,
+                variant=variant_name,
+                batch_size=batch_size,
+                inference_time=report.total_time * max(1, total_tasks // batch_size),
+                memory_pressure=report.memory_pressure,
+                slowdown=report.slowdown,
+            ))
     return results
 
 
 def multimodal_ratio(results: list[EdgeLatency], batch_size: int) -> dict[str, float]:
-    """slfs/uni inference-time ratio per device at one batch size."""
+    """slfs/uni inference-time ratio per device at one batch size, in the
+    order the devices first appear in ``results``."""
     by_key = {(r.device, r.variant, r.batch_size): r for r in results}
     out = {}
-    for device in {r.device for r in results}:
+    for device in dict.fromkeys(r.device for r in results):
         uni = by_key.get((device, "uni", batch_size))
         slfs = by_key.get((device, "slfs", batch_size))
         if uni and slfs and uni.inference_time > 0:
@@ -109,7 +110,8 @@ def multimodal_ratio(results: list[EdgeLatency], batch_size: int) -> dict[str, f
 
 @dataclass
 class StallProfile:
-    """One bar of Figure 15a/b: a stall breakdown for one configuration."""
+    """One bar of Figure 15a/b: a stall breakdown for one configuration;
+    ``device`` is the grid key, as in :class:`EdgeLatency`."""
 
     device: str
     config: str  # "uni0" (audio), "uni1" (image), "slfs", or a stage name
@@ -118,7 +120,7 @@ class StallProfile:
 
 def edge_stall_study(
     workload: str = "avmnist",
-    devices: tuple[str, ...] = ("nano", "2080ti"),
+    devices: tuple[str | DeviceSpec, ...] = ("nano", "2080ti"),
     batch_size: int = 40,
     scale: float = EDGE_SCALE,
     seed: int = 0,
@@ -144,7 +146,7 @@ def edge_stall_study(
         for config_name, (fusion, unimodal) in configs.items()
     }
     profiles: list[StallProfile] = []
-    for device in devices:
+    for device in grid_devices(devices):
         for config_name in configs:
             report = grids[config_name][(workload, batch_size, device)].report
             profiles.append(StallProfile(
@@ -158,7 +160,7 @@ def edge_stall_study(
 
 def edge_resource_study(
     workload: str = "avmnist",
-    device: str = "nano",
+    device: str | DeviceSpec = "nano",
     batch_size: int = 40,
     scale: float = EDGE_SCALE,
     seed: int = 0,
@@ -167,9 +169,9 @@ def edge_resource_study(
 ) -> dict[str, dict[str, float]]:
     """Figure 15c: per-stage resource usage of slfs on the Jetson Nano."""
     store = store if store is not None else default_store()
-    grid = price_grid([workload], [batch_size], [device], fusion="slfs",
-                      seed=seed, backend=backend, scale=scale, store=store)
-    return grid[(workload, batch_size, device)].report.stage_counters()
+    [cell] = price_grid([workload], [batch_size], [device], fusion="slfs",
+                        seed=seed, backend=backend, scale=scale, store=store).values()
+    return cell.report.stage_counters()
 
 
 def dominant_stalls(profiles: list[StallProfile], device: str, config: str = "slfs",

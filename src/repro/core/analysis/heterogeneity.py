@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.hw.device import DeviceSpec
+from repro.hw.engine import KernelExecution
 from repro.profiling.profiler import price_grid
 from repro.trace.events import KernelCategory
 from repro.trace.store import TraceStore
@@ -29,7 +31,7 @@ from repro.workloads.registry import list_workloads
 def kernel_breakdown_analysis(
     workloads: list[str] | None = None,
     batch_size: int = 32,
-    device: str = "2080ti",
+    device: str | DeviceSpec = "2080ti",
     seed: int = 0,
     backend: str | None = "meta",
     store: TraceStore | None = None,
@@ -38,17 +40,16 @@ def kernel_breakdown_analysis(
     names = workloads or list_workloads()
     grid = price_grid(names, [batch_size], [device], seed=seed,
                       backend=backend, store=store)
-    out: dict[str, dict[str, dict[str, float]]] = {}
-    for name in names:
-        cell = grid[(name, batch_size, device)]
-        out[name] = {
+    return {
+        cell.workload: {
             stage: {
                 cat.value: share
                 for cat, share in cell.report.category_time_breakdown(stage).items()
             }
             for stage in cell.trace.stages()
         }
-    return out
+        for cell in grid.values()
+    }
 
 
 @dataclass
@@ -66,34 +67,37 @@ class HotspotRecord:
     l2_write_hit_rate: float
     duration: float
 
-
-def hotspot_across_stages(
-    workload: str = "avmnist",
-    category: KernelCategory = KernelCategory.GEMM,
-    batch_size: int = 32,
-    device: str = "2080ti",
-    seed: int = 0,
-    backend: str | None = "meta",
-    store: TraceStore | None = None,
-) -> list[HotspotRecord]:
-    """Figure 9a: the same kernel category's hotspot in each stage."""
-    grid = price_grid([workload], [batch_size], [device], seed=seed,
-                      backend=backend, store=store)
-    result = grid[(workload, batch_size, device)]
-    records = []
-    for stage in result.trace.stages():
-        kx = result.report.hotspot(category, stage=stage)
-        if kx is None:
-            continue
+    @classmethod
+    def of(cls, context: str, kx: KernelExecution) -> HotspotRecord:
+        """The record of hotspot ``kx`` (a priced kernel) in ``context``."""
         c = kx.counters
-        records.append(HotspotRecord(
-            context=stage, kernel_name=kx.event.name, fp32_ops=c.fp32_ops,
+        return cls(
+            context=context, kernel_name=kx.event.name, fp32_ops=c.fp32_ops,
             dram_read_bytes=c.dram_read_bytes,
             read_tps=c.read_transactions_per_second,
             l1_hit_rate=c.l1_hit_rate, l2_hit_rate=c.l2_hit_rate,
             l2_read_hit_rate=c.l2_read_hit_rate, l2_write_hit_rate=c.l2_write_hit_rate,
             duration=c.duration,
-        ))
+        )
+
+
+def hotspot_across_stages(
+    workload: str = "avmnist",
+    category: KernelCategory = KernelCategory.GEMM,
+    batch_size: int = 32,
+    device: str | DeviceSpec = "2080ti",
+    seed: int = 0,
+    backend: str | None = "meta",
+    store: TraceStore | None = None,
+) -> list[HotspotRecord]:
+    """Figure 9a: the same kernel category's hotspot in each stage."""
+    [result] = price_grid([workload], [batch_size], [device], seed=seed,
+                          backend=backend, store=store).values()
+    records = []
+    for stage in result.trace.stages():
+        kx = result.report.hotspot(category, stage=stage)
+        if kx is not None:
+            records.append(HotspotRecord.of(stage, kx))
     return records
 
 
@@ -102,7 +106,7 @@ def hotspot_across_fusions(
     fusions: tuple[str, ...] = ("concat", "tensor"),
     category: KernelCategory = KernelCategory.ELEWISE,
     batch_size: int = 32,
-    device: str = "2080ti",
+    device: str | DeviceSpec = "2080ti",
     seed: int = 0,
     backend: str | None = "meta",
     store: TraceStore | None = None,
@@ -110,19 +114,9 @@ def hotspot_across_fusions(
     """Figure 9b: a fusion-stage hotspot kernel across fusion methods."""
     records = []
     for fusion in fusions:
-        grid = price_grid([workload], [batch_size], [device], fusion=fusion,
-                          seed=seed, backend=backend, store=store)
-        result = grid[(workload, batch_size, device)]
+        [result] = price_grid([workload], [batch_size], [device], fusion=fusion,
+                              seed=seed, backend=backend, store=store).values()
         kx = result.report.hotspot(category, stage="fusion")
-        if kx is None:
-            continue
-        c = kx.counters
-        records.append(HotspotRecord(
-            context=fusion, kernel_name=kx.event.name, fp32_ops=c.fp32_ops,
-            dram_read_bytes=c.dram_read_bytes,
-            read_tps=c.read_transactions_per_second,
-            l1_hit_rate=c.l1_hit_rate, l2_hit_rate=c.l2_hit_rate,
-            l2_read_hit_rate=c.l2_read_hit_rate, l2_write_hit_rate=c.l2_write_hit_rate,
-            duration=c.duration,
-        ))
+        if kx is not None:
+            records.append(HotspotRecord.of(fusion, kx))
     return records

@@ -14,6 +14,7 @@ prices it on the GPU-server model. The paper's observations to reproduce:
 
 from __future__ import annotations
 
+from repro.hw.device import DeviceSpec
 from repro.profiling.profiler import price_grid
 from repro.trace.store import TraceStore
 from repro.workloads.registry import list_workloads
@@ -22,7 +23,7 @@ from repro.workloads.registry import list_workloads
 def stage_time_analysis(
     workloads: list[str] | None = None,
     batch_size: int = 32,
-    device: str = "2080ti",
+    device: str | DeviceSpec = "2080ti",
     seed: int = 0,
     backend: str | None = "meta",
     store: TraceStore | None = None,
@@ -31,14 +32,13 @@ def stage_time_analysis(
     names = workloads or list_workloads()
     grid = price_grid(names, [batch_size], [device], seed=seed,
                       backend=backend, store=store)
-    return {name: grid[(name, batch_size, device)].report.stage_time()
-            for name in names}
+    return {cell.workload: cell.report.stage_time() for cell in grid.values()}
 
 
 def stage_resource_analysis(
     workloads: list[str] | None = None,
     batch_size: int = 32,
-    device: str = "2080ti",
+    device: str | DeviceSpec = "2080ti",
     seed: int = 0,
     backend: str | None = "meta",
     store: TraceStore | None = None,
@@ -52,5 +52,4 @@ def stage_resource_analysis(
     names = workloads or list_workloads()
     grid = price_grid(names, [batch_size], [device], seed=seed,
                       backend=backend, store=store)
-    return {name: grid[(name, batch_size, device)].report.stage_counters()
-            for name in names}
+    return {cell.workload: cell.report.stage_counters() for cell in grid.values()}

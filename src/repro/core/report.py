@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 
+from repro.hw.device import DeviceSpec
 from repro.hw.energy import report_energy, stage_energy
 from repro.hw.vectorized import STALL_REASONS
 from repro.profiling.profiler import price_grid
@@ -32,7 +33,7 @@ def characterization_report(
     workload: str,
     fusion: str | None = None,
     batch_size: int = 32,
-    devices: tuple[str, ...] = ("2080ti", "orin", "nano"),
+    devices: tuple[str | DeviceSpec, ...] = ("2080ti", "orin", "nano"),
     seed: int = 0,
     backend: str | None = "meta",
 ) -> str:
@@ -40,13 +41,15 @@ def characterization_report(
 
     Everything comes from the shared store's entry (meta backend by
     default) and one broadcast pricing of it across ``devices``, so a warm
-    hit renders with no model build and no re-trace.
+    hit renders with no model build and no re-trace. Rows name each device
+    by its grid key: a name as passed, or a spec's ``name``.
     """
     info = get_workload(workload)
-    cells = price_grid([workload], [batch_size], devices, fusion=fusion,
-                       seed=seed, backend=backend)
-    reports = [cells[(workload, batch_size, device)].report for device in devices]
-    stored = cells[(workload, batch_size, devices[0])].stored
+    grid = price_grid([workload], [batch_size], devices, fusion=fusion,
+                      seed=seed, backend=backend)
+    reports = {device: cell.report for (_, _, device), cell in grid.items()}
+    (primary_device, primary), *_ = reports.items()
+    stored = next(iter(grid.values())).stored
     trace = stored.trace
 
     out = io.StringIO()
@@ -64,8 +67,7 @@ def characterization_report(
     out.write("\n")
 
     # Primary device deep dive.
-    primary = reports[0]
-    out.write(f"## Three-stage profile on {devices[0]}\n\n")
+    out.write(f"## Three-stage profile on {primary_device}\n\n")
     stage_rows = []
     counters = primary.stage_counters()
     energies = stage_energy(primary)
@@ -122,7 +124,7 @@ def characterization_report(
     # Cross-device summary.
     out.write("## Cross-device summary\n\n")
     device_rows = []
-    for device, rep in zip(devices, reports):
+    for device, rep in reports.items():
         energy = report_energy(rep)
         stalls = rep.overall_stalls()
         dominant = max(STALL_REASONS, key=lambda r: stalls.get(r, 0.0))

@@ -1,9 +1,13 @@
 """Hardware-model analyses (Figures 6-15): fast, deterministic checks
 that the paper's qualitative findings hold in the reproduction."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import analysis
+from repro.core.report import characterization_report
+from repro.hw.device import RTX_2080TI
 from repro.profiling.profiler import price_grid
 from repro.serving.faults import degraded_mode_for
 from repro.trace import store as store_mod
@@ -202,3 +206,68 @@ class TestEdge:
         ratios = analysis.multimodal_ratio(latencies, 40)
         assert set(ratios) == {"nano", "orin", "2080ti"}
         assert all(r > 1.0 for r in ratios.values())
+
+
+#: A renamed 2080Ti with a quarter of its DRAM bandwidth and FP32 peak.
+PERTURBED = dataclasses.replace(RTX_2080TI, name="perturbed",
+                                dram_bandwidth=RTX_2080TI.dram_bandwidth / 4,
+                                peak_fp32_flops=RTX_2080TI.peak_fp32_flops / 4)
+
+#: Each single-device grid analysis, called with one device argument.
+SINGLE_DEVICE = {
+    "stage_time": lambda d: analysis.stage_time_analysis(["avmnist"], 4, device=d),
+    "stage_resource": lambda d: analysis.stage_resource_analysis(["avmnist"], 4, device=d),
+    "kernel_breakdown": lambda d: analysis.kernel_breakdown_analysis(["avmnist"], 4, device=d),
+    "hotspot_stages": lambda d: analysis.hotspot_across_stages(batch_size=4, device=d),
+    "hotspot_fusions": lambda d: analysis.hotspot_across_fusions(batch_size=4, device=d),
+    "batch_size": lambda d: analysis.batch_size_study(batch_sizes=(4, 8), device=d),
+    "peak_memory": lambda d: analysis.peak_memory_study(batch_sizes=(4, 8), device=d),
+    "edge_resource": lambda d: analysis.edge_resource_study(batch_size=4, device=d),
+}
+
+
+def _unlabelled(rows):
+    return [dataclasses.replace(r, device="") for r in rows]
+
+
+class TestDeviceSpecArguments:
+    """Every grid analysis takes a ``DeviceSpec`` where it takes a device
+    name, prices the spec as the name it stands for, and labels its rows
+    with the spec's ``name`` (the grid key)."""
+
+    @pytest.mark.parametrize("call", SINGLE_DEVICE.values(), ids=SINGLE_DEVICE.keys())
+    def test_spec_prices_as_its_name(self, call):
+        assert call(RTX_2080TI) == call("2080ti")
+
+    @pytest.mark.parametrize(
+        "call", [c for k, c in SINGLE_DEVICE.items() if k != "peak_memory"],
+        ids=[k for k in SINGLE_DEVICE if k != "peak_memory"])
+    def test_perturbed_spec_prices_differently(self, call):
+        assert call(PERTURBED) != call("2080ti")
+
+    def test_edge_latency_rows_carry_the_spec_name(self):
+        by_name = analysis.edge_latency_study(batch_sizes=(40,), devices=("2080ti",))
+        by_spec = analysis.edge_latency_study(batch_sizes=(40,),
+                                              devices=(RTX_2080TI, PERTURBED))
+        assert [r.device for r in by_spec] == ["rtx2080ti", "perturbed"] * 2
+        assert _unlabelled(by_spec[0::2]) == _unlabelled(by_name)
+        assert [r.inference_time for r in by_spec[1::2]] != \
+            [r.inference_time for r in by_name]
+        assert list(analysis.multimodal_ratio(by_spec, 40)) == ["rtx2080ti", "perturbed"]
+
+    def test_edge_stall_profiles_carry_the_spec_name(self):
+        by_name = analysis.edge_stall_study(devices=("2080ti",))
+        by_spec = analysis.edge_stall_study(devices=(RTX_2080TI, PERTURBED))
+        half = len(by_name)
+        assert [p.device for p in by_spec] == ["rtx2080ti"] * half + ["perturbed"] * half
+        assert _unlabelled(by_spec[:half]) == _unlabelled(by_name)
+        assert [p.stalls for p in by_spec[half:]] != [p.stalls for p in by_name]
+
+    def test_report_rows_carry_the_spec_name(self):
+        by_name = characterization_report("avmnist", batch_size=4, devices=("2080ti",))
+        by_spec = characterization_report("avmnist", batch_size=4, devices=(RTX_2080TI,))
+        assert by_spec.replace("rtx2080ti", "2080ti") == by_name
+        perturbed = characterization_report("avmnist", batch_size=4, devices=(PERTURBED,))
+        assert "## Three-stage profile on perturbed" in perturbed
+        assert "| perturbed |" in perturbed
+        assert perturbed.replace("perturbed", "2080ti") != by_name

@@ -10,6 +10,8 @@ adaptively — and the captured stdout must be byte-identical.
 It must also equal the committed ``tests/fixtures/determinism_stdout.txt``,
 which pins these bytes from one commit to the next: a change that means
 to move this output re-records that file (the seed-0 stdout) and says so.
+A second script checks one library call the commands do not reach,
+``multimodal_ratio``, under the same two seeds.
 """
 
 import os
@@ -45,13 +47,24 @@ for argv in {COMMANDS!r}:
 """
 
 
-def run_with_hash_seed(seed: int) -> str:
+#: Hand-built Figure 14 rows for three devices, in the order nano, orin,
+#: 2080ti; ``multimodal_ratio`` must key its result in that order.
+RATIO_SCRIPT = """
+from repro.core.analysis.edge import EdgeLatency, multimodal_ratio
+rows = [EdgeLatency(device, variant, 40, time, 0.0, 1.0)
+        for device in ("nano", "orin", "2080ti")
+        for variant, time in (("uni", 1.0), ("slfs", 2.0))]
+print(list(multimodal_ratio(rows, 40)))
+"""
+
+
+def run_with_hash_seed(seed: int, script: str = SCRIPT) -> str:
     env = dict(os.environ, PYTHONHASHSEED=str(seed),
                PYTHONPATH=os.pathsep.join(
                    p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     env.pop("MMBENCH_CACHE_DIR", None)
     # From the repo root, so the ingest command's relative graph path resolves.
-    result = subprocess.run([sys.executable, "-c", SCRIPT], env=env, cwd=ROOT,
+    result = subprocess.run([sys.executable, "-c", script], env=env, cwd=ROOT,
                             capture_output=True, text=True, timeout=300,
                             check=True)
     return result.stdout
@@ -63,3 +76,9 @@ def test_output_is_byte_identical_across_hash_seeds():
     assert "issued (conserved)" in first and "autoscaling:" in first
     assert first == second
     assert first == GOLDEN.read_text()
+
+
+def test_multimodal_ratio_keeps_row_order_across_hash_seeds():
+    for seed in (0, 1):
+        out = run_with_hash_seed(seed, RATIO_SCRIPT)
+        assert out == "['nano', 'orin', '2080ti']\n", seed
